@@ -3,8 +3,11 @@
 Two independent deciders over the same problem type:
 
 * :func:`lp_feasible` -- equality pre-substitution followed by a phase-1
-  simplex over exact rationals with Bland's anti-cycling rule; returns a
-  satisfying assignment or ``None``.
+  simplex with Bland's anti-cycling rule on a sparse integer tableau: each
+  row is kept integral over one positive scale, and pivots are
+  fraction-free, so no ``Fraction`` is built inside the simplex.  It takes
+  the pivots that a simplex over the rationals takes, and returns an exact
+  rational assignment, re-verified against the problem, or ``None``.
 * :func:`fourier_motzkin` -- variable elimination, intended as a slow
   cross-checking oracle and capped at a configurable variable count.
 """
@@ -13,12 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Sequence
 
 from .errors import EliminationCapError
-from .linalg import F0, F1, RatVec, dot, primitive, rref, vec
+from .linalg import F0, RatVec, dot, primitive, rref, vec
 
 Constraint = tuple[RatVec, Fraction]
+# (a, b, s): the rational inequality (a / s) . x >= b / s with integers and s > 0
+IntConstraint = tuple[tuple[int, ...], int, int]
 
 
 @dataclass(frozen=True)
@@ -35,6 +41,11 @@ class LPProblem:
                 raise ValueError(
                     f"constraint of length {len(a)} in a problem with {self.num_vars} variables"
                 )
+        # exact values, as constraint() makes them, whatever the caller passed
+        for name in ("eq_constraints", "ineq_constraints"):
+            rows = getattr(self, name)
+            if not all(_is_exact(a, b) for a, b in rows):
+                object.__setattr__(self, name, tuple(constraint(a, b) for a, b in rows))
 
     def satisfied_by(self, x: Sequence[Fraction]) -> bool:
         return all(dot(a, x) == b for a, b in self.eq_constraints) and all(
@@ -46,13 +57,25 @@ def constraint(coeffs, rhs=0) -> Constraint:
     return (vec(coeffs), Fraction(rhs))
 
 
+def _is_exact(a, b) -> bool:
+    return (
+        type(a) is tuple
+        and type(b) is Fraction
+        and all(type(x) is Fraction for x in a)
+    )
+
+
 def _substitute_equalities(
     lp: LPProblem,
-) -> tuple[bool, int, Callable[[Sequence[Fraction]], RatVec], list[Constraint]]:
+) -> tuple[bool, int, Callable[[Sequence[Fraction]], RatVec], list[IntConstraint]]:
     """Solve the equality block exactly.
 
     Returns (consistent, number of free variables, map from free values back
     to a full assignment, inequalities rewritten over the free variables).
+    Each rewritten inequality ``(a, b, s)`` is integral and stands for
+    ``(a / s) . t >= b / s`` with ``s > 0``: the particular solution and the
+    directions share one denominator, and each input row is scaled by the
+    lcm of its own denominators, so every dot product is one of integers.
     """
     n = lp.num_vars
     aug = [tuple(a) + (b,) for a, b in lp.eq_constraints]
@@ -61,31 +84,50 @@ def _substitute_equalities(
         return False, 0, lambda t: (), []
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
-    # particular solution (free vars at zero) and one direction per free var
-    particular = [F0] * n
-    for row, p in zip(reduced, pivots):
-        particular[p] = row[n]
-    directions = []
-    for f in free:
-        d = [F0] * n
-        d[f] = F1
-        for row, p in zip(reduced, pivots):
-            d[p] = -row[f]
-        directions.append(tuple(d))
+    free_pos = {f: t for t, f in enumerate(free)}
+    pivot_pos = {p: k for k, p in enumerate(pivots)}
+    # The reduced rows over one denominator: the k-th pivot variable equals
+    # (particular[k] - sum of y * t[q] over (q, y) in tails[k]) / den, where
+    # t holds the values of the free variables.
+    den = lcm(*(x.denominator for row in reduced for x in row))
+    particular = [row[n].numerator * (den // row[n].denominator) for row in reduced]
+    tails = [
+        [(q, x.numerator * (den // x.denominator)) for q, x in enumerate(row[f] for f in free) if x]
+        for row in reduced
+    ]
 
     def lift(t: Sequence[Fraction]) -> RatVec:
-        out = list(particular)
-        for val, d in zip(t, directions):
-            if val:
-                for i, di in enumerate(d):
-                    if di:
-                        out[i] += val * di
+        out = [F0] * n
+        for f, val in zip(free, t):
+            out[f] = val
+        for p, num, tail in zip(pivots, particular, tails):
+            out[p] = (num - sum((y * t[q] for q, y in tail), F0)) / den
         return tuple(out)
 
     reduced_ineqs = []
     for a, b in lp.ineq_constraints:
-        coeffs = tuple(dot(a, d) for d in directions)
-        reduced_ineqs.append((coeffs, b - dot(a, particular)))
+        scale = lcm(b.denominator, *(x.denominator for x in a))
+        coeffs = [0] * len(free)
+        rhs = den * b.numerator * (scale // b.denominator)
+        for j, x in enumerate(a):
+            if not x:
+                continue
+            v = x.numerator * (scale // x.denominator)
+            q = free_pos.get(j)
+            if q is not None:
+                coeffs[q] += den * v
+            else:
+                k = pivot_pos[j]
+                rhs -= v * particular[k]
+                for q, y in tails[k]:
+                    coeffs[q] -= v * y
+        scale *= den
+        g = gcd(rhs, scale, *coeffs)
+        if g > 1:
+            coeffs = [c // g for c in coeffs]
+            rhs //= g
+            scale //= g
+        reduced_ineqs.append((tuple(coeffs), rhs, scale))
     return True, len(free), lift, reduced_ineqs
 
 
@@ -103,102 +145,135 @@ def lp_feasible(lp: LPProblem) -> RatVec | None:
     return x
 
 
-def _phase_one(num_vars: int, ineqs: list[Constraint]) -> RatVec | None:
-    """Feasible point of {x : a.x >= b} via phase-1 simplex with Bland's rule.
+def _phase_one(num_vars: int, ineqs: list[IntConstraint]) -> RatVec | None:
+    """Feasible point of {t : (a / s) . t >= b / s} by phase-1 simplex with Bland's rule.
 
-    Free variables are split as x = p - q; every constraint gets a slack, and
-    only rows whose right hand side stays positive after orientation need an
-    artificial variable.
+    Free variables are split as t = p - q; every constraint gets a slack, and
+    only rows whose right hand side is positive need an artificial variable.
+    The tableau is kept integral and sparse: row i is a ``{column: int}`` map
+    with an integer right hand side ``rhs[i]``, and stands for the rational
+    row obtained by dividing both by the row's coefficient on its basic
+    column, which stays positive.  The reduced costs form one more integral
+    row with an implicit positive scale; only their signs are read.  Every
+    comparison of Bland's rule therefore comes out as over the rationals.
     """
     m = len(ineqs)
     n_struct = 2 * num_vars + m
-    n_art = sum(1 for _, b in ineqs if b > 0)
-    ncols = n_struct + n_art
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[dict[int, int]] = []
+    rhs: list[int] = []
     basis: list[int] = []
     next_art = n_struct
-    for i, (a, b) in enumerate(ineqs):
-        row = [F0] * ncols
+    for i, (a, b, s) in enumerate(ineqs):
         if b > 0:
-            # a.x - s = b with an artificial basic column
-            for j, c in enumerate(a):
-                if c:
-                    row[j] = c
-                    row[num_vars + j] = -c
-            row[2 * num_vars + i] = -F1
-            row[next_art] = F1
+            # a.t - s * slack + s * artificial = b, the artificial basic
+            row = {j: c for j, c in enumerate(a) if c}
+            row.update({num_vars + j: -c for j, c in row.items()})
+            row[2 * num_vars + i] = -s
+            row[next_art] = s
             basis.append(next_art)
             next_art += 1
             rhs.append(b)
         else:
-            # -a.x + s = -b with the slack basic at -b >= 0
-            for j, c in enumerate(a):
-                if c:
-                    row[j] = -c
-                    row[num_vars + j] = c
-            row[2 * num_vars + i] = F1
+            # -a.t + s * slack = -b, the slack basic at -b / s >= 0
+            row = {j: -c for j, c in enumerate(a) if c}
+            row.update({num_vars + j: -c for j, c in row.items()})
+            row[2 * num_vars + i] = s
             basis.append(2 * num_vars + i)
             rhs.append(-b)
         rows.append(row)
 
-    # minimize the artificial sum; reduced costs relative to the start basis
-    red = [F0] * ncols
-    objective = F0
-    for i in range(m):
-        if basis[i] >= n_struct:
-            objective += rhs[i]
-            row = rows[i]
-            for j in range(n_struct):
-                if row[j]:
-                    red[j] -= row[j]
+    # minimize the artificial sum: reduced costs relative to the start basis,
+    # each artificial row over the common multiple of their scales
+    art_rows = [i for i in range(m) if basis[i] >= n_struct]
+    common = lcm(*(rows[i][basis[i]] for i in art_rows))
+    red: dict[int, int] = {}
+    for i in art_rows:
+        row = rows[i]
+        k = common // row[basis[i]]
+        for j, x in row.items():
+            if j < n_struct:
+                red[j] = red.get(j, 0) - k * x
+    red = {j: x for j, x in red.items() if x}
 
     while True:
-        enter = next((j for j in range(ncols) if red[j] < 0), None)
+        enter = min((j for j, x in red.items() if x < 0), default=None)
         if enter is None:
             break
-        best: tuple[Fraction, int, int] | None = None
-        for i in range(m):
-            coef = rows[i][enter]
-            if coef > 0:
-                key = (rhs[i] / coef, basis[i], i)
-                if best is None or key < best:
-                    best = key
-        if best is None:
+        # minimum ratio rhs / coef by cross-multiplication, ties to the
+        # smaller basic column
+        leave = -1
+        for i, row in enumerate(rows):
+            coef = row.get(enter, 0)
+            if coef <= 0:
+                continue
+            if leave >= 0:
+                diff = rhs[i] * best_coef - best_rhs * coef
+                if diff > 0 or (diff == 0 and basis[i] > basis[leave]):
+                    continue
+            leave, best_rhs, best_coef = i, rhs[i], coef
+        if leave < 0:
             raise AssertionError("internal error: unbounded phase-1 objective")
-        theta, _, leave = best
-        objective += red[enter] * theta
         _pivot(rows, rhs, red, leave, enter)
         basis[leave] = enter
 
-    if objective != 0:
+    if any(rhs[i] for i, col in enumerate(basis) if col >= n_struct):
         return None
-    values = [F0] * ncols
+    values = [F0] * (2 * num_vars)
     for i, col in enumerate(basis):
-        values[col] = rhs[i]
+        if col < 2 * num_vars:
+            values[col] = Fraction(rhs[i], rows[i][col])
     return tuple(values[j] - values[num_vars + j] for j in range(num_vars))
 
 
 def _pivot(rows, rhs, red, r, c):
+    """One pivot on row r, column c of the integral tableau.
+
+    Every other row, and the reduced costs, lose column c by a fraction-free
+    combination with the pivot row and are then divided by the gcd of their
+    entries.  The pivot row is left as it is: its coefficient on column c,
+    which is positive, becomes its scale.
+    """
     prow = rows[r]
-    piv = prow[c]
-    if piv != 1:
-        inv = 1 / piv
-        rows[r] = prow = [x * inv for x in prow]
-        rhs[r] *= inv
-    nz = [j for j, x in enumerate(prow) if x]
+    p = prow[c]
     for i, row in enumerate(rows):
-        if i == r:
+        f = row.get(c)
+        if f is None or i == r:
             continue
-        f = row[c]
-        if f:
-            for j in nz:
-                row[j] -= f * prow[j]
-            rhs[i] -= f * rhs[r]
-    f = red[c]
-    if f:
-        for j in nz:
-            red[j] -= f * prow[j]
+        a, b = _eliminate(row, prow, p, f)
+        h = rhs[i] * a - b * rhs[r]
+        g = gcd(h, *row.values())
+        if g > 1:
+            for j in row:
+                row[j] //= g
+            h //= g
+        rhs[i] = h
+    f = red.get(c)
+    if f is not None:
+        _eliminate(red, prow, p, f)
+        g = gcd(*red.values())
+        if g > 1:
+            for j in red:
+                red[j] //= g
+
+
+def _eliminate(row: dict[int, int], prow: dict[int, int], p: int, f: int) -> tuple[int, int]:
+    """Set row to ``row * (p / g) - prow * (f / g)`` in place, g = gcd(p, f).
+
+    ``p`` and ``f`` are the entries of prow and row in the pivot column, so
+    that column drops out; returns the two factors.
+    """
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    if a != 1:
+        for j in row:
+            row[j] *= a
+    for j, x in prow.items():
+        v = row.get(j, 0) - b * x
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+    return a, b
 
 
 def fourier_motzkin(lp: LPProblem, max_vars: int = 8) -> bool:
@@ -216,7 +291,7 @@ def fourier_motzkin(lp: LPProblem, max_vars: int = 8) -> bool:
     consistent, num_free, _, ineqs = _substitute_equalities(lp)
     if not consistent:
         return False
-    rows = _normalize_rows(ineqs)
+    rows = _normalize_rows([(a, b) for a, b, _ in ineqs])
     if rows is None:
         return False
     remaining = list(range(num_free))

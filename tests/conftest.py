@@ -132,6 +132,31 @@ TWISTED_CUBE_CONES = (
 )
 
 
+def cube_pattern_cones(pattern: int):
+    """Maximal cones of one of the 64 complete simplicial fans over the cube.
+
+    Each face of the cube is split along a diagonal; bit f of ``pattern``
+    picks the diagonal of face f, the faces taken as x = +-1, y = +-1,
+    z = +-1 in that order.  Pattern 24 is the twisted cube.
+    """
+    cones = []
+    face = 0
+    for axis in range(3):
+        u, w = [i for i in range(3) if i != axis]
+        for side in (1, -1):
+            flip = -1 if (pattern >> face) & 1 else 1
+            face += 1
+
+            def corner(x, y):
+                v = [0, 0, 0]
+                v[axis], v[u], v[w] = side, x, y
+                return tuple(v)
+
+            for off in ((1, -flip), (-1, flip)):
+                cones.append((corner(1, flip), corner(-1, -flip), corner(*off)))
+    return tuple(cones)
+
+
 def twisted_cube_fan(datum: SphericalDatum):
     maximal = [
         ColoredCone(cone_from_generators(triple, 3)) for triple in TWISTED_CUBE_CONES

@@ -1,0 +1,141 @@
+"""Reference phase-1 simplex over ``fractions.Fraction``, for tests only.
+
+This is the dense rational simplex that ``coloredfans.linprog`` used before
+its integer tableau: equality pre-substitution by Fraction dot products, then
+a phase-1 simplex with Bland's rule and a running Fraction objective.  The
+integer simplex must take exactly the same pivots and return exactly the
+same assignment, so the two are compared LP by LP.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from coloredfans.linalg import F0, F1, RatVec, dot, rref
+from coloredfans.linprog import LPProblem
+
+
+def reference_lp_feasible(lp: LPProblem) -> tuple[RatVec | None, int]:
+    """(assignment or None, number of pivots) by the Fraction simplex."""
+    n = lp.num_vars
+    aug = [tuple(a) + (b,) for a, b in lp.eq_constraints]
+    reduced, pivots = rref(aug)
+    if n in pivots:
+        return None, 0
+    pivot_set = set(pivots)
+    free = [j for j in range(n) if j not in pivot_set]
+    particular = [F0] * n
+    for row, p in zip(reduced, pivots):
+        particular[p] = row[n]
+    directions = []
+    for f in free:
+        d = [F0] * n
+        d[f] = F1
+        for row, p in zip(reduced, pivots):
+            d[p] = -row[f]
+        directions.append(tuple(d))
+    ineqs = [
+        (tuple(dot(a, d) for d in directions), b - dot(a, particular))
+        for a, b in lp.ineq_constraints
+    ]
+    solution, count = _phase_one(len(free), ineqs)
+    if solution is None:
+        return None, count
+    out = list(particular)
+    for val, d in zip(solution, directions):
+        if val:
+            for i, di in enumerate(d):
+                if di:
+                    out[i] += val * di
+    return tuple(out), count
+
+
+def _phase_one(num_vars: int, ineqs) -> tuple[RatVec | None, int]:
+    m = len(ineqs)
+    n_struct = 2 * num_vars + m
+    n_art = sum(1 for _, b in ineqs if b > 0)
+    ncols = n_struct + n_art
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    basis: list[int] = []
+    next_art = n_struct
+    for i, (a, b) in enumerate(ineqs):
+        row = [F0] * ncols
+        if b > 0:
+            for j, c in enumerate(a):
+                if c:
+                    row[j] = c
+                    row[num_vars + j] = -c
+            row[2 * num_vars + i] = -F1
+            row[next_art] = F1
+            basis.append(next_art)
+            next_art += 1
+            rhs.append(b)
+        else:
+            for j, c in enumerate(a):
+                if c:
+                    row[j] = -c
+                    row[num_vars + j] = c
+            row[2 * num_vars + i] = F1
+            basis.append(2 * num_vars + i)
+            rhs.append(-b)
+        rows.append(row)
+
+    red = [F0] * ncols
+    objective = F0
+    for i in range(m):
+        if basis[i] >= n_struct:
+            objective += rhs[i]
+            row = rows[i]
+            for j in range(n_struct):
+                if row[j]:
+                    red[j] -= row[j]
+
+    pivots = 0
+    while True:
+        enter = next((j for j in range(ncols) if red[j] < 0), None)
+        if enter is None:
+            break
+        best: tuple[Fraction, int, int] | None = None
+        for i in range(m):
+            coef = rows[i][enter]
+            if coef > 0:
+                key = (rhs[i] / coef, basis[i], i)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            raise AssertionError("internal error: unbounded phase-1 objective")
+        theta, _, leave = best
+        objective += red[enter] * theta
+        _pivot(rows, rhs, red, leave, enter)
+        pivots += 1
+        basis[leave] = enter
+
+    if objective != 0:
+        return None, pivots
+    values = [F0] * ncols
+    for i, col in enumerate(basis):
+        values[col] = rhs[i]
+    return tuple(values[j] - values[num_vars + j] for j in range(num_vars)), pivots
+
+
+def _pivot(rows, rhs, red, r, c):
+    prow = rows[r]
+    piv = prow[c]
+    if piv != 1:
+        inv = 1 / piv
+        rows[r] = prow = [x * inv for x in prow]
+        rhs[r] *= inv
+    nz = [j for j, x in enumerate(prow) if x]
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            for j in nz:
+                row[j] -= f * prow[j]
+            rhs[i] -= f * rhs[r]
+    f = red[c]
+    if f:
+        for j in nz:
+            red[j] -= f * prow[j]

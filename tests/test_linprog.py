@@ -2,9 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import cube_pattern_cones, toric_datum
+from reference_simplex import reference_lp_feasible
 
+from coloredfans import linprog
+from coloredfans.colored import ColoredCone, fan_from_maximal_cones
+from coloredfans.cones import cone_from_generators
 from coloredfans.errors import EliminationCapError
 from coloredfans.linprog import LPProblem, constraint, fourier_motzkin, lp_feasible
+from coloredfans.quasiproj import build_support_lp
 
 
 def test_infeasible_pair():
@@ -73,3 +79,88 @@ def test_simplex_agrees_with_fourier_motzkin():
             assert lp.satisfied_by(x)
     # the generator should exercise both outcomes
     assert feasible > 10 and infeasible > 10
+
+
+def test_float_input_is_made_exact():
+    # 0.1 x + 0.2 y = 0.3 twice over, as two opposite inequalities
+    lp = LPProblem(2, (), (((0.1, 0.2), 0.3), ((-0.1, -0.2), -0.3)))
+    x = lp_feasible(lp)
+    assert x is not None and lp.satisfied_by(x)
+    assert all(type(v) is Fraction for a, b in lp.ineq_constraints for v in a + (b,))
+    assert lp.ineq_constraints == (constraint([0.1, 0.2], 0.3), constraint([-0.1, -0.2], -0.3))
+    assert fourier_motzkin(lp)
+    eq = LPProblem(1, eq_constraints=(([2], 1),))
+    assert lp_feasible(eq) == (Fraction(1, 2),)
+
+
+@pytest.fixture
+def pivots(monkeypatch):
+    """Calls of the simplex pivot since the last reset (``pivots.clear()``)."""
+    calls = []
+    pivot = linprog._pivot
+
+    def counting(*args):
+        calls.append(None)
+        return pivot(*args)
+
+    monkeypatch.setattr(linprog, "_pivot", counting)
+    return calls
+
+
+def assert_matches_reference(lp: LPProblem, pivots: list):
+    """Same assignment, to the repr, and the same number of pivots as the
+    Fraction simplex."""
+    pivots.clear()
+    x = lp_feasible(lp)
+    expected, expected_pivots = reference_lp_feasible(lp)
+    assert repr(x) == repr(expected)
+    assert len(pivots) == expected_pivots
+    return x
+
+
+def test_integer_simplex_matches_reference_on_oracle_lps(pivots):
+    # the 200 problems of the acceptance suite's oracle comparison
+    rng = random.Random(1729)
+    for _ in range(200):
+        assert_matches_reference(random_lp(rng), pivots)
+
+
+@pytest.mark.parametrize("pattern, feasible", [(24, False), (0, True)])
+def test_integer_simplex_matches_reference_on_cube_support_lps(pattern, feasible, pivots):
+    datum = toric_datum(3)
+    cones = [ColoredCone(cone_from_generators(c, 3)) for c in cube_pattern_cones(pattern)]
+    lp = build_support_lp(datum, fan_from_maximal_cones(datum, cones), check=False)
+    assert (lp.num_vars, len(lp.ineq_constraints)) == (36, 528)
+    x = assert_matches_reference(lp, pivots)
+    assert (x is not None) == feasible
+    assert len(pivots) > 100
+
+
+def random_rational_lp(rng: random.Random) -> LPProblem:
+    n = rng.randint(1, 5)
+    m = rng.randint(1, 9)
+    eqs, ineqs = [], []
+    for _ in range(m):
+        a = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(n))
+        b = rng.choice((-1, 0, 1)) * Fraction(rng.randint(1, 5), rng.randint(1, 6))
+        (eqs if rng.random() < 0.2 else ineqs).append((a, b))
+    return LPProblem(n, tuple(eqs), tuple(ineqs))
+
+
+def test_rational_input_matches_reference_and_oracle(pivots):
+    rng = random.Random(4099)
+    feasible = infeasible = 0
+    signs = set()
+    for _ in range(300):
+        lp = random_rational_lp(rng)
+        signs.update((b > 0) - (b < 0) for _, b in lp.ineq_constraints)
+        x = assert_matches_reference(lp, pivots)
+        assert (x is not None) == fourier_motzkin(lp)
+        if x is None:
+            infeasible += 1
+        else:
+            feasible += 1
+            assert lp.satisfied_by(x)
+    # right hand sides of every sign, and both outcomes
+    assert signs == {-1, 0, 1}
+    assert feasible > 30 and infeasible > 30
