@@ -14,65 +14,76 @@ incremental double description pass, and every stored field is canonical:
 
 Two cones are equal as point sets exactly when these fields compare equal,
 so equality and hashing are structural.
+
+The fields are tuples of ``Fraction``, but the conversion and the
+canonicalisation run on integers: every input row is scaled once by the lcm
+of its denominators, which leaves the cone as it is, and the double
+description needs only sign tests and positive combinations, each followed
+by division by the gcd.  Every intermediate vector is thus a positive
+multiple of the one a pass over the rationals would hold, and the primitive
+representatives are the same.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from .linalg import (
     RatMat,
     RatVec,
+    _combine,
+    _dot,
+    _echelon,
+    _over_common_denominator,
+    _rank,
     add,
     dot,
-    is_zero,
     neg,
-    primitive,
     rank,
-    reduce_mod_subspace,
-    scale,
-    sub,
-    subspace_basis,
     vec,
     zero_vec,
 )
 
+IntVec = tuple[int, ...]
 
-def _dd(rows: Sequence[RatVec], dim: int) -> tuple[list[RatVec], list[RatVec]]:
-    """Double description of {x : r . x >= 0 for r in rows}.
 
-    Returns (lineality basis, extreme rays modulo the lineality space),
-    inserting one inequality at a time.  Adjacency of candidate ray pairs is
-    decided by the exact rank test on their common tight set.
+def _dd(rows: Sequence[Sequence[int]], dim: int) -> tuple[list[IntVec], list[IntVec]]:
+    """Double description of {x : r . x >= 0 for r in rows}, rows integral.
+
+    Returns (lineality basis, extreme rays modulo the lineality space), as
+    primitive integer vectors, inserting one inequality at a time.
+    Adjacency of candidate ray pairs is decided by the exact rank test on
+    their common tight set.
     """
-    lin: list[RatVec] = [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
+    lin: list[IntVec] = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     # each ray carries the set of processed rows that vanish on it
-    rays: list[tuple[RatVec, frozenset[int]]] = []
+    rays: list[tuple[IntVec, frozenset[int]]] = []
     for idx, a in enumerate(rows):
-        lin_vals = [dot(a, b) for b in lin]
+        lin_vals = [_dot(a, b) for b in lin]
         if any(lin_vals):
             # the new inequality cuts the lineality space: peel one direction off
             j0 = next(i for i, v in enumerate(lin_vals) if v)
             b0, v0 = lin[j0], lin_vals[j0]
             if v0 < 0:
-                b0, v0 = neg(b0), -v0
+                b0, v0 = tuple(-x for x in b0), -v0
             lin = [
-                sub(b, scale(b0, v / v0))
+                _combine(v0, b, v, b0)
                 for i, (b, v) in enumerate(zip(lin, lin_vals))
                 if i != j0
             ]
             rays = [
-                (primitive(sub(r, scale(b0, dot(a, r) / v0))), tight | {idx})
+                (_combine(v0, r, _dot(a, r), b0), tight | {idx})
                 for r, tight in rays
             ]
-            rays.append((primitive(b0), frozenset(range(idx))))
+            rays.append((b0, frozenset(range(idx))))
         else:
-            plus: list[tuple[RatVec, frozenset[int], Fraction]] = []
-            minus: list[tuple[RatVec, frozenset[int], Fraction]] = []
-            kept: list[tuple[RatVec, frozenset[int]]] = []
+            plus: list[tuple[IntVec, frozenset[int], int]] = []
+            minus: list[tuple[IntVec, frozenset[int], int]] = []
+            kept: list[tuple[IntVec, frozenset[int]]] = []
             for r, tight in rays:
-                v = dot(a, r)
+                v = _dot(a, r)
                 if v > 0:
                     plus.append((r, tight, v))
                     kept.append((r, tight))
@@ -85,21 +96,36 @@ def _dd(rows: Sequence[RatVec], dim: int) -> tuple[list[RatVec], list[RatVec]]:
                 for rp, tp, vp in plus:
                     for rm, tm, vm in minus:
                         common = tp & tm
-                        if rank([rows[i] for i in common]) != target:
+                        if len(common) < target or _rank([rows[i] for i in common]) != target:
                             continue
-                        w = sub(scale(rm, vp), scale(rp, vm))
-                        kept.append((primitive(w), common | {idx}))
+                        kept.append((_combine(vp, rm, vm, rp), common | {idx}))
             rays = kept
     return lin, [r for r, _ in rays]
 
 
-def _canonical_rays(raw: Iterable[RatVec], lineality: RatMat) -> tuple[RatVec, ...]:
+def _canonical_rays(raw: Iterable[Sequence[int]], basis: Sequence[Sequence[int]]) -> tuple[IntVec, ...]:
+    """Primitive coset representatives of the primitive vectors ``raw`` modulo
+    the span of ``basis``, zeroed at its pivots, deduplicated and sorted; zero
+    vectors are dropped.
+
+    ``basis`` comes from ``_echelon``: primitive rows with positive pivots.
+    """
+    pivoted = [(row, next(i for i, x in enumerate(row) if x)) for row in basis]
     out = set()
     for r in raw:
-        rr = primitive(reduce_mod_subspace(r, lineality))
-        if not is_zero(rr):
-            out.add(rr)
+        for row, p in pivoted:
+            f = r[p]
+            if f:
+                c = row[p]
+                g = gcd(c, f)
+                r = _combine(c // g, r, f // g, row)
+        if any(r):
+            out.add(r)
     return tuple(sorted(out))
+
+
+def _fractions(vectors: Iterable[Sequence[int]]) -> RatMat:
+    return tuple(tuple(map(Fraction, v)) for v in vectors)
 
 
 class Cone:
@@ -135,11 +161,14 @@ class Cone:
 
     @staticmethod
     def _from_descriptions(dim, lin_raw, rays_raw, dual_lin_raw, dual_rays_raw) -> "Cone":
-        lineality = subspace_basis(lin_raw)
+        """The canonical cone of two integral double descriptions."""
+        lineality, _ = _echelon(lin_raw)
         rays = _canonical_rays(rays_raw, lineality)
-        span_eq = subspace_basis(dual_lin_raw)
+        span_eq, _ = _echelon(dual_lin_raw)
         facets = _canonical_rays(dual_rays_raw, span_eq)
-        return Cone(dim, rays, lineality, facets, span_eq)
+        return Cone(
+            dim, _fractions(rays), _fractions(lineality), _fractions(facets), _fractions(span_eq)
+        )
 
     def generators(self) -> tuple[RatVec, ...]:
         """Rays plus a +/- spanning pair per lineality direction."""
@@ -255,17 +284,25 @@ def describe_vectors(vectors: Iterable[RatVec]) -> str:
     return "[" + ", ".join("(" + ",".join(fmt(x) for x in v) + ")" for v in vectors) + "]"
 
 
+def _integral(vectors: Iterable[Sequence], dim: int, kind: str) -> list[list[int]]:
+    """Each vector times the lcm of its denominators; every length must be ``dim``."""
+    rows = []
+    for v in vectors:
+        row, _ = _over_common_denominator(v)
+        if len(row) != dim:
+            raise ValueError(f"{kind} of length {len(row)} in ambient dimension {dim}")
+        rows.append(row)
+    return rows
+
+
 def cone_from_generators(gens: Iterable[Sequence], dim: int) -> Cone:
     """Canonical cone of all nonnegative rational combinations of ``gens``."""
-    rows = [vec(g) for g in gens]
-    for g in rows:
-        if len(g) != dim:
-            raise ValueError(f"generator of length {len(g)} in ambient dimension {dim}")
+    rows = _integral(gens, dim, "generator")
     dual_lin, dual_rays = _dd(rows, dim)
-    ineqs: list[RatVec] = []
+    ineqs: list[IntVec] = []
     for b in dual_lin:
-        ineqs.append(primitive(b))
-        ineqs.append(primitive(neg(b)))
+        ineqs.append(b)
+        ineqs.append(tuple(-x for x in b))
     ineqs.extend(dual_rays)
     lin, rays = _dd(ineqs, dim)
     return Cone._from_descriptions(dim, lin, rays, dual_lin, dual_rays)
@@ -273,15 +310,12 @@ def cone_from_generators(gens: Iterable[Sequence], dim: int) -> Cone:
 
 def cone_from_inequalities(ineqs: Iterable[Sequence], dim: int) -> Cone:
     """Canonical cone {v : a . v >= 0 for every a in ineqs}."""
-    rows = [vec(a) for a in ineqs]
-    for a in rows:
-        if len(a) != dim:
-            raise ValueError(f"inequality of length {len(a)} in ambient dimension {dim}")
+    rows = _integral(ineqs, dim, "inequality")
     lin, rays = _dd(rows, dim)
     gens = list(rays)
     for b in lin:
         gens.append(b)
-        gens.append(neg(b))
+        gens.append(tuple(-x for x in b))
     dual_lin, dual_rays = _dd(gens, dim)
     return Cone._from_descriptions(dim, lin, rays, dual_lin, dual_rays)
 

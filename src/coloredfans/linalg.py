@@ -2,12 +2,19 @@
 
 Vectors are tuples of ``fractions.Fraction``; matrices are tuples of such
 rows.  Everything here is pure and exact: no float ever enters or leaves.
+
+Elimination runs on integers: each input row is scaled by the lcm of its
+denominators, and Gauss-Jordan elimination is fraction-free, every row
+divided by the gcd of its entries after each step.  :func:`rank` builds no
+``Fraction``; :func:`rref` builds one per output entry.  The private
+integer helpers below are shared with the cone engine and the LP layer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 RatVec = tuple[Fraction, ...]
@@ -89,41 +96,130 @@ def primitive(v: Sequence[Fraction]) -> RatVec:
     return tuple(Fraction(i // g) for i in ints)
 
 
-def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[RatMat, tuple[int, ...]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    work = [list(vec(r)) for r in rows]
-    if not work:
-        return (), ()
-    ncols = len(work[0])
+def _over_common_denominator(values: Iterable) -> tuple[list[int], int]:
+    """(integers, d) with d > 0 the lcm of the denominators: the values times d."""
+    values = list(values)
+    try:
+        den = lcm(*(x.denominator for x in values))
+    except AttributeError:
+        # floats and strings: exact rationals, as vec makes them
+        values = vec(values)
+        den = lcm(*(x.denominator for x in values))
+    if den == 1:
+        return [x.numerator for x in values], 1
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _integral_rows(rows: Iterable[Sequence]) -> list[list[int]]:
+    """Each row times the lcm of its denominators; rows must share one length."""
+    out = [_over_common_denominator(r)[0] for r in rows]
+    if out and any(len(r) != len(out[0]) for r in out):
+        raise ValueError("matrix rows have inconsistent lengths")
+    return out
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
+
+
+def _combine(a: int, row: Sequence[int], b: int, prow: Sequence[int]) -> tuple[int, ...]:
+    """``(a * row - b * prow) / g`` with g the gcd of its entries."""
+    out = [a * x - b * y for x, y in zip(row, prow)]
+    g = gcd(*out)
+    if g > 1:
+        return tuple([x // g for x in out])
+    return tuple(out)
+
+
+def _echelon(rows: Iterable[Sequence[int]]) -> tuple[list[Sequence[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows of one length.
+
+    Returns (rows, pivot columns): the row space's reduced echelon form with
+    row i scaled by the positive integer ``rows[i][pivots[i]]``, each row
+    primitive.
+    """
+    work = [r for r in rows if any(r)]
     pivots: list[int] = []
-    rank_so_far = 0
-    for col in range(ncols):
-        pivot_row = next(
-            (i for i in range(rank_so_far, len(work)) if work[i][col]), None
-        )
+    if not work:
+        return [], pivots
+    k = 0
+    for col in range(len(work[0])):
+        pivot_row = next((i for i in range(k, len(work)) if work[i][col]), None)
         if pivot_row is None:
             continue
-        work[rank_so_far], work[pivot_row] = work[pivot_row], work[rank_so_far]
-        prow = work[rank_so_far]
-        inv = 1 / prow[col]
-        work[rank_so_far] = prow = [x * inv for x in prow]
+        prow = work[pivot_row]
+        g = gcd(*prow)
+        if prow[col] < 0:
+            g = -g
+        if g != 1:
+            prow = tuple([x // g for x in prow])
+        work[pivot_row] = work[k]
+        work[k] = prow
+        p = prow[col]
         for i, row in enumerate(work):
-            if i != rank_so_far and row[col]:
-                f = row[col]
-                work[i] = [x - f * p for x, p in zip(row, prow)]
+            f = row[col]
+            if f and i != k:
+                g = gcd(p, f)
+                work[i] = _combine(p // g, row, f // g, prow)
         pivots.append(col)
-        rank_so_far += 1
-        if rank_so_far == len(work):
+        k += 1
+        if k == len(work):
             break
-    return tuple(tuple(r) for r in work[: len(pivots)]), tuple(pivots)
+    return work[:k], pivots
+
+
+def _rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank of integer rows of one length by fraction-free forward elimination."""
+    work = [r for r in rows if any(r)]
+    if not work:
+        return 0
+    k = 0
+    for col in range(len(work[0])):
+        pivot_row = next((i for i in range(k, len(work)) if work[i][col]), None)
+        if pivot_row is None:
+            continue
+        prow = work[pivot_row]
+        work[pivot_row] = work[k]
+        work[k] = prow
+        p = prow[col]
+        for i in range(k + 1, len(work)):
+            row = work[i]
+            f = row[col]
+            if f:
+                g = gcd(p, f)
+                work[i] = _combine(p // g, row, f // g, prow)
+        k += 1
+        if k == len(work):
+            break
+    return k
+
+
+def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[RatMat, tuple[int, ...]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    Raises ValueError when the rows do not share one length.
+    """
+    reduced, pivots = _echelon(_integral_rows(rows))
+    return (
+        tuple(
+            tuple(Fraction(x, row[p]) for x in row) for row, p in zip(reduced, pivots)
+        ),
+        tuple(pivots),
+    )
 
 
 def rank(rows: Iterable[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[0])
+    return _rank(_integral_rows(rows))
 
 
 def kernel_basis(rows: Iterable[Sequence[Fraction]], n: int) -> RatMat:
-    """Canonical basis of the right kernel {x : r . x = 0 for all rows r}."""
+    """Canonical basis of the right kernel {x : r . x = 0 for all rows r}.
+
+    Raises ValueError when a row's length is not ``n``.
+    """
+    rows = list(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError(f"kernel of rows that are not all of length {n}")
     reduced, pivots = rref(rows)
     pivot_set = set(pivots)
     basis = []
@@ -152,8 +248,8 @@ def invert(m: RatMat) -> RatMat | None:
 
 def subspace_basis(vectors: Iterable[Sequence[Fraction]]) -> RatMat:
     """Canonical basis of the span: primitive rows of the reduced echelon form."""
-    reduced, _ = rref(vectors)
-    return tuple(primitive(r) for r in reduced)
+    reduced, _ = _echelon(_integral_rows(vectors))
+    return tuple(vec(r) for r in reduced)
 
 
 def reduce_mod_subspace(v: Sequence[Fraction], basis: RatMat) -> RatVec:

@@ -8,23 +8,32 @@ Two independent deciders over the same problem type:
   fraction-free, so no ``Fraction`` is built inside the simplex.  It takes
   the pivots that a simplex over the rationals takes, and returns an exact
   rational assignment, re-verified against the problem, or ``None``.
-* :func:`fourier_motzkin` -- variable elimination, intended as a slow
-  cross-checking oracle and capped at a configurable variable count.
+* :func:`fourier_motzkin` -- variable elimination over integer rows,
+  intended as a slow cross-checking oracle and capped at a configurable
+  variable count.
+
+Both deciders and :meth:`LPProblem.satisfied_by` read each constraint once
+made integral: scaled by the lcm of its denominators, its zero coefficients
+dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Sequence
 
 from .errors import EliminationCapError
-from .linalg import F0, RatVec, dot, primitive, rref, vec
+from .linalg import F0, RatVec, _echelon, _over_common_denominator, vec
 
 Constraint = tuple[RatVec, Fraction]
 # (a, b, s): the rational inequality (a / s) . x >= b / s with integers and s > 0
 IntConstraint = tuple[tuple[int, ...], int, int]
+# (terms, b, s): the row (a, b) times s, the lcm of its denominators, with the
+# nonzero coefficients as (column, integer) pairs
+SparseRow = tuple[list[tuple[int, int]], int, int]
 
 
 @dataclass(frozen=True)
@@ -47,10 +56,39 @@ class LPProblem:
             if not all(_is_exact(a, b) for a, b in rows):
                 object.__setattr__(self, name, tuple(constraint(a, b) for a, b in rows))
 
-    def satisfied_by(self, x: Sequence[Fraction]) -> bool:
-        return all(dot(a, x) == b for a, b in self.eq_constraints) and all(
-            dot(a, x) >= b for a, b in self.ineq_constraints
+    @cached_property
+    def _integral(self) -> tuple[list[SparseRow], list[SparseRow]]:
+        """The equality and the inequality rows, each made integral."""
+        return (
+            [_sparse_integral(a, b) for a, b in self.eq_constraints],
+            [_sparse_integral(a, b) for a, b in self.ineq_constraints],
         )
+
+    def satisfied_by(self, x: Sequence[Fraction]) -> bool:
+        """Exact check of an assignment; ValueError when its length is wrong.
+
+        The assignment is put over one common denominator, so every row is
+        checked by one integer dot product over its nonzero coefficients.
+        """
+        if len(x) != self.num_vars:
+            raise ValueError(
+                f"assignment of length {len(x)} in a problem with {self.num_vars} variables"
+            )
+        nums, den = _over_common_denominator(x)
+        eqs, ineqs = self._integral
+        return all(
+            sum(v * nums[j] for j, v in terms) == b * den for terms, b, _ in eqs
+        ) and all(sum(v * nums[j] for j, v in terms) >= b * den for terms, b, _ in ineqs)
+
+
+def _sparse_integral(a: RatVec, b: Fraction) -> SparseRow:
+    terms = [(j, x) for j, x in enumerate(a) if x]
+    s = lcm(b.denominator, *(x.denominator for _, x in terms))
+    return (
+        [(j, x.numerator * (s // x.denominator)) for j, x in terms],
+        b.numerator * (s // b.denominator),
+        s,
+    )
 
 
 def constraint(coeffs, rhs=0) -> Constraint:
@@ -78,8 +116,15 @@ def _substitute_equalities(
     lcm of its own denominators, so every dot product is one of integers.
     """
     n = lp.num_vars
-    aug = [tuple(a) + (b,) for a, b in lp.eq_constraints]
-    reduced, pivots = rref(aug)
+    eqs, ineqs = lp._integral
+    aug = []
+    for terms, b, _ in eqs:
+        row = [0] * (n + 1)
+        for j, v in terms:
+            row[j] = v
+        row[n] = b
+        aug.append(row)
+    reduced, pivots = _echelon(aug)
     if n in pivots:
         return False, 0, lambda t: (), []
     pivot_set = set(pivots)
@@ -88,12 +133,15 @@ def _substitute_equalities(
     pivot_pos = {p: k for k, p in enumerate(pivots)}
     # The reduced rows over one denominator: the k-th pivot variable equals
     # (particular[k] - sum of y * t[q] over (q, y) in tails[k]) / den, where
-    # t holds the values of the free variables.
-    den = lcm(*(x.denominator for row in reduced for x in row))
-    particular = [row[n].numerator * (den // row[n].denominator) for row in reduced]
+    # t holds the values of the free variables.  Each echelon row is
+    # primitive, so its pivot is the lcm of the denominators of its row of
+    # the reduced echelon form.
+    den = lcm(*(row[p] for row, p in zip(reduced, pivots)))
+    factors = [den // row[p] for row, p in zip(reduced, pivots)]
+    particular = [row[n] * k for row, k in zip(reduced, factors)]
     tails = [
-        [(q, x.numerator * (den // x.denominator)) for q, x in enumerate(row[f] for f in free) if x]
-        for row in reduced
+        [(q, row[f] * k) for q, f in enumerate(free) if row[f]]
+        for row, k in zip(reduced, factors)
     ]
 
     def lift(t: Sequence[Fraction]) -> RatVec:
@@ -105,14 +153,10 @@ def _substitute_equalities(
         return tuple(out)
 
     reduced_ineqs = []
-    for a, b in lp.ineq_constraints:
-        scale = lcm(b.denominator, *(x.denominator for x in a))
+    for terms, b, scale in ineqs:
         coeffs = [0] * len(free)
-        rhs = den * b.numerator * (scale // b.denominator)
-        for j, x in enumerate(a):
-            if not x:
-                continue
-            v = x.numerator * (scale // x.denominator)
+        rhs = den * b
+        for j, v in terms:
             q = free_pos.get(j)
             if q is not None:
                 coeffs[q] += den * v
@@ -280,8 +324,8 @@ def fourier_motzkin(lp: LPProblem, max_vars: int = 8) -> bool:
     """Feasibility by exact variable elimination.
 
     Equality constraints are substituted away by Gaussian elimination first;
-    the remaining variables are eliminated one at a time, keeping rows in a
-    primitive normal form to curb blowup.  Raises
+    the remaining variables are eliminated one at a time from integer rows,
+    folding rows with the same primitive coefficients to curb blowup.  Raises
     :class:`~coloredfans.errors.EliminationCapError` above the variable cap.
     """
     if lp.num_vars > max_vars:
@@ -317,21 +361,30 @@ def fourier_motzkin(lp: LPProblem, max_vars: int = 8) -> bool:
     return True
 
 
-def _normalize_rows(rows) -> list[Constraint] | None:
+def _normalize_rows(rows) -> list[tuple[tuple[int, ...], int]] | None:
     """Primitive scaling, duplicate folding, and constant-row screening.
 
-    Returns None as soon as a row reads 0 >= b with b > 0.
+    Each integer row ``a . x >= b`` is keyed on the primitive part of ``a``,
+    and of two rows with one key the one with the larger bound ``b / gcd(a)``
+    is kept, compared by cross-multiplication; a kept row is divided by the
+    gcd of its entries.  Returns None as soon as a row reads 0 >= b with b > 0.
     """
-    best: dict[RatVec, Fraction] = {}
+    best: dict[tuple[int, ...], tuple[tuple[int, ...], int, int]] = {}
     for a, b in rows:
-        if not any(a):
+        g = gcd(*a)
+        if not g:
             if b > 0:
                 return None
             continue
-        prim = primitive(a)
-        ratio = next(x / y for x, y in zip(a, prim) if y)
-        b_scaled = b / ratio
+        prim = tuple(x // g for x in a)
         prev = best.get(prim)
-        if prev is None or b_scaled > prev:
-            best[prim] = b_scaled
-    return [(a, b) for a, b in best.items()]
+        if prev is None or b * prev[2] > prev[1] * g:
+            best[prim] = (a, b, g)
+    out = []
+    for a, b, g in best.values():
+        h = gcd(g, b)
+        if h > 1:
+            a = tuple(x // h for x in a)
+            b //= h
+        out.append((a, b))
+    return out

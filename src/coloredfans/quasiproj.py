@@ -113,8 +113,6 @@ def is_quasiprojective(
     assignment = lp_feasible(lp)
     if assignment is None:
         return QuasiprojectivityResult(False, None)
-    if not lp.satisfied_by(assignment):
-        raise AssertionError("internal error: support forms failed re-verification")
     n = datum.dim
     forms = tuple(
         SupportForm(cc, assignment[n * k : n * (k + 1)])

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from coloredfans.linalg import F0, F1, RatVec, dot, rref
+from reference_exact import reference_rref
+
+from coloredfans.linalg import F0, F1, RatVec, dot
 from coloredfans.linprog import LPProblem
 
 
@@ -19,7 +21,7 @@ def reference_lp_feasible(lp: LPProblem) -> tuple[RatVec | None, int]:
     """(assignment or None, number of pivots) by the Fraction simplex."""
     n = lp.num_vars
     aug = [tuple(a) + (b,) for a, b in lp.eq_constraints]
-    reduced, pivots = rref(aug)
+    reduced, pivots = reference_rref(aug)
     if n in pivots:
         return None, 0
     pivot_set = set(pivots)

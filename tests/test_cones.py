@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from conftest import membership_oracle, random_cone
+from reference_exact import reference_cone_from_generators, reference_cone_from_inequalities
 from coloredfans.cones import (
     cone_from_generators,
     cone_from_inequalities,
@@ -213,3 +215,45 @@ def test_zero_cone_interior_point():
     z = cone_from_generators([], 2)
     assert z.interior_point() == vec([0, 0])
     assert z.in_relative_interior(z.interior_point())
+
+
+def random_rational_vectors(rng: random.Random, dim: int) -> list[tuple]:
+    """Rational vectors with zero, repeated, opposite and rescaled members."""
+    out: list[tuple] = []
+    for _ in range(rng.randint(0, 7)):
+        kind = rng.random()
+        if kind < 0.1:
+            out.append((0,) * dim)
+        elif out and kind < 0.2:
+            out.append(rng.choice(out))
+        elif out and kind < 0.3:
+            out.append(tuple(-x for x in rng.choice(out)))
+        elif out and kind < 0.4:
+            c = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+            out.append(tuple(c * x for x in rng.choice(out)))
+        else:
+            out.append(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(dim)))
+    return out
+
+
+def test_cones_match_fraction_reference():
+    """The integer double description gives the canonical fields of the
+    rational one, as Fraction tuples, from both constructors."""
+    rng = random.Random(8191)
+    seen = {"non-integral": 0, "lineality": 0, "span equations": 0, "zero": 0}
+    for trial in range(320):
+        dim = 1 + trial % 5
+        vectors = random_rational_vectors(rng, dim)
+        seen["non-integral"] += any(Fraction(x).denominator > 1 for v in vectors for x in v)
+        seen["zero"] += any(not any(v) for v in vectors)
+        for build, reference in (
+            (cone_from_generators, reference_cone_from_generators),
+            (cone_from_inequalities, reference_cone_from_inequalities),
+        ):
+            cone = build(vectors, dim)
+            fields = (cone.rays, cone.lineality_basis, cone.facet_normals, cone.span_equations)
+            assert fields == reference(vectors, dim), (build.__name__, vectors)
+            assert all(type(x) is Fraction for f in fields for v in f for x in v)
+            seen["lineality"] += bool(cone.lineality_basis)
+            seen["span equations"] += bool(cone.span_equations)
+    assert min(seen.values()) > 20, seen

@@ -1,7 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
+from reference_exact import (
+    reference_invert,
+    reference_kernel_basis,
+    reference_rank,
+    reference_rref,
+    reference_subspace_basis,
+)
 
+from coloredfans import linalg
 from coloredfans.linalg import (
     dot,
     identity,
@@ -62,3 +71,67 @@ def test_dot_dimension_mismatch():
 
 def test_matvec():
     assert matvec(mat([[0, 1], [1, 0]]), vec([2, 3])) == vec([3, 2])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: rank([(3,), (1, 2)]),
+        lambda: kernel_basis([(1,), (0, 1)], 2),
+        lambda: kernel_basis([(1,)], 2),
+        lambda: kernel_basis([(1, 2, 3)], 2),
+        lambda: rref([vec([1, 2]), vec([3])]),
+        lambda: subspace_basis([(0, 0, 1), (1, 1)]),
+        lambda: invert(((1, 2), (3,))),
+    ],
+)
+def test_ragged_rows_are_rejected(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def random_rational_matrix(rng: random.Random, nrows: int, ncols: int) -> list[tuple]:
+    """Rational rows with zero entries, zero rows and repeated directions."""
+    rows: list[tuple] = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append((Fraction(0),) * ncols)
+        elif rows and kind < 0.3:
+            c = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+            rows.append(tuple(c * x for x in rng.choice(rows)))
+        else:
+            rows.append(tuple(
+                Fraction(rng.randint(-5, 5), rng.randint(1, 6)) if rng.random() < 0.7 else Fraction(0)
+                for _ in range(ncols)
+            ))
+    return rows
+
+
+def test_elimination_matches_fraction_reference():
+    rng = random.Random(5303)
+    ranks = set()
+    singular = 0
+    for _ in range(400):
+        ncols = rng.randint(1, 6)
+        m = random_rational_matrix(rng, rng.randint(0, 7), ncols)
+        assert repr(rref(m)) == repr(reference_rref(m))
+        assert rank(m) == reference_rank(m)
+        assert repr(kernel_basis(m, ncols)) == repr(reference_kernel_basis(m, ncols))
+        assert repr(subspace_basis(m)) == repr(reference_subspace_basis(m))
+        ranks.add(rank(m))
+        square = tuple(random_rational_matrix(rng, ncols, ncols))
+        inverse = invert(square)
+        assert repr(inverse) == repr(reference_invert(square))
+        singular += inverse is None
+    assert ranks == set(range(7))
+    assert 20 < singular < 380
+
+
+def test_rank_builds_no_fraction(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("rank built a Fraction")
+
+    rows = [vec([Fraction(1, 2), 3, 0]), (1, 6, 0), vec([0, Fraction(-2, 3), 5])]
+    monkeypatch.setattr(linalg, "Fraction", forbidden)
+    assert rank(rows) == 2

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import cube_pattern_cones, toric_datum
+from reference_exact import reference_satisfied_by
 from reference_simplex import reference_lp_feasible
 
 from coloredfans import linprog
@@ -164,3 +165,42 @@ def test_rational_input_matches_reference_and_oracle(pivots):
     # right hand sides of every sign, and both outcomes
     assert signs == {-1, 0, 1}
     assert feasible > 30 and infeasible > 30
+
+
+def test_satisfied_by_matches_fraction_reference():
+    """Random assignments, and ones put exactly on a row or 1/q off it."""
+    rng = random.Random(6151)
+    outcomes = set()
+    for _ in range(300):
+        lp = random_rational_lp(rng)
+        n = lp.num_vars
+        x = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n)]
+        assert lp.satisfied_by(tuple(x)) == reference_satisfied_by(lp, x)
+        kinds = [eq for eq in (True, False) if (lp.eq_constraints if eq else lp.ineq_constraints)]
+        is_eq = rng.choice(kinds)
+        rows = lp.eq_constraints if is_eq else lp.ineq_constraints
+        a, b = rng.choice(rows)
+        j = next((j for j, c in enumerate(a) if c), None)
+        if j is None:
+            continue
+        # move x onto the row's boundary, then 1/q below or above it
+        x[j] += (b - sum(c * v for c, v in zip(a, x))) / a[j]
+        q = rng.randint(1, 7)
+        for miss in (0, -1, 1):
+            y = list(x)
+            y[j] += Fraction(miss, q) / a[j]
+            alone = LPProblem(n, ((a, b),) if is_eq else (), () if is_eq else ((a, b),))
+            assert alone.satisfied_by(y) == (miss == 0 or (miss > 0 and not is_eq))
+            assert lp.satisfied_by(y) == reference_satisfied_by(lp, y)
+            outcomes.add((is_eq, miss, lp.satisfied_by(y), (b > 0) - (b < 0)))
+    # both verdicts, on rows of both kinds and right hand sides of every sign
+    assert {(e, v, s) for e, _, v, s in outcomes} >= {
+        (e, v, s) for e in (False, True) for v in (False, True) for s in (-1, 0, 1)
+    }
+
+
+def test_satisfied_by_rejects_wrong_length():
+    lp = LPProblem(2, ineq_constraints=(constraint([1, 0], 0),))
+    for x in ((Fraction(1),), (1, 2, 3)):
+        with pytest.raises(ValueError):
+            lp.satisfied_by(x)
