@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .cones import Cone, cone_from_generators, describe_vectors
 from .errors import InvalidColoredConeError, InvalidFanError, UnknownColorError
-from .linalg import F0, F1, RatVec, is_zero, vec
+from .linalg import RatVec, is_zero, vec
 from .linprog import LPProblem, lp_feasible
 from .reports import ValidationReport
 
@@ -91,9 +91,9 @@ class ColoredCone:
         return (self.cone, tuple(sorted(self.colors)))
 
     def describe(self) -> str:
-        body = f"rays={describe_vectors(self.cone.rays)}"
-        if self.cone.lineality_basis:
-            body += f", lineality={describe_vectors(self.cone.lineality_basis)}"
+        body = f"rays={describe_vectors(self.cone._rays)}"
+        if self.cone._lineality:
+            body += f", lineality={describe_vectors(self.cone._lineality)}"
         return f"(cone {body}; colors={sorted(self.colors)})"
 
 
@@ -120,20 +120,22 @@ def relative_interior_meets(datum: SphericalDatum, cone: Cone, *others: Cone) ->
     """Exact test for relint(cone) [and relint(each other)] meeting the valuation cone.
 
     Strict facet inequalities are homogenized to >= 1, which is equivalent for
-    a cone of constraints.
+    a cone of constraints.  The rows are the cones' primitive integer
+    inequalities, handed to the LP as they are.
     """
-    ineqs = []
+    rows = []
     for body in (cone, *others):
         if body.ambient_dim != datum.dim:
             raise ValueError("cone does not live in the ambient dimension")
-        for a in body.inequalities:
-            ineqs.append((a, F0))
-        for a in body.facet_normals:
-            ineqs.append((a, F1))
-    for a in datum.valuation_cone.inequalities:
-        ineqs.append((a, F0))
-    lp = LPProblem(datum.dim, ineq_constraints=tuple(ineqs))
+        rows.extend((_terms(a), 0, 1) for a in body._ineqs)
+        rows.extend((_terms(a), 1, 1) for a in body._facets)
+    rows.extend((_terms(a), 0, 1) for a in datum.valuation_cone._ineqs)
+    lp = LPProblem._from_integral(datum.dim, [], rows)
     return lp_feasible(lp) is not None
+
+
+def _terms(a: Sequence[int]) -> list[tuple[int, int]]:
+    return [(j, x) for j, x in enumerate(a) if x]
 
 
 def validate_colored_cone(datum: SphericalDatum, cc: ColoredCone) -> ValidationReport:
@@ -145,13 +147,13 @@ def validate_colored_cone(datum: SphericalDatum, cc: ColoredCone) -> ValidationR
 
     intersection = cc.cone.intersect(datum.valuation_cone)
     gens = [datum.rho(name) for name in sorted(colors)]
-    gens.extend(intersection.generators())
+    gens.extend(intersection._generators())
     regenerated = cone_from_generators(gens, datum.dim)
     report.record(
         "C1",
         regenerated == cc.cone,
         "the placed colors and the valuation part of the cone generate "
-        f"{describe_vectors(regenerated.rays)}, not the stored cone",
+        f"{describe_vectors(regenerated._rays)}, not the stored cone",
     )
     report.record(
         "C2",
@@ -184,7 +186,7 @@ def colored_faces(datum: SphericalDatum, cc: ColoredCone) -> tuple[ColoredCone, 
 
 def member_sort_key(cc: ColoredCone):
     cone = cc.cone
-    return (cone.dim, cone.rays, cone.lineality_basis, tuple(sorted(cc.colors)))
+    return (cone.dim, cone._rays, cone._lineality, tuple(sorted(cc.colors)))
 
 
 def fan_from_maximal_cones(

@@ -15,13 +15,15 @@ incremental double description pass, and every stored field is canonical:
 Two cones are equal as point sets exactly when these fields compare equal,
 so equality and hashing are structural.
 
-The fields are tuples of ``Fraction``, but the conversion and the
-canonicalisation run on integers: every input row is scaled once by the lcm
-of its denominators, which leaves the cone as it is, and the double
+The fields are stored as tuples of primitive integer vectors, and
+everything runs on integers: every input row is scaled once by the lcm of
+its denominators, which leaves the cone as it is, and the double
 description needs only sign tests and positive combinations, each followed
 by division by the gcd.  Every intermediate vector is thus a positive
 multiple of the one a pass over the rationals would hold, and the primitive
-representatives are the same.
+representatives are the same.  Point tests put the point over one positive
+common denominator, and images scale the whole matrix by one.  The public
+fields are ``Fraction`` tuples, built from the integer ones on first read.
 """
 
 from __future__ import annotations
@@ -30,21 +32,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .linalg import (
-    RatMat,
-    RatVec,
-    _combine,
-    _dot,
-    _echelon,
-    _over_common_denominator,
-    _rank,
-    add,
-    dot,
-    neg,
-    rank,
-    vec,
-    zero_vec,
-)
+from .linalg import RatMat, RatVec, _combine, _dot, _echelon, _over_common_denominator, _rank
 
 IntVec = tuple[int, ...]
 
@@ -128,32 +116,75 @@ def _fractions(vectors: Iterable[Sequence[int]]) -> RatMat:
     return tuple(tuple(map(Fraction, v)) for v in vectors)
 
 
+class _FractionView:
+    """A public field of a cone: the integer field ``source`` as ``Fraction``
+    tuples, built on first read and kept in the cone."""
+
+    def __init__(self, source: str):
+        self.source = source
+
+    def __set_name__(self, owner, name):
+        self.slot = f"_{name}_view"
+
+    def __get__(self, cone, owner=None):
+        if cone is None:
+            return self
+        try:
+            return getattr(cone, self.slot)
+        except AttributeError:
+            view = _fractions(getattr(cone, self.source))
+            setattr(cone, self.slot, view)
+            return view
+
+
 class Cone:
-    """Immutable rational polyhedral cone in a fixed ambient dimension."""
+    """Immutable rational polyhedral cone in a fixed ambient dimension.
+
+    The canonical fields are stored as tuples of primitive integer vectors,
+    ``_rays``, ``_lineality``, ``_facets`` and ``_span_eq``, with
+    ``_ineqs`` (each span equation and its negative, then the facet
+    normals); the package computes on these.  The public ``rays``,
+    ``lineality_basis``, ``facet_normals``, ``span_equations`` and
+    ``inequalities`` are the same vectors as ``Fraction`` tuples, built on
+    first read.  Equality, hashing and ordering read the integer fields,
+    which compare and hash as the ``Fraction`` ones do.
+    """
 
     __slots__ = (
         "ambient_dim",
-        "rays",
-        "lineality_basis",
-        "facet_normals",
-        "span_equations",
-        "inequalities",
+        "_rays",
+        "_lineality",
+        "_facets",
+        "_span_eq",
+        "_ineqs",
+        "_rays_view",
+        "_lineality_basis_view",
+        "_facet_normals_view",
+        "_span_equations_view",
+        "_inequalities_view",
         "_faces",
         "_hash",
     )
 
+    rays = _FractionView("_rays")
+    lineality_basis = _FractionView("_lineality")
+    facet_normals = _FractionView("_facets")
+    span_equations = _FractionView("_span_eq")
+    inequalities = _FractionView("_ineqs")
+
     def __init__(self, ambient_dim, rays, lineality_basis, facet_normals, span_equations):
+        """The cone of canonical fields given as tuples of integer tuples."""
         self.ambient_dim = ambient_dim
-        self.rays = rays
-        self.lineality_basis = lineality_basis
-        self.facet_normals = facet_normals
-        self.span_equations = span_equations
-        ineqs: list[RatVec] = []
+        self._rays = rays
+        self._lineality = lineality_basis
+        self._facets = facet_normals
+        self._span_eq = span_equations
+        ineqs: list[IntVec] = []
         for e in span_equations:
             ineqs.append(e)
-            ineqs.append(neg(e))
+            ineqs.append(tuple(-x for x in e))
         ineqs.extend(facet_normals)
-        self.inequalities = tuple(ineqs)
+        self._ineqs = tuple(ineqs)
         self._faces = None
         self._hash = hash((ambient_dim, rays, lineality_basis))
 
@@ -166,22 +197,24 @@ class Cone:
         rays = _canonical_rays(rays_raw, lineality)
         span_eq, _ = _echelon(dual_lin_raw)
         facets = _canonical_rays(dual_rays_raw, span_eq)
-        return Cone(
-            dim, _fractions(rays), _fractions(lineality), _fractions(facets), _fractions(span_eq)
-        )
+        return Cone(dim, rays, tuple(lineality), facets, tuple(span_eq))
+
+    def _generators(self) -> tuple[IntVec, ...]:
+        gens = list(self._rays)
+        for b in self._lineality:
+            gens.append(b)
+            gens.append(tuple(-x for x in b))
+        return tuple(gens)
 
     def generators(self) -> tuple[RatVec, ...]:
         """Rays plus a +/- spanning pair per lineality direction."""
-        gens = list(self.rays)
-        for b in self.lineality_basis:
-            gens.append(b)
-            gens.append(neg(b))
-        return tuple(gens)
+        return _fractions(self._generators())
 
     # -- predicates ---------------------------------------------------
 
-    def _check_vector(self, v: Sequence) -> RatVec:
-        w = vec(v)
+    def _check_vector(self, v: Sequence) -> list[int]:
+        """``v`` times the lcm of its denominators, which keeps every sign."""
+        w, _ = _over_common_denominator(v)
         if len(w) != self.ambient_dim:
             raise ValueError(
                 f"dimension mismatch: vector of length {len(w)} in ambient dimension {self.ambient_dim}"
@@ -190,38 +223,43 @@ class Cone:
 
     def contains(self, v: Sequence) -> bool:
         w = self._check_vector(v)
-        return all(dot(a, w) >= 0 for a in self.inequalities)
+        return all(_dot(a, w) >= 0 for a in self._ineqs)
 
     def in_relative_interior(self, v: Sequence) -> bool:
         w = self._check_vector(v)
-        if not all(dot(e, w) == 0 for e in self.span_equations):
+        if not all(_dot(e, w) == 0 for e in self._span_eq):
             return False
-        return all(dot(a, w) > 0 for a in self.facet_normals)
+        return all(_dot(a, w) > 0 for a in self._facets)
 
     @property
     def dim(self) -> int:
-        """Dimension of the linear span of the cone."""
-        return rank(self.rays + self.lineality_basis)
+        """Dimension of the linear span of the cone: the span equations are a
+        basis of the functionals vanishing on it."""
+        return self.ambient_dim - len(self._span_eq)
 
     @property
     def is_strictly_convex(self) -> bool:
-        return not self.lineality_basis
+        return not self._lineality
 
     @property
     def is_zero(self) -> bool:
-        return not self.rays and not self.lineality_basis
+        return not self._rays and not self._lineality
 
     # -- derived cones ------------------------------------------------
 
     def intersect(self, other: "Cone") -> "Cone":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("dimension mismatch between cones")
-        return cone_from_inequalities(self.inequalities + other.inequalities, self.ambient_dim)
+        return cone_from_inequalities(self._ineqs + other._ineqs, self.ambient_dim)
 
     def image(self, matrix: RatMat) -> "Cone":
-        if any(len(row) != self.ambient_dim for row in matrix):
+        n = self.ambient_dim
+        if any(len(row) != n for row in matrix):
             raise ValueError("matrix column count does not match the ambient dimension")
-        gens = [tuple(dot(row, g) for row in matrix) for g in self.generators()]
+        # the matrix times one positive common denominator has the same image cone
+        flat, _ = _over_common_denominator(x for row in matrix for x in row)
+        rows = [flat[i * n : (i + 1) * n] for i in range(len(matrix))]
+        gens = [tuple(_dot(row, g) for row in rows) for g in self._generators()]
         return cone_from_generators(gens, len(matrix))
 
     def faces(self) -> tuple["Cone", ...]:
@@ -231,11 +269,12 @@ class Cone:
             queue = [self]
             while queue:
                 current = queue.pop()
-                for a in self.facet_normals:
-                    if all(dot(a, g) == 0 for g in current.generators()):
+                gens = current._generators()
+                for a in self._facets:
+                    if all(_dot(a, g) == 0 for g in gens):
                         continue
                     cut = cone_from_inequalities(
-                        current.inequalities + (a, neg(a)), self.ambient_dim
+                        current._ineqs + (a, tuple(-x for x in a)), self.ambient_dim
                     )
                     if cut not in found:
                         found.add(cut)
@@ -248,12 +287,14 @@ class Cone:
             raise ValueError("dimension mismatch between cones")
         return self in other.faces()
 
+    def _interior_point(self) -> IntVec:
+        if not self._rays:
+            return (0,) * self.ambient_dim
+        return tuple(map(sum, zip(*self._rays)))
+
     def interior_point(self) -> RatVec:
         """Sum of the canonical rays: a point in the relative interior."""
-        point = zero_vec(self.ambient_dim)
-        for r in self.rays:
-            point = add(point, r)
-        return point
+        return tuple(map(Fraction, self._interior_point()))
 
     # -- structural equality -------------------------------------------
 
@@ -262,33 +303,37 @@ class Cone:
             return NotImplemented
         return (
             self.ambient_dim == other.ambient_dim
-            and self.rays == other.rays
-            and self.lineality_basis == other.lineality_basis
+            and self._rays == other._rays
+            and self._lineality == other._lineality
         )
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        return f"Cone(ambient_dim={self.ambient_dim}, rays={describe_vectors(self.rays)}, lineality={describe_vectors(self.lineality_basis)})"
+        return f"Cone(ambient_dim={self.ambient_dim}, rays={describe_vectors(self._rays)}, lineality={describe_vectors(self._lineality)})"
 
 
 def _face_sort_key(cone: Cone):
-    return (cone.dim, cone.rays, cone.lineality_basis)
+    return (cone.dim, cone._rays, cone._lineality)
 
 
-def describe_vectors(vectors: Iterable[RatVec]) -> str:
-    def fmt(x: Fraction) -> str:
+def describe_vectors(vectors: Iterable[Sequence]) -> str:
+    """Vectors of integers or ``Fraction`` as ``[(1,-1/2), ...]``."""
+
+    def fmt(x) -> str:
         return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
     return "[" + ", ".join("(" + ",".join(fmt(x) for x in v) + ")" for v in vectors) + "]"
 
 
-def _integral(vectors: Iterable[Sequence], dim: int, kind: str) -> list[list[int]]:
-    """Each vector times the lcm of its denominators; every length must be ``dim``."""
+def _integral(vectors: Iterable[Sequence], dim: int, kind: str) -> list[Sequence[int]]:
+    """Each vector times the lcm of its denominators, a tuple of ints as it
+    is; every length must be ``dim``."""
     rows = []
-    for v in vectors:
-        row, _ = _over_common_denominator(v)
+    for row in vectors:
+        if type(row) is not tuple or not all(type(x) is int for x in row):
+            row, _ = _over_common_denominator(row)
         if len(row) != dim:
             raise ValueError(f"{kind} of length {len(row)} in ambient dimension {dim}")
         rows.append(row)

@@ -12,16 +12,17 @@ Two independent deciders over the same problem type:
   intended as a slow cross-checking oracle and capped at a configurable
   variable count.
 
-Both deciders and :meth:`LPProblem.satisfied_by` read each constraint once
-made integral: scaled by the lcm of its denominators, its zero coefficients
-dropped.
+An :class:`LPProblem` stores each constraint made integral: scaled by the
+lcm of its denominators, its zero coefficients dropped.  Both deciders and
+:meth:`LPProblem.satisfied_by` read these rows; the ``Fraction`` rows are
+built on first read.  The library assembles its own LPs from the integer
+fields of its cones, so no ``Fraction`` row is built for them at all.
+Fourier-Motzkin prunes its rows by Chernikov's rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Sequence
 
@@ -36,32 +37,82 @@ IntConstraint = tuple[tuple[int, ...], int, int]
 SparseRow = tuple[list[tuple[int, int]], int, int]
 
 
-@dataclass(frozen=True)
 class LPProblem:
-    """Conjunction of exact linear constraints a.x = b and a.x >= b."""
+    """Conjunction of exact linear constraints a.x = b and a.x >= b.
 
-    num_vars: int
-    eq_constraints: tuple[Constraint, ...] = ()
-    ineq_constraints: tuple[Constraint, ...] = ()
+    The rows are stored made integral, as ``(terms, b, s)``: the row
+    ``(a, b)`` times ``s``, the lcm of its denominators, with the nonzero
+    coefficients as ``(column, integer)`` pairs.  ``eq_constraints`` and
+    ``ineq_constraints`` are the rows as ``(a, b)`` tuples of ``Fraction``,
+    built on first read.  Equality, hashing and ``repr`` are those of the
+    triple ``(num_vars, eq_constraints, ineq_constraints)``.
+    """
 
-    def __post_init__(self):
-        for a, _ in self.eq_constraints + self.ineq_constraints:
-            if len(a) != self.num_vars:
+    __slots__ = ("_num_vars", "_eqs", "_ineqs", "_eq_view", "_ineq_view")
+
+    def __init__(
+        self,
+        num_vars: int,
+        eq_constraints: Sequence[Constraint] = (),
+        ineq_constraints: Sequence[Constraint] = (),
+    ):
+        eqs, ineqs = tuple(eq_constraints), tuple(ineq_constraints)
+        for a, _ in eqs + ineqs:
+            if len(a) != num_vars:
                 raise ValueError(
-                    f"constraint of length {len(a)} in a problem with {self.num_vars} variables"
+                    f"constraint of length {len(a)} in a problem with {num_vars} variables"
                 )
-        # exact values, as constraint() makes them, whatever the caller passed
-        for name in ("eq_constraints", "ineq_constraints"):
-            rows = getattr(self, name)
-            if not all(_is_exact(a, b) for a, b in rows):
-                object.__setattr__(self, name, tuple(constraint(a, b) for a, b in rows))
+        self._num_vars = num_vars
+        self._eq_view = _exact_rows(eqs)
+        self._ineq_view = _exact_rows(ineqs)
+        self._eqs = [_sparse_integral(a, b) for a, b in self._eq_view]
+        self._ineqs = [_sparse_integral(a, b) for a, b in self._ineq_view]
 
-    @cached_property
-    def _integral(self) -> tuple[list[SparseRow], list[SparseRow]]:
-        """The equality and the inequality rows, each made integral."""
+    @classmethod
+    def _from_integral(
+        cls, num_vars: int, eqs: list[SparseRow], ineqs: list[SparseRow]
+    ) -> "LPProblem":
+        """The problem of rows already made integral, exactly as
+        ``_sparse_integral`` makes them: columns increasing, no zero
+        coefficient, and ``s`` the lcm of the denominators of the rational row.
+        """
+        lp = cls.__new__(cls)
+        lp._num_vars = num_vars
+        lp._eq_view = lp._ineq_view = None
+        lp._eqs, lp._ineqs = eqs, ineqs
+        return lp
+
+    @property
+    def num_vars(self) -> int:
+        return self._num_vars
+
+    @property
+    def eq_constraints(self) -> tuple[Constraint, ...]:
+        if self._eq_view is None:
+            self._eq_view = _rational_rows(self._num_vars, self._eqs)
+        return self._eq_view
+
+    @property
+    def ineq_constraints(self) -> tuple[Constraint, ...]:
+        if self._ineq_view is None:
+            self._ineq_view = _rational_rows(self._num_vars, self._ineqs)
+        return self._ineq_view
+
+    def _key(self):
+        return (self.num_vars, self.eq_constraints, self.ineq_constraints)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
         return (
-            [_sparse_integral(a, b) for a, b in self.eq_constraints],
-            [_sparse_integral(a, b) for a, b in self.ineq_constraints],
+            f"LPProblem(num_vars={self.num_vars!r}, eq_constraints={self.eq_constraints!r}, "
+            f"ineq_constraints={self.ineq_constraints!r})"
         )
 
     def satisfied_by(self, x: Sequence[Fraction]) -> bool:
@@ -75,10 +126,9 @@ class LPProblem:
                 f"assignment of length {len(x)} in a problem with {self.num_vars} variables"
             )
         nums, den = _over_common_denominator(x)
-        eqs, ineqs = self._integral
         return all(
-            sum(v * nums[j] for j, v in terms) == b * den for terms, b, _ in eqs
-        ) and all(sum(v * nums[j] for j, v in terms) >= b * den for terms, b, _ in ineqs)
+            sum(v * nums[j] for j, v in terms) == b * den for terms, b, _ in self._eqs
+        ) and all(sum(v * nums[j] for j, v in terms) >= b * den for terms, b, _ in self._ineqs)
 
 
 def _sparse_integral(a: RatVec, b: Fraction) -> SparseRow:
@@ -91,8 +141,25 @@ def _sparse_integral(a: RatVec, b: Fraction) -> SparseRow:
     )
 
 
+def _rational_rows(n: int, rows: list[SparseRow]) -> tuple[Constraint, ...]:
+    out = []
+    for terms, b, s in rows:
+        a = [F0] * n
+        for j, v in terms:
+            a[j] = Fraction(v, s)
+        out.append((tuple(a), Fraction(b, s)))
+    return tuple(out)
+
+
 def constraint(coeffs, rhs=0) -> Constraint:
     return (vec(coeffs), Fraction(rhs))
+
+
+def _exact_rows(rows: tuple) -> tuple[Constraint, ...]:
+    """The rows as constraint() makes them, whatever the caller passed."""
+    if all(_is_exact(a, b) for a, b in rows):
+        return rows
+    return tuple(constraint(a, b) for a, b in rows)
 
 
 def _is_exact(a, b) -> bool:
@@ -116,7 +183,16 @@ def _substitute_equalities(
     lcm of its own denominators, so every dot product is one of integers.
     """
     n = lp.num_vars
-    eqs, ineqs = lp._integral
+    eqs, ineqs = lp._eqs, lp._ineqs
+    if not eqs:
+        # every variable is free, and a row made integral has no common factor
+        dense = []
+        for terms, b, s in ineqs:
+            a = [0] * n
+            for j, v in terms:
+                a[j] = v
+            dense.append((tuple(a), b, s))
+        return True, n, tuple, dense
     aug = []
     for terms, b, _ in eqs:
         row = [0] * (n + 1)
@@ -327,6 +403,15 @@ def fourier_motzkin(lp: LPProblem, max_vars: int = 8) -> bool:
     the remaining variables are eliminated one at a time from integer rows,
     folding rows with the same primitive coefficients to curb blowup.  Raises
     :class:`~coloredfans.errors.EliminationCapError` above the variable cap.
+
+    Chernikov's rule prunes the rest: each row carries a set of the
+    substituted inequalities, as a bit mask, and after k eliminations a
+    combined row whose set has more than k + 1 members is dropped.  Each
+    extreme combination of the inputs after k eliminations uses at most
+    k + 1 of them, and the rows of those combinations describe the
+    projection.  Two folded rows keep the intersection of their sets, so
+    the kept row's set still lies inside that of every combination it
+    stands for.
     """
     if lp.num_vars > max_vars:
         raise EliminationCapError(
@@ -335,7 +420,7 @@ def fourier_motzkin(lp: LPProblem, max_vars: int = 8) -> bool:
     consistent, num_free, _, ineqs = _substitute_equalities(lp)
     if not consistent:
         return False
-    rows = _normalize_rows([(a, b) for a, b, _ in ineqs])
+    rows = _normalize_rows([(a, b, 1 << i) for i, (a, b, _) in enumerate(ineqs)])
     if rows is None:
         return False
     remaining = list(range(num_free))
@@ -343,34 +428,39 @@ def fourier_motzkin(lp: LPProblem, max_vars: int = 8) -> bool:
         # eliminate the variable with the smallest pairing fan-out first
         costs = []
         for v in remaining:
-            pos = sum(1 for a, _ in rows if a[v] > 0)
-            neg_ = sum(1 for a, _ in rows if a[v] < 0)
+            pos = sum(1 for a, _, _ in rows if a[v] > 0)
+            neg_ = sum(1 for a, _, _ in rows if a[v] < 0)
             costs.append((pos * neg_, v))
         _, var = min(costs)
         remaining.remove(var)
-        pos_rows = [(a, b) for a, b in rows if a[var] > 0]
-        neg_rows = [(a, b) for a, b in rows if a[var] < 0]
-        new_rows = [(a, b) for a, b in rows if a[var] == 0]
-        for ap, bp in pos_rows:
-            for an, bn in neg_rows:
+        most = num_free - len(remaining) + 1
+        pos_rows = [row for row in rows if row[0][var] > 0]
+        neg_rows = [row for row in rows if row[0][var] < 0]
+        new_rows = [row for row in rows if row[0][var] == 0]
+        for ap, bp, hp in pos_rows:
+            for an, bn, hn in neg_rows:
+                h = hp | hn
+                if h.bit_count() > most:
+                    continue
                 coeffs = tuple(-an[var] * x + ap[var] * y for x, y in zip(ap, an))
-                new_rows.append((coeffs, -an[var] * bp + ap[var] * bn))
+                new_rows.append((coeffs, -an[var] * bp + ap[var] * bn, h))
         rows = _normalize_rows(new_rows)
         if rows is None:
             return False
     return True
 
 
-def _normalize_rows(rows) -> list[tuple[tuple[int, ...], int]] | None:
+def _normalize_rows(rows) -> list[tuple[tuple[int, ...], int, int]] | None:
     """Primitive scaling, duplicate folding, and constant-row screening.
 
-    Each integer row ``a . x >= b`` is keyed on the primitive part of ``a``,
-    and of two rows with one key the one with the larger bound ``b / gcd(a)``
-    is kept, compared by cross-multiplication; a kept row is divided by the
-    gcd of its entries.  Returns None as soon as a row reads 0 >= b with b > 0.
+    Each integer row ``a . x >= b`` with its set mask ``h`` is keyed on the
+    primitive part of ``a``, and of two rows with one key the one with the
+    larger bound ``b / gcd(a)`` is kept, compared by cross-multiplication,
+    with the intersection of their masks; a kept row is divided by the gcd
+    of its entries.  Returns None as soon as a row reads 0 >= b with b > 0.
     """
-    best: dict[tuple[int, ...], tuple[tuple[int, ...], int, int]] = {}
-    for a, b in rows:
+    best: dict[tuple[int, ...], tuple[tuple[int, ...], int, int, int]] = {}
+    for a, b, h in rows:
         g = gcd(*a)
         if not g:
             if b > 0:
@@ -378,13 +468,16 @@ def _normalize_rows(rows) -> list[tuple[tuple[int, ...], int]] | None:
             continue
         prim = tuple(x // g for x in a)
         prev = best.get(prim)
-        if prev is None or b * prev[2] > prev[1] * g:
-            best[prim] = (a, b, g)
+        if prev is not None:
+            h &= prev[3]
+            if b * prev[2] <= prev[1] * g:
+                a, b, g = prev[:3]
+        best[prim] = (a, b, g, h)
     out = []
-    for a, b, g in best.values():
-        h = gcd(g, b)
-        if h > 1:
-            a = tuple(x // h for x in a)
-            b //= h
-        out.append((a, b))
+    for a, b, g, h in best.values():
+        k = gcd(g, b)
+        if k > 1:
+            a = tuple(x // k for x in a)
+            b //= k
+        out.append((a, b, h))
     return out

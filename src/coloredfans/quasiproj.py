@@ -16,10 +16,11 @@ face/parent pairs would contradict it and is deliberately avoided.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .colored import ColoredCone, ColoredFan, SphericalDatum, colored_faces, validate_colored_fan
 from .errors import InvalidFanError
-from .linalg import F0, F1, RatVec, neg
+from .linalg import RatVec
 from .linprog import LPProblem, lp_feasible
 
 
@@ -73,33 +74,33 @@ def build_support_lp(
     n = datum.dim
     num_vars = n * len(maximal)
 
-    def difference_row(k: int, l: int, g: RatVec) -> RatVec:
-        row = [F0] * num_vars
-        for t in range(n):
-            row[n * k + t] += g[t]
-            row[n * l + t] -= g[t]
-        return tuple(row)
+    def difference_row(k: int, l: int, g: Sequence[int]) -> list[tuple[int, int]]:
+        """The nonzero terms of (l_Z - l_Z') . g, columns increasing."""
+        plus = [(n * k + t, x) for t, x in enumerate(g) if x]
+        minus = [(n * l + t, -x) for t, x in enumerate(g) if x]
+        return plus + minus if k < l else minus + plus
 
+    # every vector below is integral, so each row is over the scale s = 1
     eqs = []
     for k in range(len(maximal)):
         for l in range(k + 1, len(maximal)):
             shared = maximal[k].cone.intersect(maximal[l].cone)
-            for g in shared.rays + shared.lineality_basis:
-                eqs.append((difference_row(k, l, g), F0))
+            for g in shared._rays + shared._lineality:
+                eqs.append((difference_row(k, l, g), 0, 1))
     ineqs = []
     for k, zk in enumerate(maximal):
         valuation_part = zk.cone.intersect(datum.valuation_cone)
-        witness = valuation_part.interior_point()
+        witness = valuation_part._interior_point()
         for l in range(len(maximal)):
             if l == k:
                 continue
-            for g in valuation_part.rays:
-                ineqs.append((difference_row(k, l, g), F0))
-            for b in valuation_part.lineality_basis:
-                ineqs.append((difference_row(k, l, b), F0))
-                ineqs.append((difference_row(k, l, neg(b)), F0))
-            ineqs.append((difference_row(k, l, witness), F1))
-    return LPProblem(num_vars, tuple(eqs), tuple(ineqs))
+            for g in valuation_part._rays:
+                ineqs.append((difference_row(k, l, g), 0, 1))
+            for b in valuation_part._lineality:
+                ineqs.append((difference_row(k, l, b), 0, 1))
+                ineqs.append((difference_row(k, l, tuple(-x for x in b)), 0, 1))
+            ineqs.append((difference_row(k, l, witness), 1, 1))
+    return LPProblem._from_integral(num_vars, eqs, ineqs)
 
 
 def is_quasiprojective(

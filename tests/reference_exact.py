@@ -1,10 +1,10 @@
 """Reference exact core over ``fractions.Fraction``, for tests only.
 
 This is the rational double description, canonicalisation, reduced row
-echelon form and LP re-verification that ``coloredfans`` used before its
-integer core.  The integer code must give exactly the same canonical cone
-fields, echelon forms, ranks, kernels, inverses and verdicts, so the two are
-compared input by input.
+echelon form, LP re-verification and LP assembly that ``coloredfans`` used
+before its integer core.  The integer code must give exactly the same
+canonical cone fields, echelon forms, ranks, kernels, inverses, verdicts and
+LPs, so the two are compared input by input.
 """
 
 from __future__ import annotations
@@ -221,3 +221,51 @@ def reference_satisfied_by(lp: LPProblem, x: Sequence[Fraction]) -> bool:
     return all(_dot(a, x) == b for a, b in lp.eq_constraints) and all(
         _dot(a, x) >= b for a, b in lp.ineq_constraints
     )
+
+
+# -- LP assembly -----------------------------------------------------------
+
+
+def reference_relint_lp(datum, cone, *others) -> LPProblem:
+    """The LP of ``colored.relative_interior_meets``, from the Fraction fields."""
+    ineqs = []
+    for body in (cone, *others):
+        ineqs.extend((a, F0) for a in body.inequalities)
+        ineqs.extend((a, F1) for a in body.facet_normals)
+    ineqs.extend((a, F0) for a in datum.valuation_cone.inequalities)
+    return LPProblem(datum.dim, ineq_constraints=tuple(ineqs))
+
+
+def reference_support_lp(datum, maximal) -> LPProblem:
+    """The LP of ``quasiproj.build_support_lp`` for the given maximal members,
+    from the Fraction fields."""
+    n = datum.dim
+    num_vars = n * len(maximal)
+
+    def difference_row(k, l, g):
+        row = [F0] * num_vars
+        for t in range(n):
+            row[n * k + t] += g[t]
+            row[n * l + t] -= g[t]
+        return tuple(row)
+
+    eqs = []
+    for k in range(len(maximal)):
+        for l in range(k + 1, len(maximal)):
+            shared = maximal[k].cone.intersect(maximal[l].cone)
+            for g in shared.rays + shared.lineality_basis:
+                eqs.append((difference_row(k, l, g), F0))
+    ineqs = []
+    for k, zk in enumerate(maximal):
+        part = zk.cone.intersect(datum.valuation_cone)
+        witness = tuple(sum(col, F0) for col in zip(*part.rays)) or (F0,) * n
+        for l in range(len(maximal)):
+            if l == k:
+                continue
+            for g in part.rays:
+                ineqs.append((difference_row(k, l, g), F0))
+            for b in part.lineality_basis:
+                ineqs.append((difference_row(k, l, b), F0))
+                ineqs.append((difference_row(k, l, _neg(b)), F0))
+            ineqs.append((difference_row(k, l, witness), F1))
+    return LPProblem(num_vars, tuple(eqs), tuple(ineqs))

@@ -5,7 +5,11 @@ from itertools import product
 import pytest
 
 from conftest import membership_oracle, random_cone
-from reference_exact import reference_cone_from_generators, reference_cone_from_inequalities
+from reference_exact import (
+    reference_cone_from_generators,
+    reference_cone_from_inequalities,
+    reference_rank,
+)
 from coloredfans.cones import (
     cone_from_generators,
     cone_from_inequalities,
@@ -257,3 +261,98 @@ def test_cones_match_fraction_reference():
             seen["lineality"] += bool(cone.lineality_basis)
             seen["span equations"] += bool(cone.span_equations)
     assert min(seen.values()) > 20, seen
+
+
+def reference_faces(fields, dim):
+    """Canonical fields of every face, cut by the facet hyperplanes through
+    the reference double description, in the order of ``Cone.faces``."""
+    facets = fields[2]
+
+    def inequalities(f):
+        out = []
+        for e in f[3]:
+            out += [e, tuple(-x for x in e)]
+        return out + list(f[2])
+
+    found = {fields}
+    queue = [fields]
+    while queue:
+        face = queue.pop()
+        gens = face[0] + face[1] + tuple(tuple(-x for x in b) for b in face[1])
+        for a in facets:
+            if all(sum(x * y for x, y in zip(a, g)) == 0 for g in gens):
+                continue
+            cut = reference_cone_from_inequalities(
+                inequalities(face) + [a, tuple(-x for x in a)], dim
+            )
+            if cut not in found:
+                found.add(cut)
+                queue.append(cut)
+    return sorted(found, key=lambda f: (reference_rank(f[0] + f[1]), f[0], f[1]))
+
+
+def test_integer_backed_cone_matches_fraction_reference():
+    """The cones stored on integers compare, hash, order their faces, test
+    points and map under rational matrices as their Fraction fields say, on
+    the vector sets of the test above."""
+    rng = random.Random(8191)
+    other = random.Random(8192)
+    outcomes = set()
+    for trial in range(320):
+        dim = 1 + trial % 5
+        vectors = random_rational_vectors(rng, dim)
+        for build, reference in (
+            (cone_from_generators, reference_cone_from_generators),
+            (cone_from_inequalities, reference_cone_from_inequalities),
+        ):
+            cone = build(vectors, dim)
+            fields = reference(vectors, dim)
+            rays, lineality, facets, span_eq = fields
+            gens = rays + tuple(v for b in lineality for v in (b, tuple(-x for x in b)))
+            assert hash(cone) == hash((dim, rays, lineality))
+            again = cone_from_generators(gens, dim)
+            assert cone == again and hash(cone) == hash(again)
+            assert cone.dim == reference_rank(rays + lineality)
+            assert cone.generators() == gens
+            assert cone.interior_point() == tuple(sum(col, Fraction(0)) for col in zip(*rays)) or (
+                not rays and cone.interior_point() == (0,) * dim
+            )
+            ineqs = tuple(v for e in span_eq for v in (e, tuple(-x for x in e))) + facets
+            assert cone.inequalities == ineqs
+            if trial % 4 == 0:
+                assert [
+                    (f.rays, f.lineality_basis, f.facet_normals, f.span_equations)
+                    for f in cone.faces()
+                ] == reference_faces(fields, dim)
+
+            # points off, on and inside the boundary, none of them integral
+            q = Fraction(other.randint(1, 5), other.randint(6, 9))
+            points = [tuple(Fraction(other.randint(-9, 9), other.randint(2, 7)) for _ in range(dim))]
+            points.append(tuple(q * x for x in cone.interior_point()))
+            points.extend(tuple(q * x for x in g) for g in gens)
+            points.append(tuple(-x for x in points[1]))
+            for v in points:
+                inside = all(sum(a * x for a, x in zip(r, v)) >= 0 for r in ineqs)
+                interior = all(sum(a * x for a, x in zip(e, v)) == 0 for e in span_eq) and all(
+                    sum(a * x for a, x in zip(r, v)) > 0 for r in facets
+                )
+                assert cone.contains(v) == inside
+                assert cone.in_relative_interior(v) == interior
+                outcomes.add((inside, interior))
+                for wrong in (v + (q,), v[:-1]):
+                    with pytest.raises(ValueError):
+                        cone.contains(wrong)
+                    with pytest.raises(ValueError):
+                        cone.in_relative_interior(wrong)
+
+            rows = other.randint(1, dim + 1)
+            matrix = [
+                [Fraction(other.randint(-4, 4), other.randint(1, 4)) for _ in range(dim)]
+                for _ in range(rows)
+            ]
+            moved = [tuple(sum(a * x for a, x in zip(row, g)) for row in matrix) for g in gens]
+            image = cone.image(matrix)
+            assert (
+                image.rays, image.lineality_basis, image.facet_normals, image.span_equations
+            ) == reference_cone_from_generators(moved, rows)
+    assert outcomes == {(False, False), (True, False), (True, True)}

@@ -2,16 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import cube_pattern_cones, toric_datum
-from reference_exact import reference_satisfied_by
+from conftest import cube_pattern_cones, random_complete_2d_fan, toric_datum
+from reference_exact import reference_relint_lp, reference_satisfied_by, reference_support_lp
 from reference_simplex import reference_lp_feasible
 
-from coloredfans import linprog
+from coloredfans import colored, linprog
 from coloredfans.colored import ColoredCone, fan_from_maximal_cones
 from coloredfans.cones import cone_from_generators
 from coloredfans.errors import EliminationCapError
 from coloredfans.linprog import LPProblem, constraint, fourier_motzkin, lp_feasible
-from coloredfans.quasiproj import build_support_lp
+from coloredfans.quasiproj import build_support_lp, maximal_members
 
 
 def test_infeasible_pair():
@@ -204,3 +204,80 @@ def test_satisfied_by_rejects_wrong_length():
     for x in ((Fraction(1),), (1, 2, 3)):
         with pytest.raises(ValueError):
             lp.satisfied_by(x)
+
+
+def dense_rational_lp(rng: random.Random) -> LPProblem:
+    n = rng.randint(1, 6)
+    m = rng.randint(1, 12)
+    eqs, ineqs = [], []
+    for _ in range(m):
+        a = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n))
+        b = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+        (eqs if rng.random() < 0.2 else ineqs).append((a, b))
+    return LPProblem(n, tuple(eqs), tuple(ineqs))
+
+
+def test_fourier_motzkin_stays_small_on_dense_rational_lps():
+    # without Chernikov's rule the batch of seed 2 exhausts 1.5 GB
+    outcomes = []
+    for seed in (4099, 2):
+        rng = random.Random(seed)
+        for _ in range(300):
+            lp = dense_rational_lp(rng)
+            verdict = fourier_motzkin(lp)
+            assert verdict == (lp_feasible(lp) is not None)
+            outcomes.append(verdict)
+    assert 200 < sum(outcomes) < 400
+
+
+def recorded_lps(monkeypatch, datum, make_fans):
+    """The relint LPs that building and validating the fans sets up, and the
+    fans' support LPs, each with the LP that the Fraction reference
+    assembles from the same cones."""
+    calls = []
+    relint, solve = colored.relative_interior_meets, colored.lp_feasible
+
+    def recording_relint(d, *cones):
+        calls.append((d, cones))
+        return relint(d, *cones)
+
+    def recording_solve(lp):
+        calls[-1] += (lp,)
+        return solve(lp)
+
+    monkeypatch.setattr(colored, "relative_interior_meets", recording_relint)
+    monkeypatch.setattr(colored, "lp_feasible", recording_solve)
+    fans = make_fans()
+    supports = [build_support_lp(datum, fan) for fan in fans]
+    relints = [(lp, reference_relint_lp(d, *cones)) for d, cones, lp in calls]
+    return relints, [
+        (lp, reference_support_lp(datum, maximal_members(datum, fan)))
+        for lp, fan in zip(supports, fans)
+    ]
+
+
+@pytest.mark.parametrize("case", ["cube 24", "cube 0", "plane fans"])
+def test_integral_lp_constructor_matches_public_one(case, monkeypatch, pivots):
+    """The relint and support LPs, built from the cones' integer rows, are the
+    LPs that the public constructor makes of their Fraction rows, and are
+    solved with the same pivots as by the Fraction simplex."""
+    if case == "plane fans":
+        datum = toric_datum(2)
+        rng = random.Random(3307)
+        make_fans = lambda: [random_complete_2d_fan(rng, datum, 6) for _ in range(8)]  # noqa: E731
+    else:
+        datum = toric_datum(3)
+        cones = [ColoredCone(cone_from_generators(c, 3)) for c in cube_pattern_cones(int(case[5:]))]
+        make_fans = lambda: [fan_from_maximal_cones(datum, cones)]  # noqa: E731
+    relints, supports = recorded_lps(monkeypatch, datum, make_fans)
+    assert len(relints) > 200
+    for lp, reference in relints + supports:
+        public = LPProblem(lp.num_vars, lp.eq_constraints, lp.ineq_constraints)
+        for other in (reference, public):
+            assert lp == other and hash(lp) == hash(other) and repr(lp) == repr(other)
+        assert (lp._eqs, lp._ineqs) == (public._eqs, public._ineqs)
+    # the cube support LPs are solved against the reference in
+    # test_integer_simplex_matches_reference_on_cube_support_lps
+    solved = relints + supports if case == "plane fans" else relints
+    for lp in {repr(lp): lp for lp, _ in solved}.values():
+        assert_matches_reference(lp, pivots)
