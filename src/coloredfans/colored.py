@@ -202,6 +202,12 @@ def fan_from_maximal_cones(
 
 def validate_colored_fan(datum: SphericalDatum, fan: ColoredFan) -> ValidationReport:
     """Check C1-C4 on every member plus the fan axioms F1 and F2."""
+    return _validate_fan(datum, fan)[0]
+
+
+def _validate_fan(datum: SphericalDatum, fan: ColoredFan) -> tuple[ValidationReport, dict]:
+    """The report of :func:`validate_colored_fan`, and the colored faces that
+    F1 computes, keyed by member key (members failing C1-C4 have none)."""
     report = ValidationReport(subject=f"colored fan with {len(fan)} cones")
     report.notes.append(FACE_CONVENTION_NOTE)
     # members are a set: exact duplicates in the stored tuple collapse here
@@ -216,10 +222,12 @@ def validate_colored_fan(datum: SphericalDatum, fan: ColoredFan) -> ValidationRe
         report.merge(sub, f"cone[{i}]")
 
     f1_ok = True
+    faces = {}
     for i, (cc, sub) in enumerate(zip(distinct, cone_reports)):
         if not sub.passed:
             continue
-        for face in colored_faces(datum, cc):
+        faces[cc.key()] = colored_faces(datum, cc)
+        for face in faces[cc.key()]:
             if face.key() not in members:
                 f1_ok = False
                 report.reasons.append(
@@ -237,7 +245,7 @@ def validate_colored_fan(datum: SphericalDatum, fan: ColoredFan) -> ValidationRe
                     "hold a valuation vector in their relative interiors"
                 )
     report.checks["F2"] = f2_ok
-    return report
+    return report, faces
 
 
 def locate(datum: SphericalDatum, fan: ColoredFan, v: Sequence) -> ColoredCone | None:

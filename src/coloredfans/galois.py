@@ -17,26 +17,22 @@ over a perfect base field.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Iterable, Mapping
 
 from .colored import (
     ColoredCone,
     ColoredFan,
     SphericalDatum,
+    _validate_fan,
     colored_faces,
     member_sort_key,
     relative_interior_meets,
-    validate_colored_cone,
-    validate_colored_fan,
 )
-from .errors import (
-    ClosureCapError,
-    InvalidColoredConeError,
-    InvalidFanError,
-    OrbitOverlapError,
-)
-from .linalg import RatMat, identity, invert, mat, matmul, matvec
-from .quasiproj import is_quasiprojective
+from .errors import ClosureCapError, InvalidFanError, OrbitOverlapError
+from .linalg import RatMat, identity, invert, mat, matmul, matvec, rank
+from .linprog import lp_feasible
+from .quasiproj import _support_lp
 from .reports import ValidationReport
 
 PERFECT_FIELD_NOTE = (
@@ -78,6 +74,56 @@ def identity_element(dim: int, colors: Iterable[str] = ()) -> GroupElement:
     return GroupElement(identity(dim), tuple(sorted((c, c) for c in colors)))
 
 
+def _order_exponent(n: int) -> int:
+    """L = lcm{m : phi(m) <= n}: the order of every n x n rational matrix of
+    finite order divides L (its minimal polynomial is a product of distinct
+    cyclotomic polynomials Phi_m, of degree phi(m) <= n).  Since
+    phi(m) >= sqrt(m/2), every such m is at most 2n^2."""
+    bound = 2 * n * n
+    phi = list(range(bound + 1))
+    for p in range(2, bound + 1):
+        if phi[p] == p:
+            for k in range(p, bound + 1, p):
+                phi[k] -= phi[k] // p
+    return lcm(*(m for m in range(1, bound + 1) if phi[m] <= n))
+
+
+# A Mersenne prime: A^L is compared with I modulo it.
+_ORDER_PRIME = 2**61 - 1
+
+
+def _has_infinite_order(matrix: RatMat) -> bool:
+    """True when ``matrix`` is invertible and A^L != I for L of
+    :func:`_order_exponent`, so that its powers are pairwise distinct.
+
+    With d the common denominator and B = dA, A^L = I means B^L = d^L I.  Both
+    sides are taken modulo ``_ORDER_PRIME``, B^L by repeated squaring, so the
+    entries stay small whatever the size of L.  A difference there proves
+    A^L != I.  Equality, which every matrix of finite order gives, proves
+    nothing, and the answer is False.  Singular and non-square matrices are
+    False as well.
+    """
+    n = len(matrix)
+    if any(len(row) != n for row in matrix) or rank(matrix) < n:
+        return False
+    p = _ORDER_PRIME
+    d = lcm(*(x.denominator for row in matrix for x in row))
+
+    def times(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+    base = [[int(x * d) % p for x in row] for row in matrix]
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    e = _order_exponent(n)
+    target = pow(d, e, p)
+    while e:
+        if e & 1:
+            power = times(power, base)
+        base = times(base, base)
+        e >>= 1
+    return power != [[target if i == j else 0 for j in range(n)] for i in range(n)]
+
+
 @dataclass(frozen=True)
 class GroupAction:
     """Generators of a finite group acting on a spherical datum."""
@@ -92,11 +138,14 @@ class GroupAction:
 
         A finite closure of invertible elements automatically contains the
         inverses.  Raises :class:`ClosureCapError` if the closure exceeds
-        ``cap`` elements.
+        ``cap`` elements; at once, before any closing, when a generator
+        matrix has infinite order, since its powers alone exceed every cap.
         """
         cached = self._cache.get("elements")
         if cached is not None:
             return cached
+        if any(_has_infinite_order(g.matrix) for g in self.generators):
+            raise ClosureCapError(f"group closure exceeded the cap of {cap} elements")
         ident = identity_element(self.dim, self.colors)
         seen = {ident: None}
         frontier = [ident]
@@ -200,23 +249,76 @@ def apply_element(g: GroupElement, cc: ColoredCone) -> ColoredCone:
     return ColoredCone(cc.cone.image(g.matrix), frozenset(g.apply_color(c) for c in cc.colors))
 
 
+def _image_table(
+    action: GroupAction, fan: ColoredFan
+) -> tuple[ColoredCone | None, dict]:
+    """Apply every group element to every member (elements outer, members
+    inner).
+
+    Returns the first member with an image outside the fan, or None when the
+    fan is invariant, and the table of images: for each member key, its
+    distinct images as fan members, keyed by member key, in order of first
+    appearance (the identity's image, the member itself, first).  The table
+    is complete only when no member offends.
+    """
+    keyed = [(cc, cc.key()) for cc in fan]
+    members = {}
+    for cc, key in keyed:
+        members.setdefault(key, cc)
+    images: dict = {key: {} for key in members}
+    for g in action.elements():
+        for cc, key in keyed:
+            image = apply_element(g, cc).key()
+            if image not in members:
+                return cc, images
+            images[key].setdefault(image, members[image])
+    return None, images
+
+
 def is_fan_invariant(datum: SphericalDatum, action: GroupAction, fan: ColoredFan) -> bool:
     """True when every group element permutes the fan's members."""
-    keys = fan.member_keys()
-    return all(
-        apply_element(g, cc).key() in keys for g in action.elements() for cc in fan
-    )
+    return _image_table(action, fan)[0] is None
 
 
-def _invariance_offender(
-    datum: SphericalDatum, action: GroupAction, fan: ColoredFan
-) -> ColoredCone | None:
-    keys = fan.member_keys()
-    for g in action.elements():
-        for cc in fan:
-            if apply_element(g, cc).key() not in keys:
-                return cc
-    return None
+def _orbit_fan(
+    datum: SphericalDatum, images: Iterable[ColoredCone], faces: dict
+) -> tuple[list[ColoredCone], list[int]]:
+    """The fan generated by the orbit ``images``: their colored faces,
+    deduplicated and sorted.
+
+    ``faces`` maps a member key to its colored faces; the faces of an image
+    missing from it are computed, in image order, and stored there.  Also
+    returns, for each member, the bit mask of the images it is a face of.
+    """
+    members: dict = {}
+    owners: dict = {}
+    for bit, image in enumerate(images):
+        key = image.key()
+        if key not in faces:
+            faces[key] = colored_faces(datum, image)
+        for face in faces[key]:
+            members.setdefault(face.key(), face)
+            owners[face.key()] = owners.get(face.key(), 0) | 1 << bit
+    ordered = sorted(members.values(), key=member_sort_key)
+    return ordered, [owners[cc.key()] for cc in ordered]
+
+
+def _check_overlap(datum: SphericalDatum, ordered: list, owners: list) -> None:
+    """Raise :class:`OrbitOverlapError` at the first pair of orbit members, in
+    order, whose relative interiors share a valuation vector.
+
+    Pairs of faces of one orbit cone are skipped: distinct faces of one cone
+    have disjoint relative interiors.
+    """
+    for i in range(len(ordered)):
+        for j in range(i + 1, len(ordered)):
+            if owners[i] & owners[j]:
+                continue
+            if relative_interior_meets(datum, ordered[i].cone, ordered[j].cone):
+                raise OrbitOverlapError(
+                    f"orbit cones {ordered[i].describe()} and {ordered[j].describe()} "
+                    "overlap inside the valuation cone"
+                )
 
 
 def orbit_subfan(
@@ -225,26 +327,18 @@ def orbit_subfan(
     """The fan generated by the orbit of one colored cone: orbit images closed
     under colored faces.
 
-    Raises :class:`OrbitOverlapError` when two orbit cones share a valuation
-    vector in their relative interiors; no invariant fan can contain the
-    orbit in that case.
+    Raises :class:`InvalidColoredConeError` when ``cc`` fails C1-C4, and
+    :class:`OrbitOverlapError` when two orbit cones share a valuation vector
+    in their relative interiors; no invariant fan can contain the orbit in
+    that case.
     """
-    base = validate_colored_cone(datum, cc)
-    if not base.passed:
-        raise InvalidColoredConeError("; ".join(base.reasons) or "axioms failed")
-    members: dict = {}
+    faces = {cc.key(): colored_faces(datum, cc)}
+    images: dict = {}
     for g in action.elements():
         moved = apply_element(g, cc)
-        for face in colored_faces(datum, moved):
-            members.setdefault(face.key(), face)
-    ordered = sorted(members.values(), key=member_sort_key)
-    for i in range(len(ordered)):
-        for j in range(i + 1, len(ordered)):
-            if relative_interior_meets(datum, ordered[i].cone, ordered[j].cone):
-                raise OrbitOverlapError(
-                    f"orbit cones {ordered[i].describe()} and {ordered[j].describe()} "
-                    "overlap inside the valuation cone"
-                )
+        images.setdefault(moved.key(), moved)
+    ordered, owners = _orbit_fan(datum, images.values(), faces)
+    _check_overlap(datum, ordered, owners)
     return ColoredFan(tuple(ordered))
 
 
@@ -266,12 +360,26 @@ def has_k_form(
     """Decide k-form existence: (a) the fan is invariant under the action and
     (b) every member's orbit fan is quasiprojective.
 
+    The orbit fan of a member Z is read off the invariance loop: the images
+    g.Z are fan members, and the orbit fan is the union of their colored
+    faces.  Its maximal cones are exactly the distinct images, all of
+    dimension dim Z, so the support LP is posed on them directly.
+
+    With ``check=True`` the fan and the action are validated first, and the
+    fan validation supplies every member's colored faces.  F1 and invariance
+    then make every orbit member a fan member, so F2 already rules out
+    overlapping orbit cones and no overlap test runs.  With ``check=False``
+    the faces are computed once per member as needed (a member failing C1-C4
+    raises :class:`InvalidColoredConeError`), and every orbit fan not yet
+    verified is tested for overlapping cones, which is reported as a (b)
+    failure.
+
     A member whose orbit fan sits inside an already verified orbit fan is
     skipped: a subfan of a quasiprojective fan is quasiprojective (it carves
     out an open invariant piece), so the check would be redundant.
     """
     if check:
-        fan_report = validate_colored_fan(datum, fan)
+        fan_report, faces = _validate_fan(datum, fan)
         if not fan_report.passed:
             raise InvalidFanError("; ".join(fan_report.reasons) or "fan failed validation")
         action_report = validate_action(datum, action)
@@ -279,8 +387,10 @@ def has_k_form(
             raise InvalidFanError(
                 "; ".join(action_report.reasons) or "action failed validation"
             )
+    else:
+        faces = {}
 
-    offender = _invariance_offender(datum, action, fan)
+    offender, images = _image_table(action, fan)
     if offender is not None:
         return KFormResult(
             False,
@@ -295,17 +405,20 @@ def has_k_form(
     verified: list[frozenset] = []
     members = sorted(fan, key=lambda cc: -cc.cone.dim)
     for cc in members:
-        try:
-            orbit = orbit_subfan(datum, action, cc)
-        except OrbitOverlapError as exc:
-            return KFormResult(
-                False, invariant=True, orbits_quasiprojective=False, reasons=(f"(b) {exc}",)
-            )
-        orbit_keys = orbit.member_keys()
+        orbit = images[cc.key()]
+        ordered, owners = _orbit_fan(datum, orbit.values(), faces)
+        orbit_keys = frozenset(m.key() for m in ordered)
         if any(orbit_keys <= done for done in verified):
             continue
-        result = is_quasiprojective(datum, orbit, check=False)
-        if not result.verdict:
+        if not check:
+            try:
+                _check_overlap(datum, ordered, owners)
+            except OrbitOverlapError as exc:
+                return KFormResult(
+                    False, invariant=True, orbits_quasiprojective=False, reasons=(f"(b) {exc}",)
+                )
+        maximal = sorted(orbit.values(), key=member_sort_key)
+        if lp_feasible(_support_lp(datum, maximal)) is None:
             return KFormResult(
                 False,
                 invariant=True,

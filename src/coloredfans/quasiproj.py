@@ -70,7 +70,11 @@ def build_support_lp(
     """
     if check:
         _require_valid(datum, fan)
-    maximal = maximal_members(datum, fan)
+    return _support_lp(datum, maximal_members(datum, fan))
+
+
+def _support_lp(datum: SphericalDatum, maximal: Sequence[ColoredCone]) -> LPProblem:
+    """The LP of :func:`build_support_lp` posed on the given maximal cones."""
     n = datum.dim
     num_vars = n * len(maximal)
 

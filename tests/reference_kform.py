@@ -1,0 +1,98 @@
+"""Reference k-form decision that rebuilds every orbit fan, for tests only.
+
+This is the route that ``coloredfans.galois.has_k_form`` took before it read
+orbit fans off the invariance loop: validate the fan and the action, find the
+first member with an image outside the fan, then for each member build its
+orbit fan from scratch (one ``colored_faces`` per group element and an
+all-pairs relative-interior scan) and decide it with ``is_quasiprojective``.
+``has_k_form`` must give the same result, or raise the same exception with
+the same message, so the two are compared input by input.
+"""
+
+from __future__ import annotations
+
+from coloredfans.colored import (
+    ColoredFan,
+    colored_faces,
+    member_sort_key,
+    relative_interior_meets,
+    validate_colored_cone,
+    validate_colored_fan,
+)
+from coloredfans.errors import InvalidColoredConeError, InvalidFanError, OrbitOverlapError
+from coloredfans.galois import KFormResult, apply_element, validate_action
+from coloredfans.quasiproj import is_quasiprojective
+
+
+def reference_orbit_subfan(datum, action, cc) -> ColoredFan:
+    base = validate_colored_cone(datum, cc)
+    if not base.passed:
+        raise InvalidColoredConeError("; ".join(base.reasons) or "axioms failed")
+    members: dict = {}
+    for g in action.elements():
+        moved = apply_element(g, cc)
+        for face in colored_faces(datum, moved):
+            members.setdefault(face.key(), face)
+    ordered = sorted(members.values(), key=member_sort_key)
+    for i in range(len(ordered)):
+        for j in range(i + 1, len(ordered)):
+            if relative_interior_meets(datum, ordered[i].cone, ordered[j].cone):
+                raise OrbitOverlapError(
+                    f"orbit cones {ordered[i].describe()} and {ordered[j].describe()} "
+                    "overlap inside the valuation cone"
+                )
+    return ColoredFan(tuple(ordered))
+
+
+def reference_invariance_offender(action, fan):
+    keys = fan.member_keys()
+    for g in action.elements():
+        for cc in fan:
+            if apply_element(g, cc).key() not in keys:
+                return cc
+    return None
+
+
+def reference_has_k_form(datum, action, fan, check: bool = True) -> KFormResult:
+    if check:
+        fan_report = validate_colored_fan(datum, fan)
+        if not fan_report.passed:
+            raise InvalidFanError("; ".join(fan_report.reasons) or "fan failed validation")
+        action_report = validate_action(datum, action)
+        if not action_report.passed:
+            raise InvalidFanError(
+                "; ".join(action_report.reasons) or "action failed validation"
+            )
+
+    offender = reference_invariance_offender(action, fan)
+    if offender is not None:
+        return KFormResult(
+            False,
+            invariant=False,
+            orbits_quasiprojective=None,
+            reasons=(
+                "(a) fan is not invariant under the Galois action; offending cone: "
+                f"{offender.describe()}",
+            ),
+        )
+
+    verified: list[frozenset] = []
+    for cc in sorted(fan, key=lambda cc: -cc.cone.dim):
+        try:
+            orbit = reference_orbit_subfan(datum, action, cc)
+        except OrbitOverlapError as exc:
+            return KFormResult(
+                False, invariant=True, orbits_quasiprojective=False, reasons=(f"(b) {exc}",)
+            )
+        orbit_keys = orbit.member_keys()
+        if any(orbit_keys <= done for done in verified):
+            continue
+        if not is_quasiprojective(datum, orbit, check=False).verdict:
+            return KFormResult(
+                False,
+                invariant=True,
+                orbits_quasiprojective=False,
+                reasons=(f"(b) the orbit fan of {cc.describe()} is not quasiprojective",),
+            )
+        verified.append(orbit_keys)
+    return KFormResult(True, invariant=True, orbits_quasiprojective=True)

@@ -1,22 +1,41 @@
 import random
+from collections import Counter
+from time import perf_counter
 
 import pytest
 
-from conftest import random_unimodular
-from coloredfans.colored import ColoredCone, SphericalDatum, fan_from_maximal_cones
+from conftest import random_unimodular, toric_datum
+from reference_kform import reference_has_k_form, reference_orbit_subfan
+from coloredfans import colored, galois, quasiproj
+from coloredfans.colored import (
+    ColoredCone,
+    ColoredFan,
+    SphericalDatum,
+    fan_from_maximal_cones,
+    member_sort_key,
+)
 from coloredfans.cones import cone_from_generators
 from coloredfans.errors import ClosureCapError, OrbitOverlapError
 from coloredfans.galois import (
+    PERFECT_FIELD_NOTE,
+    GroupAction,
     GroupElement,
+    _order_exponent,
     action_from_generators,
+    apply_element,
     has_k_form,
     identity_element,
     is_fan_invariant,
     orbit_subfan,
     validate_action,
 )
-from coloredfans.linalg import invert, matmul
-from coloredfans.quasiproj import is_quasiprojective, maximal_members
+from coloredfans.linalg import identity, invert, matmul, matvec
+from coloredfans.quasiproj import (
+    _support_lp,
+    build_support_lp,
+    is_quasiprojective,
+    maximal_members,
+)
 
 
 def swap_action(datum):
@@ -249,3 +268,181 @@ def test_conjugation_covariance(toric_plane, p1xp1_fan):
             assert validate_action(moved_datum, moved_action).passed
             result = has_k_form(moved_datum, moved_action, moved_fan)
             assert result.verdict == expected
+
+
+# -- the lookup route against the rebuilding reference ----------------------
+
+SWAP = [[0, 1], [1, 0]]
+P2_RAYS = [(1, 0), (0, 1), (-1, -1)]
+SQUARE_RAYS = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+HEXAGON_RAYS = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+OCTANTS = [
+    [(x, 0, 0), (0, y, 0), (0, 0, z)] for x in (1, -1) for y in (1, -1) for z in (1, -1)
+]
+CYCLE3 = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+SWAP_XY = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+QUARTER_XY = [[0, -1, 0], [1, 0, 0], [0, 0, 1]]
+INVERSION3 = [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]
+
+
+def _cycle(rays):
+    return [[a, b] for a, b in zip(rays, rays[1:] + rays[:1])]
+
+
+# (name, dim, colors, maximal cones as (rays, colors), generators as
+#  (matrix, color permutation), group order); toric cases use the whole space.
+KFORM_CASES = (
+    ("p2_s3", 2, (), [(c, ()) for c in _cycle(P2_RAYS)],
+     [([[0, -1], [1, -1]], {}), (SWAP, {})], 6),
+    ("p1xp1_d4", 2, (), [(c, ()) for c in _cycle(SQUARE_RAYS)],
+     [([[0, -1], [1, 0]], {}), (SWAP, {})], 8),
+    ("hexagon_d6", 2, (), [(c, ()) for c in _cycle(HEXAGON_RAYS)],
+     [([[1, -1], [1, 0]], {}), (SWAP, {})], 12),
+    ("rank1_color_swap", 1, ("D+", "D-"), [([(-1,)], ())],
+     [([[1]], {"D+": "D-", "D-": "D+"})], 2),
+    ("octant_inversion", 3, (), [(c, ()) for c in OCTANTS], [(INVERSION3, {})], 2),
+    ("octant_s3", 3, (), [(c, ()) for c in OCTANTS], [(CYCLE3, {}), (SWAP_XY, {})], 6),
+    ("octant_d4", 3, (), [(c, ()) for c in OCTANTS], [(QUARTER_XY, {}), (SWAP_XY, {})], 8),
+)
+
+
+def _kform_case(case, a):
+    """The case's datum, fan and action moved by the unimodular matrix ``a``."""
+    name, dim, colors, cones, gens, _ = case
+    a_inv = invert(a)
+    if colors:
+        valuation = cone_from_generators([matvec(a, (-1,))], 1)
+        datum = SphericalDatum(1, valuation, colors, {c: matvec(a, (1,)) for c in colors})
+    else:
+        datum = SphericalDatum(dim, toric_datum(dim).valuation_cone)
+    fan = fan_from_maximal_cones(
+        datum,
+        [
+            ColoredCone(cone_from_generators([matvec(a, r) for r in rays], dim), cc)
+            for rays, cc in cones
+        ],
+    )
+    action = action_from_generators(
+        datum,
+        [GroupElement.make(matmul(a, matmul(m, a_inv)), perm) for m, perm in gens],
+    )
+    return datum, fan, action
+
+
+def _outcome(call):
+    try:
+        return repr(call())
+    except Exception as exc:  # the exception is the outcome being compared
+        return (type(exc).__name__, str(exc))
+
+
+def _compare_with_reference(datum, action, fan, check):
+    got = _outcome(lambda: has_k_form(datum, action, fan, check=check))
+    assert got == _outcome(lambda: reference_has_k_form(datum, action, fan, check=check))
+    return got
+
+
+def test_k_form_matches_rebuilding_reference():
+    rng = random.Random(606)
+    outcomes = set()
+    for case in KFORM_CASES:
+        for _ in range(2 if case[1] < 3 else 1):
+            datum, fan, action = _kform_case(case, random_unimodular(rng, case[1]))
+            for check in (True, False):
+                assert _compare_with_reference(datum, action, fan, check).endswith(
+                    "verdict=True, invariant=True, orbits_quasiprojective=True, "
+                    "reasons=(), notes=('" + PERFECT_FIELD_NOTE + "',))"
+                )
+            for cc in fan:
+                orbit = orbit_subfan(datum, action, cc)
+                assert orbit == reference_orbit_subfan(datum, action, cc)
+                images = {apply_element(g, cc) for g in action.elements()}
+                assert _support_lp(
+                    datum, sorted(images, key=member_sort_key)
+                ) == build_support_lp(datum, orbit, check=False)
+            for i in range(len(fan)):
+                sub = ColoredFan(fan.cones[:i] + fan.cones[i + 1:])
+                outcomes.add(_compare_with_reference(datum, action, sub, False))
+    # the sub-fans reach the (a) failure and, with the origin removed, a verdict
+    assert any("invariant=False" in o for o in outcomes)
+    assert any("verdict=True" in o for o in outcomes)
+
+
+def test_overlapping_orbit_matches_reference(toric_plane):
+    action = swap_action(toric_plane)
+    overlapping = ColoredFan(tuple(
+        ColoredCone(cone_from_generators(g, 2))
+        for g in ([], [(1, 0)], [(0, 1)], [(1, 2)], [(2, 1)], [(1, 0), (1, 2)], [(0, 1), (2, 1)])
+    ))
+    for check in (True, False):
+        _compare_with_reference(toric_plane, action, overlapping, check)
+    for i in range(len(overlapping)):
+        sub = ColoredFan(overlapping.cones[:i] + overlapping.cones[i + 1:])
+        _compare_with_reference(toric_plane, action, sub, False)
+    wide = ColoredCone(cone_from_generators([(1, 0), (1, 2)], 2))
+    assert _outcome(lambda: orbit_subfan(toric_plane, action, wide)) == _outcome(
+        lambda: reference_orbit_subfan(toric_plane, action, wide)
+    )
+
+
+def test_k_form_reads_faces_from_validation(monkeypatch, toric_plane, p2_fan):
+    real_faces, real_validate = colored.colored_faces, colored._validate_fan
+    calls = []
+    inside = []
+
+    def counting_faces(datum, cc):
+        calls.append((cc.key(), bool(inside)))
+        return real_faces(datum, cc)
+
+    def flagged_validate(datum, fan):
+        inside.append(True)
+        try:
+            return real_validate(datum, fan)
+        finally:
+            inside.pop()
+
+    for module in (colored, galois, quasiproj):
+        monkeypatch.setattr(module, "colored_faces", counting_faces)
+    monkeypatch.setattr(galois, "_validate_fan", flagged_validate)
+    s3 = action_from_generators(
+        toric_plane,
+        [GroupElement.make([[0, -1], [1, -1]]), GroupElement.make(SWAP)],
+    )
+    assert has_k_form(toric_plane, s3, p2_fan, check=True).verdict
+    assert Counter(key for key, _ in calls) == Counter(p2_fan.member_keys())
+    assert all(in_validation for _, in_validation in calls)
+    # orbit_subfan takes the faces of each distinct image once: one pass for
+    # the origin, fixed by all six elements, and three for a maximal cone
+    for member, passes in ((p2_fan.cones[0], 1), (p2_fan.cones[-1], 3)):
+        calls.clear()
+        orbit_subfan(toric_plane, s3, member)
+        assert len(calls) == passes
+
+
+def test_infinite_order_generator_fails_before_closing():
+    assert [_order_exponent(n) for n in range(1, 10)] == [
+        2, 12, 12, 120, 120, 2520, 2520, 5040, 5040
+    ]
+    shear3 = [[1, 0, 1], [0, 1, 0], [0, 0, 1]]
+    for m in ([[1, 1], [0, 1]], [[2, 1], [1, 1]], shear3):
+        action = GroupAction(len(m), (), (GroupElement.make(m),))
+        start = perf_counter()
+        with pytest.raises(ClosureCapError) as caught:
+            action.elements()
+        assert perf_counter() - start < 0.1
+        assert str(caught.value) == "group closure exceeded the cap of 100000 elements"
+    # finite groups keep their orders, singular generators are closed as before
+    for case in KFORM_CASES:
+        datum, _, action = _kform_case(case, identity(case[1]))
+        assert len(action.elements()) == case[5]
+    projection = GroupAction(2, (), (GroupElement.make([[1, 0], [0, 0]]),))
+    assert len(projection.elements()) == 2
+    datum3 = SphericalDatum(3, toric_datum(3).valuation_cone)
+    report = validate_action(datum3, action_from_generators(datum3, [GroupElement.make(shear3)]))
+    assert repr(report) == (
+        "ValidationReport(subject='group action with 1 generators', checks={"
+        "'generator[0].lattice_automorphism': True, 'generator[0].color_permutation': True, "
+        "'generator[0].equivariance': True, 'generator[0].valuation_stable': True, "
+        "'closure': False}, reasons=['closure: group closure exceeded the cap of 100000 "
+        "elements'], notes=[])"
+    )
