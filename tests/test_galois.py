@@ -314,7 +314,7 @@ def _kform_case(case, a):
         valuation = cone_from_generators([matvec(a, (-1,))], 1)
         datum = SphericalDatum(1, valuation, colors, {c: matvec(a, (1,)) for c in colors})
     else:
-        datum = SphericalDatum(dim, toric_datum(dim).valuation_cone)
+        datum = toric_datum(dim)
     fan = fan_from_maximal_cones(
         datum,
         [
@@ -437,7 +437,7 @@ def test_infinite_order_generator_fails_before_closing():
         assert len(action.elements()) == case[5]
     projection = GroupAction(2, (), (GroupElement.make([[1, 0], [0, 0]]),))
     assert len(projection.elements()) == 2
-    datum3 = SphericalDatum(3, toric_datum(3).valuation_cone)
+    datum3 = toric_datum(3)
     report = validate_action(datum3, action_from_generators(datum3, [GroupElement.make(shear3)]))
     assert repr(report) == (
         "ValidationReport(subject='group action with 1 generators', checks={"
