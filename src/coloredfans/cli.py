@@ -21,14 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fileio
-from .colored import (
-    ColoredCone,
-    ColoredFan,
-    SphericalDatum,
-    fan_from_maximal_cones,
-    validate_colored_cone,
-    validate_colored_fan,
-)
+from .colored import ColoredCone, SphericalDatum
 from .errors import InputFileError, NotInvolutionError, SchemaError, SemanticError
 from .galois import has_k_form, validate_action
 from .monoid import (
@@ -38,7 +31,6 @@ from .monoid import (
     monoid_has_k_form,
 )
 from .quasiproj import is_quasiprojective
-from .reports import ValidationReport
 
 COMMANDS = ("validate", "quasiproj", "kform", "monoid", "monoid-kform", "morphism", "lined")
 
@@ -98,30 +90,8 @@ def _need(value, name: str):
     return value
 
 
-def _load_datum(path) -> SphericalDatum:
-    return fileio.parse_datum(fileio.load_json(path))
-
-
-def _load_raw_fan(datum, path) -> list[ColoredCone]:
-    return fileio.parse_fan(fileio.load_json(path), datum)
-
-
-def _validate_fan(datum, raw) -> tuple[ColoredFan | None, ValidationReport]:
-    """Validate members, close under colored faces, and validate the fan."""
-    member_report = ValidationReport(subject="fan members")
-    ok = True
-    for i, cc in enumerate(raw):
-        sub = validate_colored_cone(datum, cc)
-        member_report.merge(sub, f"maximal[{i}]")
-        ok &= sub.passed
-    if not ok:
-        return None, member_report
-    fan = fan_from_maximal_cones(datum, raw)
-    return fan, validate_colored_fan(datum, fan)
-
-
-def _load_single_cone(datum, path) -> ColoredCone:
-    raw = _load_raw_fan(datum, path)
+def _load_single_cone(datum: SphericalDatum, path) -> ColoredCone:
+    raw = fileio.parse_fan(fileio.load_json(path), datum)
     if len(raw) != 1:
         raise SemanticError("monoid checks need a fan file with exactly one cone")
     return raw[0]
@@ -143,12 +113,13 @@ def run_command(
         raise InputFileError(f"unknown command {command!r}")
 
     if command == "validate":
-        datum = _load_datum(_need(datum_path, "datum"))
+        datum = fileio.parse_inputs(_need(datum_path, "datum")).datum
         axioms: dict[str, bool] = {}
         reasons: list[str] = []
         notes: list[str] = []
         if fan_path is not None:
-            fan, report = _validate_fan(datum, _load_raw_fan(datum, fan_path))
+            raw = fileio.parse_fan(fileio.load_json(fan_path), datum)
+            _, report = fileio.validated_fan(datum, raw)
             axioms.update(report.checks)
             reasons.extend(report.reasons)
             notes.extend(report.notes)
@@ -192,7 +163,7 @@ def run_command(
         )
 
     if command == "monoid":
-        datum = _load_datum(_need(datum_path, "datum"))
+        datum = fileio.parse_inputs(_need(datum_path, "datum")).datum
         cc = _load_single_cone(datum, _need(fan_path, "fan"))
         result = is_monoid_cone(datum, cc)
         return _result(
@@ -202,17 +173,16 @@ def run_command(
         )
 
     if command == "monoid-kform":
-        datum = _load_datum(_need(datum_path, "datum"))
-        cc = _load_single_cone(datum, _need(fan_path, "fan"))
-        monoid_result = is_monoid_cone(datum, cc)
+        inputs = fileio.parse_inputs(
+            _need(datum_path, "datum"), action_path=_need(action_path, "action")
+        )
+        cc = _load_single_cone(inputs.datum, _need(fan_path, "fan"))
+        monoid_result = is_monoid_cone(inputs.datum, cc)
         if not monoid_result.verdict:
             raise SemanticError(
                 "not a monoid cone: " + ("; ".join(monoid_result.report.reasons) or "axioms failed")
             )
-        inputs = fileio.parse_inputs(
-            _need(datum_path, "datum"), action_path=_need(action_path, "action")
-        )
-        verdict = monoid_has_k_form(datum, inputs.action, cc, force_lp=force_lp)
+        verdict = monoid_has_k_form(inputs.datum, inputs.action, cc, force_lp=force_lp)
         reasons = [] if verdict else ["the face closure of the cone is not invariant"]
         return _result(
             _payload(command, verdict, {"monoid_cone": True, "invariant": verdict}, None, reasons),

@@ -99,12 +99,16 @@ class ColoredCone:
 
 @dataclass(frozen=True)
 class ColoredFan:
-    """A finite collection of colored cones, stored in a fixed order."""
+    """A finite set of colored cones, stored in a fixed order: repeated
+    members (equal :meth:`ColoredCone.key`) keep their first occurrence."""
 
     cones: tuple[ColoredCone, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "cones", tuple(self.cones))
+        distinct: dict = {}
+        for cc in self.cones:
+            distinct.setdefault(cc.key(), cc)
+        object.__setattr__(self, "cones", tuple(distinct.values()))
 
     def member_keys(self) -> frozenset:
         return frozenset(cc.key() for cc in self.cones)
@@ -210,20 +214,16 @@ def _validate_fan(datum: SphericalDatum, fan: ColoredFan) -> tuple[ValidationRep
     F1 computes, keyed by member key (members failing C1-C4 have none)."""
     report = ValidationReport(subject=f"colored fan with {len(fan)} cones")
     report.notes.append(FACE_CONVENTION_NOTE)
-    # members are a set: exact duplicates in the stored tuple collapse here
-    members: dict = {}
-    for cc in fan:
-        members.setdefault(cc.key(), cc)
-    distinct = list(members.values())
+    members = fan.member_keys()
     cone_reports = []
-    for i, cc in enumerate(distinct):
+    for i, cc in enumerate(fan):
         sub = validate_colored_cone(datum, cc)
         cone_reports.append(sub)
         report.merge(sub, f"cone[{i}]")
 
     f1_ok = True
     faces = {}
-    for i, (cc, sub) in enumerate(zip(distinct, cone_reports)):
+    for i, (cc, sub) in enumerate(zip(fan, cone_reports)):
         if not sub.passed:
             continue
         faces[cc.key()] = colored_faces(datum, cc)
@@ -236,12 +236,13 @@ def _validate_fan(datum: SphericalDatum, fan: ColoredFan) -> tuple[ValidationRep
     report.checks["F1"] = f1_ok
 
     f2_ok = True
-    for i in range(len(distinct)):
-        for j in range(i + 1, len(distinct)):
-            if relative_interior_meets(datum, distinct[i].cone, distinct[j].cone):
+    cones = fan.cones
+    for i in range(len(cones)):
+        for j in range(i + 1, len(cones)):
+            if relative_interior_meets(datum, cones[i].cone, cones[j].cone):
                 f2_ok = False
                 report.reasons.append(
-                    f"F2: {distinct[i].describe()} and {distinct[j].describe()} both "
+                    f"F2: {cones[i].describe()} and {cones[j].describe()} both "
                     "hold a valuation vector in their relative interiors"
                 )
     report.checks["F2"] = f2_ok

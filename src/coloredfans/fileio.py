@@ -8,7 +8,9 @@ Parsing is strict: non-integers (including booleans) are schema errors.
 :func:`parse_inputs` is the one-stop loader: it parses whatever paths it is
 given, applies the face closure to fans, validates everything, and raises
 :class:`~coloredfans.errors.SemanticError` (exit code 2 at the CLI) on any
-structural violation, naming the failed check.
+structural violation, naming the failed check.  :func:`validated_fan` is its
+fan step; it returns the report instead of raising, for callers that print
+the report whatever the verdict.
 
 Serialization is canonical and deterministic; ``parse`` then ``serialize``
 reproduces a canonically ordered file byte for byte.
@@ -193,27 +195,32 @@ class ParsedInputs:
 
 
 def validated_fan(
-    datum: SphericalDatum, raw: list[ColoredCone], where: str = "fan"
-) -> tuple[ColoredFan, ValidationReport]:
-    """Close raw maximal cones under colored faces and validate the result.
+    datum: SphericalDatum, raw: list[ColoredCone]
+) -> tuple[ColoredFan | None, ValidationReport]:
+    """Check raw maximal cones against C1-C4, close them under colored faces,
+    and validate the closed fan.
 
-    Raises :class:`SemanticError` naming the failed axiom when a member or
-    the closed fan is invalid.
+    Never raises on a failed axiom.  When a maximal cone fails C1-C4 no fan
+    is built: the result is ``None`` with a report keyed ``maximal[i].C*``.
+    Otherwise it is the closed fan with its report (``cone[i].C*``, ``F1``,
+    ``F2``).
     """
+    report = ValidationReport(subject="fan members")
     for i, cc in enumerate(raw):
-        report = validate_colored_cone(datum, cc)
-        if not report.passed:
-            failed = [name for name, ok in report.checks.items() if not ok]
-            raise SemanticError(
-                f"{where}.cones[{i}] violates {', '.join(failed)}: "
-                + "; ".join(report.reasons)
-            )
+        report.merge(validate_colored_cone(datum, cc), f"maximal[{i}]")
+    if not report.passed:
+        return None, report
     fan = fan_from_maximal_cones(datum, raw)
-    report = validate_colored_fan(datum, fan)
+    return fan, validate_colored_fan(datum, fan)
+
+
+def _require(report: ValidationReport, where: str) -> None:
+    """Raise :class:`SemanticError` naming every failed check of ``report``."""
     if not report.passed:
         failed = [name for name, ok in report.checks.items() if not ok]
-        raise SemanticError(f"{where} violates {', '.join(failed)}: " + "; ".join(report.reasons))
-    return fan, report
+        raise SemanticError(
+            f"{where} violates {', '.join(failed)}: " + "; ".join(report.reasons)
+        )
 
 
 def parse_inputs(
@@ -225,21 +232,18 @@ def parse_inputs(
     if fan_path is not None:
         raw = parse_fan(load_json(fan_path), datum)
         out.fan, out.reports["fan"] = validated_fan(datum, raw)
+        _require(out.reports["fan"], "fan")
     if action_path is not None:
-        action = parse_action(load_json(action_path), datum)
-        report = validate_action(datum, action)
-        if not report.passed:
-            raise SemanticError("action is invalid: " + "; ".join(report.reasons))
-        out.action = action
-        out.reports["action"] = report
+        out.action = parse_action(load_json(action_path), datum)
+        out.reports["action"] = validate_action(datum, out.action)
+        _require(out.reports["action"], "action")
     if morphism_path is not None:
         morphism, datum_dst, target_raw = parse_morphism(load_json(morphism_path), datum)
-        target_fan, target_report = validated_fan(datum_dst, target_raw, "morphism.target_fan")
+        out.target_fan, out.reports["target_fan"] = validated_fan(datum_dst, target_raw)
+        _require(out.reports["target_fan"], "morphism.target_fan")
         validate_morphism_data(datum, datum_dst, morphism)
         out.morphism = morphism
         out.target_datum = datum_dst
-        out.target_fan = target_fan
-        out.reports["target_fan"] = target_report
     return out
 
 

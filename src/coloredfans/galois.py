@@ -140,12 +140,16 @@ class GroupAction:
         inverses.  Raises :class:`ClosureCapError` if the closure exceeds
         ``cap`` elements; at once, before any closing, when a generator
         matrix has infinite order, since its powers alone exceed every cap.
+        The closure is cached, and the cap applies to a cached closure too.
         """
+        exceeded = f"group closure exceeded the cap of {cap} elements"
         cached = self._cache.get("elements")
         if cached is not None:
+            if len(cached) > cap:
+                raise ClosureCapError(exceeded)
             return cached
         if any(_has_infinite_order(g.matrix) for g in self.generators):
-            raise ClosureCapError(f"group closure exceeded the cap of {cap} elements")
+            raise ClosureCapError(exceeded)
         ident = identity_element(self.dim, self.colors)
         seen = {ident: None}
         frontier = [ident]
@@ -162,9 +166,7 @@ class GroupAction:
                         seen[gh] = None
                         new_frontier.append(gh)
                         if len(seen) > cap:
-                            raise ClosureCapError(
-                                f"group closure exceeded the cap of {cap} elements"
-                            )
+                            raise ClosureCapError(exceeded)
             frontier = new_frontier
         out = tuple(seen)
         self._cache["elements"] = out
@@ -177,9 +179,7 @@ def action_from_generators(
     return GroupAction(datum.dim, datum.colors, tuple(generators))
 
 
-def validate_action(
-    datum: SphericalDatum, action: GroupAction, cap: int = 100000
-) -> ValidationReport:
+def validate_action(datum: SphericalDatum, action: GroupAction) -> ValidationReport:
     """Check each generator: lattice automorphism, placement equivariance,
     valuation-cone stability, and color-permutation sanity; then close."""
     report = ValidationReport(subject=f"group action with {len(action.generators)} generators")
@@ -234,7 +234,7 @@ def validate_action(
 
     if all_ok:
         try:
-            order = len(action.elements(cap=cap))
+            order = len(action.elements())
         except ClosureCapError as exc:
             report.record("closure", False, str(exc))
         else:
@@ -262,9 +262,7 @@ def _image_table(
     is complete only when no member offends.
     """
     keyed = [(cc, cc.key()) for cc in fan]
-    members = {}
-    for cc, key in keyed:
-        members.setdefault(key, cc)
+    members = {key: cc for cc, key in keyed}
     images: dict = {key: {} for key in members}
     for g in action.elements():
         for cc, key in keyed:

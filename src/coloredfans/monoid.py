@@ -84,7 +84,8 @@ def monoid_has_k_form(
     """k-form existence for a monoid cone: invariance of its face closure.
 
     The quasiprojectivity side is skipped on purpose (the monoid is affine);
-    ``force_lp`` re-runs the full orbit-fan LP check, which must agree.
+    ``force_lp`` runs the full orbit-fan LP check instead, whose verdict
+    must agree with the invariance it computes on the way.
     """
     result = is_monoid_cone(datum, cc)
     if not result.verdict:
@@ -92,14 +93,14 @@ def monoid_has_k_form(
             "; ".join(result.report.reasons) or "not a monoid cone"
         )
     fan = fan_from_maximal_cones(datum, [cc])
-    verdict = is_fan_invariant(datum, action, fan)
-    if force_lp:
-        full = has_k_form(datum, action, fan, check=False)
-        if full.verdict != verdict:
-            raise AssertionError(
-                "internal error: the forced LP cross-check disagrees with fan invariance"
-            )
-    return verdict
+    if not force_lp:
+        return is_fan_invariant(datum, action, fan)
+    full = has_k_form(datum, action, fan, check=False)
+    if full.verdict != full.invariant:
+        raise AssertionError(
+            "internal error: the forced LP cross-check disagrees with fan invariance"
+        )
+    return full.invariant
 
 
 @dataclass(frozen=True)

@@ -36,10 +36,3 @@ class ValidationReport:
         for note in other.notes:
             if note not in self.notes:
                 self.notes.append(note)
-
-    def lines(self) -> list[str]:
-        out = [f"validation of {self.subject}: {'PASS' if self.passed else 'FAIL'}"]
-        out.extend(f"  note: {n}" for n in self.notes)
-        out.extend(f"  {name}: {'ok' if ok else 'FAIL'}" for name, ok in self.checks.items())
-        out.extend(f"  reason: {r}" for r in self.reasons)
-        return out

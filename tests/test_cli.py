@@ -205,3 +205,49 @@ def test_cli_deterministic_across_runs():
     )
     assert first.text == second.text
     assert first.payload == second.payload
+
+
+# -- golden output ----------------------------------------------------------
+
+# Failing inputs the golden cases read; a file name missing here is a fixture.
+GOLDEN_INPUTS = {
+    "fan_c3.json": {"cones": [{"rays": [[1, 0], [-1, 0]], "colors": []}]},
+    "fan_f2.json": {"cones": [{"rays": [[1, 0], [0, 1]]}, {"rays": [[1, 0], [1, 1]]}]},
+    "action_scale.json": {"generators": [{"matrix": [[2, 0], [0, 1]], "color_perm": {}}]},
+    "morphism_c3_target.json": {
+        "matrix": [[1, 0]],
+        "target_datum": {"dim": 1, "valuation_cone": {"generators": [[1], [-1]]}},
+        "target_fan": {"cones": [{"rays": [[1], [-1]]}]},
+    },
+}
+
+
+def _read_golden(path: Path) -> dict[str, tuple[int, str]]:
+    """Command line (file names only) -> (exit code, exact stdout).
+
+    The file holds blocks ``### <command line>``, ``exit <code>``, then the
+    stdout verbatim.
+    """
+    cases = {}
+    for block in path.read_text().split("### ")[1:]:
+        command, code, stdout = block.split("\n", 2)
+        cases[command] = (int(code.removeprefix("exit ")), stdout)
+    return cases
+
+
+GOLDEN = _read_golden(Path(__file__).parent / "cli_golden.txt")
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_cli_golden_output(command, tmp_path, capsys):
+    # every cli_files benchmark command on the shipped fixtures plus failing
+    # inputs, in text and --json form: exit code and stdout byte for byte
+    for name, obj in GOLDEN_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    argv = []
+    for arg in command.split():
+        if arg.endswith(".json"):
+            arg = str(tmp_path / arg if arg in GOLDEN_INPUTS else FIXTURES / arg)
+        argv.append(arg)
+    code = main(argv)
+    assert (code, capsys.readouterr().out) == GOLDEN[command]

@@ -16,6 +16,7 @@ from coloredfans.colored import (
 )
 from coloredfans.cones import cone_from_generators, intersect, is_face_of
 from coloredfans.errors import InvalidColoredConeError, UnknownColorError
+from coloredfans.quasiproj import is_quasiprojective, maximal_members
 
 
 def cc(gens, dim, colors=()):
@@ -114,6 +115,16 @@ def test_duplicate_cone_with_two_color_sets_fails_f2():
     report = validate_colored_fan(datum, fan)
     assert not report.checks["F2"]
     assert any("F2" in r for r in report.reasons)
+
+
+def test_repeated_member_is_kept_once(toric_plane):
+    quadrant = fan_from_maximal_cones(toric_plane, [cc([(1, 0), (0, 1)], 2)])
+    fan = ColoredFan(quadrant.cones + (cc([(0, 1), (1, 0)], 2),))
+    assert validate_colored_fan(toric_plane, fan).passed
+    assert maximal_members(toric_plane, fan) == (quadrant.cones[-1],)
+    assert is_quasiprojective(toric_plane, fan).verdict
+    assert locate(toric_plane, fan, (1, 1)).key() == quadrant.cones[-1].key()
+    assert fan.cones == quadrant.cones
 
 
 def test_missing_origin_fails_f1_and_names_the_face(toric_line):

@@ -107,6 +107,11 @@ def test_closure_cap(toric_plane):
     action = action_from_generators(toric_plane, [shear])
     with pytest.raises(ClosureCapError):
         action.elements(cap=50)
+    # the cap holds for a closure already cached under a larger cap
+    rotation = action_from_generators(toric_plane, [GroupElement.make([[0, -1], [1, 0]])])
+    assert len(rotation.elements()) == 4
+    with pytest.raises(ClosureCapError):
+        rotation.elements(cap=2)
 
 
 def test_fan_invariance_examples(toric_plane, p1xp1_fan):
