@@ -22,7 +22,13 @@ from fractions import Fraction
 
 from . import fileio
 from .colored import ColoredCone, SphericalDatum
-from .errors import InputFileError, NotInvolutionError, SchemaError, SemanticError
+from .errors import (
+    InputFileError,
+    MonoidConeError,
+    NotInvolutionError,
+    SchemaError,
+    SemanticError,
+)
 from .galois import has_k_form, validate_action
 from .monoid import (
     check_fan_morphism,
@@ -177,12 +183,10 @@ def run_command(
             _need(datum_path, "datum"), action_path=_need(action_path, "action")
         )
         cc = _load_single_cone(inputs.datum, _need(fan_path, "fan"))
-        monoid_result = is_monoid_cone(inputs.datum, cc)
-        if not monoid_result.verdict:
-            raise SemanticError(
-                "not a monoid cone: " + ("; ".join(monoid_result.report.reasons) or "axioms failed")
-            )
-        verdict = monoid_has_k_form(inputs.datum, inputs.action, cc, force_lp=force_lp)
+        try:
+            verdict = monoid_has_k_form(inputs.datum, inputs.action, cc, force_lp=force_lp)
+        except MonoidConeError as exc:
+            raise SemanticError(f"not a monoid cone: {exc}")
         reasons = [] if verdict else ["the face closure of the cone is not invariant"]
         return _result(
             _payload(command, verdict, {"monoid_cone": True, "invariant": verdict}, None, reasons),

@@ -318,13 +318,9 @@ def _face_sort_key(cone: Cone):
     return (cone.dim, cone._rays, cone._lineality)
 
 
-def describe_vectors(vectors: Iterable[Sequence]) -> str:
-    """Vectors of integers or ``Fraction`` as ``[(1,-1/2), ...]``."""
-
-    def fmt(x) -> str:
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-    return "[" + ", ".join("(" + ",".join(fmt(x) for x in v) + ")" for v in vectors) + "]"
+def describe_vectors(vectors: Iterable[Sequence[int]]) -> str:
+    """Integer vectors as ``[(1,-2), ...]``."""
+    return "[" + ", ".join("(" + ",".join(map(str, v)) + ")" for v in vectors) + "]"
 
 
 def _integral(vectors: Iterable[Sequence], dim: int, kind: str) -> list[Sequence[int]]:

@@ -32,13 +32,16 @@ from .colored import (
     validate_colored_cone,
     validate_colored_fan,
 )
-from .cones import Cone, cone_from_generators
+from .cones import cone_from_generators
 from .errors import InputFileError, SchemaError, SemanticError
 from .galois import GroupAction, GroupElement, action_from_generators, validate_action
-from .linalg import neg
 from .monoid import MorphismData, validate_morphism_data
 from .quasiproj import maximal_members
 from .reports import ValidationReport
+
+# Largest ambient dimension a file may declare: the double description of a
+# cone with an n-dimensional lineality space costs about n**3 steps.
+MAX_DIM = 64
 
 
 def _require_int(x, where: str) -> int:
@@ -79,13 +82,15 @@ def load_json(path) -> object:
         return json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{p}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise SchemaError(f"{p}: nested too deeply") from None
 
 
 def parse_datum(obj, where: str = "datum") -> SphericalDatum:
     data = _expect_keys(obj, ("dim", "valuation_cone"), ("colors",), where)
     dim = _require_int(data["dim"], f"{where}.dim")
-    if dim < 1:
-        raise SchemaError(f"{where}.dim: must be positive")
+    if not 1 <= dim <= MAX_DIM:
+        raise SchemaError(f"{where}.dim: must be between 1 and {MAX_DIM}")
     vc = _expect_keys(data["valuation_cone"], ("generators",), (), f"{where}.valuation_cone")
     gens_obj = vc["generators"]
     if not isinstance(gens_obj, list):
@@ -260,14 +265,6 @@ def _vector_out(v, where: str) -> list[int]:
     return [_as_int(x, where) for x in v]
 
 
-def _cone_generators_out(cone: Cone, where: str) -> list[list[int]]:
-    gens = [_vector_out(r, where) for r in cone.rays]
-    for b in cone.lineality_basis:
-        gens.append(_vector_out(b, where))
-        gens.append(_vector_out(neg(b), where))
-    return gens
-
-
 def _emit(obj, indent: int) -> str:
     """Canonical pretty form: 2-space indents, integer vectors on one line."""
     pad = " " * indent
@@ -295,7 +292,7 @@ def datum_to_obj(datum: SphericalDatum) -> dict:
     return {
         "dim": datum.dim,
         "valuation_cone": {
-            "generators": _cone_generators_out(datum.valuation_cone, "valuation_cone")
+            "generators": [list(g) for g in datum.valuation_cone._generators()]
         },
         "colors": [
             {"name": name, "rho": _vector_out(datum.rho(name), f"rho({name})")}
@@ -311,14 +308,7 @@ def serialize_datum(datum: SphericalDatum) -> str:
 def fan_to_obj(datum: SphericalDatum, fan: ColoredFan) -> dict:
     cones = []
     for cc in sorted(maximal_members(datum, fan), key=member_sort_key):
-        if cc.cone.lineality_basis:
-            raise SemanticError("fan members must be strictly convex to serialize")
-        cones.append(
-            {
-                "rays": [_vector_out(r, "fan ray") for r in cc.cone.rays],
-                "colors": sorted(cc.colors),
-            }
-        )
+        cones.append({"rays": [list(r) for r in cc.cone._rays], "colors": sorted(cc.colors)})
     return {"cones": cones}
 
 

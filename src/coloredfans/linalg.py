@@ -2,6 +2,8 @@
 
 Vectors are tuples of ``fractions.Fraction``; matrices are tuples of such
 rows.  Everything here is pure and exact: no float ever enters or leaves.
+The public helpers serve the small matrices of group actions, morphisms
+and color placements; cones and LPs compute on integer rows.
 
 Elimination runs on integers: each input row is scaled by the lcm of its
 denominators, and Gauss-Jordan elimination is fraction-free, every row
@@ -35,10 +37,6 @@ def mat(rows: Iterable[Iterable]) -> RatMat:
     return out
 
 
-def zero_vec(n: int) -> RatVec:
-    return (F0,) * n
-
-
 def is_zero(v: Sequence[Fraction]) -> bool:
     return not any(v)
 
@@ -49,24 +47,8 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), F0)
 
 
-def add(u: Sequence[Fraction], v: Sequence[Fraction]) -> RatVec:
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> RatVec:
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def neg(v: Sequence[Fraction]) -> RatVec:
     return tuple(-a for a in v)
-
-
-def scale(v: Sequence[Fraction], c: Fraction) -> RatVec:
-    return tuple(c * a for a in v)
 
 
 def matvec(m: RatMat, v: Sequence[Fraction]) -> RatVec:
@@ -84,16 +66,6 @@ def transpose(m: RatMat) -> RatMat:
 
 def identity(n: int) -> RatMat:
     return tuple(tuple(F1 if i == j else F0 for j in range(n)) for i in range(n))
-
-
-def primitive(v: Sequence[Fraction]) -> RatVec:
-    """Scale v by the unique positive rational making it integral with content 1."""
-    if is_zero(v):
-        return tuple(F0 for _ in v)
-    den = lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (den // x.denominator) for x in v]
-    g = gcd(*ints)
-    return tuple(Fraction(i // g) for i in ints)
 
 
 def _over_common_denominator(values: Iterable) -> tuple[list[int], int]:
@@ -212,28 +184,6 @@ def rank(rows: Iterable[Sequence[Fraction]]) -> int:
     return _rank(_integral_rows(rows))
 
 
-def kernel_basis(rows: Iterable[Sequence[Fraction]], n: int) -> RatMat:
-    """Canonical basis of the right kernel {x : r . x = 0 for all rows r}.
-
-    Raises ValueError when a row's length is not ``n``.
-    """
-    rows = list(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError(f"kernel of rows that are not all of length {n}")
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        v = [F0] * n
-        v[free] = F1
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[free]
-        basis.append(tuple(v))
-    return tuple(basis)
-
-
 def invert(m: RatMat) -> RatMat | None:
     """Exact inverse of a square matrix, or None if singular."""
     n = len(m)
@@ -244,22 +194,3 @@ def invert(m: RatMat) -> RatMat | None:
     if pivots != tuple(range(n)):
         return None
     return tuple(tuple(row[n:]) for row in reduced)
-
-
-def subspace_basis(vectors: Iterable[Sequence[Fraction]]) -> RatMat:
-    """Canonical basis of the span: primitive rows of the reduced echelon form."""
-    reduced, _ = _echelon(_integral_rows(vectors))
-    return tuple(vec(r) for r in reduced)
-
-
-def reduce_mod_subspace(v: Sequence[Fraction], basis: RatMat) -> RatVec:
-    """Unique coset representative of v modulo span(basis), zeroed at the pivots.
-
-    ``basis`` must come from :func:`subspace_basis` (echelon rows).
-    """
-    out = vec(v)
-    for row in basis:
-        p = next(i for i, x in enumerate(row) if x)
-        if out[p]:
-            out = sub(out, scale(row, out[p] / row[p]))
-    return out

@@ -13,9 +13,10 @@ Two independent deciders over the same problem type:
   variable count.
 
 An :class:`LPProblem` stores each constraint made integral: scaled by the
-lcm of its denominators, its zero coefficients dropped.  Both deciders and
-:meth:`LPProblem.satisfied_by` read these rows; the ``Fraction`` rows are
-built on first read.  The library assembles its own LPs from the integer
+lcm of its denominators, its zero coefficients dropped; these are its only
+rows.  Both deciders and :meth:`LPProblem.satisfied_by` read them, and the
+``Fraction`` rows of ``eq_constraints`` and ``ineq_constraints`` are built
+from them on first read.  The library assembles its own LPs from the integer
 fields of its cones, so no ``Fraction`` row is built for them at all.
 Fourier-Motzkin prunes its rows by Chernikov's rule.
 """
@@ -63,10 +64,9 @@ class LPProblem:
                     f"constraint of length {len(a)} in a problem with {num_vars} variables"
                 )
         self._num_vars = num_vars
-        self._eq_view = _exact_rows(eqs)
-        self._ineq_view = _exact_rows(ineqs)
-        self._eqs = [_sparse_integral(a, b) for a, b in self._eq_view]
-        self._ineqs = [_sparse_integral(a, b) for a, b in self._ineq_view]
+        self._eq_view = self._ineq_view = None
+        self._eqs = [_sparse_integral(*constraint(a, b)) for a, b in eqs]
+        self._ineqs = [_sparse_integral(*constraint(a, b)) for a, b in ineqs]
 
     @classmethod
     def _from_integral(
@@ -153,21 +153,6 @@ def _rational_rows(n: int, rows: list[SparseRow]) -> tuple[Constraint, ...]:
 
 def constraint(coeffs, rhs=0) -> Constraint:
     return (vec(coeffs), Fraction(rhs))
-
-
-def _exact_rows(rows: tuple) -> tuple[Constraint, ...]:
-    """The rows as constraint() makes them, whatever the caller passed."""
-    if all(_is_exact(a, b) for a, b in rows):
-        return rows
-    return tuple(constraint(a, b) for a, b in rows)
-
-
-def _is_exact(a, b) -> bool:
-    return (
-        type(a) is tuple
-        and type(b) is Fraction
-        and all(type(x) is Fraction for x in a)
-    )
 
 
 def _substitute_equalities(

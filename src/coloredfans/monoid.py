@@ -189,7 +189,7 @@ def check_fan_morphism(
         target = None
         for candidate in fan_dst:
             if needed <= candidate.colors and all(
-                candidate.cone.contains(g) for g in image_cone.generators()
+                candidate.cone.contains(g) for g in image_cone._generators()
             ):
                 target = candidate
                 break

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -66,15 +67,14 @@ def sort_rays_by_angle(rays):
 def random_complete_2d_fan(rng: random.Random, datum: SphericalDatum, max_rays=5):
     """Random complete colorless fan in the plane: primitive rays in angular
     order, one cone per consecutive sector."""
-    from coloredfans.linalg import primitive, vec
-
     while True:
         count = rng.randint(3, max_rays)
         rays = set()
         for _ in range(count):
             v = (rng.randint(-4, 4), rng.randint(-4, 4))
             if v != (0, 0):
-                rays.add(tuple(int(x) for x in primitive(vec(v))))
+                g = math.gcd(*v)
+                rays.add((v[0] // g, v[1] // g))
         rays = sort_rays_by_angle(rays)
         if len(rays) < 3:
             continue

@@ -84,20 +84,6 @@ def reference_rank(rows) -> int:
     return len(reference_rref(rows)[0])
 
 
-def reference_kernel_basis(rows, n):
-    reduced, pivots = reference_rref(rows)
-    basis = []
-    for free in range(n):
-        if free in pivots:
-            continue
-        v = [F0] * n
-        v[free] = F1
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[free]
-        basis.append(tuple(v))
-    return tuple(basis)
-
-
 def reference_invert(m):
     n = len(m)
     aug = [list(row) + [F1 if i == j else F0 for j in range(n)] for i, row in enumerate(m)]

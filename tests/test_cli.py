@@ -108,6 +108,69 @@ def test_schema_error_exit_code(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_deeply_nested_file_is_input_error(tmp_path, capsys):
+    depth = 100000
+    bad = tmp_path / "datum.json"
+    bad.write_text(
+        '{"dim": 1, "valuation_cone": {"generators": ' + "[" * depth + "]" * depth + "}}"
+    )
+    assert main(["validate", "--datum", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "nested too deeply" in err
+
+
+@pytest.mark.parametrize("dim, code", [(0, 2), (64, 0), (65, 2)])
+def test_dimension_limit_exit_codes(dim, code, tmp_path, capsys):
+    datum = tmp_path / "datum.json"
+    datum.write_text(json.dumps({"dim": dim, "valuation_cone": {"generators": []}}))
+    assert main(["validate", "--datum", str(datum)]) == code
+    if code == 2:
+        out, err = capsys.readouterr()
+        assert out == "" and "datum.dim" in err
+
+
+def test_monoid_kform_checks_the_monoid_cone_once(monkeypatch):
+    import coloredfans.cli
+    import coloredfans.monoid
+
+    calls = []
+    original = coloredfans.monoid.is_monoid_cone
+
+    def counting(datum, cc):
+        calls.append(cc)
+        return original(datum, cc)
+
+    monkeypatch.setattr(coloredfans.monoid, "is_monoid_cone", counting)
+    monkeypatch.setattr(coloredfans.cli, "is_monoid_cone", counting)
+    result = run_command(
+        "monoid-kform",
+        datum_path=fx("datum_toric2.json"),
+        fan_path=fx("fan_a2_monoid.json"),
+        action_path=fx("action_swap.json"),
+    )
+    assert result.exit_code == 0
+    assert len(calls) == 1
+
+
+def test_monoid_kform_names_the_failed_monoid_axioms():
+    from coloredfans import fileio
+    from coloredfans.monoid import is_monoid_cone
+
+    datum = fileio.parse_datum(fileio.load_json(fx("datum_rank1.json")))
+    (cc,) = fileio.parse_fan(fileio.load_json(fx("fan_rank1_monoid_candidate.json")), datum)
+    reasons = is_monoid_cone(datum, cc).report.reasons
+    assert reasons
+    with pytest.raises(SemanticError) as info:
+        run_command(
+            "monoid-kform",
+            datum_path=fx("datum_rank1.json"),
+            fan_path=fx("fan_rank1_monoid_candidate.json"),
+            action_path=fx("action_rank1_swap.json"),
+        )
+    assert str(info.value) == "not a monoid cone: " + "; ".join(reasons)
+
+
 def test_invalid_action_matrix_is_input_error(tmp_path):
     action = tmp_path / "action.json"
     action.write_text(json.dumps({"generators": [{"matrix": [[1, 0], [0, 0]], "color_perm": {}}]}))

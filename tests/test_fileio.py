@@ -4,9 +4,9 @@ from pathlib import Path
 import pytest
 
 from coloredfans import fileio
-from coloredfans.colored import fan_from_maximal_cones
+from coloredfans.colored import ColoredCone, ColoredFan, fan_from_maximal_cones
 from coloredfans.cones import cone_from_generators
-from coloredfans.errors import SchemaError, SemanticError
+from coloredfans.errors import InvalidColoredConeError, SchemaError, SemanticError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -19,6 +19,21 @@ def test_parse_datum_roundtrip():
     assert fileio.serialize_datum(datum) == text
     reparsed = fileio.parse_datum(json.loads(fileio.serialize_datum(datum)))
     assert fileio.serialize_datum(reparsed) == text
+
+
+def test_lineality_datum_roundtrip():
+    # the valuation cone of datum_toric2 is all lineality: no ray, two lines
+    text = (FIXTURES / "datum_toric2.json").read_text()
+    datum = fileio.parse_datum(json.loads(text))
+    assert not datum.valuation_cone._rays and len(datum.valuation_cone._lineality) == 2
+    assert fileio.serialize_datum(datum) == text
+
+
+def test_fan_member_with_a_line_not_serializable():
+    datum = fileio.parse_datum(json.loads((FIXTURES / "datum_toric2.json").read_text()))
+    half_plane = ColoredCone(cone_from_generators([(1, 0), (-1, 0), (0, 1)], 2))
+    with pytest.raises(InvalidColoredConeError):
+        fileio.serialize_fan(datum, ColoredFan((half_plane,)))
 
 
 def test_parse_fan_roundtrip():
