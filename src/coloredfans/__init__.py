@@ -16,18 +16,7 @@ from .colored import (
     validate_colored_cone,
     validate_colored_fan,
 )
-from .cones import (
-    Cone,
-    cone_from_generators,
-    cone_from_inequalities,
-    contains,
-    faces,
-    image,
-    in_relative_interior,
-    interior_point,
-    intersect,
-    is_face_of,
-)
+from .cones import Cone, cone_from_generators, cone_from_inequalities
 from .fileio import ParsedInputs, parse_inputs
 from .galois import (
     GroupAction,
@@ -84,17 +73,10 @@ __all__ = [
     "cone_from_generators",
     "cone_from_inequalities",
     "constraint",
-    "contains",
-    "faces",
     "fan_from_maximal_cones",
     "fourier_motzkin",
     "has_k_form",
     "identity_element",
-    "image",
-    "in_relative_interior",
-    "interior_point",
-    "intersect",
-    "is_face_of",
     "is_fan_invariant",
     "is_monoid_cone",
     "is_quasiprojective",

@@ -174,9 +174,7 @@ def validate_colored_cone(datum: SphericalDatum, cc: ColoredCone) -> ValidationR
 
 def colored_faces(datum: SphericalDatum, cc: ColoredCone) -> tuple[ColoredCone, ...]:
     """All colored faces of a validated colored cone, the cone itself included."""
-    report = validate_colored_cone(datum, cc)
-    if not report.passed:
-        raise InvalidColoredConeError("; ".join(report.reasons) or "axioms failed")
+    validate_colored_cone(datum, cc).require(InvalidColoredConeError, "axioms failed")
     out = []
     for face in cc.cone.faces():
         if not relative_interior_meets(datum, face):
@@ -197,11 +195,29 @@ def fan_from_maximal_cones(
     datum: SphericalDatum, maximal: Iterable[ColoredCone]
 ) -> ColoredFan:
     """Close the given colored cones under colored faces, deduplicated and sorted."""
+    return ColoredFan(tuple(_face_closure(datum, maximal, {})[0]))
+
+
+def _face_closure(
+    datum: SphericalDatum, cones: Iterable[ColoredCone], faces: dict
+) -> tuple[list[ColoredCone], list[int]]:
+    """The colored faces of ``cones``, deduplicated and sorted.
+
+    ``faces`` maps a member key to its colored faces; the faces of a cone
+    missing from it are computed, in the given order, and stored there.  Also
+    returns, for each face, the bit mask of the given cones it is a face of.
+    """
     members: dict = {}
-    for cc in maximal:
-        for face in colored_faces(datum, cc):
+    owners: dict = {}
+    for bit, cc in enumerate(cones):
+        key = cc.key()
+        if key not in faces:
+            faces[key] = colored_faces(datum, cc)
+        for face in faces[key]:
             members.setdefault(face.key(), face)
-    return ColoredFan(tuple(sorted(members.values(), key=member_sort_key)))
+            owners[face.key()] = owners.get(face.key(), 0) | 1 << bit
+    ordered = sorted(members.values(), key=member_sort_key)
+    return ordered, [owners[cc.key()] for cc in ordered]
 
 
 def validate_colored_fan(datum: SphericalDatum, fan: ColoredFan) -> ValidationReport:

@@ -112,6 +112,12 @@ def _canonical_rays(raw: Iterable[Sequence[int]], basis: Sequence[Sequence[int]]
     return tuple(sorted(out))
 
 
+def _signed(basis: Iterable[IntVec]) -> tuple[IntVec, ...]:
+    """Each vector of ``basis``, then its negative: the basis of a linear
+    subspace as cone generators, or its equations as inequalities."""
+    return tuple(v for b in basis for v in (b, tuple(-x for x in b)))
+
+
 def _fractions(vectors: Iterable[Sequence[int]]) -> RatMat:
     return tuple(tuple(map(Fraction, v)) for v in vectors)
 
@@ -179,12 +185,7 @@ class Cone:
         self._lineality = lineality_basis
         self._facets = facet_normals
         self._span_eq = span_equations
-        ineqs: list[IntVec] = []
-        for e in span_equations:
-            ineqs.append(e)
-            ineqs.append(tuple(-x for x in e))
-        ineqs.extend(facet_normals)
-        self._ineqs = tuple(ineqs)
+        self._ineqs = _signed(span_equations) + facet_normals
         self._faces = None
         self._hash = hash((ambient_dim, rays, lineality_basis))
 
@@ -200,11 +201,7 @@ class Cone:
         return Cone(dim, rays, tuple(lineality), facets, tuple(span_eq))
 
     def _generators(self) -> tuple[IntVec, ...]:
-        gens = list(self._rays)
-        for b in self._lineality:
-            gens.append(b)
-            gens.append(tuple(-x for x in b))
-        return tuple(gens)
+        return self._rays + _signed(self._lineality)
 
     def generators(self) -> tuple[RatVec, ...]:
         """Rays plus a +/- spanning pair per lineality direction."""
@@ -274,7 +271,7 @@ class Cone:
                     if all(_dot(a, g) == 0 for g in gens):
                         continue
                     cut = cone_from_inequalities(
-                        current._ineqs + (a, tuple(-x for x in a)), self.ambient_dim
+                        current._ineqs + _signed((a,)), self.ambient_dim
                     )
                     if cut not in found:
                         found.add(cut)
@@ -340,12 +337,7 @@ def cone_from_generators(gens: Iterable[Sequence], dim: int) -> Cone:
     """Canonical cone of all nonnegative rational combinations of ``gens``."""
     rows = _integral(gens, dim, "generator")
     dual_lin, dual_rays = _dd(rows, dim)
-    ineqs: list[IntVec] = []
-    for b in dual_lin:
-        ineqs.append(b)
-        ineqs.append(tuple(-x for x in b))
-    ineqs.extend(dual_rays)
-    lin, rays = _dd(ineqs, dim)
+    lin, rays = _dd(_signed(dual_lin) + tuple(dual_rays), dim)
     return Cone._from_descriptions(dim, lin, rays, dual_lin, dual_rays)
 
 
@@ -353,37 +345,6 @@ def cone_from_inequalities(ineqs: Iterable[Sequence], dim: int) -> Cone:
     """Canonical cone {v : a . v >= 0 for every a in ineqs}."""
     rows = _integral(ineqs, dim, "inequality")
     lin, rays = _dd(rows, dim)
-    gens = list(rays)
-    for b in lin:
-        gens.append(b)
-        gens.append(tuple(-x for x in b))
-    dual_lin, dual_rays = _dd(gens, dim)
+    dual_lin, dual_rays = _dd(tuple(rays) + _signed(lin), dim)
     return Cone._from_descriptions(dim, lin, rays, dual_lin, dual_rays)
 
-
-def intersect(a: Cone, b: Cone) -> Cone:
-    return a.intersect(b)
-
-
-def image(cone: Cone, matrix: RatMat) -> Cone:
-    return cone.image(matrix)
-
-
-def contains(cone: Cone, v: Sequence) -> bool:
-    return cone.contains(v)
-
-
-def in_relative_interior(cone: Cone, v: Sequence) -> bool:
-    return cone.in_relative_interior(v)
-
-
-def faces(cone: Cone) -> tuple[Cone, ...]:
-    return cone.faces()
-
-
-def is_face_of(face: Cone, cone: Cone) -> bool:
-    return face.is_face_of(cone)
-
-
-def interior_point(cone: Cone) -> RatVec:
-    return cone.interior_point()

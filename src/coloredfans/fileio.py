@@ -74,6 +74,20 @@ def _expect_keys(obj, required: tuple[str, ...], optional: tuple[str, ...], wher
     return obj
 
 
+def _name_map(obj, where: str) -> dict:
+    if not isinstance(obj, dict) or not all(
+        isinstance(k, str) and isinstance(v, str) for k, v in obj.items()
+    ):
+        raise SchemaError(f"{where}: expected a name map")
+    return obj
+
+
+def _name_list(obj, where: str) -> list:
+    if not isinstance(obj, list) or not all(isinstance(c, str) for c in obj):
+        raise SchemaError(f"{where}: expected a list of names")
+    return obj
+
+
 def load_json(path) -> object:
     p = Path(path)
     if not p.is_file():
@@ -127,9 +141,7 @@ def parse_fan(obj, datum: SphericalDatum, where: str = "fan") -> list[ColoredCon
             _int_vector(r, datum.dim, f"{where}.cones[{i}].rays[{j}]")
             for j, r in enumerate(cobj["rays"])
         ]
-        colors = cobj.get("colors", [])
-        if not isinstance(colors, list) or not all(isinstance(c, str) for c in colors):
-            raise SchemaError(f"{where}.cones[{i}].colors: expected a list of names")
+        colors = _name_list(cobj.get("colors", []), f"{where}.cones[{i}].colors")
         unknown = sorted(set(colors) - set(datum.colors))
         if unknown:
             raise SchemaError(f"{where}.cones[{i}]: unknown colors {unknown}")
@@ -147,11 +159,7 @@ def parse_action(obj, datum: SphericalDatum, where: str = "action") -> GroupActi
         matrix = _int_matrix(
             gobj["matrix"], datum.dim, datum.dim, f"{where}.generators[{i}].matrix"
         )
-        perm_obj = gobj.get("color_perm", {})
-        if not isinstance(perm_obj, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in perm_obj.items()
-        ):
-            raise SchemaError(f"{where}.generators[{i}].color_perm: expected a name map")
+        perm_obj = _name_map(gobj.get("color_perm", {}), f"{where}.generators[{i}].color_perm")
         perm = {c: perm_obj.get(c, c) for c in datum.colors}
         unknown = sorted(set(perm_obj) - set(datum.colors))
         if unknown:
@@ -170,14 +178,8 @@ def parse_morphism(obj, datum_src: SphericalDatum, where: str = "morphism"):
     )
     datum_dst = parse_datum(data["target_datum"], f"{where}.target_datum")
     matrix = _int_matrix(data["matrix"], datum_dst.dim, datum_src.dim, f"{where}.matrix")
-    cmap_obj = data.get("color_map", {})
-    if not isinstance(cmap_obj, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in cmap_obj.items()
-    ):
-        raise SchemaError(f"{where}.color_map: expected a name map")
-    dom_obj = data.get("dominant_colors", [])
-    if not isinstance(dom_obj, list) or not all(isinstance(c, str) for c in dom_obj):
-        raise SchemaError(f"{where}.dominant_colors: expected a list of names")
+    cmap_obj = _name_map(data.get("color_map", {}), f"{where}.color_map")
+    dom_obj = _name_list(data.get("dominant_colors", []), f"{where}.dominant_colors")
     morphism = MorphismData.make(matrix, cmap_obj, dom_obj)
     target_raw = parse_fan(data["target_fan"], datum_dst, f"{where}.target_fan")
     return morphism, datum_dst, target_raw

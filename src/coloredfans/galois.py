@@ -24,6 +24,7 @@ from .colored import (
     ColoredCone,
     ColoredFan,
     SphericalDatum,
+    _face_closure,
     _validate_fan,
     colored_faces,
     member_sort_key,
@@ -151,15 +152,18 @@ class GroupAction:
         if any(_has_infinite_order(g.matrix) for g in self.generators):
             raise ClosureCapError(exceeded)
         ident = identity_element(self.dim, self.colors)
+        # the identity, and so every product, spells each fixed color out;
+        # spelled out the same way, the generators give each element one form
+        generators = [ident.compose(g) for g in self.generators]
         seen = {ident: None}
         frontier = [ident]
-        for g in self.generators:
+        for g in generators:
             if g not in seen:
                 seen[g] = None
                 frontier.append(g)
         while frontier:
             new_frontier = []
-            for g in self.generators:
+            for g in generators:
                 for h in frontier:
                     gh = g.compose(h)
                     if gh not in seen:
@@ -183,7 +187,6 @@ def validate_action(datum: SphericalDatum, action: GroupAction) -> ValidationRep
     """Check each generator: lattice automorphism, placement equivariance,
     valuation-cone stability, and color-permutation sanity; then close."""
     report = ValidationReport(subject=f"group action with {len(action.generators)} generators")
-    all_ok = True
     for i, g in enumerate(action.generators):
         label = f"generator[{i}]"
         square = len(g.matrix) == datum.dim and all(len(r) == datum.dim for r in g.matrix)
@@ -192,21 +195,19 @@ def validate_action(datum: SphericalDatum, action: GroupAction) -> ValidationRep
         inverse_integral = inverse is not None and all(
             x.denominator == 1 for row in inverse for x in row
         )
-        ok = report.record(
+        report.record(
             f"{label}.lattice_automorphism",
             integral and inverse_integral,
             "not a lattice automorphism (needs integer entries and an integer inverse)",
         )
-        all_ok &= ok
 
         perm = g.perm_map
         domain_ok = set(perm) == set(datum.colors) and set(perm.values()) == set(datum.colors)
-        ok = report.record(
+        report.record(
             f"{label}.color_permutation",
             domain_ok,
             "color permutation is not a bijection of the datum's colors",
         )
-        all_ok &= ok
 
         if square and domain_ok:
             bad = [
@@ -214,25 +215,23 @@ def validate_action(datum: SphericalDatum, action: GroupAction) -> ValidationRep
                 for name in datum.colors
                 if matvec(g.matrix, datum.rho(name)) != datum.rho(perm[name])
             ]
-            ok = report.record(
+            report.record(
                 f"{label}.equivariance",
                 not bad,
                 f"placement map is not equivariant at colors {bad}",
             )
-            all_ok &= ok
-        else:
-            all_ok = False
 
         if square:
             stable = datum.valuation_cone.image(g.matrix) == datum.valuation_cone
-            ok = report.record(
+            report.record(
                 f"{label}.valuation_stable",
                 stable,
                 "the valuation cone is not stable under the matrix",
             )
-            all_ok &= ok
 
-    if all_ok:
+    # a generator that is not square or has no color bijection has already
+    # failed its lattice_automorphism or color_permutation check
+    if report.passed:
         try:
             order = len(action.elements())
         except ClosureCapError as exc:
@@ -278,29 +277,6 @@ def is_fan_invariant(datum: SphericalDatum, action: GroupAction, fan: ColoredFan
     return _image_table(action, fan)[0] is None
 
 
-def _orbit_fan(
-    datum: SphericalDatum, images: Iterable[ColoredCone], faces: dict
-) -> tuple[list[ColoredCone], list[int]]:
-    """The fan generated by the orbit ``images``: their colored faces,
-    deduplicated and sorted.
-
-    ``faces`` maps a member key to its colored faces; the faces of an image
-    missing from it are computed, in image order, and stored there.  Also
-    returns, for each member, the bit mask of the images it is a face of.
-    """
-    members: dict = {}
-    owners: dict = {}
-    for bit, image in enumerate(images):
-        key = image.key()
-        if key not in faces:
-            faces[key] = colored_faces(datum, image)
-        for face in faces[key]:
-            members.setdefault(face.key(), face)
-            owners[face.key()] = owners.get(face.key(), 0) | 1 << bit
-    ordered = sorted(members.values(), key=member_sort_key)
-    return ordered, [owners[cc.key()] for cc in ordered]
-
-
 def _check_overlap(datum: SphericalDatum, ordered: list, owners: list) -> None:
     """Raise :class:`OrbitOverlapError` at the first pair of orbit members, in
     order, whose relative interiors share a valuation vector.
@@ -335,7 +311,7 @@ def orbit_subfan(
     for g in action.elements():
         moved = apply_element(g, cc)
         images.setdefault(moved.key(), moved)
-    ordered, owners = _orbit_fan(datum, images.values(), faces)
+    ordered, owners = _face_closure(datum, images.values(), faces)
     _check_overlap(datum, ordered, owners)
     return ColoredFan(tuple(ordered))
 
@@ -378,13 +354,8 @@ def has_k_form(
     """
     if check:
         fan_report, faces = _validate_fan(datum, fan)
-        if not fan_report.passed:
-            raise InvalidFanError("; ".join(fan_report.reasons) or "fan failed validation")
-        action_report = validate_action(datum, action)
-        if not action_report.passed:
-            raise InvalidFanError(
-                "; ".join(action_report.reasons) or "action failed validation"
-            )
+        fan_report.require(InvalidFanError, "fan failed validation")
+        validate_action(datum, action).require(InvalidFanError, "action failed validation")
     else:
         faces = {}
 
@@ -404,7 +375,7 @@ def has_k_form(
     members = sorted(fan, key=lambda cc: -cc.cone.dim)
     for cc in members:
         orbit = images[cc.key()]
-        ordered, owners = _orbit_fan(datum, orbit.values(), faces)
+        ordered, owners = _face_closure(datum, orbit.values(), faces)
         orbit_keys = frozenset(m.key() for m in ordered)
         if any(orbit_keys <= done for done in verified):
             continue

@@ -31,8 +31,6 @@ from .errors import EliminationCapError
 from .linalg import F0, RatVec, _echelon, _over_common_denominator, vec
 
 Constraint = tuple[RatVec, Fraction]
-# (a, b, s): the rational inequality (a / s) . x >= b / s with integers and s > 0
-IntConstraint = tuple[tuple[int, ...], int, int]
 # (terms, b, s): the row (a, b) times s, the lcm of its denominators, with the
 # nonzero coefficients as (column, integer) pairs
 SparseRow = tuple[list[tuple[int, int]], int, int]
@@ -157,27 +155,22 @@ def constraint(coeffs, rhs=0) -> Constraint:
 
 def _substitute_equalities(
     lp: LPProblem,
-) -> tuple[bool, int, Callable[[Sequence[Fraction]], RatVec], list[IntConstraint]]:
+) -> tuple[bool, int, Callable[[Sequence[Fraction]], RatVec], list[SparseRow]]:
     """Solve the equality block exactly.
 
     Returns (consistent, number of free variables, map from free values back
     to a full assignment, inequalities rewritten over the free variables).
-    Each rewritten inequality ``(a, b, s)`` is integral and stands for
-    ``(a / s) . t >= b / s`` with ``s > 0``: the particular solution and the
-    directions share one denominator, and each input row is scaled by the
-    lcm of its own denominators, so every dot product is one of integers.
+    Each rewritten inequality ``(terms, b, s)`` is integral, columns
+    increasing, and stands for ``(a / s) . t >= b / s`` with ``s > 0``: the
+    particular solution and the directions share one denominator, and each
+    input row is scaled by the lcm of its own denominators, so every dot
+    product is one of integers.  With no equality every variable is free and
+    the rewritten inequalities are the stored rows themselves.
     """
     n = lp.num_vars
     eqs, ineqs = lp._eqs, lp._ineqs
     if not eqs:
-        # every variable is free, and a row made integral has no common factor
-        dense = []
-        for terms, b, s in ineqs:
-            a = [0] * n
-            for j, v in terms:
-                a[j] = v
-            dense.append((tuple(a), b, s))
-        return True, n, tuple, dense
+        return True, n, tuple, ineqs
     aug = []
     for terms, b, _ in eqs:
         row = [0] * (n + 1)
@@ -232,7 +225,7 @@ def _substitute_equalities(
             coeffs = [c // g for c in coeffs]
             rhs //= g
             scale //= g
-        reduced_ineqs.append((tuple(coeffs), rhs, scale))
+        reduced_ineqs.append(([(q, c) for q, c in enumerate(coeffs) if c], rhs, scale))
     return True, len(free), lift, reduced_ineqs
 
 
@@ -250,7 +243,7 @@ def lp_feasible(lp: LPProblem) -> RatVec | None:
     return x
 
 
-def _phase_one(num_vars: int, ineqs: list[IntConstraint]) -> RatVec | None:
+def _phase_one(num_vars: int, ineqs: list[SparseRow]) -> RatVec | None:
     """Feasible point of {t : (a / s) . t >= b / s} by phase-1 simplex with Bland's rule.
 
     Free variables are split as t = p - q; every constraint gets a slack, and
@@ -268,10 +261,10 @@ def _phase_one(num_vars: int, ineqs: list[IntConstraint]) -> RatVec | None:
     rhs: list[int] = []
     basis: list[int] = []
     next_art = n_struct
-    for i, (a, b, s) in enumerate(ineqs):
+    for i, (terms, b, s) in enumerate(ineqs):
         if b > 0:
             # a.t - s * slack + s * artificial = b, the artificial basic
-            row = {j: c for j, c in enumerate(a) if c}
+            row = dict(terms)
             row.update({num_vars + j: -c for j, c in row.items()})
             row[2 * num_vars + i] = -s
             row[next_art] = s
@@ -280,7 +273,7 @@ def _phase_one(num_vars: int, ineqs: list[IntConstraint]) -> RatVec | None:
             rhs.append(b)
         else:
             # -a.t + s * slack = -b, the slack basic at -b / s >= 0
-            row = {j: -c for j, c in enumerate(a) if c}
+            row = {j: -c for j, c in terms}
             row.update({num_vars + j: -c for j, c in row.items()})
             row[2 * num_vars + i] = s
             basis.append(2 * num_vars + i)
@@ -405,7 +398,13 @@ def fourier_motzkin(lp: LPProblem, max_vars: int = 8) -> bool:
     consistent, num_free, _, ineqs = _substitute_equalities(lp)
     if not consistent:
         return False
-    rows = _normalize_rows([(a, b, 1 << i) for i, (a, b, _) in enumerate(ineqs)])
+    dense = []
+    for i, (terms, b, _) in enumerate(ineqs):
+        a = [0] * num_free
+        for j, v in terms:
+            a[j] = v
+        dense.append((tuple(a), b, 1 << i))
+    rows = _normalize_rows(dense)
     if rows is None:
         return False
     remaining = list(range(num_free))

@@ -87,11 +87,7 @@ def monoid_has_k_form(
     ``force_lp`` runs the full orbit-fan LP check instead, whose verdict
     must agree with the invariance it computes on the way.
     """
-    result = is_monoid_cone(datum, cc)
-    if not result.verdict:
-        raise MonoidConeError(
-            "; ".join(result.report.reasons) or "not a monoid cone"
-        )
+    is_monoid_cone(datum, cc).report.require(MonoidConeError, "not a monoid cone")
     fan = fan_from_maximal_cones(datum, [cc])
     if not force_lp:
         return is_fan_invariant(datum, action, fan)

@@ -48,12 +48,6 @@ def maximal_members(datum: SphericalDatum, fan: ColoredFan) -> tuple[ColoredCone
     return tuple(cc for cc in fan if cc.key() not in proper_face_keys)
 
 
-def _require_valid(datum: SphericalDatum, fan: ColoredFan) -> None:
-    report = validate_colored_fan(datum, fan)
-    if not report.passed:
-        raise InvalidFanError("; ".join(report.reasons) or "fan failed validation")
-
-
 def build_support_lp(
     datum: SphericalDatum, fan: ColoredFan, check: bool = True
 ) -> LPProblem:
@@ -69,7 +63,7 @@ def build_support_lp(
       generators of K and (l_Z - l_Z') . w >= 1 at w = interior_point(K).
     """
     if check:
-        _require_valid(datum, fan)
+        validate_colored_fan(datum, fan).require(InvalidFanError, "fan failed validation")
     return _support_lp(datum, maximal_members(datum, fan))
 
 
@@ -98,11 +92,8 @@ def _support_lp(datum: SphericalDatum, maximal: Sequence[ColoredCone]) -> LPProb
         for l in range(len(maximal)):
             if l == k:
                 continue
-            for g in valuation_part._rays:
+            for g in valuation_part._generators():
                 ineqs.append((difference_row(k, l, g), 0, 1))
-            for b in valuation_part._lineality:
-                ineqs.append((difference_row(k, l, b), 0, 1))
-                ineqs.append((difference_row(k, l, tuple(-x for x in b)), 0, 1))
             ineqs.append((difference_row(k, l, witness), 1, 1))
     return LPProblem._from_integral(num_vars, eqs, ineqs)
 
@@ -112,7 +103,7 @@ def is_quasiprojective(
 ) -> QuasiprojectivityResult:
     """Decide quasiprojectivity; on success return re-verified support forms."""
     if check:
-        _require_valid(datum, fan)
+        validate_colored_fan(datum, fan).require(InvalidFanError, "fan failed validation")
     maximal = maximal_members(datum, fan)
     lp = build_support_lp(datum, fan, check=False)
     assignment = lp_feasible(lp)

@@ -29,6 +29,14 @@ class ValidationReport:
             self.reasons.append(f"{name}: {reason}")
         return ok
 
+    def require(self, error: type[Exception], fallback: str) -> "ValidationReport":
+        """Return the report when every check passed; otherwise raise
+        ``error`` with the reasons joined by ``"; "``, or ``fallback`` when
+        there are none."""
+        if not self.passed:
+            raise error("; ".join(self.reasons) or fallback)
+        return self
+
     def merge(self, other: "ValidationReport", prefix: str) -> None:
         for name, ok in other.checks.items():
             self.checks[f"{prefix}.{name}"] = ok

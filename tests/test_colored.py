@@ -14,9 +14,10 @@ from coloredfans.colored import (
     validate_colored_cone,
     validate_colored_fan,
 )
-from coloredfans.cones import cone_from_generators, intersect, is_face_of
+from coloredfans.cones import cone_from_generators
 from coloredfans.errors import InvalidColoredConeError, UnknownColorError
 from coloredfans.quasiproj import is_quasiprojective, maximal_members
+from coloredfans.reports import ValidationReport
 
 
 def cc(gens, dim, colors=()):
@@ -187,8 +188,8 @@ def test_toric_specialization_recovers_classical_fan_axioms(toric_plane, p1xp1_f
             assert any(f == c for c in cones)
     for a in cones:
         for b in cones:
-            shared = intersect(a, b)
-            assert is_face_of(shared, a) and is_face_of(shared, b)
+            shared = a.intersect(b)
+            assert shared.is_face_of(a) and shared.is_face_of(b)
 
 
 def test_random_grid_relint_uniqueness(toric_plane):
@@ -207,3 +208,19 @@ def test_random_grid_relint_uniqueness(toric_plane):
         v = (rng.randint(-5, 5), rng.randint(-5, 5))
         hits = [m for m in fan if m.cone.in_relative_interior(v)]
         assert len(hits) <= 1
+
+
+def test_report_require_raises_reasons_or_fallback():
+    report = ValidationReport(subject="x")
+    report.record("A", True)
+    assert report.require(ValueError, "fallback") is report
+    report.record("B", False, "broken")
+    report.record("C", False, "gone")
+    with pytest.raises(ValueError) as info:
+        report.require(ValueError, "fallback")
+    assert str(info.value) == "B: broken; C: gone"
+    silent = ValidationReport(subject="y")
+    silent.record("D", False)
+    with pytest.raises(ValueError) as info:
+        silent.require(ValueError, "fallback")
+    assert str(info.value) == "fallback"

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import membership_oracle, random_cone
 from reference_exact import (
@@ -10,13 +11,8 @@ from reference_exact import (
     reference_cone_from_inequalities,
     reference_rank,
 )
-from coloredfans.cones import (
-    cone_from_generators,
-    cone_from_inequalities,
-    intersect,
-    is_face_of,
-)
-from coloredfans.linalg import identity, mat, vec
+from coloredfans.cones import cone_from_generators, cone_from_inequalities
+from coloredfans.linalg import identity, invert, mat, vec
 
 
 def test_zero_cone():
@@ -91,10 +87,10 @@ def test_face_examples():
     assert len(quadrant.faces()) == 4
     ray = cone_from_generators([(1, 0)], 2)
     assert len(ray.faces()) == 2
-    assert is_face_of(ray, quadrant)
-    assert is_face_of(quadrant, quadrant)
+    assert ray.is_face_of(quadrant)
+    assert quadrant.is_face_of(quadrant)
     diag = cone_from_generators([(1, 1)], 2)
-    assert not is_face_of(diag, quadrant)
+    assert not diag.is_face_of(quadrant)
 
 
 def test_faces_of_subspace():
@@ -135,13 +131,13 @@ def test_faces_agree_with_facet_subset_oracle():
 def test_intersection_examples():
     quadrant = cone_from_generators([(1, 0), (0, 1)], 2)
     upper = cone_from_inequalities([(0, 1)], 2)
-    assert intersect(quadrant, upper) == quadrant
+    assert quadrant.intersect(upper) == quadrant
     rx = cone_from_generators([(1, 0)], 2)
     ry = cone_from_generators([(0, 1)], 2)
-    assert intersect(rx, ry) == cone_from_generators([], 2)
+    assert rx.intersect(ry) == cone_from_generators([], 2)
     a = cone_from_generators([(1, 0), (1, 1)], 2)
     b = cone_from_generators([(1, 1), (0, 1)], 2)
-    assert intersect(a, b) == cone_from_generators([(1, 1)], 2)
+    assert a.intersect(b) == cone_from_generators([(1, 1)], 2)
 
 
 def test_image_examples():
@@ -194,9 +190,9 @@ def test_intersect_commutative_associative_idempotent():
     for _ in range(20):
         dim = rng.randint(1, 3)
         a, b, c = cone_in(dim), cone_in(dim), cone_in(dim)
-        assert intersect(a, b) == intersect(b, a)
-        assert intersect(intersect(a, b), c) == intersect(a, intersect(b, c))
-        assert intersect(a, a) == a
+        assert a.intersect(b) == b.intersect(a)
+        assert a.intersect(b).intersect(c) == a.intersect(b.intersect(c))
+        assert a.intersect(a) == a
 
 
 def test_faces_map_bijectively_under_invertible_image():
@@ -356,3 +352,56 @@ def test_integer_backed_cone_matches_fraction_reference():
                 image.rays, image.lineality_basis, image.facet_normals, image.span_equations
             ) == reference_cone_from_generators(moved, rows)
     assert outcomes == {(False, False), (True, False), (True, True)}
+
+
+# Hypothesis properties beside the seeded tests above: a fixed example
+# sequence (derandomize) of bounded size, so each runs in about a second.
+PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
+
+
+def integer_vectors(dim: int):
+    return st.lists(st.tuples(*[st.integers(-3, 3)] * dim), max_size=5)
+
+
+def cones_in(dim: int):
+    """A cone from either constructor, on small integer vectors."""
+    return st.builds(
+        lambda build, vectors: build(vectors, dim),
+        st.sampled_from([cone_from_generators, cone_from_inequalities]),
+        integer_vectors(dim),
+    )
+
+
+def unimodular(dim: int):
+    """Products of shears (i != j: row i += c * row j) and sign flips (i == j)."""
+
+    def build(steps):
+        m = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        for i, j, c in steps:
+            m[i] = [-x for x in m[i]] if i == j else [x + c * y for x, y in zip(m[i], m[j])]
+        return mat(m)
+
+    index = st.integers(0, dim - 1)
+    return st.lists(st.tuples(index, index, st.integers(-2, 2)), max_size=6).map(build)
+
+
+def fields(cone):
+    return (cone._rays, cone._lineality, cone._facets, cone._span_eq)
+
+
+@PROPERTY
+@given(st.integers(1, 4).flatmap(cones_in))
+def test_double_description_round_trip_property(c):
+    from_ineqs = cone_from_inequalities(c._ineqs, c.ambient_dim)
+    from_gens = cone_from_generators(c._generators(), c.ambient_dim)
+    assert from_ineqs == c == from_gens
+    assert fields(from_ineqs) == fields(c) == fields(from_gens)
+
+
+@PROPERTY
+@given(st.integers(1, 3).flatmap(lambda dim: st.tuples(cones_in(dim), unimodular(dim))))
+def test_unimodular_base_change_property(case):
+    c, u = case
+    moved = c.image(u)
+    assert moved.image(invert(u)) == c
+    assert sorted(f.dim for f in moved.faces()) == sorted(f.dim for f in c.faces())

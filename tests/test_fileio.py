@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coloredfans import fileio
 from coloredfans.colored import ColoredCone, ColoredFan, fan_from_maximal_cones
@@ -142,3 +143,99 @@ def test_non_integral_data_not_serializable():
     )
     with pytest.raises(SemanticError):
         fileio.serialize_datum(datum)
+
+
+@pytest.mark.parametrize(
+    "parse, obj, message",
+    [
+        (
+            "fan",
+            {"cones": [{"rays": [], "colors": "D"}]},
+            "fan.cones[0].colors: expected a list of names",
+        ),
+        (
+            "action",
+            {"generators": [{"matrix": [[1, 0], [0, 1]], "color_perm": {"D": 1}}]},
+            "action.generators[0].color_perm: expected a name map",
+        ),
+        ("morphism", {"color_map": []}, "morphism.color_map: expected a name map"),
+        (
+            "morphism",
+            {"dominant_colors": [1]},
+            "morphism.dominant_colors: expected a list of names",
+        ),
+    ],
+)
+def test_name_checks_report_where(parse, obj, message):
+    datum = fileio.parse_datum(json.loads((FIXTURES / "datum_toric2.json").read_text()))
+    if parse == "morphism":
+        base = json.loads((FIXTURES / "morphism_projection.json").read_text())
+        obj = dict(base, **obj)
+    with pytest.raises(SchemaError) as info:
+        getattr(fileio, f"parse_{parse}")(obj, datum)
+    assert str(info.value) == message
+
+
+# Hypothesis properties: a fixed example sequence (derandomize) of bounded
+# size.  A canonical object is one that serialization wrote.
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+def int_lists(dim: int, first=st.integers(-3, 3)):
+    """Integer vectors of length ``dim`` whose first entry is drawn from ``first``."""
+    rest = st.lists(st.integers(-3, 3), min_size=dim - 1, max_size=dim - 1)
+    return st.builds(lambda x, tail: [x] + tail, first, rest)
+
+
+@st.composite
+def datum_objects(draw):
+    dim = draw(st.integers(1, 3))
+    names = draw(st.lists(st.sampled_from(["D", "E", "F+", "F-"]), unique=True, max_size=3))
+    return {
+        "dim": dim,
+        "valuation_cone": {"generators": draw(st.lists(int_lists(dim), max_size=4))},
+        "colors": [{"name": name, "rho": draw(int_lists(dim))} for name in names],
+    }
+
+
+@st.composite
+def fan_objects(draw):
+    """A datum with the whole space as valuation cone and one color, and a
+    fan of one strictly convex cone, which takes the color when it holds its
+    nonzero placement, and optionally its negative."""
+    dim = draw(st.integers(1, 3))
+    whole = [[int(i == j) * s for j in range(dim)] for i in range(dim) for s in (1, -1)]
+    rho = draw(int_lists(dim))
+    datum = {
+        "dim": dim,
+        "valuation_cone": {"generators": whole},
+        "colors": [{"name": "D", "rho": rho}],
+    }
+    rays = draw(st.lists(int_lists(dim, st.integers(1, 3)), max_size=4))
+    cone = cone_from_generators(rays, dim)
+    colors = ["D"] if any(rho) and cone.contains(rho) else []
+    cones = [{"rays": rays, "colors": colors}]
+    if draw(st.booleans()):
+        cones.append({"rays": [[-x for x in r] for r in rays], "colors": []})
+    return datum, {"cones": cones}
+
+
+@PROPERTY
+@given(datum_objects())
+def test_datum_parse_serialize_identity_property(obj):
+    text = fileio.serialize_datum(fileio.parse_datum(obj))
+    assert fileio.serialize_datum(fileio.parse_datum(json.loads(text))) == text
+
+
+@PROPERTY
+@given(fan_objects())
+def test_fan_parse_serialize_identity_property(objects):
+    datum_obj, fan_obj = objects
+    datum = fileio.parse_datum(datum_obj)
+
+    def serialized(obj):
+        fan = fan_from_maximal_cones(datum, fileio.parse_fan(obj, datum))
+        return fileio.serialize_fan(datum, fan)
+
+    text = serialized(fan_obj)
+    assert serialized(json.loads(text)) == text

@@ -102,6 +102,15 @@ def test_closure_is_a_group(toric_plane):
         assert any(g.compose(h) == identity_element(2) for h in elements)
 
 
+def test_closure_spells_each_element_once():
+    # the generator leaves the fixed color out of its permutation, which the
+    # identity and every product spell out
+    flip = GroupAction(1, ("D",), (GroupElement.make([[-1]]),))
+    elements = flip.elements()
+    assert len(elements) == 2
+    assert set(elements) == {identity_element(1, ("D",)), GroupElement.make([[-1]], {"D": "D"})}
+
+
 def test_closure_cap(toric_plane):
     shear = GroupElement.make([[1, 1], [0, 1]])
     action = action_from_generators(toric_plane, [shear])
