@@ -15,6 +15,7 @@ exactly as ``p/q`` (q > 0, gcd(p, q) = 1).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -228,24 +229,42 @@ def run_command(
     )
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first ``main`` call: a
+    command and the options every command shares.  ``parse_args`` keeps no
+    state in it, so every call may reuse it."""
     parser = argparse.ArgumentParser(
         prog="coloredfans",
         description="Exact checks for colored cones and fans: validation, "
         "quasiprojectivity, Galois invariance and k-forms, monoid cones.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--datum", default=None)
-        p.add_argument("--fan", default=None)
-        p.add_argument("--action", default=None)
-        p.add_argument("--morphism", default=None)
-        p.add_argument("--lambda", dest="lambda_csv", default=None)
-        p.add_argument("--theta", default=None)
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--force-lp", action="store_true")
-    args = parser.parse_args(argv)
+    parser.add_argument("command", choices=COMMANDS, help="the check to run")
+    parser.add_argument("--datum")
+    parser.add_argument("--fan")
+    parser.add_argument("--action")
+    parser.add_argument("--morphism")
+    parser.add_argument("--lambda", dest="lambda_csv")
+    parser.add_argument("--theta")
+    parser.add_argument("--json", action="store_true")
+    parser.add_argument("--force-lp", action="store_true")
+    return parser
+
+
+def _join_lambda(argv: list[str]) -> list[str]:
+    """``--lambda -1,0`` as ``--lambda=-1,0``: argparse takes a value that
+    starts with ``-`` and is no plain number for an option of its own."""
+    out = []
+    rest = iter(argv)
+    for arg in rest:
+        if arg == "--lambda" and (value := next(rest, None)) is not None:
+            arg = f"--lambda={value}"
+        out.append(arg)
+    return out
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(_join_lambda(sys.argv[1:] if argv is None else argv))
     try:
         result = run_command(
             args.command,

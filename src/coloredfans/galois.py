@@ -201,8 +201,10 @@ def validate_action(datum: SphericalDatum, action: GroupAction) -> ValidationRep
             "not a lattice automorphism (needs integer entries and an integer inverse)",
         )
 
-        perm = g.perm_map
-        domain_ok = set(perm) == set(datum.colors) and set(perm.values()) == set(datum.colors)
+        # a color the generator leaves out is fixed, as in apply_color
+        colors = set(datum.colors)
+        perm = {c: g.apply_color(c) for c in datum.colors}
+        domain_ok = set(g.perm_map) <= colors and set(perm.values()) == colors
         report.record(
             f"{label}.color_permutation",
             domain_ok,

@@ -1,9 +1,14 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from coloredfans.cli import main, run_command
+from coloredfans import cli
+from coloredfans.cli import COMMANDS, main, run_command
 from coloredfans.errors import InputFileError, SemanticError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -268,6 +273,93 @@ def test_cli_deterministic_across_runs():
     )
     assert first.text == second.text
     assert first.payload == second.payload
+
+
+# -- the parser ---------------------------------------------------------------
+
+QUASIPROJ_P2 = ["quasiproj", "--datum", fx("datum_toric2.json"), "--fan", fx("fan_p2.json")]
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert all(command in out for command in COMMANDS)
+
+
+@pytest.mark.parametrize("argv", [["bogus", "--json"], ["--json"], []])
+def test_unknown_or_missing_command_exits_two(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error" in err
+
+
+def test_option_before_the_command(capsys):
+    assert main(QUASIPROJ_P2 + ["--json"]) == 0
+    after = capsys.readouterr().out
+    assert main(["--json"] + QUASIPROJ_P2) == 0
+    assert capsys.readouterr().out == after
+
+
+@pytest.mark.parametrize(
+    "theta, weight, code",
+    [("theta_id2.json", "-1,0", 1), ("theta_neg.json", "-1", 0), ("theta_id2.json", "1,0", 1)],
+)
+def test_lambda_value_may_start_with_a_minus(theta, weight, code, capsys):
+    argv = ["lined", "--theta", fx(theta)]
+    spaced = main(argv + ["--lambda", weight])
+    spaced_out = capsys.readouterr().out
+    joined = main(argv + [f"--lambda={weight}"])
+    assert (spaced, spaced_out) == (joined, capsys.readouterr().out)
+    assert spaced == code and spaced_out.startswith("command: lined\n")
+
+
+def test_parser_is_built_once_and_keeps_no_state(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._parser.cache_clear()
+    try:
+        assert main(QUASIPROJ_P2 + ["--json"]) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["quasiproj", "--datum"])
+        capsys.readouterr()
+        assert main(QUASIPROJ_P2 + ["--json"]) == 0
+        assert capsys.readouterr().out == first
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+def _console(*args):
+    """``python -m coloredfans`` in a fresh process, on this checkout's source."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "coloredfans", *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_console_entry(capsys):
+    assert _console("--help").returncode == 0
+    assert main(QUASIPROJ_P2 + ["--json"]) == 0
+    in_process = capsys.readouterr().out
+    ran = _console(*QUASIPROJ_P2, "--json")
+    assert (ran.returncode, ran.stdout) == (0, in_process)
+    lined = ["lined", "--theta", fx("theta_id2.json"), "--lambda"]
+    assert _console(*lined, "1,0").returncode == 1
+    assert _console(*lined, "x").returncode == 2
+    failed = _console("bogus")
+    assert failed.returncode == 2 and failed.stdout == ""
 
 
 # -- golden output ----------------------------------------------------------

@@ -90,6 +90,30 @@ def test_valuation_stability_checked():
     assert not report.checks["generator[0].valuation_stable"]
 
 
+def _one_color_line():
+    # the color sits at the origin, so -1 keeps it in place
+    return SphericalDatum(1, cone_from_generators([(1,), (-1,)], 1), ("D",), {"D": (0,)})
+
+
+def test_generator_that_leaves_a_color_out_fixes_it():
+    datum = _one_color_line()
+    report = validate_action(datum, action_from_generators(datum, [GroupElement.make([[-1]])]))
+    assert report.passed
+    assert report.checks["generator[0].color_permutation"]
+    assert report.checks["generator[0].equivariance"]
+    assert "group order 2" in report.notes
+
+
+@pytest.mark.parametrize("perm", [{"X": "D"}, {"D": "X"}, {"D": "D", "X": "X"}])
+def test_generator_naming_an_unknown_color_fails(perm):
+    datum = _one_color_line()
+    g = GroupElement.make([[-1]], perm)
+    report = validate_action(datum, action_from_generators(datum, [g]))
+    assert not report.checks["generator[0].color_permutation"]
+    assert "color permutation is not a bijection of the datum's colors" in report.reasons[0]
+    assert not report.checks["closure"]
+
+
 def test_closure_is_a_group(toric_plane):
     rot = GroupElement.make([[0, -1], [1, 0]])
     action = action_from_generators(toric_plane, [rot])
