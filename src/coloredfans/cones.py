@@ -22,8 +22,14 @@ description needs only sign tests and positive combinations, each followed
 by division by the gcd.  Every intermediate vector is thus a positive
 multiple of the one a pass over the rationals would hold, and the primitive
 representatives are the same.  Point tests put the point over one positive
-common denominator, and images scale the whole matrix by one.  The public
-fields are ``Fraction`` tuples, built from the integer ones on first read.
+common denominator.  The image under a square nonsingular matrix runs no
+double description: rays and lineality map by the matrix, facet normals and
+span equations by the transpose of a positive multiple of its inverse, which
+one fraction-free elimination gives.  Images under singular or non-square
+matrices map the generators and convert them again; they, like the
+invertible ones, scale the whole matrix by one common denominator.  The
+public fields are ``Fraction`` tuples, built from the integer ones on first
+read.
 """
 
 from __future__ import annotations
@@ -32,9 +38,17 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .linalg import RatMat, RatVec, _combine, _dot, _echelon, _over_common_denominator, _rank
-
-IntVec = tuple[int, ...]
+from .linalg import (
+    IntVec,
+    RatMat,
+    RatVec,
+    _combine,
+    _dot,
+    _echelon,
+    _over_common_denominator,
+    _rank,
+    _scaled_inverse,
+)
 
 
 def _dd(rows: Sequence[Sequence[int]], dim: int) -> tuple[list[IntVec], list[IntVec]]:
@@ -110,6 +124,28 @@ def _canonical_rays(raw: Iterable[Sequence[int]], basis: Sequence[Sequence[int]]
         if any(r):
             out.add(r)
     return tuple(sorted(out))
+
+
+def _primitive(v: IntVec) -> IntVec:
+    """The nonzero integer vector ``v`` divided by the gcd of its entries."""
+    g = gcd(*v)
+    return tuple([x // g for x in v]) if g > 1 else v
+
+
+def _invertible_map(matrix: RatMat, n: int) -> tuple[list[IntVec], list[IntVec]] | None:
+    """(rows, dual) for a nonsingular n x n ``matrix``, None for any other.
+
+    ``rows`` is the matrix times one positive common denominator, as integer
+    tuples, which maps every cone onto the image under ``matrix``; ``dual``
+    is the transpose of a positive multiple of the inverse of ``rows``, which
+    maps the cone's functionals onto those of the image.
+    """
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        return None
+    flat, _ = _over_common_denominator(x for row in matrix for x in row)
+    rows = [tuple(flat[i * n : (i + 1) * n]) for i in range(n)]
+    scaled = _scaled_inverse(rows)
+    return None if scaled is None else (rows, list(zip(*scaled[0])))
 
 
 def _signed(basis: Iterable[IntVec]) -> tuple[IntVec, ...]:
@@ -250,14 +286,50 @@ class Cone:
         return cone_from_inequalities(self._ineqs + other._ineqs, self.ambient_dim)
 
     def image(self, matrix: RatMat) -> "Cone":
+        """The image cone under ``matrix``, whose column count must be the
+        ambient dimension.
+
+        A square nonsingular matrix maps both descriptions directly
+        (:meth:`_image_invertible`); any other matrix maps the generators and
+        runs the double description on them.
+        """
         n = self.ambient_dim
         if any(len(row) != n for row in matrix):
             raise ValueError("matrix column count does not match the ambient dimension")
+        invertible = _invertible_map(matrix, n)
+        if invertible is not None:
+            return self._image_invertible(*invertible)
         # the matrix times one positive common denominator has the same image cone
         flat, _ = _over_common_denominator(x for row in matrix for x in row)
         rows = [flat[i * n : (i + 1) * n] for i in range(len(matrix))]
         gens = [tuple(_dot(row, g) for row in rows) for g in self._generators()]
         return cone_from_generators(gens, len(matrix))
+
+    def _image_invertible(self, rows: Sequence[IntVec], dual: Sequence[IntVec]) -> "Cone":
+        """The image cone under the nonsingular integer matrix ``rows``, given
+        ``dual``, the transpose of a positive multiple of its inverse, as
+        :func:`_invertible_map` makes them; no double description runs.
+
+        Rays and lineality map by ``rows``, facet normals and span equations
+        by ``dual``: a functional ``f`` with ``f . x >= 0`` on the cone gives
+        ``(f A^-1) . (A x) >= 0`` on the image.  An invertible map keeps
+        extreme rays extreme and facets facets, so the canonical form needs
+        only the primitive scaling of the rays and facet normals and the
+        echelon reduction.
+        """
+        if len(rows) != self.ambient_dim:
+            raise ValueError("matrix column count does not match the ambient dimension")
+
+        def mapped(matrix, vectors):
+            return [tuple([_dot(row, v) for row in matrix]) for v in vectors]
+
+        return Cone._from_descriptions(
+            len(rows),
+            mapped(rows, self._lineality),
+            [_primitive(v) for v in mapped(rows, self._rays)],
+            mapped(dual, self._span_eq),
+            [_primitive(v) for v in mapped(dual, self._facets)],
+        )
 
     def faces(self) -> tuple["Cone", ...]:
         """All faces, canonical and deduplicated, the cone itself included."""

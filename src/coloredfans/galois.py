@@ -5,7 +5,10 @@ integer matrix with integer inverse) and on the color labels by a
 permutation, compatibly with the placements and stabilizing the valuation
 cone.  The profinite group itself is never materialized: the caller supplies
 generators of the relevant finite quotient and the closure is computed with
-a size cap.
+a size cap.  Element matrices keep integral entries as ``int``, so the
+closure multiplies integers; a cone's image under an element maps both of
+its descriptions by the matrix and a multiple of its inverse, computed once
+per element, and runs no double description.
 
 ``has_k_form`` combines the two classification ingredients: (a) invariance
 of the fan under the action, and (b) quasiprojectivity of every member's
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import lcm
+from operator import mul
 from typing import Iterable, Mapping
 
 from .colored import (
@@ -31,7 +35,8 @@ from .colored import (
     relative_interior_meets,
 )
 from .errors import ClosureCapError, InvalidFanError, OrbitOverlapError
-from .linalg import RatMat, identity, invert, mat, matmul, matvec, rank
+from .cones import _invertible_map
+from .linalg import RatMat, _integral_rows, _scaled_inverse, mat, matvec, rank
 from .linprog import lp_feasible
 from .quasiproj import _support_lp
 from .reports import ValidationReport
@@ -44,14 +49,21 @@ PERFECT_FIELD_NOTE = (
 
 @dataclass(frozen=True)
 class GroupElement:
-    """A lattice automorphism paired with a permutation of the color labels."""
+    """A lattice automorphism paired with a permutation of the color labels.
+
+    :meth:`make` and :meth:`compose` keep integral matrix entries as ``int``.
+    """
 
     matrix: RatMat
     color_perm: tuple[tuple[str, str], ...] = ()
 
     @staticmethod
     def make(matrix, color_perm: Mapping[str, str] | None = None) -> "GroupElement":
-        m = mat(matrix)
+        """The element of ``matrix``, its integral entries stored as ``int``:
+        it compares and hashes equal to the element of ``mat(matrix)``."""
+        m = tuple(
+            tuple(x.numerator if x.denominator == 1 else x for x in row) for row in mat(matrix)
+        )
         perm = tuple(sorted((color_perm or {}).items()))
         return GroupElement(m, perm)
 
@@ -68,11 +80,24 @@ class GroupElement:
         combined = {c: perm.get(v, v) for c, v in other.color_perm}
         for c, v in perm.items():
             combined.setdefault(c, v)
-        return GroupElement(matmul(self.matrix, other.matrix), tuple(sorted(combined.items())))
+        return GroupElement(_product(self.matrix, other.matrix), tuple(sorted(combined.items())))
+
+
+def _product(a: RatMat, b: RatMat) -> RatMat:
+    """The matrix product: int entries multiply as ints, and any ``Fraction``
+    makes its entries ``Fraction``s.  ValueError when the shapes do not fit."""
+    cols = tuple(zip(*b))
+    out = []
+    for row in a:
+        if len(row) != len(b):
+            raise ValueError(f"dimension mismatch: {len(row)} vs {len(b)}")
+        out.append(tuple([sum(map(mul, row, col)) for col in cols]))
+    return tuple(out)
 
 
 def identity_element(dim: int, colors: Iterable[str] = ()) -> GroupElement:
-    return GroupElement(identity(dim), tuple(sorted((c, c) for c in colors)))
+    matrix = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    return GroupElement(matrix, tuple(sorted((c, c) for c in colors)))
 
 
 def _order_exponent(n: int) -> int:
@@ -191,13 +216,12 @@ def validate_action(datum: SphericalDatum, action: GroupAction) -> ValidationRep
         label = f"generator[{i}]"
         square = len(g.matrix) == datum.dim and all(len(r) == datum.dim for r in g.matrix)
         integral = square and all(x.denominator == 1 for row in g.matrix for x in row)
-        inverse = invert(g.matrix) if square else None
-        inverse_integral = inverse is not None and all(
-            x.denominator == 1 for row in inverse for x in row
-        )
+        # the inverse of an integer matrix is integral exactly when its
+        # determinant is +-1, that is when the least d making d A^-1 integral is 1
+        inverse = _scaled_inverse(_integral_rows(g.matrix)) if integral else None
         report.record(
             f"{label}.lattice_automorphism",
-            integral and inverse_integral,
+            inverse is not None and inverse[1] == 1,
             "not a lattice automorphism (needs integer entries and an integer inverse)",
         )
 
@@ -266,8 +290,14 @@ def _image_table(
     members = {key: cc for cc, key in keyed}
     images: dict = {key: {} for key in members}
     for g in action.elements():
+        # the inverse of each element is computed once, for all members
+        invertible = _invertible_map(g.matrix, action.dim)
         for cc, key in keyed:
-            image = apply_element(g, cc).key()
+            if invertible is None:
+                moved = cc.cone.image(g.matrix)
+            else:
+                moved = cc.cone._image_invertible(*invertible)
+            image = ColoredCone(moved, frozenset(g.apply_color(c) for c in cc.colors)).key()
             if image not in members:
                 return cc, images
             images[key].setdefault(image, members[image])

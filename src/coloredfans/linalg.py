@@ -9,7 +9,9 @@ Elimination runs on integers: each input row is scaled by the lcm of its
 denominators, and Gauss-Jordan elimination is fraction-free, every row
 divided by the gcd of its entries after each step.  :func:`rank` builds no
 ``Fraction``; :func:`rref` builds one per output entry.  The private
-integer helpers below are shared with the cone engine and the LP layer.
+integer helpers below are shared with the cone engine, the LP layer and
+the group layer; ``_scaled_inverse`` inverts an integer matrix up to one
+positive scale by the same elimination.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Iterable, Sequence
 
 RatVec = tuple[Fraction, ...]
 RatMat = tuple[RatVec, ...]
+IntVec = tuple[int, ...]
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -164,6 +167,24 @@ def _rank(rows: Iterable[Sequence[int]]) -> int:
         if k == len(work):
             break
     return k
+
+
+def _scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[IntVec], int] | None:
+    """(d times the inverse, d) of a square integer matrix, with d > 0 the
+    least integer that makes it integral; None when the matrix is singular.
+
+    One fraction-free elimination of ``[A | I]``: its reduced row i is
+    ``c_i * (e_i | row i of the inverse)``, primitive, so ``c_i`` is the lcm
+    of the denominators of row i and d is the lcm of the ``c_i``.  For an
+    integer matrix, d is 1 exactly when the determinant is +-1.
+    """
+    n = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    reduced, pivots = _echelon(aug)
+    if pivots != list(range(n)):
+        return None
+    d = lcm(*(row[i] for i, row in enumerate(reduced)))
+    return [tuple([x * (d // row[i]) for x in row[n:]]) for i, row in enumerate(reduced)], d
 
 
 def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[RatMat, tuple[int, ...]]:

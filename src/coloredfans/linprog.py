@@ -7,7 +7,10 @@ Two independent deciders over the same problem type:
   row is kept integral over one positive scale, and pivots are
   fraction-free, so no ``Fraction`` is built inside the simplex.  It takes
   the pivots that a simplex over the rationals takes, and returns an exact
-  rational assignment, re-verified against the problem, or ``None``.
+  rational assignment, re-verified against the problem, or ``None``.  The
+  point is read off the final tableau over one common denominator, lifted
+  through the equalities and re-verified in integers; its ``Fraction``
+  entries are built only on return.
 * :func:`fourier_motzkin` -- variable elimination over integer rows,
   intended as a slow cross-checking oracle and capped at a configurable
   variable count.
@@ -123,7 +126,10 @@ class LPProblem:
             raise ValueError(
                 f"assignment of length {len(x)} in a problem with {self.num_vars} variables"
             )
-        nums, den = _over_common_denominator(x)
+        return self._holds_at(*_over_common_denominator(x))
+
+    def _holds_at(self, nums: Sequence[int], den: int) -> bool:
+        """Exact check of the assignment ``nums / den``, with ``den > 0``."""
         return all(
             sum(v * nums[j] for j, v in terms) == b * den for terms, b, _ in self._eqs
         ) and all(sum(v * nums[j] for j, v in terms) >= b * den for terms, b, _ in self._ineqs)
@@ -153,13 +159,19 @@ def constraint(coeffs, rhs=0) -> Constraint:
     return (vec(coeffs), Fraction(rhs))
 
 
+# an assignment as (integer numerators, one positive common denominator)
+Point = tuple[list[int], int]
+
+
 def _substitute_equalities(
     lp: LPProblem,
-) -> tuple[bool, int, Callable[[Sequence[Fraction]], RatVec], list[SparseRow]]:
+) -> tuple[bool, int, Callable[[Sequence[int], int], Point], list[SparseRow]]:
     """Solve the equality block exactly.
 
     Returns (consistent, number of free variables, map from free values back
     to a full assignment, inequalities rewritten over the free variables).
+    The map takes and returns a point as integer numerators over one positive
+    common denominator.
     Each rewritten inequality ``(terms, b, s)`` is integral, columns
     increasing, and stands for ``(a / s) . t >= b / s`` with ``s > 0``: the
     particular solution and the directions share one denominator, and each
@@ -170,7 +182,7 @@ def _substitute_equalities(
     n = lp.num_vars
     eqs, ineqs = lp._eqs, lp._ineqs
     if not eqs:
-        return True, n, tuple, ineqs
+        return True, n, lambda nums, d: (nums, d), ineqs
     aug = []
     for terms, b, _ in eqs:
         row = [0] * (n + 1)
@@ -180,7 +192,7 @@ def _substitute_equalities(
         aug.append(row)
     reduced, pivots = _echelon(aug)
     if n in pivots:
-        return False, 0, lambda t: (), []
+        return False, 0, lambda nums, d: ([], 1), []
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
     free_pos = {f: t for t, f in enumerate(free)}
@@ -198,13 +210,14 @@ def _substitute_equalities(
         for row, k in zip(reduced, factors)
     ]
 
-    def lift(t: Sequence[Fraction]) -> RatVec:
-        out = [F0] * n
+    def lift(t: Sequence[int], d: int) -> Point:
+        # the free values t / d, and every variable, over den * d
+        out = [0] * n
         for f, val in zip(free, t):
-            out[f] = val
+            out[f] = val * den
         for p, num, tail in zip(pivots, particular, tails):
-            out[p] = (num - sum((y * t[q] for q, y in tail), F0)) / den
-        return tuple(out)
+            out[p] = num * d - sum(y * t[q] for q, y in tail)
+        return out, den * d
 
     reduced_ineqs = []
     for terms, b, scale in ineqs:
@@ -237,14 +250,15 @@ def lp_feasible(lp: LPProblem) -> RatVec | None:
     solution = _phase_one(num_free, ineqs)
     if solution is None:
         return None
-    x = lift(solution)
-    if not lp.satisfied_by(x):
+    nums, den = lift(*solution)
+    if not lp._holds_at(nums, den):
         raise AssertionError("internal error: simplex solution failed re-verification")
-    return x
+    return tuple([Fraction(x, den) for x in nums])
 
 
-def _phase_one(num_vars: int, ineqs: list[SparseRow]) -> RatVec | None:
-    """Feasible point of {t : (a / s) . t >= b / s} by phase-1 simplex with Bland's rule.
+def _phase_one(num_vars: int, ineqs: list[SparseRow]) -> Point | None:
+    """Feasible point of {t : (a / s) . t >= b / s} by phase-1 simplex with Bland's rule,
+    over one common denominator, or None.
 
     Free variables are split as t = p - q; every constraint gets a slack, and
     only rows whose right hand side is positive need an artificial variable.
@@ -316,11 +330,13 @@ def _phase_one(num_vars: int, ineqs: list[SparseRow]) -> RatVec | None:
 
     if any(rhs[i] for i, col in enumerate(basis) if col >= n_struct):
         return None
-    values = [F0] * (2 * num_vars)
-    for i, col in enumerate(basis):
-        if col < 2 * num_vars:
-            values[col] = Fraction(rhs[i], rows[i][col])
-    return tuple(values[j] - values[num_vars + j] for j in range(num_vars))
+    # a basic variable is rhs[i] / rows[i][col]; read all over their lcm
+    basic = [(i, col) for i, col in enumerate(basis) if col < 2 * num_vars]
+    den = lcm(*(rows[i][col] for i, col in basic))
+    values = [0] * (2 * num_vars)
+    for i, col in basic:
+        values[col] = rhs[i] * (den // rows[i][col])
+    return [values[j] - values[num_vars + j] for j in range(num_vars)], den
 
 
 def _pivot(rows, rhs, red, r, c):

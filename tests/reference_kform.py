@@ -12,6 +12,7 @@ the same message, so the two are compared input by input.
 from __future__ import annotations
 
 from coloredfans.colored import (
+    ColoredCone,
     ColoredFan,
     colored_faces,
     member_sort_key,
@@ -19,9 +20,21 @@ from coloredfans.colored import (
     validate_colored_cone,
     validate_colored_fan,
 )
+from coloredfans.cones import cone_from_generators
 from coloredfans.errors import InvalidColoredConeError, InvalidFanError, OrbitOverlapError
-from coloredfans.galois import KFormResult, apply_element, validate_action
+from coloredfans.galois import KFormResult, validate_action
+from coloredfans.linalg import matvec
 from coloredfans.quasiproj import is_quasiprojective
+
+
+def reference_image(g, cc) -> ColoredCone:
+    """g.cc by the double description: the matrix times each generator of the
+    cone, converted again, so no image code of the library is shared."""
+    gens = [matvec(g.matrix, v) for v in cc.cone.generators()]
+    return ColoredCone(
+        cone_from_generators(gens, len(g.matrix)),
+        frozenset(g.apply_color(c) for c in cc.colors),
+    )
 
 
 def reference_orbit_subfan(datum, action, cc) -> ColoredFan:
@@ -30,7 +43,7 @@ def reference_orbit_subfan(datum, action, cc) -> ColoredFan:
         raise InvalidColoredConeError("; ".join(base.reasons) or "axioms failed")
     members: dict = {}
     for g in action.elements():
-        moved = apply_element(g, cc)
+        moved = reference_image(g, cc)
         for face in colored_faces(datum, moved):
             members.setdefault(face.key(), face)
     ordered = sorted(members.values(), key=member_sort_key)
@@ -48,7 +61,7 @@ def reference_invariance_offender(action, fan):
     keys = fan.member_keys()
     for g in action.elements():
         for cc in fan:
-            if apply_element(g, cc).key() not in keys:
+            if reference_image(g, cc).key() not in keys:
                 return cc
     return None
 

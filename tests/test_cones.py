@@ -12,7 +12,7 @@ from reference_exact import (
     reference_rank,
 )
 from coloredfans.cones import cone_from_generators, cone_from_inequalities
-from coloredfans.linalg import identity, invert, mat, vec
+from coloredfans.linalg import identity, invert, mat, matmul, vec
 
 
 def test_zero_cone():
@@ -405,3 +405,58 @@ def test_unimodular_base_change_property(case):
     moved = c.image(u)
     assert moved.image(invert(u)) == c
     assert sorted(f.dim for f in moved.faces()) == sorted(f.dim for f in c.faces())
+
+
+def nonzero_fractions():
+    return st.builds(
+        lambda p, q: Fraction(p, q),
+        st.integers(-4, 4).filter(bool),
+        st.integers(1, 4),
+    )
+
+
+def rational_rows(rows: int, dim: int):
+    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+    return st.lists(
+        st.lists(entry, min_size=dim, max_size=dim), min_size=rows, max_size=rows
+    )
+
+
+def image_matrices(kind: str, dim: int):
+    """Matrices with ``dim`` columns: unimodular; invertible, U D V with U, V
+    unimodular and D diagonal with rational entries; singular, the last row
+    a rational combination of the others; and non-square."""
+    if kind == "unimodular":
+        return unimodular(dim)
+    if kind == "invertible":
+        return st.builds(
+            lambda u, scales, v: matmul(u, [[s * x for x in row] for s, row in zip(scales, v)]),
+            unimodular(dim),
+            st.lists(nonzero_fractions(), min_size=dim, max_size=dim),
+            unimodular(dim),
+        )
+    if kind == "singular":
+        return st.builds(
+            lambda rows, coeffs: mat(
+                rows + [[sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(dim)]]
+            ),
+            rational_rows(dim - 1, dim),
+            st.lists(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+                     min_size=dim - 1, max_size=dim - 1),
+        )
+    return st.sampled_from([r for r in range(1, dim + 2) if r != dim]).flatmap(
+        lambda rows: rational_rows(rows, dim).map(mat)
+    )
+
+
+@pytest.mark.parametrize("kind", ["unimodular", "invertible", "singular", "non-square"])
+@PROPERTY
+@given(data=st.data())
+def test_image_matches_double_description_route_property(kind, data):
+    """Images under square nonsingular matrices skip the double description;
+    every image has the fields of the mapped generators converted by it."""
+    dim = data.draw(st.integers(1, 3))
+    c = data.draw(cones_in(dim))
+    matrix = data.draw(image_matrices(kind, dim))
+    moved = [tuple(sum(a * x for a, x in zip(row, g)) for row in matrix) for g in c.generators()]
+    assert fields(c.image(matrix)) == fields(cone_from_generators(moved, len(matrix)))

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from fractions import Fraction
 from time import perf_counter
 
 import pytest
@@ -29,7 +30,7 @@ from coloredfans.galois import (
     orbit_subfan,
     validate_action,
 )
-from coloredfans.linalg import identity, invert, matmul, matvec
+from coloredfans.linalg import identity, invert, mat, matmul, matvec
 from coloredfans.quasiproj import (
     _support_lp,
     build_support_lp,
@@ -484,3 +485,161 @@ def test_infinite_order_generator_fails_before_closing():
         "'closure': False}, reasons=['closure: group closure exceeded the cap of 100000 "
         "elements'], notes=[])"
     )
+
+
+# -- integer group elements ---------------------------------------------------
+
+
+def reference_elements(action):
+    """The closure as ``GroupAction.elements`` builds it, over ``Fraction``
+    matrices multiplied by ``linalg.matmul``."""
+
+    def compose(g, h):
+        perm = dict(g.color_perm)
+        combined = {c: perm.get(v, v) for c, v in h.color_perm}
+        for c, v in perm.items():
+            combined.setdefault(c, v)
+        return GroupElement(matmul(g.matrix, h.matrix), tuple(sorted(combined.items())))
+
+    ident = GroupElement(identity(action.dim), tuple((c, c) for c in sorted(action.colors)))
+    generators = [
+        compose(ident, GroupElement(mat(g.matrix), g.color_perm)) for g in action.generators
+    ]
+    seen = {ident: None}
+    frontier = [ident]
+    for g in generators:
+        if g not in seen:
+            seen[g] = None
+            frontier.append(g)
+    while frontier:
+        new_frontier = []
+        for g in generators:
+            for h in frontier:
+                gh = compose(g, h)
+                if gh not in seen:
+                    seen[gh] = None
+                    new_frontier.append(gh)
+        frontier = new_frontier
+    return list(seen)
+
+
+def det(m):
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * x * det([r[:j] + r[j + 1:] for r in m[1:]]) for j, x in enumerate(m[0]))
+
+
+# finite matrix groups by generators, orders 2 to 8
+FINITE_GROUPS = (
+    [[[-1]]],
+    [SWAP],
+    [[[0, -1], [1, 0]]],
+    [[[0, -1], [1, -1]]],
+    [[[1, -1], [1, 0]]],
+    [[[0, -1], [1, -1]], SWAP],
+    [[[0, -1], [1, 0]], SWAP],
+    [INVERSION3],
+    [CYCLE3],
+    [QUARTER_XY],
+    [CYCLE3, SWAP_XY],
+    [QUARTER_XY, SWAP_XY],
+    [SWAP_XY, INVERSION3],
+)
+
+
+def test_integer_closure_matches_fraction_closure():
+    """Seeded base changes of finite groups with color permutations: the
+    integer closure lists the elements of the Fraction one in the same order.
+
+    A generator of determinant -1 swaps the colors A and B and one of
+    determinant 1 fixes them, so the permutations follow the matrices and the
+    order stays that of the matrix group; every generator leaves the color C
+    out, and some leave out all colors."""
+    rng = random.Random(1201)
+    orders = Counter()
+    for trial in range(60):
+        gens = FINITE_GROUPS[trial % len(FINITE_GROUPS)]
+        dim = len(gens[0])
+        a = random_unimodular(rng, dim)
+        a_inv = invert(a)
+        elements = []
+        for m in gens:
+            conj = matmul(a, matmul(mat(m), a_inv))
+            perm = {"A": "B", "B": "A"} if det(m) < 0 else rng.choice([{}, {"A": "A"}])
+            elements.append(GroupElement.make(conj, perm))
+        action = GroupAction(dim, ("A", "B", "C"), tuple(elements))
+        got = action.elements()
+        expected = reference_elements(action)
+        assert list(got) == expected
+        assert [hash(g) for g in got] == [hash(g) for g in expected]
+        assert all(type(x) is int for g in got for row in g.matrix for x in row)
+        orders[len(got)] += 1
+    assert sorted(orders) == [2, 3, 4, 6, 8]
+
+
+def test_make_stores_integral_entries_as_int():
+    for m, perm in (
+        ([[0, -1], [1, -1]], {}),
+        ([[Fraction(4, 2), "1/3"], [0.5, -1]], {"A": "B", "B": "A"}),
+        ([[1, 0, 0], [0, 1, 0]], {"C": "C"}),
+    ):
+        g = GroupElement.make(m, perm)
+        spelled = GroupElement(mat(m), tuple(sorted(perm.items())))
+        assert g == spelled and hash(g) == hash(spelled)
+        assert [[type(x) for x in row] for row in g.matrix] == [
+            [int if x.denominator == 1 else Fraction for x in row] for row in spelled.matrix
+        ]
+    assert GroupElement.make([[1, 0], [0, 1]]) == identity_element(2)
+    assert GroupElement.make([[0, 1], [1, 0]]) != GroupElement.make([[1, 0], [0, 1]])
+
+
+def test_action_reports_for_rational_singular_and_non_square_generators(toric_plane):
+    lattice = (
+        "'generator[0].lattice_automorphism: not a lattice automorphism (needs integer "
+        "entries and an integer inverse)'"
+    )
+    skipped = "'closure: skipped: a generator failed validation'"
+    checks = (
+        "'generator[0].lattice_automorphism': False, 'generator[0].color_permutation': True"
+    )
+    for m, more, reasons in (
+        ([[Fraction(1, 2), 0], [0, 2]],
+         ", 'generator[0].equivariance': True, 'generator[0].valuation_stable': True",
+         [lattice, skipped]),
+        ([[2, 0], [0, 1]],
+         ", 'generator[0].equivariance': True, 'generator[0].valuation_stable': True",
+         [lattice, skipped]),
+        ([[1, 0], [0, 0]],
+         ", 'generator[0].equivariance': True, 'generator[0].valuation_stable': False",
+         [lattice, "'generator[0].valuation_stable: the valuation cone is not stable under "
+          "the matrix'", skipped]),
+        ([[1, 0, 0], [0, 1, 0]], "", [lattice, skipped]),
+    ):
+        action = action_from_generators(toric_plane, [GroupElement.make(m)])
+        assert repr(validate_action(toric_plane, action)) == (
+            "ValidationReport(subject='group action with 1 generators', checks={"
+            f"{checks}{more}, 'closure': False}}, reasons=[{', '.join(reasons)}], notes=[])"
+        )
+
+
+def test_image_table_runs_no_double_description(monkeypatch, toric_plane, p2_fan):
+    from coloredfans.cones import _dd as real_dd
+
+    calls = []
+
+    def counting_dd(rows, dim):
+        calls.append(dim)
+        return real_dd(rows, dim)
+
+    monkeypatch.setattr("coloredfans.cones._dd", counting_dd)
+    s3 = action_from_generators(
+        toric_plane,
+        [GroupElement.make([[0, -1], [1, -1]]), GroupElement.make(SWAP)],
+    )
+    offender, images = galois._image_table(s3, p2_fan)
+    assert offender is None
+    assert sorted(len(orbit) for orbit in images.values()) == [1, 3, 3, 3, 3, 3, 3]
+    assert calls == []
+    # a singular matrix keeps the double description
+    p2_fan.cones[-1].cone.image(mat([[1, 0], [0, 0]]))
+    assert calls

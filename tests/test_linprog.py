@@ -43,6 +43,29 @@ def test_inconsistent_equalities():
     assert fourier_motzkin(lp) is False
 
 
+def test_wrong_simplex_point_fails_re_verification(monkeypatch):
+    """The point is checked exactly in integers, also through the equality
+    lift: moved off its one feasible value, it raises."""
+    pinned = LPProblem(1, ineq_constraints=(constraint([1], 1), constraint([-1], -1)))
+    lifted = LPProblem(
+        2,
+        eq_constraints=(constraint([1, 1], 1),),
+        ineq_constraints=(constraint([1, 0], 1), constraint([0, 1], 0)),
+    )
+    assert lp_feasible(pinned) == (Fraction(1),)
+    assert lp_feasible(lifted) == (Fraction(1), Fraction(0))
+    phase_one = linprog._phase_one
+
+    def moved(num_vars, ineqs):
+        nums, den = phase_one(num_vars, ineqs)
+        return [nums[0] + 1] + nums[1:], den
+
+    monkeypatch.setattr(linprog, "_phase_one", moved)
+    for lp in (pinned, lifted):
+        with pytest.raises(AssertionError, match="re-verification"):
+            lp_feasible(lp)
+
+
 def test_fm_cap():
     lp = LPProblem(9, ineq_constraints=(constraint([0] * 9, 0),))
     with pytest.raises(EliminationCapError):
