@@ -26,8 +26,8 @@ common denominator.  The image under a square nonsingular matrix runs no
 double description: rays and lineality map by the matrix, facet normals and
 span equations by the transpose of a positive multiple of its inverse, which
 one fraction-free elimination gives.  Images under singular or non-square
-matrices map the generators and convert them again; they, like the
-invertible ones, scale the whole matrix by one common denominator.  The
+matrices map the generators and convert them again.  Either way the whole
+matrix is scaled once, by one common denominator.  The
 public fields are ``Fraction`` tuples, built from the integer ones on first
 read.
 """
@@ -132,20 +132,24 @@ def _primitive(v: IntVec) -> IntVec:
     return tuple([x // g for x in v]) if g > 1 else v
 
 
-def _invertible_map(matrix: RatMat, n: int) -> tuple[list[IntVec], list[IntVec]] | None:
-    """(rows, dual) for a nonsingular n x n ``matrix``, None for any other.
+def _integer_map(matrix: RatMat) -> tuple[list[IntVec], tuple[list[IntVec], int] | None]:
+    """(rows, inverse) of a rational matrix whose rows share one length.
 
     ``rows`` is the matrix times one positive common denominator, as integer
-    tuples, which maps every cone onto the image under ``matrix``; ``dual``
-    is the transpose of a positive multiple of the inverse of ``rows``, which
-    maps the cone's functionals onto those of the image.
+    tuples, which maps every cone onto its image under ``matrix``.  For a
+    nonempty square nonsingular matrix, ``inverse`` is ``(dual, d)``:
+    ``dual`` is the transpose of ``d`` times the inverse of ``rows``, which
+    maps the cone's functionals onto those of the image, and ``d > 0`` is the
+    least integer making it integral.  ``inverse`` is None for any other
+    matrix.
     """
-    if len(matrix) != n or any(len(row) != n for row in matrix):
-        return None
+    n = len(matrix[0]) if matrix else 0
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix rows have inconsistent lengths")
     flat, _ = _over_common_denominator(x for row in matrix for x in row)
-    rows = [tuple(flat[i * n : (i + 1) * n]) for i in range(n)]
-    scaled = _scaled_inverse(rows)
-    return None if scaled is None else (rows, list(zip(*scaled[0])))
+    rows = [tuple(flat[i * n : (i + 1) * n]) for i in range(len(matrix))]
+    scaled = _scaled_inverse(rows) if 0 < len(rows) == n else None
+    return rows, None if scaled is None else (list(zip(*scaled[0])), scaled[1])
 
 
 def _signed(basis: Iterable[IntVec]) -> tuple[IntVec, ...]:
@@ -287,28 +291,30 @@ class Cone:
 
     def image(self, matrix: RatMat) -> "Cone":
         """The image cone under ``matrix``, whose column count must be the
-        ambient dimension.
+        ambient dimension."""
+        return self._image(*_integer_map(matrix))
 
-        A square nonsingular matrix maps both descriptions directly
+    def _image(
+        self, rows: Sequence[IntVec], inverse: tuple[Sequence[IntVec], int] | None
+    ) -> "Cone":
+        """The image cone under the integer matrix ``rows``, given ``inverse``
+        as :func:`_integer_map` makes them.
+
+        A nonsingular matrix maps both descriptions directly
         (:meth:`_image_invertible`); any other matrix maps the generators and
         runs the double description on them.
         """
-        n = self.ambient_dim
-        if any(len(row) != n for row in matrix):
+        if rows and len(rows[0]) != self.ambient_dim:
             raise ValueError("matrix column count does not match the ambient dimension")
-        invertible = _invertible_map(matrix, n)
-        if invertible is not None:
-            return self._image_invertible(*invertible)
-        # the matrix times one positive common denominator has the same image cone
-        flat, _ = _over_common_denominator(x for row in matrix for x in row)
-        rows = [flat[i * n : (i + 1) * n] for i in range(len(matrix))]
+        if inverse is not None:
+            return self._image_invertible(rows, inverse[0])
         gens = [tuple(_dot(row, g) for row in rows) for g in self._generators()]
-        return cone_from_generators(gens, len(matrix))
+        return cone_from_generators(gens, len(rows))
 
     def _image_invertible(self, rows: Sequence[IntVec], dual: Sequence[IntVec]) -> "Cone":
         """The image cone under the nonsingular integer matrix ``rows``, given
         ``dual``, the transpose of a positive multiple of its inverse, as
-        :func:`_invertible_map` makes them; no double description runs.
+        :func:`_integer_map` makes them; no double description runs.
 
         Rays and lineality map by ``rows``, facet normals and span equations
         by ``dual``: a functional ``f`` with ``f . x >= 0`` on the cone gives
@@ -317,8 +323,6 @@ class Cone:
         only the primitive scaling of the rays and facet normals and the
         echelon reduction.
         """
-        if len(rows) != self.ambient_dim:
-            raise ValueError("matrix column count does not match the ambient dimension")
 
         def mapped(matrix, vectors):
             return [tuple([_dot(row, v) for row in matrix]) for v in vectors]

@@ -20,8 +20,8 @@ over a perfect base field.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import lcm
-from operator import mul
 from typing import Iterable, Mapping
 
 from .colored import (
@@ -35,8 +35,8 @@ from .colored import (
     relative_interior_meets,
 )
 from .errors import ClosureCapError, InvalidFanError, OrbitOverlapError
-from .cones import _invertible_map
-from .linalg import RatMat, _integral_rows, _scaled_inverse, mat, matvec, rank
+from .cones import _integer_map
+from .linalg import RatMat, identity, mat, matmul, matvec, rank
 from .linprog import lp_feasible
 from .quasiproj import _support_lp
 from .reports import ValidationReport
@@ -80,24 +80,18 @@ class GroupElement:
         combined = {c: perm.get(v, v) for c, v in other.color_perm}
         for c, v in perm.items():
             combined.setdefault(c, v)
-        return GroupElement(_product(self.matrix, other.matrix), tuple(sorted(combined.items())))
+        return GroupElement(matmul(self.matrix, other.matrix), tuple(sorted(combined.items())))
 
-
-def _product(a: RatMat, b: RatMat) -> RatMat:
-    """The matrix product: int entries multiply as ints, and any ``Fraction``
-    makes its entries ``Fraction``s.  ValueError when the shapes do not fit."""
-    cols = tuple(zip(*b))
-    out = []
-    for row in a:
-        if len(row) != len(b):
-            raise ValueError(f"dimension mismatch: {len(row)} vs {len(b)}")
-        out.append(tuple([sum(map(mul, row, col)) for col in cols]))
-    return tuple(out)
+    @cached_property
+    def _map(self):
+        """:func:`cones._integer_map` of the matrix, computed once per
+        element: its integer rows and, when it is invertible, the transpose
+        of a positive multiple of its inverse."""
+        return _integer_map(self.matrix)
 
 
 def identity_element(dim: int, colors: Iterable[str] = ()) -> GroupElement:
-    matrix = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
-    return GroupElement(matrix, tuple(sorted((c, c) for c in colors)))
+    return GroupElement(identity(dim), tuple(sorted((c, c) for c in colors)))
 
 
 def _order_exponent(n: int) -> int:
@@ -218,7 +212,7 @@ def validate_action(datum: SphericalDatum, action: GroupAction) -> ValidationRep
         integral = square and all(x.denominator == 1 for row in g.matrix for x in row)
         # the inverse of an integer matrix is integral exactly when its
         # determinant is +-1, that is when the least d making d A^-1 integral is 1
-        inverse = _scaled_inverse(_integral_rows(g.matrix)) if integral else None
+        inverse = g._map[1] if integral else None
         report.record(
             f"{label}.lattice_automorphism",
             inverse is not None and inverse[1] == 1,
@@ -248,7 +242,7 @@ def validate_action(datum: SphericalDatum, action: GroupAction) -> ValidationRep
             )
 
         if square:
-            stable = datum.valuation_cone.image(g.matrix) == datum.valuation_cone
+            stable = datum.valuation_cone._image(*g._map) == datum.valuation_cone
             report.record(
                 f"{label}.valuation_stable",
                 stable,
@@ -271,7 +265,9 @@ def validate_action(datum: SphericalDatum, action: GroupAction) -> ValidationRep
 
 
 def apply_element(g: GroupElement, cc: ColoredCone) -> ColoredCone:
-    return ColoredCone(cc.cone.image(g.matrix), frozenset(g.apply_color(c) for c in cc.colors))
+    """The image of ``cc`` under ``g``; the matrix's inverse is computed once
+    per element, on its first image."""
+    return ColoredCone(cc.cone._image(*g._map), frozenset(g.apply_color(c) for c in cc.colors))
 
 
 def _image_table(
@@ -290,14 +286,8 @@ def _image_table(
     members = {key: cc for cc, key in keyed}
     images: dict = {key: {} for key in members}
     for g in action.elements():
-        # the inverse of each element is computed once, for all members
-        invertible = _invertible_map(g.matrix, action.dim)
         for cc, key in keyed:
-            if invertible is None:
-                moved = cc.cone.image(g.matrix)
-            else:
-                moved = cc.cone._image_invertible(*invertible)
-            image = ColoredCone(moved, frozenset(g.apply_color(c) for c in cc.colors)).key()
+            image = apply_element(g, cc).key()
             if image not in members:
                 return cc, images
             images[key].setdefault(image, members[image])

@@ -1,9 +1,11 @@
 """Exact rational vectors and matrices.
 
 Vectors are tuples of ``fractions.Fraction``; matrices are tuples of such
-rows.  Everything here is pure and exact: no float ever enters or leaves.
-The public helpers serve the small matrices of group actions, morphisms
-and color placements; cones and LPs compute on integer rows.
+rows, except that :func:`identity` has ``int`` entries and :func:`matmul`
+multiplies ints as ints.  Everything here is pure and exact: no float ever
+enters or leaves.  The public helpers serve the small matrices of group
+actions, morphisms and color placements; cones and LPs compute on integer
+rows.
 
 Elimination runs on integers: each input row is scaled by the lcm of its
 denominators, and Gauss-Jordan elimination is fraction-free, every row
@@ -11,7 +13,7 @@ divided by the gcd of its entries after each step.  :func:`rank` builds no
 ``Fraction``; :func:`rref` builds one per output entry.  The private
 integer helpers below are shared with the cone engine, the LP layer and
 the group layer; ``_scaled_inverse`` inverts an integer matrix up to one
-positive scale by the same elimination.
+positive scale by the same elimination, and :func:`invert` is built on it.
 """
 
 from __future__ import annotations
@@ -59,8 +61,15 @@ def matvec(m: RatMat, v: Sequence[Fraction]) -> RatVec:
 
 
 def matmul(a: RatMat, b: RatMat) -> RatMat:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+    """The matrix product: int entries multiply as ints, and a ``Fraction``
+    makes its entries ``Fraction``s.  ValueError when the shapes do not fit."""
+    cols = transpose(b)
+    out = []
+    for row in a:
+        if len(row) != len(b):
+            raise ValueError(f"dimension mismatch: {len(row)} vs {len(b)}")
+        out.append(tuple([sum(map(mul, row, col)) for col in cols]))
+    return tuple(out)
 
 
 def transpose(m: RatMat) -> RatMat:
@@ -68,7 +77,8 @@ def transpose(m: RatMat) -> RatMat:
 
 
 def identity(n: int) -> RatMat:
-    return tuple(tuple(F1 if i == j else F0 for j in range(n)) for i in range(n))
+    """The n x n identity, its entries ``int``."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def _over_common_denominator(values: Iterable) -> tuple[list[int], int]:
@@ -210,8 +220,10 @@ def invert(m: RatMat) -> RatMat | None:
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("matrix is not square")
-    aug = [list(row) + [F1 if i == j else F0 for j in range(n)] for i, row in enumerate(m)]
-    reduced, pivots = rref(aug)
-    if pivots != tuple(range(n)):
+    # m is B / c with B integral, so its inverse is c B^-1 = (c / d) (d B^-1)
+    flat, c = _over_common_denominator(x for row in m for x in row)
+    scaled = _scaled_inverse([flat[i * n : (i + 1) * n] for i in range(n)])
+    if scaled is None:
         return None
-    return tuple(tuple(row[n:]) for row in reduced)
+    inverse, d = scaled
+    return tuple(tuple(Fraction(c * x, d) for x in row) for row in inverse)

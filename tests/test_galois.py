@@ -501,7 +501,7 @@ def reference_elements(action):
             combined.setdefault(c, v)
         return GroupElement(matmul(g.matrix, h.matrix), tuple(sorted(combined.items())))
 
-    ident = GroupElement(identity(action.dim), tuple((c, c) for c in sorted(action.colors)))
+    ident = GroupElement(mat(identity(action.dim)), tuple((c, c) for c in sorted(action.colors)))
     generators = [
         compose(ident, GroupElement(mat(g.matrix), g.color_perm)) for g in action.generators
     ]
@@ -631,7 +631,14 @@ def test_image_table_runs_no_double_description(monkeypatch, toric_plane, p2_fan
         calls.append(dim)
         return real_dd(rows, dim)
 
+    applied = []
+
+    def counting_apply(g, cc):
+        applied.append(g)
+        return apply_element(g, cc)
+
     monkeypatch.setattr("coloredfans.cones._dd", counting_dd)
+    monkeypatch.setattr("coloredfans.galois.apply_element", counting_apply)
     s3 = action_from_generators(
         toric_plane,
         [GroupElement.make([[0, -1], [1, -1]]), GroupElement.make(SWAP)],
@@ -640,6 +647,8 @@ def test_image_table_runs_no_double_description(monkeypatch, toric_plane, p2_fan
     assert offender is None
     assert sorted(len(orbit) for orbit in images.values()) == [1, 3, 3, 3, 3, 3, 3]
     assert calls == []
+    # every image goes through apply_element, 6 elements times 7 members
+    assert len(applied) == 42 and len(set(map(id, applied))) == 6
     # a singular matrix keeps the double description
     p2_fan.cones[-1].cone.image(mat([[1, 0], [0, 0]]))
     assert calls

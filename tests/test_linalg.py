@@ -22,6 +22,17 @@ def test_invert_roundtrip():
     assert invert(mat([[1, 2], [2, 4]])) is None
 
 
+def test_matmul_and_identity_keep_ints():
+    a = ((1, 2), (3, 5))
+    assert matmul(a, identity(2)) == a
+    assert all(type(x) is int for m in (matmul(a, a), identity(3)) for row in m for x in row)
+    product = matmul(mat(a), a)
+    assert product == matmul(a, a)
+    assert all(type(x) is Fraction for row in product for x in row)
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+        matmul(a, identity(3))
+
+
 def test_dot_dimension_mismatch():
     with pytest.raises(ValueError):
         dot(vec([1, 2]), vec([1, 2, 3]))
