@@ -30,7 +30,7 @@ from .errors import (
     SchemaError,
     SemanticError,
 )
-from .galois import has_k_form, validate_action
+from .galois import _k_form, validate_action
 from .monoid import (
     check_fan_morphism,
     is_monoid_cone,
@@ -159,7 +159,8 @@ def run_command(
             _need(fan_path, "fan"),
             _need(action_path, "action"),
         )
-        result = has_k_form(inputs.datum, inputs.action, inputs.fan, check=False)
+        # parse_inputs validated the fan and the action, and kept the faces
+        result = _k_form(inputs.datum, inputs.action, inputs.fan, inputs.faces)
         axioms = {"invariant": result.invariant}
         if result.orbits_quasiprojective is not None:
             axioms["orbit_fans_quasiprojective"] = result.orbits_quasiprojective

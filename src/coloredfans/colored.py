@@ -125,21 +125,18 @@ def relative_interior_meets(datum: SphericalDatum, cone: Cone, *others: Cone) ->
 
     Strict facet inequalities are homogenized to >= 1, which is equivalent for
     a cone of constraints.  The rows are the cones' primitive integer
-    inequalities, handed to the LP as they are.
+    inequalities, handed to the LP as they are; each cone builds its sparse
+    rows once (:meth:`Cone._relint_rows`).
     """
     rows = []
     for body in (cone, *others):
         if body.ambient_dim != datum.dim:
             raise ValueError("cone does not live in the ambient dimension")
-        rows.extend((_terms(a), 0, 1) for a in body._ineqs)
-        rows.extend((_terms(a), 1, 1) for a in body._facets)
-    rows.extend((_terms(a), 0, 1) for a in datum.valuation_cone._ineqs)
+        rows.extend(body._relint_rows())
+    valuation = datum.valuation_cone
+    rows.extend(valuation._relint_rows()[: len(valuation._ineqs)])
     lp = LPProblem._from_integral(datum.dim, [], rows)
     return lp_feasible(lp) is not None
-
-
-def _terms(a: Sequence[int]) -> list[tuple[int, int]]:
-    return [(j, x) for j, x in enumerate(a) if x]
 
 
 def validate_colored_cone(datum: SphericalDatum, cc: ColoredCone) -> ValidationReport:

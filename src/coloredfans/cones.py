@@ -209,6 +209,7 @@ class Cone:
         "_span_equations_view",
         "_inequalities_view",
         "_faces",
+        "_relint",
         "_hash",
     )
 
@@ -226,7 +227,7 @@ class Cone:
         self._facets = facet_normals
         self._span_eq = span_equations
         self._ineqs = _signed(span_equations) + facet_normals
-        self._faces = None
+        self._faces = self._relint = None
         self._hash = hash((ambient_dim, rays, lineality_basis))
 
     # -- construction -------------------------------------------------
@@ -354,6 +355,21 @@ class Cone:
                         queue.append(cut)
             self._faces = tuple(sorted(found, key=_face_sort_key))
         return self._faces
+
+    def _relint_rows(self) -> tuple:
+        """The relative interior as integral LP rows ``(terms, b, 1)``,
+        ``a . x >= b``: b = 0 for each row of ``_ineqs``, then b = 1 for each
+        facet normal, which homogenizes the strict inequality.  ``terms`` lists
+        the nonzero coefficients as ``(column, integer)`` pairs.  Built on
+        first call and kept in the cone; every LP posed on the cone shares
+        these rows, and reads them only."""
+        if self._relint is None:
+            self._relint = tuple(
+                ([(j, x) for j, x in enumerate(a) if x], b, 1)
+                for b, rows in ((0, self._ineqs), (1, self._facets))
+                for a in rows
+            )
+        return self._relint
 
     def is_face_of(self, other: "Cone") -> bool:
         if self.ambient_dim != other.ambient_dim:

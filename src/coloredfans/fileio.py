@@ -27,10 +27,10 @@ from .colored import (
     ColoredCone,
     ColoredFan,
     SphericalDatum,
+    _validate_fan,
     fan_from_maximal_cones,
     member_sort_key,
     validate_colored_cone,
-    validate_colored_fan,
 )
 from .cones import cone_from_generators
 from .errors import InputFileError, SchemaError, SemanticError
@@ -190,7 +190,11 @@ def parse_morphism(obj, datum_src: SphericalDatum, where: str = "morphism"):
 
 @dataclass
 class ParsedInputs:
-    """Validated in-memory objects plus the validation reports behind them."""
+    """Validated in-memory objects plus the validation reports behind them.
+
+    ``faces`` holds the colored faces of every member of ``fan``, keyed by
+    member key, as the fan's validation computed them.
+    """
 
     datum: SphericalDatum
     fan: ColoredFan | None = None
@@ -199,6 +203,7 @@ class ParsedInputs:
     target_datum: SphericalDatum | None = None
     target_fan: ColoredFan | None = None
     reports: dict[str, ValidationReport] = field(default_factory=dict)
+    faces: dict = field(default_factory=dict)
 
 
 def validated_fan(
@@ -212,13 +217,21 @@ def validated_fan(
     Otherwise it is the closed fan with its report (``cone[i].C*``, ``F1``,
     ``F2``).
     """
+    return _validated_fan(datum, raw)[:2]
+
+
+def _validated_fan(
+    datum: SphericalDatum, raw: list[ColoredCone]
+) -> tuple[ColoredFan | None, ValidationReport, dict]:
+    """:func:`validated_fan`, and the colored faces that validating the
+    closed fan computes, keyed by member key (empty when no fan is built)."""
     report = ValidationReport(subject="fan members")
     for i, cc in enumerate(raw):
         report.merge(validate_colored_cone(datum, cc), f"maximal[{i}]")
     if not report.passed:
-        return None, report
+        return None, report, {}
     fan = fan_from_maximal_cones(datum, raw)
-    return fan, validate_colored_fan(datum, fan)
+    return (fan, *_validate_fan(datum, fan))
 
 
 def _require(report: ValidationReport, where: str) -> None:
@@ -238,7 +251,7 @@ def parse_inputs(
     out = ParsedInputs(datum)
     if fan_path is not None:
         raw = parse_fan(load_json(fan_path), datum)
-        out.fan, out.reports["fan"] = validated_fan(datum, raw)
+        out.fan, out.reports["fan"], out.faces = _validated_fan(datum, raw)
         _require(out.reports["fan"], "fan")
     if action_path is not None:
         out.action = parse_action(load_json(action_path), datum)

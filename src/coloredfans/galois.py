@@ -361,24 +361,41 @@ def has_k_form(
     faces.  Its maximal cones are exactly the distinct images, all of
     dimension dim Z, so the support LP is posed on them directly.
 
-    With ``check=True`` the fan and the action are validated first, and the
-    fan validation supplies every member's colored faces.  F1 and invariance
-    then make every orbit member a fan member, so F2 already rules out
-    overlapping orbit cones and no overlap test runs.  With ``check=False``
-    the faces are computed once per member as needed (a member failing C1-C4
-    raises :class:`InvalidColoredConeError`), and every orbit fan not yet
-    verified is tested for overlapping cones, which is reported as a (b)
-    failure.
+    With ``check=True`` the fan and the action are validated first; the fan
+    validation supplies every member's colored faces, and F2 rules out
+    overlapping orbit cones.  With ``check=False`` nothing is validated: the
+    faces are computed as needed, and overlapping orbit cones are looked for
+    and reported as a (b) failure (see :func:`_k_form`).
+    """
+    if not check:
+        return _k_form(datum, action, fan, None)
+    fan_report, faces = _validate_fan(datum, fan)
+    fan_report.require(InvalidFanError, "fan failed validation")
+    validate_action(datum, action).require(InvalidFanError, "action failed validation")
+    return _k_form(datum, action, fan, faces)
+
+
+def _k_form(
+    datum: SphericalDatum, action: GroupAction, fan: ColoredFan, faces: dict | None
+) -> KFormResult:
+    """The verdict of :func:`has_k_form` once its validation is settled.
+
+    ``faces`` is None for an unvalidated fan and action: the faces are then
+    computed once per member as needed (a member failing C1-C4 raises
+    :class:`InvalidColoredConeError`), and every orbit fan not yet verified
+    is tested for overlapping cones, which is reported as a (b) failure.
+    Otherwise the fan and the action have passed validation, and ``faces``
+    holds every member's colored faces as the fan validation computed them,
+    keyed by member key.  F1 and invariance then make every orbit member a
+    fan member, so F2 already rules out overlapping orbit cones and no
+    overlap test runs.
 
     A member whose orbit fan sits inside an already verified orbit fan is
     skipped: a subfan of a quasiprojective fan is quasiprojective (it carves
     out an open invariant piece), so the check would be redundant.
     """
-    if check:
-        fan_report, faces = _validate_fan(datum, fan)
-        fan_report.require(InvalidFanError, "fan failed validation")
-        validate_action(datum, action).require(InvalidFanError, "action failed validation")
-    else:
+    validated = faces is not None
+    if not validated:
         faces = {}
 
     offender, images = _image_table(action, fan)
@@ -401,7 +418,7 @@ def has_k_form(
         orbit_keys = frozenset(m.key() for m in ordered)
         if any(orbit_keys <= done for done in verified):
             continue
-        if not check:
+        if not validated:
             try:
                 _check_overlap(datum, ordered, owners)
             except OrbitOverlapError as exc:

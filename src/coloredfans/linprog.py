@@ -5,8 +5,11 @@ Two independent deciders over the same problem type:
 * :func:`lp_feasible` -- equality pre-substitution followed by a phase-1
   simplex with Bland's anti-cycling rule on a sparse integer tableau: each
   row is kept integral over one positive scale, and pivots are
-  fraction-free, so no ``Fraction`` is built inside the simplex.  It takes
-  the pivots that a simplex over the rationals takes, and returns an exact
+  fraction-free, so no ``Fraction`` is built inside the simplex.  Each free
+  variable is split as t = p - q, and only the p half is stored: every row
+  keeps the q column equal to minus the p column, so it is read off as
+  such.  The simplex takes the pivots that a simplex over the rationals
+  takes on the full tableau, and returns an exact
   rational assignment, re-verified against the problem, or ``None``.  The
   point is read off the final tableau over one common denominator, lifted
   through the equalities and re-verified in integers; its ``Fraction``
@@ -266,11 +269,21 @@ def _phase_one(num_vars: int, ineqs: list[SparseRow]) -> Point | None:
     with an integer right hand side ``rhs[i]``, and stands for the rational
     row obtained by dividing both by the row's coefficient on its basic
     column, which stays positive.  The reduced costs form one more integral
-    row with an implicit positive scale; only their signs are read.  Every
-    comparison of Bland's rule therefore comes out as over the rationals.
+    row, the last, with an implicit positive scale and minus the objective
+    value over that scale as its right hand side; only their signs are read.  Every comparison of
+    Bland's rule therefore comes out as over the rationals.
+
+    Only the p half of each split variable is stored.  In every start row
+    the q column is minus the p column, and every later row, the reduced
+    costs included, is a combination of start rows, so column
+    ``num_vars + j`` reads as ``-row[j]`` throughout; ``+-v`` have one gcd.
+    The columns keep their labels (p, then q, then the slacks, then the
+    artificials), so pricing takes the smallest label with a negative reduced
+    cost, as over the full tableau.
     """
+    nv = num_vars
     m = len(ineqs)
-    n_struct = 2 * num_vars + m
+    n_struct = 2 * nv + m
     rows: list[dict[int, int]] = []
     rhs: list[int] = []
     basis: list[int] = []
@@ -279,8 +292,7 @@ def _phase_one(num_vars: int, ineqs: list[SparseRow]) -> Point | None:
         if b > 0:
             # a.t - s * slack + s * artificial = b, the artificial basic
             row = dict(terms)
-            row.update({num_vars + j: -c for j, c in row.items()})
-            row[2 * num_vars + i] = -s
+            row[2 * nv + i] = -s
             row[next_art] = s
             basis.append(next_art)
             next_art += 1
@@ -288,9 +300,8 @@ def _phase_one(num_vars: int, ineqs: list[SparseRow]) -> Point | None:
         else:
             # -a.t + s * slack = -b, the slack basic at -b / s >= 0
             row = {j: -c for j, c in terms}
-            row.update({num_vars + j: -c for j, c in row.items()})
-            row[2 * num_vars + i] = s
-            basis.append(2 * num_vars + i)
+            row[2 * nv + i] = s
+            basis.append(2 * nv + i)
             rhs.append(-b)
         rows.append(row)
 
@@ -299,23 +310,37 @@ def _phase_one(num_vars: int, ineqs: list[SparseRow]) -> Point | None:
     art_rows = [i for i in range(m) if basis[i] >= n_struct]
     common = lcm(*(rows[i][basis[i]] for i in art_rows))
     red: dict[int, int] = {}
+    objective = 0
     for i in art_rows:
         row = rows[i]
         k = common // row[basis[i]]
+        objective -= k * rhs[i]
         for j, x in row.items():
             if j < n_struct:
                 red[j] = red.get(j, 0) - k * x
     red = {j: x for j, x in red.items() if x}
+    rows.append(red)
+    rhs.append(objective)
 
     while True:
-        enter = min((j for j, x in red.items() if x < 0), default=None)
+        # a stored entry x prices p_j at x and q_j at -x
+        enter = min(
+            (j if x < 0 else nv + j for j, x in red.items() if x < 0 or j < nv), default=None
+        )
         if enter is None:
             break
-        # minimum ratio rhs / coef by cross-multiplication, ties to the
-        # smaller basic column
+        col, sign = (enter - nv, -1) if nv <= enter < 2 * nv else (enter, 1)
+        # the rows holding the column, and among them the minimum ratio
+        # rhs / coef by cross-multiplication, ties to the smaller basic
+        # column; the reduced costs are negative there, so they take no part
+        hits = []
         leave = -1
         for i, row in enumerate(rows):
-            coef = row.get(enter, 0)
+            coef = row.get(col)
+            if coef is None:
+                continue
+            coef *= sign
+            hits.append((i, coef))
             if coef <= 0:
                 continue
             if leave >= 0:
@@ -325,69 +350,62 @@ def _phase_one(num_vars: int, ineqs: list[SparseRow]) -> Point | None:
             leave, best_rhs, best_coef = i, rhs[i], coef
         if leave < 0:
             raise AssertionError("internal error: unbounded phase-1 objective")
-        _pivot(rows, rhs, red, leave, enter)
+        _pivot(rows, rhs, leave, best_coef, hits)
         basis[leave] = enter
 
-    if any(rhs[i] for i, col in enumerate(basis) if col >= n_struct):
+    # the objective, a sum of nonnegative artificial values, is zero exactly
+    # when the problem is feasible
+    if rhs[m]:
         return None
-    # a basic variable is rhs[i] / rows[i][col]; read all over their lcm
-    basic = [(i, col) for i, col in enumerate(basis) if col < 2 * num_vars]
-    den = lcm(*(rows[i][col] for i, col in basic))
-    values = [0] * (2 * num_vars)
-    for i, col in basic:
-        values[col] = rhs[i] * (den // rows[i][col])
-    return [values[j] - values[num_vars + j] for j in range(num_vars)], den
+    # a basic variable is rhs[i] over its coefficient; read all over their lcm
+    basic = [
+        (i, col, rows[i][col] if col < nv else -rows[i][col - nv])
+        for i, col in enumerate(basis)
+        if col < 2 * nv
+    ]
+    den = lcm(*(coef for _, _, coef in basic))
+    values = [0] * (2 * nv)
+    for i, col, coef in basic:
+        values[col] = rhs[i] * (den // coef)
+    return [values[j] - values[nv + j] for j in range(nv)], den
 
 
-def _pivot(rows, rhs, red, r, c):
-    """One pivot on row r, column c of the integral tableau.
+def _pivot(rows, rhs, r, p, hits):
+    """One pivot on row r of the integral tableau, whose entry in the
+    entering column is ``p > 0``.
 
-    Every other row, and the reduced costs, lose column c by a fraction-free
-    combination with the pivot row and are then divided by the gcd of their
-    entries.  The pivot row is left as it is: its coefficient on column c,
-    which is positive, becomes its scale.
+    ``hits`` lists ``(i, f)`` for every row holding the entering column,
+    the reduced costs included, with ``f`` its entry there.  Every such row
+    but row r loses the column as ``row * (p / g) - prow * (f / g)``,
+    g = gcd(p, f), on both sides, and is then divided by the gcd of its
+    entries and right hand side.  The pivot row is left as it is: its entry
+    in the column becomes its scale.
     """
     prow = rows[r]
-    p = prow[c]
-    for i, row in enumerate(rows):
-        f = row.get(c)
-        if f is None or i == r:
+    pitems = prow.items()
+    pr = rhs[r]
+    for i, f in hits:
+        if i == r:
             continue
-        a, b = _eliminate(row, prow, p, f)
-        h = rhs[i] * a - b * rhs[r]
+        g = gcd(p, f)
+        a, b = p // g, f // g
+        row = rows[i]
+        if a != 1:
+            for j in row:
+                row[j] *= a
+        for j, x in pitems:
+            v = row.get(j, 0) - b * x
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+        h = rhs[i] * a - b * pr
         g = gcd(h, *row.values())
         if g > 1:
             for j in row:
                 row[j] //= g
             h //= g
         rhs[i] = h
-    f = red.get(c)
-    if f is not None:
-        _eliminate(red, prow, p, f)
-        g = gcd(*red.values())
-        if g > 1:
-            for j in red:
-                red[j] //= g
-
-
-def _eliminate(row: dict[int, int], prow: dict[int, int], p: int, f: int) -> tuple[int, int]:
-    """Set row to ``row * (p / g) - prow * (f / g)`` in place, g = gcd(p, f).
-
-    ``p`` and ``f`` are the entries of prow and row in the pivot column, so
-    that column drops out; returns the two factors.
-    """
-    g = gcd(p, f)
-    a, b = p // g, f // g
-    if a != 1:
-        for j in row:
-            row[j] *= a
-    for j, x in prow.items():
-        v = row.get(j, 0) - b * x
-        if v:
-            row[j] = v
-        else:
-            del row[j]
-    return a, b
 
 
 def fourier_motzkin(lp: LPProblem, max_vars: int = 8) -> bool:

@@ -158,6 +158,46 @@ def test_monoid_kform_checks_the_monoid_cone_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_kform_reuses_the_faces_of_the_validated_fan(monkeypatch):
+    """Once ``parse_inputs`` has validated the fan and the action, ``kform``
+    runs no colored-face pass and no relint LP: the orbit fans take the faces
+    that the fan validation computed, and F2 rules out overlapping orbit
+    cones.  Only the support LPs of the orbit fans are solved."""
+    from coloredfans import colored, fileio, galois
+
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(colored, "colored_faces", counting("faces", colored.colored_faces))
+    for module in (colored, galois):
+        relint = counting("relint", module.relative_interior_meets)
+        monkeypatch.setattr(module, "relative_interior_meets", relint)
+    monkeypatch.setattr(galois, "lp_feasible", counting("support", galois.lp_feasible))
+    parse = fileio.parse_inputs
+
+    def parsed(*args):
+        out = parse(*args)
+        calls.clear()
+        return out
+
+    monkeypatch.setattr(fileio, "parse_inputs", parsed)
+    result = run_command(
+        "kform",
+        datum_path=fx("datum_toric2.json"),
+        fan_path=fx("fan_p1xp1.json"),
+        action_path=fx("action_swap.json"),
+    )
+    assert result.exit_code == 0
+    # the orbits of the four quadrants under the swap: two fixed, one pair
+    assert calls == ["support"] * 3
+
+
 def test_monoid_kform_names_the_failed_monoid_axioms():
     from coloredfans import fileio
     from coloredfans.monoid import is_monoid_cone

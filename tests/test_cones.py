@@ -460,3 +460,21 @@ def test_image_matches_double_description_route_property(kind, data):
     matrix = data.draw(image_matrices(kind, dim))
     moved = [tuple(sum(a * x for a, x in zip(row, g)) for row in matrix) for g in c.generators()]
     assert fields(c.image(matrix)) == fields(cone_from_generators(moved, len(matrix)))
+
+
+def test_relint_rows_are_built_once_and_left_out_of_equality():
+    """A cone keeps its relative interior as sparse LP rows, each span row and
+    facet normal ``a . x >= 0``, then each facet normal ``a . x >= 1``; equal
+    cones stay equal and hash alike whether or not they hold the rows."""
+    a = cone_from_generators([(1, 0, 0), (1, 2, 0)], 3)
+    b = cone_from_generators([(2, 0, 0), (1, 2, 0), (3, 2, 0)], 3)
+    rows = a._relint_rows()
+    assert a._relint_rows() is rows
+    assert a == b and hash(a) == hash(b) and b._relint is None
+    expected = [
+        ([(j, x) for j, x in enumerate(v) if x], bound, 1)
+        for bound, vectors in ((0, a._ineqs), (1, a._facets))
+        for v in vectors
+    ]
+    assert list(rows) == expected
+    assert len(rows) == 2 * len(a._span_eq) + 2 * len(a._facets) == 6

@@ -160,6 +160,69 @@ def test_integer_simplex_matches_reference_on_cube_support_lps(pattern, feasible
     assert len(pivots) > 100
 
 
+def negative_lp(rng: random.Random) -> LPProblem:
+    """An LP without equalities that holds some ``-t_j >= b`` with b > 0, so
+    every feasible point needs a negative free value; rows with right hand
+    side 0 and rows copied at a positive multiple make degenerate and tied
+    ratio tests."""
+    n = rng.randint(1, 4)
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        a = [rng.randint(-3, 3) for _ in range(n)]
+        b = rng.choice((-1, 0, 0, 1, 2))
+        rows.append((a, b))
+        if rng.random() < 0.4:
+            k = rng.randint(2, 3)
+            rows.append(([k * x for x in a], k * b))
+    for j in rng.sample(range(n), rng.randint(1, n)):
+        e = [0] * n
+        e[j] = -1
+        rows.append((e, rng.randint(1, 2)))
+    rng.shuffle(rows)
+    return LPProblem(n, (), tuple(constraint(a, b) for a, b in rows))
+
+
+def test_q_columns_and_tied_ratios_match_reference(monkeypatch, pivots):
+    """Points with negative coordinates, which only a basic q column of the
+    split t = p - q can give, and minimum ratios attained by several rows,
+    at zero and above, all pivot for pivot as the Fraction simplex."""
+    ties = set()
+    pivot, phase_one = linprog._pivot, linprog._phase_one
+
+    def tie_recording(rows, rhs, r, p, hits):
+        # the reduced costs, the last row, are negative in the entering column
+        ratios = [Fraction(rhs[i], f) for i, f in hits if f > 0]
+        low = min(ratios)
+        if ratios.count(low) > 1:
+            ties.add(low > 0)
+        return pivot(rows, rhs, r, p, hits)
+
+    points = []
+
+    def recording(num_vars, ineqs):
+        out = phase_one(num_vars, ineqs)
+        points.append(out)
+        return out
+
+    monkeypatch.setattr(linprog, "_pivot", tie_recording)
+    monkeypatch.setattr(linprog, "_phase_one", recording)
+    rng = random.Random(5011)
+    feasible = 0
+    for _ in range(60):
+        lp = negative_lp(rng)
+        points.clear()
+        x = assert_matches_reference(lp, pivots)
+        assert (x is not None) == fourier_motzkin(lp)
+        if x is not None:
+            feasible += 1
+            assert lp.satisfied_by(x)
+            ((nums, _),) = points
+            assert min(nums) < 0
+    # both outcomes, and ties at a zero and at a positive ratio
+    assert 10 < feasible < 50
+    assert ties == {False, True}
+
+
 def random_rational_lp(rng: random.Random) -> LPProblem:
     n = rng.randint(1, 5)
     m = rng.randint(1, 9)
