@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fileio
-from .colored import ColoredCone, SphericalDatum
+from .colored import ColoredCone, SphericalDatum, _proven_faces
 from .errors import (
     InputFileError,
     MonoidConeError,
@@ -159,8 +159,9 @@ def run_command(
             _need(fan_path, "fan"),
             _need(action_path, "action"),
         )
-        # parse_inputs validated the fan and the action, and kept the faces
-        result = _k_form(inputs.datum, inputs.action, inputs.fan, inputs.faces)
+        # parse_inputs validated the fan and the action; the fan keeps its faces
+        faces = _proven_faces(inputs.datum, inputs.fan)
+        result = _k_form(inputs.datum, inputs.action, inputs.fan, faces, validated=True)
         axioms = {"invariant": result.invariant}
         if result.orbits_quasiprojective is not None:
             axioms["orbit_fans_quasiprojective"] = result.orbits_quasiprojective

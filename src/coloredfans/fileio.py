@@ -27,7 +27,7 @@ from .colored import (
     ColoredCone,
     ColoredFan,
     SphericalDatum,
-    _validate_fan,
+    _checked_fan,
     fan_from_maximal_cones,
     member_sort_key,
     validate_colored_cone,
@@ -190,11 +190,7 @@ def parse_morphism(obj, datum_src: SphericalDatum, where: str = "morphism"):
 
 @dataclass
 class ParsedInputs:
-    """Validated in-memory objects plus the validation reports behind them.
-
-    ``faces`` holds the colored faces of every member of ``fan``, keyed by
-    member key, as the fan's validation computed them.
-    """
+    """Validated in-memory objects plus the validation reports behind them."""
 
     datum: SphericalDatum
     fan: ColoredFan | None = None
@@ -203,7 +199,6 @@ class ParsedInputs:
     target_datum: SphericalDatum | None = None
     target_fan: ColoredFan | None = None
     reports: dict[str, ValidationReport] = field(default_factory=dict)
-    faces: dict = field(default_factory=dict)
 
 
 def validated_fan(
@@ -215,23 +210,16 @@ def validated_fan(
     Never raises on a failed axiom.  When a maximal cone fails C1-C4 no fan
     is built: the result is ``None`` with a report keyed ``maximal[i].C*``.
     Otherwise it is the closed fan with its report (``cone[i].C*``, ``F1``,
-    ``F2``).
+    ``F2``).  The closure proves C1-C4 and F1 for every member, so only F2
+    is tested (:func:`colored._checked_fan`); the fan keeps the faces.
     """
-    return _validated_fan(datum, raw)[:2]
-
-
-def _validated_fan(
-    datum: SphericalDatum, raw: list[ColoredCone]
-) -> tuple[ColoredFan | None, ValidationReport, dict]:
-    """:func:`validated_fan`, and the colored faces that validating the
-    closed fan computes, keyed by member key (empty when no fan is built)."""
     report = ValidationReport(subject="fan members")
     for i, cc in enumerate(raw):
         report.merge(validate_colored_cone(datum, cc), f"maximal[{i}]")
     if not report.passed:
-        return None, report, {}
+        return None, report
     fan = fan_from_maximal_cones(datum, raw)
-    return (fan, *_validate_fan(datum, fan))
+    return fan, _checked_fan(datum, fan)[0]
 
 
 def _require(report: ValidationReport, where: str) -> None:
@@ -251,7 +239,7 @@ def parse_inputs(
     out = ParsedInputs(datum)
     if fan_path is not None:
         raw = parse_fan(load_json(fan_path), datum)
-        out.fan, out.reports["fan"], out.faces = _validated_fan(datum, raw)
+        out.fan, out.reports["fan"] = validated_fan(datum, raw)
         _require(out.reports["fan"], "fan")
     if action_path is not None:
         out.action = parse_action(load_json(action_path), datum)

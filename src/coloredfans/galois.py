@@ -28,11 +28,12 @@ from .colored import (
     ColoredCone,
     ColoredFan,
     SphericalDatum,
+    _checked_fan,
     _face_closure,
-    _validate_fan,
+    _overlapping_pairs,
+    _proven_faces,
     colored_faces,
     member_sort_key,
-    relative_interior_meets,
 )
 from .errors import ClosureCapError, InvalidFanError, OrbitOverlapError
 from .cones import _integer_map
@@ -306,15 +307,11 @@ def _check_overlap(datum: SphericalDatum, ordered: list, owners: list) -> None:
     Pairs of faces of one orbit cone are skipped: distinct faces of one cone
     have disjoint relative interiors.
     """
-    for i in range(len(ordered)):
-        for j in range(i + 1, len(ordered)):
-            if owners[i] & owners[j]:
-                continue
-            if relative_interior_meets(datum, ordered[i].cone, ordered[j].cone):
-                raise OrbitOverlapError(
-                    f"orbit cones {ordered[i].describe()} and {ordered[j].describe()} "
-                    "overlap inside the valuation cone"
-                )
+    for i, j in _overlapping_pairs(datum, ordered, owners):
+        raise OrbitOverlapError(
+            f"orbit cones {ordered[i].describe()} and {ordered[j].describe()} "
+            "overlap inside the valuation cone"
+        )
 
 
 def orbit_subfan(
@@ -363,41 +360,46 @@ def has_k_form(
 
     With ``check=True`` the fan and the action are validated first; the fan
     validation supplies every member's colored faces, and F2 rules out
-    overlapping orbit cones.  With ``check=False`` nothing is validated: the
-    faces are computed as needed, and overlapping orbit cones are looked for
+    overlapping orbit cones.  A fan that :func:`fan_from_maximal_cones` built
+    for ``datum`` carries its faces and C1-C4 and F1, so only F2 is tested
+    (:func:`colored._checked_fan`); any other fan is validated in full.  With
+    ``check=False`` nothing is validated: the faces are taken from the fan's
+    facts or computed as needed, and overlapping orbit cones are looked for
     and reported as a (b) failure (see :func:`_k_form`).
     """
     if not check:
-        return _k_form(datum, action, fan, None)
-    fan_report, faces = _validate_fan(datum, fan)
+        return _k_form(datum, action, fan, _proven_faces(datum, fan) or {}, validated=False)
+    fan_report, faces = _checked_fan(datum, fan)
     fan_report.require(InvalidFanError, "fan failed validation")
     validate_action(datum, action).require(InvalidFanError, "action failed validation")
-    return _k_form(datum, action, fan, faces)
+    return _k_form(datum, action, fan, faces, validated=True)
 
 
 def _k_form(
-    datum: SphericalDatum, action: GroupAction, fan: ColoredFan, faces: dict | None
+    datum: SphericalDatum,
+    action: GroupAction,
+    fan: ColoredFan,
+    faces: dict,
+    validated: bool,
 ) -> KFormResult:
     """The verdict of :func:`has_k_form` once its validation is settled.
 
-    ``faces`` is None for an unvalidated fan and action: the faces are then
-    computed once per member as needed (a member failing C1-C4 raises
-    :class:`InvalidColoredConeError`), and every orbit fan not yet verified
-    is tested for overlapping cones, which is reported as a (b) failure.
-    Otherwise the fan and the action have passed validation, and ``faces``
-    holds every member's colored faces as the fan validation computed them,
-    keyed by member key.  F1 and invariance then make every orbit member a
-    fan member, so F2 already rules out overlapping orbit cones and no
-    overlap test runs.
+    ``faces`` maps member keys to colored faces; the faces of a member
+    missing from it are computed when its orbit is closed, and stored there
+    (a member failing C1-C4 raises :class:`InvalidColoredConeError`).  When
+    ``validated`` is False, every orbit fan not yet verified is tested for
+    overlapping cones, which is reported as a (b) failure.  Otherwise the fan
+    and the action have passed validation: F1 and invariance make every orbit
+    member a fan member, so F2 already rules out overlapping orbit cones and
+    no overlap test runs.
 
-    A member whose orbit fan sits inside an already verified orbit fan is
-    skipped: a subfan of a quasiprojective fan is quasiprojective (it carves
-    out an open invariant piece), so the check would be redundant.
+    A member whose orbit lies inside an already verified orbit fan is
+    skipped before its orbit is closed: a verified orbit fan is closed under
+    colored faces, so it then holds the whole orbit fan, and a subfan of a
+    quasiprojective fan is quasiprojective (it carves out an open invariant
+    piece).  Each skipped member is a colored face of a cone that passed
+    C1-C4, and so passes them itself.
     """
-    validated = faces is not None
-    if not validated:
-        faces = {}
-
     offender, images = _image_table(action, fan)
     if offender is not None:
         return KFormResult(
@@ -414,10 +416,9 @@ def _k_form(
     members = sorted(fan, key=lambda cc: -cc.cone.dim)
     for cc in members:
         orbit = images[cc.key()]
-        ordered, owners = _face_closure(datum, orbit.values(), faces)
-        orbit_keys = frozenset(m.key() for m in ordered)
-        if any(orbit_keys <= done for done in verified):
+        if any(orbit.keys() <= done for done in verified):
             continue
+        ordered, owners = _face_closure(datum, orbit.values(), faces)
         if not validated:
             try:
                 _check_overlap(datum, ordered, owners)
@@ -433,5 +434,5 @@ def _k_form(
                 orbits_quasiprojective=False,
                 reasons=(f"(b) the orbit fan of {cc.describe()} is not quasiprojective",),
             )
-        verified.append(orbit_keys)
+        verified.append(frozenset(m.key() for m in ordered))
     return KFormResult(True, invariant=True, orbits_quasiprojective=True)

@@ -161,8 +161,8 @@ def test_monoid_kform_checks_the_monoid_cone_once(monkeypatch):
 def test_kform_reuses_the_faces_of_the_validated_fan(monkeypatch):
     """Once ``parse_inputs`` has validated the fan and the action, ``kform``
     runs no colored-face pass and no relint LP: the orbit fans take the faces
-    that the fan validation computed, and F2 rules out overlapping orbit
-    cones.  Only the support LPs of the orbit fans are solved."""
+    that the loaded fan carries, and F2 rules out overlapping orbit cones.
+    Only the support LPs of the orbit fans are solved."""
     from coloredfans import colored, fileio, galois
 
     calls = []
@@ -175,9 +175,9 @@ def test_kform_reuses_the_faces_of_the_validated_fan(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(colored, "colored_faces", counting("faces", colored.colored_faces))
-    for module in (colored, galois):
-        relint = counting("relint", module.relative_interior_meets)
-        monkeypatch.setattr(module, "relative_interior_meets", relint)
+    # every relint LP, the F2 and overlap pair tests included, runs in colored
+    relint = counting("relint", colored.relative_interior_meets)
+    monkeypatch.setattr(colored, "relative_interior_meets", relint)
     monkeypatch.setattr(galois, "lp_feasible", counting("support", galois.lp_feasible))
     parse = fileio.parse_inputs
 

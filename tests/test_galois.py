@@ -426,12 +426,18 @@ def test_overlapping_orbit_matches_reference(toric_plane):
 
 def test_k_form_reads_faces_from_validation(monkeypatch, toric_plane, p2_fan):
     real_faces, real_validate = colored.colored_faces, colored._validate_fan
+    real_cone_check = colored.validate_colored_cone
     calls = []
+    cone_checks = []
     inside = []
 
     def counting_faces(datum, cc):
         calls.append((cc.key(), bool(inside)))
         return real_faces(datum, cc)
+
+    def counting_cone_check(datum, cc):
+        cone_checks.append(cc.key())
+        return real_cone_check(datum, cc)
 
     def flagged_validate(datum, fan):
         inside.append(True)
@@ -442,14 +448,22 @@ def test_k_form_reads_faces_from_validation(monkeypatch, toric_plane, p2_fan):
 
     for module in (colored, galois, quasiproj):
         monkeypatch.setattr(module, "colored_faces", counting_faces)
-    monkeypatch.setattr(galois, "_validate_fan", flagged_validate)
+    monkeypatch.setattr(colored, "validate_colored_cone", counting_cone_check)
+    monkeypatch.setattr(colored, "_validate_fan", flagged_validate)
     s3 = action_from_generators(
         toric_plane,
         [GroupElement.make([[0, -1], [1, -1]]), GroupElement.make(SWAP)],
     )
-    assert has_k_form(toric_plane, s3, p2_fan, check=True).verdict
+    # a fan built member by member is validated in full, once, and the orbit
+    # fans read the faces that its validation computed
+    assert has_k_form(toric_plane, s3, ColoredFan(p2_fan.cones), check=True).verdict
     assert Counter(key for key, _ in calls) == Counter(p2_fan.member_keys())
     assert all(in_validation for _, in_validation in calls)
+    # the closure-built fan carries its faces: no face pass and no cone check
+    calls.clear()
+    cone_checks.clear()
+    assert has_k_form(toric_plane, s3, p2_fan, check=True).verdict
+    assert calls == [] and cone_checks == []
     # orbit_subfan takes the faces of each distinct image once: one pass for
     # the origin, fixed by all six elements, and three for a maximal cone
     for member, passes in ((p2_fan.cones[0], 1), (p2_fan.cones[-1], 3)):
