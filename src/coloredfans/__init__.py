@@ -26,7 +26,6 @@ from .galois import (
     has_k_form,
     identity_element,
     is_fan_invariant,
-    orbit_subfan,
     validate_action,
 )
 from .linalg import RatMat, RatVec, mat, vec
@@ -87,7 +86,6 @@ __all__ = [
     "maximal_members",
     "monoid_cone_from_valuations",
     "monoid_has_k_form",
-    "orbit_subfan",
     "parse_inputs",
     "validate_action",
     "validate_colored_cone",

@@ -25,10 +25,6 @@ class InvalidFanError(ValueError):
     """A colored fan failed axiom validation where a validated one is required."""
 
 
-class OrbitOverlapError(ValueError):
-    """Orbit cones overlap inside the valuation cone: no invariant fan contains them."""
-
-
 class NotInvolutionError(ValueError):
     """The supplied automorphism matrix does not square to the identity."""
 

@@ -33,7 +33,7 @@ from .colored import (
     validate_colored_cone,
 )
 from .cones import cone_from_generators
-from .errors import InputFileError, SchemaError, SemanticError
+from .errors import InputFileError, InvalidColoredConeError, SchemaError, SemanticError
 from .galois import GroupAction, GroupElement, action_from_generators, validate_action
 from .monoid import MorphismData, validate_morphism_data
 from .quasiproj import maximal_members
@@ -204,21 +204,22 @@ class ParsedInputs:
 def validated_fan(
     datum: SphericalDatum, raw: list[ColoredCone]
 ) -> tuple[ColoredFan | None, ValidationReport]:
-    """Check raw maximal cones against C1-C4, close them under colored faces,
-    and validate the closed fan.
+    """Close raw maximal cones under colored faces and validate the closed fan.
 
-    Never raises on a failed axiom.  When a maximal cone fails C1-C4 no fan
-    is built: the result is ``None`` with a report keyed ``maximal[i].C*``.
+    Never raises on a failed axiom.  The closure checks each given cone
+    against C1-C4 once.  When one fails no fan is built: the result is
+    ``None`` with a report keyed ``maximal[i].C*`` for every given cone.
     Otherwise it is the closed fan with its report (``cone[i].C*``, ``F1``,
     ``F2``).  The closure proves C1-C4 and F1 for every member, so only F2
     is tested (:func:`colored._checked_fan`); the fan keeps the faces.
     """
-    report = ValidationReport(subject="fan members")
-    for i, cc in enumerate(raw):
-        report.merge(validate_colored_cone(datum, cc), f"maximal[{i}]")
-    if not report.passed:
+    try:
+        fan = fan_from_maximal_cones(datum, raw)
+    except InvalidColoredConeError:
+        report = ValidationReport(subject="fan members")
+        for i, cc in enumerate(raw):
+            report.merge(validate_colored_cone(datum, cc), f"maximal[{i}]")
         return None, report
-    fan = fan_from_maximal_cones(datum, raw)
     return fan, _checked_fan(datum, fan)[0]
 
 

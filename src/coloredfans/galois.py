@@ -4,17 +4,19 @@ A group element acts on the ambient space by a lattice automorphism (an
 integer matrix with integer inverse) and on the color labels by a
 permutation, compatibly with the placements and stabilizing the valuation
 cone.  The profinite group itself is never materialized: the caller supplies
-generators of the relevant finite quotient and the closure is computed with
-a size cap.  Element matrices keep integral entries as ``int``, so the
-closure multiplies integers; a cone's image under an element maps both of
-its descriptions by the matrix and a multiple of its inverse, computed once
-per element, and runs no double description.
+generators of the relevant finite quotient and the closure stops at
+``CLOSURE_CAP`` elements.  Element matrices keep integral entries as
+``int``, so the closure multiplies integers; a cone's image under an element
+maps both of its descriptions by the matrix and a multiple of its inverse,
+computed once per element, and runs no double description.
 
 ``has_k_form`` combines the two classification ingredients: (a) invariance
 of the fan under the action, and (b) quasiprojectivity of every member's
 orbit fan.  Invariance alone classifies the embedding among algebraic spaces
 over the base field; (b) is the extra condition for a scheme form, stated
-over a perfect base field.
+over a perfect base field.  Orbit fans are built in one place, inside
+``has_k_form``: the images come from the invariance loop, and their colored
+faces from the fan's validation or its proven facts.
 """
 
 from __future__ import annotations
@@ -32,10 +34,9 @@ from .colored import (
     _face_closure,
     _overlapping_pairs,
     _proven_faces,
-    colored_faces,
     member_sort_key,
 )
-from .errors import ClosureCapError, InvalidFanError, OrbitOverlapError
+from .errors import ClosureCapError, InvalidFanError
 from .cones import _integer_map
 from .linalg import RatMat, identity, mat, matmul, matvec, rank
 from .linprog import lp_feasible
@@ -46,6 +47,9 @@ PERFECT_FIELD_NOTE = (
     "scheme-form criterion: stated over a perfect base field; "
     "fan invariance alone classifies forms among algebraic spaces"
 )
+
+# Most elements a group closure may reach before ClosureCapError.
+CLOSURE_CAP = 100000
 
 
 @dataclass(frozen=True)
@@ -154,21 +158,19 @@ class GroupAction:
     generators: tuple[GroupElement, ...]
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def elements(self, cap: int = 100000) -> tuple[GroupElement, ...]:
+    def elements(self) -> tuple[GroupElement, ...]:
         """Closure of the generators under composition (identity included).
 
         A finite closure of invertible elements automatically contains the
         inverses.  Raises :class:`ClosureCapError` if the closure exceeds
-        ``cap`` elements; at once, before any closing, when a generator
-        matrix has infinite order, since its powers alone exceed every cap.
-        The closure is cached, and the cap applies to a cached closure too.
+        :data:`CLOSURE_CAP` elements; at once, before any closing, when a
+        generator matrix has infinite order, since its powers alone exceed
+        every cap.  The closure is cached.
         """
-        exceeded = f"group closure exceeded the cap of {cap} elements"
         cached = self._cache.get("elements")
         if cached is not None:
-            if len(cached) > cap:
-                raise ClosureCapError(exceeded)
             return cached
+        exceeded = f"group closure exceeded the cap of {CLOSURE_CAP} elements"
         if any(_has_infinite_order(g.matrix) for g in self.generators):
             raise ClosureCapError(exceeded)
         ident = identity_element(self.dim, self.colors)
@@ -189,7 +191,7 @@ class GroupAction:
                     if gh not in seen:
                         seen[gh] = None
                         new_frontier.append(gh)
-                        if len(seen) > cap:
+                        if len(seen) > CLOSURE_CAP:
                             raise ClosureCapError(exceeded)
             frontier = new_frontier
         out = tuple(seen)
@@ -300,41 +302,6 @@ def is_fan_invariant(datum: SphericalDatum, action: GroupAction, fan: ColoredFan
     return _image_table(action, fan)[0] is None
 
 
-def _check_overlap(datum: SphericalDatum, ordered: list, owners: list) -> None:
-    """Raise :class:`OrbitOverlapError` at the first pair of orbit members, in
-    order, whose relative interiors share a valuation vector.
-
-    Pairs of faces of one orbit cone are skipped: distinct faces of one cone
-    have disjoint relative interiors.
-    """
-    for i, j in _overlapping_pairs(datum, ordered, owners):
-        raise OrbitOverlapError(
-            f"orbit cones {ordered[i].describe()} and {ordered[j].describe()} "
-            "overlap inside the valuation cone"
-        )
-
-
-def orbit_subfan(
-    datum: SphericalDatum, action: GroupAction, cc: ColoredCone
-) -> ColoredFan:
-    """The fan generated by the orbit of one colored cone: orbit images closed
-    under colored faces.
-
-    Raises :class:`InvalidColoredConeError` when ``cc`` fails C1-C4, and
-    :class:`OrbitOverlapError` when two orbit cones share a valuation vector
-    in their relative interiors; no invariant fan can contain the orbit in
-    that case.
-    """
-    faces = {cc.key(): colored_faces(datum, cc)}
-    images: dict = {}
-    for g in action.elements():
-        moved = apply_element(g, cc)
-        images.setdefault(moved.key(), moved)
-    ordered, owners = _face_closure(datum, images.values(), faces)
-    _check_overlap(datum, ordered, owners)
-    return ColoredFan(tuple(ordered))
-
-
 @dataclass(frozen=True)
 class KFormResult:
     verdict: bool
@@ -419,13 +386,19 @@ def _k_form(
         if any(orbit.keys() <= done for done in verified):
             continue
         ordered, owners = _face_closure(datum, orbit.values(), faces)
-        if not validated:
-            try:
-                _check_overlap(datum, ordered, owners)
-            except OrbitOverlapError as exc:
-                return KFormResult(
-                    False, invariant=True, orbits_quasiprojective=False, reasons=(f"(b) {exc}",)
-                )
+        # pairs of faces of one orbit cone are skipped: distinct faces of one
+        # cone have disjoint relative interiors
+        overlap = None if validated else next(_overlapping_pairs(datum, ordered, owners), None)
+        if overlap is not None:
+            first, second = (ordered[i].describe() for i in overlap)
+            return KFormResult(
+                False,
+                invariant=True,
+                orbits_quasiprojective=False,
+                reasons=(
+                    f"(b) orbit cones {first} and {second} overlap inside the valuation cone",
+                ),
+            )
         maximal = sorted(orbit.values(), key=member_sort_key)
         if lp_feasible(_support_lp(datum, maximal)) is None:
             return KFormResult(

@@ -10,10 +10,11 @@ rows.
 Elimination runs on integers: each input row is scaled by the lcm of its
 denominators, and Gauss-Jordan elimination is fraction-free, every row
 divided by the gcd of its entries after each step.  :func:`rank` builds no
-``Fraction``; :func:`rref` builds one per output entry.  The private
-integer helpers below are shared with the cone engine, the LP layer and
-the group layer; ``_scaled_inverse`` inverts an integer matrix up to one
-positive scale by the same elimination, and :func:`invert` is built on it.
+``Fraction``.  The private integer helpers below are shared with the cone
+engine, the LP layer and the group layer; ``_scaled_inverse`` inverts an
+integer matrix up to one positive scale by the same elimination, and is the
+one inverse routine: the lattice check of a group element and the image of
+a cone under an invertible matrix both read it.
 """
 
 from __future__ import annotations
@@ -197,33 +198,5 @@ def _scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[IntVec], int] |
     return [tuple([x * (d // row[i]) for x in row[n:]]) for i, row in enumerate(reduced)], d
 
 
-def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[RatMat, tuple[int, ...]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns).
-
-    Raises ValueError when the rows do not share one length.
-    """
-    reduced, pivots = _echelon(_integral_rows(rows))
-    return (
-        tuple(
-            tuple(Fraction(x, row[p]) for x in row) for row, p in zip(reduced, pivots)
-        ),
-        tuple(pivots),
-    )
-
-
 def rank(rows: Iterable[Sequence[Fraction]]) -> int:
     return _rank(_integral_rows(rows))
-
-
-def invert(m: RatMat) -> RatMat | None:
-    """Exact inverse of a square matrix, or None if singular."""
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise ValueError("matrix is not square")
-    # m is B / c with B integral, so its inverse is c B^-1 = (c / d) (d B^-1)
-    flat, c = _over_common_denominator(x for row in m for x in row)
-    scaled = _scaled_inverse([flat[i * n : (i + 1) * n] for i in range(n)])
-    if scaled is None:
-        return None
-    inverse, d = scaled
-    return tuple(tuple(Fraction(c * x, d) for x in row) for row in inverse)

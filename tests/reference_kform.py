@@ -7,6 +7,10 @@ orbit fan from scratch (one ``colored_faces`` per group element and an
 all-pairs relative-interior scan) and decide it with ``is_quasiprojective``.
 ``has_k_form`` must give the same result, or raise the same exception with
 the same message, so the two are compared input by input.
+
+An ``orbits`` dict, passed to both functions, memoizes each member's orbit
+fan, or the exception building it raised, by member key.  It is valid for one
+datum and one action only, so a caller makes a fresh one per case.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from coloredfans.colored import (
     validate_colored_fan,
 )
 from coloredfans.cones import cone_from_generators
-from coloredfans.errors import InvalidColoredConeError, InvalidFanError, OrbitOverlapError
+from coloredfans.errors import InvalidColoredConeError, InvalidFanError
 from coloredfans.galois import KFormResult, validate_action
 from coloredfans.linalg import matvec
 from coloredfans.quasiproj import is_quasiprojective
@@ -37,7 +41,28 @@ def reference_image(g, cc) -> ColoredCone:
     )
 
 
-def reference_orbit_subfan(datum, action, cc) -> ColoredFan:
+class OrbitOverlapError(ValueError):
+    """Orbit cones overlap inside the valuation cone: no invariant fan contains them."""
+
+
+def reference_orbit_subfan(datum, action, cc, orbits: dict | None = None) -> ColoredFan:
+    """The orbit fan of ``cc``, closed from scratch, or the exception that
+    building it raises, looked up in ``orbits`` first when it is given."""
+    if orbits is None:
+        return _orbit_subfan(datum, action, cc)
+    key = cc.key()
+    if key not in orbits:
+        try:
+            orbits[key] = _orbit_subfan(datum, action, cc)
+        except (InvalidColoredConeError, OrbitOverlapError) as exc:
+            orbits[key] = exc
+    found = orbits[key]
+    if isinstance(found, Exception):
+        raise type(found)(*found.args)
+    return found
+
+
+def _orbit_subfan(datum, action, cc) -> ColoredFan:
     base = validate_colored_cone(datum, cc)
     if not base.passed:
         raise InvalidColoredConeError("; ".join(base.reasons) or "axioms failed")
@@ -66,7 +91,9 @@ def reference_invariance_offender(action, fan):
     return None
 
 
-def reference_has_k_form(datum, action, fan, check: bool = True) -> KFormResult:
+def reference_has_k_form(
+    datum, action, fan, check: bool = True, orbits: dict | None = None
+) -> KFormResult:
     if check:
         fan_report = validate_colored_fan(datum, fan)
         if not fan_report.passed:
@@ -92,7 +119,7 @@ def reference_has_k_form(datum, action, fan, check: bool = True) -> KFormResult:
     verified: list[frozenset] = []
     for cc in sorted(fan, key=lambda cc: -cc.cone.dim):
         try:
-            orbit = reference_orbit_subfan(datum, action, cc)
+            orbit = reference_orbit_subfan(datum, action, cc, orbits)
         except OrbitOverlapError as exc:
             return KFormResult(
                 False, invariant=True, orbits_quasiprojective=False, reasons=(f"(b) {exc}",)

@@ -131,6 +131,52 @@ def test_parse_inputs_rejects_invalid_fan(tmp_path):
         fileio.parse_inputs(FIXTURES / "datum_toric2.json", fan)
 
 
+def test_failed_fan_reports_every_given_cone(tmp_path):
+    # cone[0] passes, cone[1] fails C3 and cone[2] fails C4: the closure stops
+    # at cone[1], and the report still covers the cones after it
+    datum_path, fan_path = tmp_path / "datum.json", tmp_path / "fan.json"
+    datum_path.write_text(json.dumps({
+        "dim": 2,
+        "valuation_cone": {"generators": [[1, 0], [-1, 0], [0, 1], [0, -1]]},
+        "colors": [{"name": "D", "rho": [1, 0]}, {"name": "Z", "rho": [0, 0]}],
+    }))
+    fan_path.write_text(json.dumps({"cones": [
+        {"rays": [[1, 0], [0, 1]], "colors": ["D"]},
+        {"rays": [[-1, 0], [1, 0], [0, -1]]},
+        {"rays": [[-1, 1]], "colors": ["Z"]},
+    ]}))
+    datum = fileio.parse_datum(fileio.load_json(datum_path))
+    fan, report = fileio.validated_fan(datum, fileio.parse_fan(fileio.load_json(fan_path), datum))
+    assert fan is None
+    checks = {
+        f"maximal[{i}].C{k}": (i, k) not in ((1, 3), (2, 4)) for i in range(3) for k in range(1, 5)
+    }
+    assert repr(report) == (
+        f"ValidationReport(subject='fan members', checks={checks!r}, reasons=["
+        "'maximal[1]: C3: the cone contains a line', "
+        "\"maximal[2]: C4: colors placed at the origin: ['Z']\"], notes=[])"
+    )
+
+
+def test_loaded_fan_checks_each_given_cone_once(monkeypatch):
+    from coloredfans import colored
+
+    real = colored.validate_colored_cone
+    checked = []
+
+    def counting(datum, cc):
+        checked.append(cc.key())
+        return real(datum, cc)
+
+    for module in (colored, fileio):
+        monkeypatch.setattr(module, "validate_colored_cone", counting)
+    datum = fileio.parse_datum(fileio.load_json(FIXTURES / "datum_toric2.json"))
+    raw = fileio.parse_fan(fileio.load_json(FIXTURES / "fan_p1xp1.json"), datum)
+    fan, report = fileio.validated_fan(datum, raw)
+    assert fan is not None and report.passed
+    assert len(raw) == 4 and checked == [cc.key() for cc in raw]
+
+
 def test_non_integral_data_not_serializable():
     from coloredfans.colored import SphericalDatum
     from fractions import Fraction

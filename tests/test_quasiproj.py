@@ -126,14 +126,16 @@ def test_witness_transforms_contravariantly(toric_plane, p2_fan):
     # forms compose with the inverse map: l' = l o A^{-1}, so coefficient
     # vectors move by the transposed inverse; the mapped witness must satisfy
     # the transformed problem's constraints exactly
-    from coloredfans.linalg import invert, transpose
+    from reference_exact import reference_invert
+
+    from coloredfans.linalg import transpose
 
     rng = random.Random(98)
     base = is_quasiprojective(toric_plane, p2_fan)
     assert base.verdict
     for _ in range(3):
         a = random_unimodular(rng, 2)
-        contragredient = transpose(invert(a))
+        contragredient = transpose(reference_invert(a))
         moved_datum = SphericalDatum(2, toric_plane.valuation_cone.image(a))
         moved_fan = fan_from_maximal_cones(
             moved_datum,
