@@ -14,14 +14,15 @@ computed once per element, and runs no double description.
 of the fan under the action, and (b) quasiprojectivity of every member's
 orbit fan.  Invariance alone classifies the embedding among algebraic spaces
 over the base field; (b) is the extra condition for a scheme form, stated
-over a perfect base field.  Orbit fans are built in one place, inside
-``has_k_form``: the images come from the invariance loop, and their colored
-faces from the fan's validation or its proven facts.
+over a perfect base field.  Both are read off the generators' images of
+the members, never off the enumerated group.  Orbit fans are built in one
+place, inside ``has_k_form``, their colored faces taken from the fan's
+validation or its proven facts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping
@@ -156,7 +157,6 @@ class GroupAction:
     dim: int
     colors: tuple[str, ...]
     generators: tuple[GroupElement, ...]
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def elements(self) -> tuple[GroupElement, ...]:
         """Closure of the generators under composition (identity included).
@@ -165,24 +165,23 @@ class GroupAction:
         inverses.  Raises :class:`ClosureCapError` if the closure exceeds
         :data:`CLOSURE_CAP` elements; at once, before any closing, when a
         generator matrix has infinite order, since its powers alone exceed
-        every cap.  The closure is cached.
+        every cap.  The closure is kept; the error is raised on every call.
+        In the library only :func:`validate_action` reads it: invariance and
+        orbits come from the generators (:func:`_image_table`).
         """
-        cached = self._cache.get("elements")
-        if cached is not None:
-            return cached
+        return self._closure
+
+    @cached_property
+    def _closure(self) -> tuple[GroupElement, ...]:
         exceeded = f"group closure exceeded the cap of {CLOSURE_CAP} elements"
         if any(_has_infinite_order(g.matrix) for g in self.generators):
             raise ClosureCapError(exceeded)
         ident = identity_element(self.dim, self.colors)
-        # the identity, and so every product, spells each fixed color out;
-        # spelled out the same way, the generators give each element one form
+        # composed after the identity, which spells each fixed color out, each
+        # element has one form; the first round lists the distinct generators
         generators = [ident.compose(g) for g in self.generators]
         seen = {ident: None}
         frontier = [ident]
-        for g in generators:
-            if g not in seen:
-                seen[g] = None
-                frontier.append(g)
         while frontier:
             new_frontier = []
             for g in generators:
@@ -194,9 +193,7 @@ class GroupAction:
                         if len(seen) > CLOSURE_CAP:
                             raise ClosureCapError(exceeded)
             frontier = new_frontier
-        out = tuple(seen)
-        self._cache["elements"] = out
-        return out
+        return tuple(seen)
 
 
 def action_from_generators(
@@ -273,32 +270,37 @@ def apply_element(g: GroupElement, cc: ColoredCone) -> ColoredCone:
     return ColoredCone(cc.cone._image(*g._map), frozenset(g.apply_color(c) for c in cc.colors))
 
 
-def _image_table(
-    action: GroupAction, fan: ColoredFan
-) -> tuple[ColoredCone | None, dict]:
-    """Apply every group element to every member (elements outer, members
-    inner).
+def _image_table(action: GroupAction, fan: ColoredFan) -> tuple[ColoredCone | None, dict]:
+    """Apply each generator to each member (generators outer, members inner).
 
-    Returns the first member with an image outside the fan, or None when the
-    fan is invariant, and the table of images: for each member key, its
-    distinct images as fan members, keyed by member key, in order of first
-    appearance (the identity's image, the member itself, first).  The table
-    is complete only when no member offends.
+    Returns the first member with an image outside the fan, or None, and
+    each member's orbit: the members that generator images reach from it,
+    keyed by member key, itself first (none when a member offends).  What
+    each generator keeps in the fan, every product keeps there, and
+    :meth:`GroupAction.elements` lists the identity and the generators
+    first: the whole group gives the same offender and orbits.
     """
-    keyed = [(cc, cc.key()) for cc in fan]
-    members = {key: cc for cc, key in keyed}
-    images: dict = {key: {} for key in members}
-    for g in action.elements():
-        for cc, key in keyed:
+    members = {cc.key(): cc for cc in fan}
+    edges: dict = {key: [] for key in members}
+    for g in action.generators:
+        for key, cc in members.items():
             image = apply_element(g, cc).key()
             if image not in members:
-                return cc, images
-            images[key].setdefault(image, members[image])
-    return None, images
+                return cc, {}
+            edges[key].append(image)
+    orbits = {}
+    for start in members:
+        orbit, queue = {start: members[start]}, [start]
+        for key in queue:
+            reached = {image: members[image] for image in edges[key] if image not in orbit}
+            orbit.update(reached)
+            queue += reached
+        orbits[start] = orbit
+    return None, orbits
 
 
 def is_fan_invariant(datum: SphericalDatum, action: GroupAction, fan: ColoredFan) -> bool:
-    """True when every group element permutes the fan's members."""
+    """True when each generator, so each group element, maps members to members."""
     return _image_table(action, fan)[0] is None
 
 
@@ -320,10 +322,10 @@ def has_k_form(
     """Decide k-form existence: (a) the fan is invariant under the action and
     (b) every member's orbit fan is quasiprojective.
 
-    The orbit fan of a member Z is read off the invariance loop: the images
-    g.Z are fan members, and the orbit fan is the union of their colored
-    faces.  Its maximal cones are exactly the distinct images, all of
-    dimension dim Z, so the support LP is posed on them directly.
+    The orbit fan of a member Z is the union of the colored faces of its
+    images g.Z, the members that generator images reach from Z.  These are
+    its maximal cones, all of dimension dim Z, so the support LP is posed on
+    them directly.
 
     With ``check=True`` the fan and the action are validated first; the fan
     validation supplies every member's colored faces, and F2 rules out
@@ -380,8 +382,7 @@ def _k_form(
         )
 
     verified: list[frozenset] = []
-    members = sorted(fan, key=lambda cc: -cc.cone.dim)
-    for cc in members:
+    for cc in sorted(fan, key=lambda cc: -cc.cone.dim):
         orbit = images[cc.key()]
         if any(orbit.keys() <= done for done in verified):
             continue

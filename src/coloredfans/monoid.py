@@ -180,13 +180,12 @@ def check_fan_morphism(
     assignment = []
     reasons = []
     for cc in fan_src:
-        image_cone = cc.cone.image(m.matrix)
+        # a cone lies in a target cone exactly when its generators' images do
+        images = [matvec(m.matrix, g) for g in cc.cone.generators()]
         needed = {cmap[c] for c in cc.colors if c not in m.dominant_colors}
         target = None
         for candidate in fan_dst:
-            if needed <= candidate.colors and all(
-                candidate.cone.contains(g) for g in image_cone._generators()
-            ):
+            if needed <= candidate.colors and all(candidate.cone.contains(v) for v in images):
                 target = candidate
                 break
         if target is None:

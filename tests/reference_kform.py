@@ -9,8 +9,10 @@ all-pairs relative-interior scan) and decide it with ``is_quasiprojective``.
 the same message, so the two are compared input by input.
 
 An ``orbits`` dict, passed to both functions, memoizes each member's orbit
-fan, or the exception building it raised, by member key.  It is valid for one
-datum and one action only, so a caller makes a fresh one per case.
+fan, or the exception building it raised, by member key, and each orbit
+fan's quasiprojectivity verdict, by the frozenset of its member keys.  An
+``images`` dict memoizes each element's image of a member.  Each is valid for one datum
+and one action only, so a caller makes fresh ones per case.
 """
 
 from __future__ import annotations
@@ -82,17 +84,24 @@ def _orbit_subfan(datum, action, cc) -> ColoredFan:
     return ColoredFan(tuple(ordered))
 
 
-def reference_invariance_offender(action, fan):
+def reference_invariance_offender(action, fan, images: dict | None = None):
+    """The first member, elements outer and members inner, that an element
+    of the group moves out of the fan.  ``images`` memoizes each image key
+    by element and member key, for one action."""
+    images = {} if images is None else images
     keys = fan.member_keys()
     for g in action.elements():
         for cc in fan:
-            if reference_image(g, cc).key() not in keys:
+            image = images.get((g, cc.key()))
+            if image is None:
+                image = images[g, cc.key()] = reference_image(g, cc).key()
+            if image not in keys:
                 return cc
     return None
 
 
 def reference_has_k_form(
-    datum, action, fan, check: bool = True, orbits: dict | None = None
+    datum, action, fan, check: bool = True, orbits: dict | None = None, images: dict | None = None
 ) -> KFormResult:
     if check:
         fan_report = validate_colored_fan(datum, fan)
@@ -104,7 +113,8 @@ def reference_has_k_form(
                 "; ".join(action_report.reasons) or "action failed validation"
             )
 
-    offender = reference_invariance_offender(action, fan)
+    orbits = {} if orbits is None else orbits
+    offender = reference_invariance_offender(action, fan, images)
     if offender is not None:
         return KFormResult(
             False,
@@ -127,7 +137,9 @@ def reference_has_k_form(
         orbit_keys = orbit.member_keys()
         if any(orbit_keys <= done for done in verified):
             continue
-        if not is_quasiprojective(datum, orbit, check=False).verdict:
+        if orbit_keys not in orbits:
+            orbits[orbit_keys] = is_quasiprojective(datum, orbit, check=False).verdict
+        if not orbits[orbit_keys]:
             return KFormResult(
                 False,
                 invariant=True,

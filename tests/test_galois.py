@@ -1,13 +1,19 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 
 from conftest import random_unimodular, toric_datum
 from reference_exact import reference_invert
-from reference_kform import reference_has_k_form, reference_orbit_subfan
+from reference_kform import (
+    reference_has_k_form,
+    reference_invariance_offender,
+    reference_orbit_subfan,
+)
 from coloredfans import colored, galois, quasiproj
 from coloredfans.colored import (
     ColoredCone,
@@ -17,7 +23,8 @@ from coloredfans.colored import (
     member_sort_key,
 )
 from coloredfans.cones import cone_from_generators
-from coloredfans.errors import ClosureCapError
+from coloredfans.cli import run_command
+from coloredfans.errors import ClosureCapError, InvalidFanError, SemanticError
 from coloredfans.galois import (
     PERFECT_FIELD_NOTE,
     GroupAction,
@@ -30,6 +37,7 @@ from coloredfans.galois import (
     is_fan_invariant,
     validate_action,
 )
+from coloredfans.monoid import monoid_has_k_form
 from coloredfans.linalg import identity, mat, matmul, matvec
 from coloredfans.quasiproj import (
     _support_lp,
@@ -346,11 +354,12 @@ def _outcome(call):
         return (type(exc).__name__, str(exc))
 
 
-def _compare_with_reference(datum, action, fan, check, orbits=None):
-    """``orbits`` memoizes the reference's orbit fans for one datum and action."""
+def _compare_with_reference(datum, action, fan, check, orbits=None, images=None):
+    """``orbits`` and ``images`` memoize the reference's orbit fans and images
+    for one datum and action."""
     got = _outcome(lambda: has_k_form(datum, action, fan, check=check))
     assert got == _outcome(
-        lambda: reference_has_k_form(datum, action, fan, check=check, orbits=orbits)
+        lambda: reference_has_k_form(datum, action, fan, check, orbits, images)
     )
     return got
 
@@ -627,8 +636,184 @@ def test_image_table_runs_no_double_description(monkeypatch, toric_plane, p2_fan
     assert offender is None
     assert sorted(len(orbit) for orbit in images.values()) == [1, 3, 3, 3, 3, 3, 3]
     assert calls == []
-    # every image goes through apply_element, 6 elements times 7 members
-    assert len(applied) == 42 and len(set(map(id, applied))) == 6
+    # every image goes through apply_element, 2 generators times 7 members
+    assert len(applied) == 14 and len(set(map(id, applied))) == 2
     # a singular matrix keeps the double description
     p2_fan.cones[-1].cone.image(mat([[1, 0], [0, 0]]))
     assert calls
+
+
+# -- invariance and orbits from the generators --------------------------------
+
+
+def _signed_permutation(rng, dim):
+    perm = list(range(dim))
+    rng.shuffle(perm)
+    return [[rng.choice((1, -1)) if j == perm[i] else 0 for j in range(dim)] for i in range(dim)]
+
+
+def _signed_permutation_groups(rng):
+    """One group per (dimension, order) of signed permutation matrices, orders
+    2 to 8, in dimensions 2 and 3, each by one or two seeded generators."""
+    wanted = {(2, n) for n in (2, 4, 8)} | {(3, n) for n in (2, 3, 4, 6, 8)}
+    found = {}
+    while len(found) < len(wanted):
+        dim = rng.choice((2, 3))
+        gens = [_signed_permutation(rng, dim) for _ in range(rng.randint(1, 2))]
+        order = len(GroupAction(dim, (), tuple(map(GroupElement.make, gens))).elements())
+        if (dim, order) in wanted:
+            found.setdefault((dim, order), gens)
+    return [(dim, order, found[dim, order]) for dim, order in sorted(found)]
+
+
+def _redundant(gens, dim, colors=()):
+    """The generators again, with a repeated one, the identity and a product."""
+    return gens + [gens[0], identity_element(dim, colors), gens[0].compose(gens[-1])]
+
+
+def _route_agreement(datum, action, fan, orbits, images):
+    """has_k_form against the reference on ``fan`` for both ``check`` values,
+    and on ``fan`` with each member removed for ``check=False``;
+    is_fan_invariant against the reference's offender on all of them.
+    ``orbits`` and ``images`` are the reference's memos for the group."""
+    subs = [ColoredFan(fan.cones[:i] + fan.cones[i + 1:]) for i in range(len(fan))]
+    outcomes = [_compare_with_reference(datum, action, fan, True, orbits, images)]
+    for f in [fan] + subs:
+        outcomes.append(_compare_with_reference(datum, action, f, False, orbits, images))
+        offender = reference_invariance_offender(action, f, images)
+        assert is_fan_invariant(datum, action, f) == (offender is None)
+        if offender is None:
+            # each orbit is the set of the member's images under the whole group
+            table = galois._image_table(action, f)[1]
+            for cc in f:
+                assert table[cc.key()].keys() == {images[g, cc.key()] for g in action.elements()}
+    return outcomes
+
+
+def test_generator_table_matches_group_route():
+    """Seeded signed-permutation groups of orders 2 to 8, moved by unimodular
+    base changes and given by plain and by redundant generating sets, over
+    the square, P2, hexagon and octant fans, with the rank-one color swap:
+    the generator table gives the answers, offender text included, of the
+    reference that applies every group element."""
+    rng = random.Random(1606)
+    fans = {2: [_cycle(rays) for rays in (SQUARE_RAYS, P2_RAYS, HEXAGON_RAYS)], 3: [OCTANTS]}
+    outcomes = []
+    for dim, _, gens in _signed_permutation_groups(rng):
+        a = random_unimodular(rng, dim)
+        a_inv = reference_invert(a)
+        datum = toric_datum(dim)
+        moved = [GroupElement.make(matmul(a, matmul(m, a_inv))) for m in gens]
+        # both generating sets make one group, so they share the reference's memos
+        orbits: dict = {}
+        images: dict = {}
+        for generators in (moved, _redundant(moved, dim)):
+            action = action_from_generators(datum, generators)
+            for cones in fans[dim]:
+                fan = fan_from_maximal_cones(datum, [
+                    ColoredCone(cone_from_generators([matvec(a, r) for r in rays], dim))
+                    for rays in cones
+                ])
+                outcomes += _route_agreement(datum, action, fan, orbits, images)
+    for sign in (1, -1):
+        datum, fan, action = _kform_case(KFORM_CASES[3], ((sign,),))
+        orbits, images = {}, {}
+        for generators in (action.generators, _redundant(list(action.generators), 1, datum.colors)):
+            colored_action = action_from_generators(datum, generators)
+            outcomes += _route_agreement(datum, colored_action, fan, orbits, images)
+    # both kinds of answer are reached: a verdict and an offender
+    assert any("verdict=True" in o for o in outcomes)
+    assert any("offending cone" in o for o in outcomes)
+
+
+def test_singular_generator_orbits_are_the_reachable_members(toric_plane):
+    """Under ``check=False`` a singular projection may join the generators.
+    Each orbit of the generator table is still the set of images under every
+    element of the closure, and the offender is still the reference's."""
+    rng = random.Random(1607)
+    for rays in (SQUARE_RAYS, P2_RAYS, HEXAGON_RAYS):
+        for _ in range(2):
+            a = random_unimodular(rng, 2)
+            a_inv = reference_invert(a)
+            gens = [GroupElement.make(matmul(a, matmul(m, a_inv))) for m in ([[1, 0], [0, 0]], SWAP)]
+            action = action_from_generators(toric_plane, gens)
+            fan = fan_from_maximal_cones(toric_plane, [
+                ColoredCone(cone_from_generators([matvec(a, r) for r in c], 2))
+                for c in _cycle(rays)
+            ])
+            offender, orbits = galois._image_table(action, fan)
+            expected = reference_invariance_offender(action, fan)
+            assert (offender is None) == (expected is None)
+            if expected is not None:
+                assert offender.describe() == expected.describe()
+                result = has_k_form(toric_plane, action, fan, check=False)
+                assert result.reasons == reference_has_k_form(
+                    toric_plane, action, fan, check=False
+                ).reasons
+                continue
+            for cc in fan:
+                images = {apply_element(g, cc).key() for g in action.elements()}
+                assert orbits[cc.key()].keys() == images
+                assert next(iter(orbits[cc.key()])) == cc.key()
+
+
+def test_invariance_and_orbits_never_enumerate_the_group(
+    monkeypatch, tmp_path, toric_plane, p1xp1_fan
+):
+    """Invariance and orbits read only the generators.  The one change this
+    brings: for an action that ``validate_action`` rejects at its closure
+    check, such as a shear, the unchecked calls answer for the monoid the
+    generators make, where enumerating the group raised ClosureCapError.
+    The checked call and the CLI still reject the action first."""
+
+    def no_closure(self):
+        raise AssertionError("the group was enumerated")
+
+    monkeypatch.setattr(GroupAction, "elements", no_closure)
+    swap = swap_action(toric_plane)
+    assert is_fan_invariant(toric_plane, swap, p1xp1_fan)
+    assert has_k_form(toric_plane, swap, p1xp1_fan, check=False).verdict
+    monoid_cone = ColoredCone(cone_from_generators([(-1, 0), (0, -1)], 2))
+    skew = ColoredCone(cone_from_generators([(-1, 0), (-1, -1)], 2))
+    for force_lp in (False, True):
+        assert monoid_has_k_form(toric_plane, swap, monoid_cone, force_lp=force_lp)
+        assert not monoid_has_k_form(toric_plane, swap, skew, force_lp=force_lp)
+
+    shear = action_from_generators(toric_plane, [GroupElement.make([[1, 1], [0, 1]])])
+    axis = fan_from_maximal_cones(toric_plane, [
+        ColoredCone(cone_from_generators([(s, 0)], 2)) for s in (1, -1)
+    ])
+    start = perf_counter()
+    assert is_fan_invariant(toric_plane, shear, axis)
+    assert not is_fan_invariant(toric_plane, shear, p1xp1_fan)
+    assert has_k_form(toric_plane, shear, axis, check=False).verdict
+    assert has_k_form(toric_plane, shear, p1xp1_fan, check=False).reasons == (
+        "(a) fan is not invariant under the Galois action; offending cone: "
+        "(cone rays=[(0,-1)]; colors=[])",
+    )
+    ray = ColoredCone(cone_from_generators([(1, 0)], 2))
+    for force_lp in (False, True):
+        assert monoid_has_k_form(toric_plane, shear, ray, force_lp=force_lp)
+        assert not monoid_has_k_form(toric_plane, shear, monoid_cone, force_lp=force_lp)
+    assert perf_counter() - start < 0.1
+
+    monkeypatch.undo()
+    with pytest.raises(InvalidFanError) as caught:
+        has_k_form(toric_plane, shear, axis, check=True)
+    assert str(caught.value) == "closure: group closure exceeded the cap of 100000 elements"
+    fixtures = Path(__file__).parent / "fixtures"
+    action_file = tmp_path / "shear.json"
+    action_file.write_text(json.dumps(
+        {"generators": [{"matrix": [[1, 1], [0, 1]], "color_perm": {}}]}
+    ))
+    for command in ("kform", "monoid-kform"):
+        with pytest.raises(SemanticError) as caught:
+            run_command(
+                command,
+                datum_path=str(fixtures / "datum_toric2.json"),
+                fan_path=str(fixtures / "fan_single_ray.json"),
+                action_path=str(action_file),
+            )
+        assert str(caught.value) == (
+            "action violates closure: closure: group closure exceeded the cap of 100000 elements"
+        )

@@ -1,8 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
-from conftest import toric_datum
+from conftest import random_complete_2d_fan, random_unimodular, toric_datum
 from coloredfans.colored import ColoredCone, fan_from_maximal_cones
 from coloredfans.cones import cone_from_generators
 from coloredfans.errors import MonoidConeError, NotInvolutionError, SemanticError
@@ -17,6 +18,7 @@ from coloredfans.monoid import (
     monoid_has_k_form,
     validate_morphism_data,
 )
+from coloredfans.quasiproj import maximal_members
 
 
 def cc(gens, dim, colors=()):
@@ -182,6 +184,63 @@ def test_projection_fixture(toric_plane, toric_line):
     )
     assert not result.verdict
     assert result.reasons
+
+
+def reference_fan_morphism(m, fan_src, fan_dst):
+    """The assignment and reasons of check_fan_morphism, read off the image
+    cone that Cone.image builds, a double description for a singular matrix."""
+    cmap = m.color_map_dict
+    assignment, reasons = [], []
+    for src in fan_src:
+        image = src.cone.image(m.matrix)
+        needed = {cmap[c] for c in src.colors if c not in m.dominant_colors}
+        target = next(
+            (
+                dst
+                for dst in fan_dst
+                if needed <= dst.colors and all(dst.cone.contains(g) for g in image.generators())
+            ),
+            None,
+        )
+        if target is None:
+            reasons.append(f"no target member receives {src.describe()}")
+        else:
+            assignment.append((src.key(), target.key()))
+    return assignment, reasons
+
+
+def test_morphism_check_matches_image_cone_route(toric_plane, toric_line):
+    """Seeded projections of random complete plane fans onto a line, and
+    unimodular base changes of the identity: testing the images of a cone's
+    generators gives the assignment and reasons of the image-cone route."""
+    rng = random.Random(1608)
+    line_fans = [
+        fan_from_maximal_cones(toric_line, [cc(g, 1) for g in gens])
+        for gens in ([[(1,)], [(-1,)]], [[(1,)]], [[(-1,)]], [[]])
+    ]
+    cases = []
+    for _ in range(10):
+        fan = random_complete_2d_fan(rng, toric_plane)
+        row = (0, 0)
+        while row == (0, 0):
+            row = (rng.randint(-3, 3), rng.randint(-3, 3))
+        cases += [(toric_line, MorphismData.make([row]), fan, target) for target in line_fans]
+        a = random_unimodular(rng, 2)
+        moved = fan_from_maximal_cones(
+            toric_plane,
+            [ColoredCone(z.cone.image(a), z.colors) for z in maximal_members(toric_plane, fan)],
+        )
+        other = random_complete_2d_fan(rng, toric_plane)
+        cases += [(toric_plane, MorphismData.make(a), fan, target) for target in (moved, fan, other)]
+    verdicts = Counter()
+    for datum_dst, m, fan_src, fan_dst in cases:
+        result = check_fan_morphism(toric_plane, datum_dst, m, fan_src, fan_dst)
+        assignment, reasons = reference_fan_morphism(m, fan_src, fan_dst)
+        assert [(src.key(), dst.key()) for src, dst in result.assignment] == assignment
+        assert list(result.reasons) == reasons
+        assert result.verdict == (not reasons)
+        verdicts[result.verdict] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_morphism_data_invariants(toric_plane, toric_line, rank_one_datum):
