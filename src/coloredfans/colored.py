@@ -101,14 +101,13 @@ class ColoredCone:
 class _FanFacts:
     """What :func:`fan_from_maximal_cones` proved while it closed its cones.
 
-    ``given`` holds the keys of the given cones in order, ``faces`` the
-    colored faces of each given cone keyed by its key (so each passed C1-C4),
-    and ``owners`` the bit mask, per fan member in fan order, of the given
-    cones it is a colored face of.  They hold for ``datum`` only.
+    ``faces`` holds the colored faces of every member, keyed by member key,
+    as :func:`_face_closure` recorded them (each member passed C1-C4), and
+    ``owners`` the bit mask, per fan member in fan order, of the given cones
+    it is a colored face of.  They hold for ``datum`` only.
     """
 
     datum: SphericalDatum
-    given: tuple
     faces: dict
     owners: tuple[int, ...]
 
@@ -122,8 +121,9 @@ class ColoredFan:
     _facts: _FanFacts | None = field(default=None, init=False, compare=False, repr=False)
     """The facts of a fan built by :func:`fan_from_maximal_cones`, the only
     place that sets them; ``ColoredFan(...)`` and ``dataclasses.replace``
-    start without.  :func:`_checked_fan` reads them, so ``has_k_form`` and the
-    file loader test only F2.  ``validate_colored_fan``, ``maximal_members``,
+    start without.  They hold every member's colored faces.  :func:`_checked_fan`
+    reads them, so ``has_k_form`` and the file loader derive no face and test
+    only F2.  ``validate_colored_fan``, ``maximal_members``,
     ``build_support_lp`` and ``is_quasiprojective`` do not read them yet:
     the benchmark gate pins the work of ``is_quasiprojective(check=True)`` on
     the twisted cube by equality, and they switch over once its counts become
@@ -221,12 +221,10 @@ def fan_from_maximal_cones(
     The fan keeps the faces and owner masks of the closure as its facts (see
     :class:`_FanFacts`).
     """
-    given = list(maximal)
     faces: dict = {}
-    ordered, owners = _face_closure(datum, given, faces)
+    ordered, owners = _face_closure(datum, maximal, faces)
     fan = ColoredFan(tuple(ordered))
-    facts = _FanFacts(datum, tuple(cc.key() for cc in given), faces, tuple(owners))
-    object.__setattr__(fan, "_facts", facts)
+    object.__setattr__(fan, "_facts", _FanFacts(datum, faces, tuple(owners)))
     return fan
 
 
@@ -235,9 +233,13 @@ def _face_closure(
 ) -> tuple[list[ColoredCone], list[int]]:
     """The colored faces of ``cones``, deduplicated and sorted.
 
-    ``faces`` maps a member key to its colored faces; the faces of a cone
-    missing from it are computed, in the given order, and stored there.  Also
-    returns, for each face, the bit mask of the given cones it is a face of.
+    ``faces`` maps a member key to its colored faces.  Those of a given cone
+    missing from it are computed, in the given order; a face met first is
+    given the faces of its owner whose rays lie in it, which are its own, in
+    ``Cone.faces`` order (faces are strictly convex, C3).  A given cone met
+    earlier as a face is not checked again: it equals, key for key, a colored
+    face of a checked cone.  Also returns, for each face, the bit mask of the
+    given cones it is a face of.
     """
     members: dict = {}
     owners: dict = {}
@@ -246,6 +248,11 @@ def _face_closure(
         if key not in faces:
             faces[key] = colored_faces(datum, cc)
         for face in faces[key]:
+            if face.key() not in faces:
+                rays = set(face.cone._rays)
+                faces[face.key()] = tuple(
+                    sub for sub in faces[key] if rays.issuperset(sub.cone._rays)
+                )
             members.setdefault(face.key(), face)
             owners[face.key()] = owners.get(face.key(), 0) | 1 << bit
     ordered = sorted(members.values(), key=member_sort_key)
@@ -295,7 +302,8 @@ def _checked_fan(datum: SphericalDatum, fan: ColoredFan) -> tuple[ValidationRepo
     valuation vectors of the parent on it (C1), it is kept only when its
     relative interior meets the valuation cone (C2), and it inherits strict
     convexity and its colors from the parent (C3, C4).  Only F2 is tested,
-    on the pairs with no common owner.  Any other fan is validated in full.
+    on the pairs with no common owner, and the faces are looked up in the
+    facts (:func:`_proven_faces`).  Any other fan is validated in full.
     """
     faces = _proven_faces(datum, fan)
     if faces is None:
@@ -311,28 +319,12 @@ def _checked_fan(datum: SphericalDatum, fan: ColoredFan) -> tuple[ValidationRepo
 
 
 def _proven_faces(datum: SphericalDatum, fan: ColoredFan) -> dict | None:
-    """Every member's colored faces keyed by member key, in fan order, from
-    the facts of ``fan``; None when it has none for ``datum``.
-
-    A member that is not a given cone takes the colored faces of its first
-    owner that lie inside it: they are its own colored faces, with the same
-    colors, and ``Cone.faces`` sorts both lists alike.  Members are strictly
-    convex (C3), so a face of the owner lies inside the member exactly when
-    its rays are rays of the member.
-    """
+    """Every member's colored faces keyed by member key, in fan order, read
+    off the facts of ``fan``; None when it has none for ``datum``."""
     facts = fan._facts
     if facts is None or facts.datum is not datum:
         return None
-    out = {}
-    for cc, mask in zip(fan.cones, facts.owners):
-        key = cc.key()
-        faces = facts.faces.get(key)
-        if faces is None:
-            owner = facts.faces[facts.given[(mask & -mask).bit_length() - 1]]
-            rays = set(cc.cone._rays)
-            faces = tuple(face for face in owner if rays.issuperset(face.cone._rays))
-        out[key] = faces
-    return out
+    return {cc.key(): facts.faces[cc.key()] for cc in fan}
 
 
 def _overlapping_pairs(

@@ -35,7 +35,6 @@ from .colored import (
     _face_closure,
     _overlapping_pairs,
     _proven_faces,
-    member_sort_key,
 )
 from .errors import ClosureCapError, InvalidFanError
 from .cones import _integer_map
@@ -323,18 +322,18 @@ def has_k_form(
     (b) every member's orbit fan is quasiprojective.
 
     The orbit fan of a member Z is the union of the colored faces of its
-    images g.Z, the members that generator images reach from Z.  These are
-    its maximal cones, all of dimension dim Z, so the support LP is posed on
-    them directly.
+    images g.Z, the members that generator images reach from Z.  Its support
+    LP is posed on the images that are a face of no other image: all of them,
+    unless a singular generator under ``check=False`` maps Z onto a face.
 
     With ``check=True`` the fan and the action are validated first; the fan
     validation supplies every member's colored faces, and F2 rules out
     overlapping orbit cones.  A fan that :func:`fan_from_maximal_cones` built
-    for ``datum`` carries its faces and C1-C4 and F1, so only F2 is tested
-    (:func:`colored._checked_fan`); any other fan is validated in full.  With
-    ``check=False`` nothing is validated: the faces are taken from the fan's
-    facts or computed as needed, and overlapping orbit cones are looked for
-    and reported as a (b) failure (see :func:`_k_form`).
+    for ``datum`` carries every member's faces and C1-C4 and F1, so only F2 is
+    tested (:func:`colored._checked_fan`); any other fan is validated in full.
+    With ``check=False`` nothing is validated: the faces are looked up in the
+    fan's facts or computed as needed, and overlapping orbit cones are looked
+    for and reported as a (b) failure (see :func:`_k_form`).
     """
     if not check:
         return _k_form(datum, action, fan, _proven_faces(datum, fan) or {}, validated=False)
@@ -354,10 +353,12 @@ def _k_form(
     """The verdict of :func:`has_k_form` once its validation is settled.
 
     ``faces`` maps member keys to colored faces; the faces of a member
-    missing from it are computed when its orbit is closed, and stored there
-    (a member failing C1-C4 raises :class:`InvalidColoredConeError`).  When
-    ``validated`` is False, every orbit fan not yet verified is tested for
-    overlapping cones, which is reported as a (b) failure.  Otherwise the fan
+    missing from it are found when its orbit is closed, and stored there (a
+    member failing C1-C4 raises :class:`InvalidColoredConeError`).  Each
+    orbit fan's support LP is posed on the orbit members whose owner mask in
+    that closure has one bit, their own: no other orbit member has them as a
+    face.  When ``validated`` is False, every orbit fan not yet verified is
+    tested for overlapping cones, a (b) failure.  Otherwise the fan
     and the action have passed validation: F1 and invariance make every orbit
     member a fan member, so F2 already rules out overlapping orbit cones and
     no overlap test runs.
@@ -400,7 +401,9 @@ def _k_form(
                     f"(b) orbit cones {first} and {second} overlap inside the valuation cone",
                 ),
             )
-        maximal = sorted(orbit.values(), key=member_sort_key)
+        maximal = [
+            m for m, mask in zip(ordered, owners) if m.key() in orbit and mask & (mask - 1) == 0
+        ]
         if lp_feasible(_support_lp(datum, maximal)) is None:
             return KFormResult(
                 False,

@@ -67,6 +67,7 @@ def overlapping_colored_fans():
 def same_route(datum, fan):
     """Assert that the facts give the full validation's report and faces."""
     assert fan._facts is not None and fan._facts.datum is datum
+    assert fan._facts.faces.keys() == fan.member_keys()
     report, faces = _checked_fan(datum, fan)
     full, full_faces = _validate_fan(datum, fan)
     assert (report.subject, report.checks, report.reasons, report.notes) == (
@@ -93,9 +94,11 @@ def seeded_fans():
         (octant, [([(1, 0, 0), (0, 1, 0), (0, 0, 1)], ())]),
     ):
         yield datum, fan_from_maximal_cones(datum, _plain(datum, maximal))
-    # a given cone that is a face of another, and one given twice
+    # a given cone that is a face of another, and one given twice; then the
+    # face after its parent, so the closure meets it first as a derived face
     quadrant, ray = ([(1, 0), (0, 1)], ()), ([(1, 0)], ())
     yield plane, fan_from_maximal_cones(plane, _plain(plane, [ray, quadrant, ray, quadrant]))
+    yield plane, fan_from_maximal_cones(plane, _plain(plane, [quadrant, ray]))
     for _ in range(20):
         yield plane, random_complete_2d_fan(rng, plane, max_rays=6)
     # the 64 patterns share their 24 triangles, built once
@@ -123,7 +126,7 @@ def test_facts_route_matches_full_validation(monkeypatch):
 
     monkeypatch.setattr(colored, "relative_interior_meets", meets)
     verdicts = [same_route(datum, fan) for datum, fan in seeded_fans()]
-    assert len(verdicts) == len(KFORM_CASES) + 4 + 20 + 64 + 2
+    assert len(verdicts) == len(KFORM_CASES) + 5 + 20 + 64 + 2
     assert verdicts[-2:] == [False, False] and all(verdicts[:-2])
 
 
