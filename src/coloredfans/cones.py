@@ -46,7 +46,6 @@ from .linalg import (
     _dot,
     _echelon,
     _over_common_denominator,
-    _rank,
     _scaled_inverse,
 )
 
@@ -55,9 +54,12 @@ def _dd(rows: Sequence[Sequence[int]], dim: int) -> tuple[list[IntVec], list[Int
     """Double description of {x : r . x >= 0 for r in rows}, rows integral.
 
     Returns (lineality basis, extreme rays modulo the lineality space), as
-    primitive integer vectors, inserting one inequality at a time.
-    Adjacency of candidate ray pairs is decided by the exact rank test on
-    their common tight set.
+    primitive integer vectors, inserting one inequality at a time.  The
+    list holds exactly the extreme rays of the cone cut out so far, each
+    with its tight set, so a ray of positive and a ray of negative value on
+    the new row are adjacent exactly when no third ray's tight set contains
+    their common one (Fukuda & Prodon, "Double description method
+    revisited", 1996).  No elimination runs.
     """
     lin: list[IntVec] = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     # each ray carries the set of processed rows that vanish on it
@@ -93,13 +95,11 @@ def _dd(rows: Sequence[Sequence[int]], dim: int) -> tuple[list[IntVec], list[Int
                     minus.append((r, tight, v))
                 else:
                     kept.append((r, tight | {idx}))
-            target = dim - len(lin) - 2
-            if target >= 0:
-                for rp, tp, vp in plus:
-                    for rm, tm, vm in minus:
-                        common = tp & tm
-                        if len(common) < target or _rank([rows[i] for i in common]) != target:
-                            continue
+            for rp, tp, vp in plus:
+                for rm, tm, vm in minus:
+                    common = tp & tm
+                    # adjacent: rp and rm are the only rays tight on all of common
+                    if sum(common <= tight for _, tight in rays) == 2:
                         kept.append((_combine(vp, rm, vm, rp), common | {idx}))
             rays = kept
     return lin, [r for r, _ in rays]

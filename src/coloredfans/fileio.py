@@ -113,9 +113,12 @@ def parse_datum(obj, where: str = "datum") -> SphericalDatum:
         _int_vector(g, dim, f"{where}.valuation_cone.generators[{i}]")
         for i, g in enumerate(gens_obj)
     ]
+    colors_obj = data.get("colors", [])
+    if not isinstance(colors_obj, list):
+        raise SchemaError(f"{where}.colors: expected a list")
     names: list[str] = []
     rho: dict[str, tuple[int, ...]] = {}
-    for i, entry in enumerate(data.get("colors", [])):
+    for i, entry in enumerate(colors_obj):
         cobj = _expect_keys(entry, ("name", "rho"), (), f"{where}.colors[{i}]")
         name = cobj["name"]
         if not isinstance(name, str) or not name:

@@ -9,12 +9,13 @@ rows.
 
 Elimination runs on integers: each input row is scaled by the lcm of its
 denominators, and Gauss-Jordan elimination is fraction-free, every row
-divided by the gcd of its entries after each step.  :func:`rank` builds no
-``Fraction``.  The private integer helpers below are shared with the cone
-engine, the LP layer and the group layer; ``_scaled_inverse`` inverts an
-integer matrix up to one positive scale by the same elimination, and is the
-one inverse routine: the lattice check of a group element and the image of
-a cone under an invertible matrix both read it.
+divided by the gcd of its entries after each step.  ``_echelon`` is the one
+elimination routine.  :func:`rank` is its pivot count and builds no
+``Fraction``; the cone engine's echelon bases and the LP layer's equality
+substitution read its reduced rows; and ``_scaled_inverse`` runs it on
+``[A | I]`` to invert an integer matrix up to one positive scale, the one
+inverse routine: the lattice check of a group element and the image of a
+cone under an invertible matrix both read it.
 """
 
 from __future__ import annotations
@@ -154,32 +155,6 @@ def _echelon(rows: Iterable[Sequence[int]]) -> tuple[list[Sequence[int]], list[i
     return work[:k], pivots
 
 
-def _rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank of integer rows of one length by fraction-free forward elimination."""
-    work = [r for r in rows if any(r)]
-    if not work:
-        return 0
-    k = 0
-    for col in range(len(work[0])):
-        pivot_row = next((i for i in range(k, len(work)) if work[i][col]), None)
-        if pivot_row is None:
-            continue
-        prow = work[pivot_row]
-        work[pivot_row] = work[k]
-        work[k] = prow
-        p = prow[col]
-        for i in range(k + 1, len(work)):
-            row = work[i]
-            f = row[col]
-            if f:
-                g = gcd(p, f)
-                work[i] = _combine(p // g, row, f // g, prow)
-        k += 1
-        if k == len(work):
-            break
-    return k
-
-
 def _scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[IntVec], int] | None:
     """(d times the inverse, d) of a square integer matrix, with d > 0 the
     least integer that makes it integral; None when the matrix is singular.
@@ -199,4 +174,6 @@ def _scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[IntVec], int] |
 
 
 def rank(rows: Iterable[Sequence[Fraction]]) -> int:
-    return _rank(_integral_rows(rows))
+    """The rank of rational rows of one length: the pivot count of their
+    echelon form.  ValueError when the rows have different lengths."""
+    return len(_echelon(_integral_rows(rows))[1])

@@ -135,6 +135,30 @@ def test_dimension_limit_exit_codes(dim, code, tmp_path, capsys):
         assert out == "" and "datum.dim" in err
 
 
+@pytest.mark.parametrize("colors", [5, None, "D", {"name": "D", "rho": [1]}])
+@pytest.mark.parametrize("in_morphism", [False, True])
+def test_colors_that_are_not_a_list_are_input_errors(colors, in_morphism, tmp_path, capsys):
+    """A datum's ``colors`` must be a list: a number or null once raised
+    TypeError, and a string or an object was read element by element."""
+    bad = {"dim": 1, "valuation_cone": {"generators": [[1]]}, "colors": colors}
+    datum = tmp_path / "datum.json"
+    if in_morphism:
+        morphism = json.loads(Path(fx("morphism_projection.json")).read_text())
+        morphism["target_datum"] = bad
+        (tmp_path / "morphism.json").write_text(json.dumps(morphism))
+        datum.write_text(Path(fx("datum_toric2.json")).read_text())
+        argv = ["morphism", "--fan", fx("fan_quadrant.json"), "--morphism", str(tmp_path / "morphism.json")]
+        where = "morphism.target_datum.colors"
+    else:
+        datum.write_text(json.dumps(bad))
+        argv = ["validate"]
+        where = "datum.colors"
+    assert main(argv + ["--datum", str(datum)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"input error: {where}: expected a list"]
+
+
 def test_monoid_kform_checks_the_monoid_cone_once(monkeypatch):
     import coloredfans.cli
     import coloredfans.monoid

@@ -9,10 +9,11 @@ from conftest import membership_oracle, random_cone
 from reference_exact import (
     reference_cone_from_generators,
     reference_cone_from_inequalities,
+    reference_dd,
     reference_invert,
     reference_rank,
 )
-from coloredfans.cones import cone_from_generators, cone_from_inequalities
+from coloredfans.cones import _dd, cone_from_generators, cone_from_inequalities
 from coloredfans.linalg import identity, mat, matmul, vec
 
 
@@ -257,6 +258,67 @@ def test_cones_match_fraction_reference():
             assert all(type(x) is Fraction for f in fields for v in f for x in v)
             seen["lineality"] += bool(cone.lineality_basis)
             seen["span equations"] += bool(cone.span_equations)
+    assert min(seen.values()) > 20, seen
+
+
+def test_double_description_matches_rank_test_reference():
+    """Raw ``_dd`` output, in order, against the rational double description
+    that decides adjacency by rank: the rays as primitive vectors, the
+    lineality vectors up to a positive scale.
+
+    The inputs are 160 random row sets and the cube cones over
+    {1} x {-1, 1}^(n-1), n = 3..5, from their generators and from their
+    facets x_0 +- x_i >= 0, each as given and shuffled.  A random set holds
+    8-16 rows in dimension 3-6, each turned to be nonnegative on one
+    positive vector so that the cone is seldom zero, with zero, repeated and
+    negated rows among them; every fourth set vanishes on the last axis,
+    which is then lineality.  The facet rows give 2^(n-1) rays, so faces
+    with many rays, where the adjacency tests would part if the ray list
+    ever held more than the extreme rays, are met.
+    """
+    rng = random.Random(4099)
+    cases = []
+    for trial in range(160):
+        dim = 3 + trial % 4
+        inner = [rng.randint(1, 3) for _ in range(dim)]
+        rows: list[tuple] = []
+        for _ in range(rng.randint(8, 16)):
+            kind = rng.random()
+            if rows and kind < 0.1:
+                rows.append(tuple(-x for x in rng.choice(rows)))
+            elif rows and kind < 0.15:
+                rows.append(rng.choice(rows))
+            elif kind < 0.2:
+                rows.append((0,) * dim)
+            else:
+                row = tuple(rng.randint(-3, 3) for _ in range(dim))
+                sign = 1 if sum(a * c for a, c in zip(row, inner)) >= 0 else -1
+                rows.append(tuple(sign * x for x in row))
+        if trial % 4 == 3:
+            rows = [row[:-1] + (0,) for row in rows]
+        cases.append((rows, dim))
+    for n in range(3, 6):
+        cube = [(1,) + signs for signs in product((1, -1), repeat=n - 1)]
+        facets = [
+            tuple(int(j == 0) + s * int(j == i) for j in range(n))
+            for i in range(1, n)
+            for s in (1, -1)
+        ]
+        for rows in (cube, facets):
+            cases.append((rows, n))
+            cases.append((rng.sample(rows, len(rows)), n))
+    seen = {"lineality": 0, "opposite rows": 0, "many rays": 0}
+    for rows, dim in cases:
+        lin, rays = _dd(rows, dim)
+        ref_lin, ref_rays = reference_dd(rows, dim)
+        assert rays == ref_rays, (rows, dim)
+        assert len(lin) == len(ref_lin)
+        for b, ref in zip(lin, ref_lin):
+            scale = next(x / y for x, y in zip(ref, b) if y)
+            assert scale > 0 and ref == tuple(scale * x for x in b), (rows, dim)
+        seen["lineality"] += bool(lin)
+        seen["opposite rows"] += any(tuple(-x for x in row) in rows for row in rows if any(row))
+        seen["many rays"] += len(rays) >= 8
     assert min(seen.values()) > 20, seen
 
 
