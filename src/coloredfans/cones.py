@@ -28,7 +28,7 @@ span equations by the transpose of a positive multiple of its inverse, which
 one fraction-free elimination gives.  Images under singular or non-square
 matrices map the generators and convert them again.  Either way the whole
 matrix is scaled once, by one common denominator.  The
-public fields are ``Fraction`` tuples, built from the integer ones on first
+public fields are ``Fraction`` tuples, built from the integer ones on each
 read.
 """
 
@@ -162,27 +162,6 @@ def _fractions(vectors: Iterable[Sequence[int]]) -> RatMat:
     return tuple(tuple(map(Fraction, v)) for v in vectors)
 
 
-class _FractionView:
-    """A public field of a cone: the integer field ``source`` as ``Fraction``
-    tuples, built on first read and kept in the cone."""
-
-    def __init__(self, source: str):
-        self.source = source
-
-    def __set_name__(self, owner, name):
-        self.slot = f"_{name}_view"
-
-    def __get__(self, cone, owner=None):
-        if cone is None:
-            return self
-        try:
-            return getattr(cone, self.slot)
-        except AttributeError:
-            view = _fractions(getattr(cone, self.source))
-            setattr(cone, self.slot, view)
-            return view
-
-
 class Cone:
     """Immutable rational polyhedral cone in a fixed ambient dimension.
 
@@ -192,7 +171,7 @@ class Cone:
     normals); the package computes on these.  The public ``rays``,
     ``lineality_basis``, ``facet_normals``, ``span_equations`` and
     ``inequalities`` are the same vectors as ``Fraction`` tuples, built on
-    first read.  Equality, hashing and ordering read the integer fields,
+    each read.  Equality, hashing and ordering read the integer fields,
     which compare and hash as the ``Fraction`` ones do.
     """
 
@@ -203,21 +182,16 @@ class Cone:
         "_facets",
         "_span_eq",
         "_ineqs",
-        "_rays_view",
-        "_lineality_basis_view",
-        "_facet_normals_view",
-        "_span_equations_view",
-        "_inequalities_view",
         "_faces",
         "_relint",
         "_hash",
     )
 
-    rays = _FractionView("_rays")
-    lineality_basis = _FractionView("_lineality")
-    facet_normals = _FractionView("_facets")
-    span_equations = _FractionView("_span_eq")
-    inequalities = _FractionView("_ineqs")
+    rays = property(lambda self: _fractions(self._rays))
+    lineality_basis = property(lambda self: _fractions(self._lineality))
+    facet_normals = property(lambda self: _fractions(self._facets))
+    span_equations = property(lambda self: _fractions(self._span_eq))
+    inequalities = property(lambda self: _fractions(self._ineqs))
 
     def __init__(self, ambient_dim, rays, lineality_basis, facet_normals, span_equations):
         """The cone of canonical fields given as tuples of integer tuples."""

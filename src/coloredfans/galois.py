@@ -5,10 +5,12 @@ integer matrix with integer inverse) and on the color labels by a
 permutation, compatibly with the placements and stabilizing the valuation
 cone.  The profinite group itself is never materialized: the caller supplies
 generators of the relevant finite quotient and the closure stops at
-``CLOSURE_CAP`` elements.  Element matrices keep integral entries as
-``int``, so the closure multiplies integers; a cone's image under an element
-maps both of its descriptions by the matrix and a multiple of its inverse,
-computed once per element, and runs no double description.
+``CLOSURE_CAP`` elements, or at once on a generator of infinite order or,
+for lattice automorphisms, on two elements that agree mod 3.  Element
+matrices keep integral entries as ``int``, so the closure multiplies
+integers; a cone's image under an element maps both of its descriptions by
+the matrix and a multiple of its inverse, computed once per element, and
+runs no double description.
 
 ``has_k_form`` combines the two classification ingredients: (a) invariance
 of the fan under the action, and (b) quasiprojectivity of every member's
@@ -94,6 +96,19 @@ class GroupElement:
         of a positive multiple of its inverse."""
         return _integer_map(self.matrix)
 
+    @property
+    def _is_lattice_automorphism(self) -> bool:
+        """True when the matrix is square and integral with an integral
+        inverse: its determinant is +-1, that is the least d making d A^-1
+        integral is 1."""
+        m = self.matrix
+        if any(len(row) != len(m) for row in m):
+            return False
+        if any(x.denominator != 1 for row in m for x in row):
+            return False
+        inverse = self._map[1]
+        return inverse is not None and inverse[1] == 1
+
 
 def identity_element(dim: int, colors: Iterable[str] = ()) -> GroupElement:
     return GroupElement(identity(dim), tuple(sorted((c, c) for c in colors)))
@@ -164,9 +179,12 @@ class GroupAction:
         inverses.  Raises :class:`ClosureCapError` if the closure exceeds
         :data:`CLOSURE_CAP` elements; at once, before any closing, when a
         generator matrix has infinite order, since its powers alone exceed
-        every cap.  The closure is kept; the error is raised on every call.
-        In the library only :func:`validate_action` reads it: invariance and
-        orbits come from the generators (:func:`_image_table`).
+        every cap; and, when every generator is a lattice automorphism, as
+        soon as two elements share their color permutation and their matrix
+        mod 3, which proves the group infinite.  The closure is kept; the
+        error is raised on every call.  In the library only
+        :func:`validate_action` reads it: invariance and orbits come from the
+        generators (:func:`_image_table`).
         """
         return self._closure
 
@@ -180,6 +198,20 @@ class GroupAction:
         # element has one form; the first round lists the distinct generators
         generators = [ident.compose(g) for g in self.generators]
         seen = {ident: None}
+        # Lattice automorphisms only: two elements with one color permutation
+        # and one matrix mod 3 differ by a nontrivial element of the kernel of
+        # GL_n(Z) -> GL_n(Z/3), which is torsion-free (Minkowski), so the
+        # group is infinite.
+        lattice = all(g._is_lattice_automorphism for g in self.generators)
+        residues: dict = {}
+
+        def residue_clash(g: GroupElement) -> bool:
+            if not lattice:
+                return False
+            key = (tuple(tuple(x % 3 for x in row) for row in g.matrix), g.color_perm)
+            return residues.setdefault(key, g) != g
+
+        residue_clash(ident)  # records the identity's key
         frontier = [ident]
         while frontier:
             new_frontier = []
@@ -189,7 +221,7 @@ class GroupAction:
                     if gh not in seen:
                         seen[gh] = None
                         new_frontier.append(gh)
-                        if len(seen) > CLOSURE_CAP:
+                        if len(seen) > CLOSURE_CAP or residue_clash(gh):
                             raise ClosureCapError(exceeded)
             frontier = new_frontier
         return tuple(seen)
@@ -208,13 +240,9 @@ def validate_action(datum: SphericalDatum, action: GroupAction) -> ValidationRep
     for i, g in enumerate(action.generators):
         label = f"generator[{i}]"
         square = len(g.matrix) == datum.dim and all(len(r) == datum.dim for r in g.matrix)
-        integral = square and all(x.denominator == 1 for row in g.matrix for x in row)
-        # the inverse of an integer matrix is integral exactly when its
-        # determinant is +-1, that is when the least d making d A^-1 integral is 1
-        inverse = g._map[1] if integral else None
         report.record(
             f"{label}.lattice_automorphism",
-            inverse is not None and inverse[1] == 1,
+            square and g._is_lattice_automorphism,
             "not a lattice automorphism (needs integer entries and an integer inverse)",
         )
 

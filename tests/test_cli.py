@@ -240,6 +240,98 @@ def test_monoid_kform_names_the_failed_monoid_axioms():
     assert str(info.value) == "not a monoid cone: " + "; ".join(reasons)
 
 
+_PROJECTION = json.loads((FIXTURES / "morphism_projection.json").read_text())
+_LINE = {"dim": 1, "valuation_cone": {"generators": [[1], [-1]]}, "colors": []}
+
+# (command, {option: file content, or the name of a fixture}, start of the message)
+_INPUT_ERRORS = [
+    (
+        "validate",
+        {"datum": "datum_toric2.json", "action": {"generators": [{"matrix": [[1, 0]]}]}},
+        "action.generators[0].matrix: expected 2 rows",
+    ),
+    ("validate", {"datum": []}, "datum: expected an object"),
+    ("validate", {"datum": {"dim": 2}}, "datum: missing keys ['valuation_cone']"),
+    ("validate", {"datum": None}, "no such file: {datum}"),
+    ("validate", {"datum": "{"}, "{datum}: not valid JSON"),
+    (
+        "validate",
+        {"datum": {"dim": 1, "valuation_cone": {"generators": 5}}},
+        "datum.valuation_cone.generators: expected a list",
+    ),
+    (
+        "validate",
+        {"datum": {**_LINE, "colors": [{"name": "", "rho": [1]}]}},
+        "datum.colors[0].name: expected a nonempty string",
+    ),
+    ("validate", {"datum": "datum_toric2.json", "fan": {"cones": 5}}, "fan.cones: expected a list"),
+    (
+        "validate",
+        {"datum": "datum_toric2.json", "fan": {"cones": [{"rays": 5}]}},
+        "fan.cones[0].rays: expected a list",
+    ),
+    (
+        "validate",
+        {"datum": "datum_toric2.json", "action": {"generators": 5}},
+        "action.generators: expected a list",
+    ),
+    (
+        "validate",
+        {
+            "datum": "datum_toric2.json",
+            "action": {"generators": [{"matrix": [[1, 0], [0, 1]], "color_perm": {"X": "X"}}]},
+        },
+        "action.generators[0].color_perm: unknown colors ['X']",
+    ),
+    (
+        "morphism",
+        {
+            "datum": "datum_toric2.json",
+            "fan": "fan_quadrant.json",
+            "morphism": {**_PROJECTION, "dominant_colors": ["X"]},
+        },
+        "dominant colors must be source colors",
+    ),
+    (
+        "morphism",
+        {
+            "datum": "datum_horo1.json",
+            "fan": "fan_horo_p1.json",
+            "morphism": {**_PROJECTION, "matrix": [[1]], "color_map": {"D": "E"}},
+        },
+        "color map hits labels outside the target datum",
+    ),
+    (
+        "monoid",
+        {"datum": "datum_toric2.json", "fan": "fan_p1xp1.json"},
+        "monoid checks need a fan file with exactly one cone",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, files, message", _INPUT_ERRORS)
+def test_input_errors_name_the_place(command, files, message, tmp_path, capsys):
+    """Each malformed input exits 2 with one ``input error:`` line and no
+    report: a fixture name is read as it is, a string is written as the file's
+    text, None names a missing file, and anything else is written as JSON."""
+    argv = [command]
+    paths = {}
+    for option, content in files.items():
+        if isinstance(content, str) and content.endswith(".json"):
+            path = fx(content)
+        else:
+            path = str(tmp_path / f"{option}.json")
+            if content is not None:
+                Path(path).write_text(content if isinstance(content, str) else json.dumps(content))
+        argv += [f"--{option}", path]
+        paths[option] = path
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("input error: " + message.format(**paths))
+
+
 def test_invalid_action_matrix_is_input_error(tmp_path):
     action = tmp_path / "action.json"
     action.write_text(json.dumps({"generators": [{"matrix": [[1, 0], [0, 0]], "color_perm": {}}]}))

@@ -51,6 +51,26 @@ def test_no_inequalities_gives_whole_space():
     assert w.in_relative_interior((0, 0))
 
 
+def test_float_and_string_coordinates_are_exact_rationals():
+    ray = cone_from_generators([(2, 1)], 2)
+    assert cone_from_generators([(0.5, 0.25)], 2) == ray
+    assert cone_from_generators([("1/3", "1/6")], 2) == ray
+    # 2x + y = 0 and y >= 0
+    assert cone_from_inequalities([(0.5, 0.25), ("-1/3", "-1/6"), (0.0, 1.5)], 2) == (
+        cone_from_generators([(-1, 2)], 2)
+    )
+    assert ray.contains((0.5, 0.25)) and ray.contains(("2/3", "1/3"))
+    assert not ray.contains((0.5, 0.3)) and not ray.contains(("1/3", "1/3"))
+    assert ray.in_relative_interior(("1/3", "1/6"))
+    # the double 0.3 is not three times the double 0.1: exact values count
+    steep = cone_from_generators([(3, 1)], 2)
+    assert not steep.contains((0.3, 0.1)) and steep.contains(("3/10", "1/10"))
+    half_turn = [[0.0, -0.5], [0.5, 0.0]]
+    assert ray.image(half_turn) == cone_from_generators([(-1, 2)], 2)
+    assert ray.image([["1/3", "2/3"]]) == cone_from_generators([(1,)], 1)
+    assert ray.rays == (vec([2, 1]),)
+
+
 def test_inequality_constructor_matches_generator_constructor():
     d = cone_from_inequalities([(1, 1), (1, -1)], 2)
     e = cone_from_generators([(1, 1), (1, -1)], 2)

@@ -23,8 +23,9 @@ from coloredfans.colored import (
     member_sort_key,
 )
 from coloredfans.cones import cone_from_generators
-from coloredfans.cli import run_command
+from coloredfans.cli import main, run_command
 from coloredfans.errors import ClosureCapError, InvalidFanError, SemanticError
+from coloredfans.fileio import serialize_action, serialize_datum, serialize_fan
 from coloredfans.galois import (
     PERFECT_FIELD_NOTE,
     GroupAction,
@@ -39,6 +40,7 @@ from coloredfans.galois import (
 )
 from coloredfans.monoid import monoid_has_k_form
 from coloredfans.linalg import identity, mat, matmul, matvec
+from coloredfans.linprog import fourier_motzkin, lp_feasible
 from coloredfans.quasiproj import (
     _support_lp,
     build_support_lp,
@@ -405,6 +407,47 @@ def test_overlapping_orbit_matches_reference(toric_plane):
         _compare_with_reference(toric_plane, action, sub, False)
 
 
+def test_orbit_fan_that_is_not_quasiprojective(tmp_path, capsys):
+    """Refusal (b) on a valid, invariant fan: the cyclic orbit of one cone in
+    the toric 3-space gives three cones meeting only at the origin, whose
+    support LP has no solution."""
+    datum = toric_datum(3)
+    rotation = GroupElement.make([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    action = action_from_generators(datum, [rotation])
+    cc = ColoredCone(cone_from_generators([(-2, -1, -1), (2, 1, -1), (-2, 1, -1)], 3))
+    orbit = [cc, apply_element(rotation, cc), apply_element(rotation, apply_element(rotation, cc))]
+    fan = fan_from_maximal_cones(datum, orbit)
+    assert len(fan.cones) == 22
+    assert "group order 3" in validate_action(datum, action).notes
+    lp = _support_lp(datum, orbit)
+    assert (lp.num_vars, len(lp.ineq_constraints) + len(lp.eq_constraints)) == (9, 24)
+    assert lp_feasible(lp) is None and not fourier_motzkin(lp, max_vars=lp.num_vars)
+    refusal = (
+        "(b) the orbit fan of (cone rays=[(-2,-1,-1), (-2,1,-1), (2,1,-1)]; colors=[]) "
+        "is not quasiprojective",
+    )
+    for check in (True, False):
+        result = has_k_form(datum, action, fan, check=check)
+        assert (result.verdict, result.invariant, result.orbits_quasiprojective) == (
+            False, True, False
+        )
+        assert result.reasons == refusal
+        assert reference_has_k_form(datum, action, fan, check) == result
+
+    paths = {}
+    for name, text in (
+        ("datum", serialize_datum(datum)),
+        ("fan", serialize_fan(datum, fan)),
+        ("action", serialize_action(action)),
+    ):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
+    files = ["--datum", str(paths["datum"]), "--fan", str(paths["fan"])]
+    assert main(["kform", *files, "--action", str(paths["action"])]) == 1
+    assert "  orbit_fans_quasiprojective: FAIL" in capsys.readouterr().out.splitlines()
+    assert main(["quasiproj", *files]) == 1
+
+
 def test_k_form_reads_faces_from_validation(monkeypatch, toric_plane, p2_fan):
     real_faces, real_validate = colored.colored_faces, colored._validate_fan
     real_cone_check = colored.validate_colored_cone
@@ -474,6 +517,31 @@ def test_infinite_order_generator_fails_before_closing():
         "'closure': False}, reasons=['closure: group closure exceeded the cap of 100000 "
         "elements'], notes=[])"
     )
+
+
+def test_infinite_group_of_involutions_fails_fast():
+    """Two generators of order 2 pass the order check, yet their product has
+    infinite order for k >= 2: the closure stops at the first two elements
+    that agree mod 3, with the report the element cap gave."""
+    swap3 = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    cases = [(2, [SWAP, [[1, 0], [k, -1]]]) for k in (2, 3, 30)]
+    cases.append((3, [swap3, [[1, 0, 0], [3, -1, 0], [0, 0, 1]]]))
+    checks = ", ".join(
+        f"'generator[{i}].{check}': True"
+        for i in range(2)
+        for check in ("lattice_automorphism", "color_permutation", "equivariance", "valuation_stable")
+    )
+    for dim, matrices in cases:
+        datum = toric_datum(dim)
+        action = action_from_generators(datum, [GroupElement.make(m) for m in matrices])
+        start = perf_counter()
+        report = validate_action(datum, action)
+        assert perf_counter() - start < 0.1
+        assert repr(report) == (
+            f"ValidationReport(subject='group action with 2 generators', checks={{{checks}, "
+            "'closure': False}, reasons=['closure: group closure exceeded the cap of 100000 "
+            "elements'], notes=[])"
+        )
 
 
 # -- integer group elements ---------------------------------------------------
