@@ -21,16 +21,25 @@ Colored faces follow the usual convention: a geometric face qualifies when
 its relative interior meets the valuation cone, and it inherits exactly the
 parent colors placed inside it.  The convention is restated in every fan
 validation report.
+
+Whether a relative interior meets the valuation cone V is decided on two
+routes with the same answers.  :func:`relative_interior_meets`,
+:func:`colored_faces` and :func:`validate_colored_fan` solve one exact LP per
+test.  The face closure of :func:`fan_from_maximal_cones` checks each given
+cone C against C1-C4 once (C2 by the LP), keeps K = C ∩ V, which C1 builds,
+and decides each face from K with integer dot products
+(:func:`_face_meets`); F2 on a closure-built fan is decided from pairs of
+given cones, one double description each (:func:`_given_pairs_agree`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .cones import Cone, cone_from_generators, describe_vectors
+from .cones import Cone, _dd, cone_from_generators, describe_vectors
 from .errors import InvalidColoredConeError, InvalidFanError, UnknownColorError
-from .linalg import RatVec, is_zero, vec
+from .linalg import IntVec, RatVec, _dot, is_zero, vec
 from .linprog import LPProblem, lp_feasible
 from .reports import ValidationReport
 
@@ -102,9 +111,11 @@ class _FanFacts:
     """What :func:`fan_from_maximal_cones` proved while it closed its cones.
 
     ``faces`` holds the colored faces of every member, keyed by member key,
-    as :func:`_face_closure` recorded them (each member passed C1-C4), and
+    as :func:`_face_closure` recorded them (each member passed C1-C4, and
+    each face was kept by the test from K, :func:`_face_meets`), and
     ``owners`` the bit mask, per fan member in fan order, of the given cones
-    it is a colored face of.  They hold for ``datum`` only.
+    it is a colored face of; the given cones themselves are read off the
+    masks (:func:`_given_cones`).  They hold for ``datum`` only.
     """
 
     datum: SphericalDatum
@@ -123,7 +134,8 @@ class ColoredFan:
     place that sets them; ``ColoredFan(...)`` and ``dataclasses.replace``
     start without.  They hold every member's colored faces.  :func:`_checked_fan`
     reads them, so ``has_k_form`` and the file loader derive no face and test
-    only F2.  ``validate_colored_fan``, ``maximal_members``,
+    only F2, from the pairs of given cones and with no LP unless F2 fails.
+    ``validate_colored_fan``, ``maximal_members``,
     ``build_support_lp`` and ``is_quasiprojective`` do not read them yet:
     the benchmark gate pins the work of ``is_quasiprojective(check=True)`` on
     the twisted cube by equality, and they switch over once its counts become
@@ -166,6 +178,12 @@ def relative_interior_meets(datum: SphericalDatum, cone: Cone, *others: Cone) ->
 
 def validate_colored_cone(datum: SphericalDatum, cc: ColoredCone) -> ValidationReport:
     """Check the cone axioms C1-C4 for one colored cone."""
+    return _cone_axioms(datum, cc)[0]
+
+
+def _cone_axioms(datum: SphericalDatum, cc: ColoredCone) -> tuple[ValidationReport, Cone]:
+    """The report of :func:`validate_colored_cone`, and the intersection
+    K = C ∩ V of the cone with the valuation cone, which C1 builds."""
     colors = datum.check_colors(cc.colors)
     if cc.cone.ambient_dim != datum.dim:
         raise ValueError("colored cone does not live in the ambient dimension")
@@ -191,21 +209,62 @@ def validate_colored_cone(datum: SphericalDatum, cc: ColoredCone) -> ValidationR
     report.record(
         "C4", not zero_colors, f"colors placed at the origin: {zero_colors}"
     )
-    return report
+    return report, intersection
 
 
 def colored_faces(datum: SphericalDatum, cc: ColoredCone) -> tuple[ColoredCone, ...]:
-    """All colored faces of a validated colored cone, the cone itself included."""
+    """All colored faces of a validated colored cone, the cone itself included.
+
+    Each face's relative interior is tested against the valuation cone by an
+    LP (:func:`relative_interior_meets`).
+    """
     validate_colored_cone(datum, cc).require(InvalidColoredConeError, "axioms failed")
+    return _kept_faces(datum, cc, lambda face: relative_interior_meets(datum, face))
+
+
+def _closure_faces(datum: SphericalDatum, cc: ColoredCone) -> tuple[ColoredCone, ...]:
+    """:func:`colored_faces`, each relative interior decided from K = C ∩ V
+    (:func:`_face_meets`), with no LP."""
+    report, part = _cone_axioms(datum, cc)
+    report.require(InvalidColoredConeError, "axioms failed")
+    return _kept_faces(datum, cc, lambda face: _face_meets(part, face))
+
+
+def _face_meets(part: Cone, face: Cone) -> bool:
+    """True when the relative interior of ``face``, a face of a strictly
+    convex cone C, meets V, given ``part`` = C ∩ V.
+
+    F ∩ V = F ∩ K is the face of K spanned by the rays of K on F, and w_F,
+    their sum, lies in its relative interior.  That relative interior lies in
+    the relative interior of the smallest face of F holding F ∩ V
+    (Rockafellar, *Convex Analysis*, Thm 18.2), which is F itself exactly
+    when relint(F) meets V.  So relint(F) meets V exactly when w_F lies in
+    relint(F): integer dot products only.
+    """
+    on_face = [r for r in part._rays if all(_dot(e, r) == 0 for e in face._span_eq)]
+    return face._holds_in_relative_interior(_ray_sum(on_face, face.ambient_dim))
+
+
+def _kept_faces(
+    datum: SphericalDatum, cc: ColoredCone, meets: Callable[[Cone], bool]
+) -> tuple[ColoredCone, ...]:
+    """The faces F of ``cc`` with ``meets(F)``, in :meth:`Cone.faces` order,
+    each with the colors of ``cc`` placed in it."""
     out = []
     for face in cc.cone.faces():
-        if not relative_interior_meets(datum, face):
+        if not meets(face):
             continue
         inherited = frozenset(
             name for name in cc.colors if face.contains(datum.rho(name))
         )
         out.append(ColoredCone(face, inherited))
     return tuple(out)
+
+
+def _ray_sum(rays: Sequence[IntVec], dim: int) -> IntVec:
+    """The sum of ``rays``, a point in the relative interior of the cone they
+    generate; the origin when there are none."""
+    return tuple(map(sum, zip(*rays))) if rays else (0,) * dim
 
 
 def member_sort_key(cc: ColoredCone):
@@ -234,7 +293,10 @@ def _face_closure(
     """The colored faces of ``cones``, deduplicated and sorted.
 
     ``faces`` maps a member key to its colored faces.  Those of a given cone
-    missing from it are computed, in the given order; a face met first is
+    missing from it are computed, in the given order, by one C1-C4 check
+    and relints decided from K = C ∩ V (:func:`_closure_faces`, which
+    raises :class:`InvalidColoredConeError` as :func:`colored_faces` does);
+    only the given cones run :meth:`Cone.faces`.  A face met first is
     given the faces of its owner whose rays lie in it, which are its own, in
     ``Cone.faces`` order (faces are strictly convex, C3).  A given cone met
     earlier as a face is not checked again: it equals, key for key, a colored
@@ -246,7 +308,7 @@ def _face_closure(
     for bit, cc in enumerate(cones):
         key = cc.key()
         if key not in faces:
-            faces[key] = colored_faces(datum, cc)
+            faces[key] = _closure_faces(datum, cc)
         for face in faces[key]:
             if face.key() not in faces:
                 rays = set(face.cone._rays)
@@ -302,8 +364,12 @@ def _checked_fan(datum: SphericalDatum, fan: ColoredFan) -> tuple[ValidationRepo
     valuation vectors of the parent on it (C1), it is kept only when its
     relative interior meets the valuation cone (C2), and it inherits strict
     convexity and its colors from the parent (C3, C4).  Only F2 is tested,
-    on the pairs with no common owner, and the faces are looked up in the
-    facts (:func:`_proven_faces`).  Any other fan is validated in full.
+    on the pairs of given cones, read off the owner masks
+    (:func:`_given_cones`), with no LP (:func:`_given_pairs_agree`); when it
+    fails, the pairs of members with no common owner are tested by LP, so
+    that the reasons are those of the full route.  The faces are looked up
+    in the facts (:func:`_proven_faces`).  Any other fan is validated in
+    full.
     """
     faces = _proven_faces(datum, fan)
     if faces is None:
@@ -314,7 +380,11 @@ def _checked_fan(datum: SphericalDatum, fan: ColoredFan) -> tuple[ValidationRepo
         for axiom in ("C1", "C2", "C3", "C4"):
             report.checks[f"cone[{i}].{axiom}"] = True
     report.checks["F1"] = True
-    _record_f2(datum, fan, report, fan._facts.owners)
+    owners = fan._facts.owners
+    if _given_pairs_agree(datum, _given_cones(fan.cones, owners), faces):
+        report.checks["F2"] = True
+    else:
+        _record_f2(datum, fan, report, owners)
     return report, faces
 
 
@@ -325,6 +395,50 @@ def _proven_faces(datum: SphericalDatum, fan: ColoredFan) -> dict | None:
     if facts is None or facts.datum is not datum:
         return None
     return {cc.key(): facts.faces[cc.key()] for cc in fan}
+
+
+def _given_cones(cones: Sequence[ColoredCone], owners: Sequence[int]) -> list[ColoredCone]:
+    """For each bit of the owner masks of ``cones``, the cone of largest
+    dimension holding it: the given cone of that bit, whose other holders are
+    its proper faces."""
+    return [
+        max((cc for cc, mask in zip(cones, owners) if mask >> bit & 1), key=lambda cc: cc.cone.dim)
+        for bit in range(max(owners, default=0).bit_length())
+    ]
+
+
+def _given_pairs_agree(
+    datum: SphericalDatum, given: Iterable[ColoredCone], faces: dict
+) -> bool:
+    """True when no valuation vector lies in the relative interiors of two
+    distinct colored faces of the cones ``given``: F2 on their closure.
+
+    Each given cone passed C1-C4, and ``faces`` maps its key to its colored
+    faces.  For given cones Z, Z' with distinct keys, one double description
+    of the inequalities of Z, Z' and V gives the rays of Z ∩ Z' ∩ V, and w,
+    their sum, lies in its relative interior.  So the face G of Z holding w
+    in its relative interior is the smallest face of Z containing
+    Z ∩ Z' ∩ V (Rockafellar, *Convex Analysis*, Thm 18.2), and a colored
+    face, as w is a valuation vector; likewise G' of Z'.  The test is that
+    G and G', with their colors, agree for every pair.  If not, they are two
+    members holding w.  If so, and colored faces M of Z and M' of Z' share a
+    valuation vector v in their relative interiors, then v lies in
+    Z ∩ Z' ∩ V, so M and M' are faces of G = G' with v in both relative
+    interiors: the same cone, with the colors of G placed in it.
+    """
+    distinct = list({cc.key(): cc for cc in given}.values())
+    valuation = datum.valuation_cone._ineqs
+
+    def face_holding(cc: ColoredCone, w: IntVec):
+        return next(f.key() for f in faces[cc.key()] if f.cone._holds_in_relative_interior(w))
+
+    for i, first in enumerate(distinct):
+        for second in distinct[i + 1 :]:
+            _, rays = _dd(first.cone._ineqs + second.cone._ineqs + valuation, datum.dim)
+            w = _ray_sum(rays, datum.dim)
+            if face_holding(first, w) != face_holding(second, w):
+                return False
+    return True
 
 
 def _overlapping_pairs(

@@ -238,7 +238,11 @@ class Cone:
         return all(_dot(a, w) >= 0 for a in self._ineqs)
 
     def in_relative_interior(self, v: Sequence) -> bool:
-        w = self._check_vector(v)
+        return self._holds_in_relative_interior(self._check_vector(v))
+
+    def _holds_in_relative_interior(self, w: Sequence[int]) -> bool:
+        """:meth:`in_relative_interior` of an integer vector of the ambient
+        dimension."""
         if not all(_dot(e, w) == 0 for e in self._span_eq):
             return False
         return all(_dot(a, w) > 0 for a in self._facets)

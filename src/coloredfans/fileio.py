@@ -42,6 +42,13 @@ from .reports import ValidationReport
 # Largest ambient dimension a file may declare: the double description of a
 # cone with an n-dimensional lineality space costs about n**3 steps.
 MAX_DIM = 64
+# Most cones a fan may list, and most rays a cone may list (generators, for a
+# valuation cone): the closure checks every given cone and F2 compares every
+# pair, and a double description grows with the rays.  Both are checked
+# before any cone of the file is built.  The cone over the cube {1} x {-1,1}^7
+# has 128 rays.
+MAX_CONES = 512
+MAX_RAYS = 256
 
 
 def _require_int(x, where: str) -> int:
@@ -109,6 +116,8 @@ def parse_datum(obj, where: str = "datum") -> SphericalDatum:
     gens_obj = vc["generators"]
     if not isinstance(gens_obj, list):
         raise SchemaError(f"{where}.valuation_cone.generators: expected a list")
+    if len(gens_obj) > MAX_RAYS:
+        raise SchemaError(f"{where}.valuation_cone.generators: more than {MAX_RAYS}")
     gens = [
         _int_vector(g, dim, f"{where}.valuation_cone.generators[{i}]")
         for i, g in enumerate(gens_obj)
@@ -131,15 +140,22 @@ def parse_datum(obj, where: str = "datum") -> SphericalDatum:
 
 
 def parse_fan(obj, datum: SphericalDatum, where: str = "fan") -> list[ColoredCone]:
-    """Schema-level parse of the maximal cones; no axiom validation here."""
+    """Schema-level parse of the maximal cones; no axiom validation here.
+
+    Every entry is read, and checked against :data:`MAX_CONES` and
+    :data:`MAX_RAYS`, before any cone is built."""
     data = _expect_keys(obj, ("cones",), (), where)
     if not isinstance(data["cones"], list):
         raise SchemaError(f"{where}.cones: expected a list")
-    out = []
+    if len(data["cones"]) > MAX_CONES:
+        raise SchemaError(f"{where}.cones: more than {MAX_CONES}")
+    parsed = []
     for i, entry in enumerate(data["cones"]):
         cobj = _expect_keys(entry, ("rays",), ("colors",), f"{where}.cones[{i}]")
         if not isinstance(cobj["rays"], list):
             raise SchemaError(f"{where}.cones[{i}].rays: expected a list")
+        if len(cobj["rays"]) > MAX_RAYS:
+            raise SchemaError(f"{where}.cones[{i}].rays: more than {MAX_RAYS}")
         rays = [
             _int_vector(r, datum.dim, f"{where}.cones[{i}].rays[{j}]")
             for j, r in enumerate(cobj["rays"])
@@ -148,8 +164,8 @@ def parse_fan(obj, datum: SphericalDatum, where: str = "fan") -> list[ColoredCon
         unknown = sorted(set(colors) - set(datum.colors))
         if unknown:
             raise SchemaError(f"{where}.cones[{i}]: unknown colors {unknown}")
-        out.append(ColoredCone(cone_from_generators(rays, datum.dim), frozenset(colors)))
-    return out
+        parsed.append((rays, frozenset(colors)))
+    return [ColoredCone(cone_from_generators(rays, datum.dim), colors) for rays, colors in parsed]
 
 
 def parse_action(obj, datum: SphericalDatum, where: str = "action") -> GroupAction:

@@ -19,7 +19,10 @@ over the base field; (b) is the extra condition for a scheme form, stated
 over a perfect base field.  Both are read off the generators' images of
 the members, never off the enumerated group.  Orbit fans are built in one
 place, inside ``has_k_form``, their colored faces taken from the fan's
-validation or its proven facts.
+validation or its proven facts; the faces of a cone missing from both are
+decided from its intersection with the valuation cone, with no LP, and
+overlapping orbit cones are found from pairs of orbit cones, also with no
+LP (see :func:`_k_form`).
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .colored import (
     SphericalDatum,
     _checked_fan,
     _face_closure,
+    _given_pairs_agree,
     _overlapping_pairs,
     _proven_faces,
 )
@@ -386,7 +390,10 @@ def _k_form(
     orbit fan's support LP is posed on the orbit members whose owner mask in
     that closure has one bit, their own: no other orbit member has them as a
     face.  When ``validated`` is False, every orbit fan not yet verified is
-    tested for overlapping cones, a (b) failure.  Otherwise the fan
+    tested for overlapping cones, a (b) failure: the pairs of orbit cones are
+    compared with no LP (:func:`colored._given_pairs_agree`), and only an
+    overlap found there runs the LP pair test, which names its first pair.
+    Otherwise the fan
     and the action have passed validation: F1 and invariance make every orbit
     member a fan member, so F2 already rules out overlapping orbit cones and
     no overlap test runs.
@@ -416,9 +423,12 @@ def _k_form(
         if any(orbit.keys() <= done for done in verified):
             continue
         ordered, owners = _face_closure(datum, orbit.values(), faces)
-        # pairs of faces of one orbit cone are skipped: distinct faces of one
-        # cone have disjoint relative interiors
-        overlap = None if validated else next(_overlapping_pairs(datum, ordered, owners), None)
+        overlap = None
+        if not validated and not _given_pairs_agree(datum, orbit.values(), faces):
+            # the first overlapping pair, as the LP pair test finds it; pairs
+            # of faces of one orbit cone are skipped: distinct faces of one
+            # cone have disjoint relative interiors
+            overlap = next(_overlapping_pairs(datum, ordered, owners), None)
         if overlap is not None:
             first, second = (ordered[i].describe() for i in overlap)
             return KFormResult(

@@ -135,6 +135,57 @@ def test_dimension_limit_exit_codes(dim, code, tmp_path, capsys):
         assert out == "" and "datum.dim" in err
 
 
+@pytest.mark.parametrize(
+    "cones, where",
+    [
+        ([{"rays": [[1, 0]]}] * 513, "fan.cones: more than 512"),
+        ([{"rays": [[1, 0]] * 257}], "fan.cones[0].rays: more than 256"),
+    ],
+)
+def test_cone_and_ray_limits_are_input_errors(cones, where, tmp_path, capsys, monkeypatch):
+    """A fan may list 512 cones of 256 rays each; more is refused before
+    any cone of the fan is built."""
+    from coloredfans import fileio
+
+    assert (fileio.MAX_CONES, fileio.MAX_RAYS) == (512, 256)
+    fan = tmp_path / "fan.json"
+    fan.write_text(json.dumps({"cones": cones}))
+    built = []
+    real = fileio.cone_from_generators
+
+    def counting(gens, dim):
+        built.append(dim)
+        return real(gens, dim)
+
+    monkeypatch.setattr(fileio, "cone_from_generators", counting)
+    assert main(["validate", "--datum", fx("datum_toric2.json"), "--fan", str(fan)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [f"input error: {where}"]
+    assert built == [2]  # the valuation cone of the datum only
+
+
+def test_valuation_generator_limit_is_an_input_error(tmp_path, capsys):
+    datum = tmp_path / "datum.json"
+    datum.write_text(json.dumps({"dim": 1, "valuation_cone": {"generators": [[1]] * 257}}))
+    assert main(["validate", "--datum", str(datum)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["input error: datum.valuation_cone.generators: more than 256"]
+
+
+def test_limits_admit_the_eight_dimensional_cube_cone():
+    """The cone over {1} x {-1,1}^7, 128 rays, and 512 cones are read."""
+    from itertools import product
+
+    from coloredfans import fileio
+
+    datum = fileio.parse_datum({"dim": 8, "valuation_cone": {"generators": [[1] * 8] * 256}})
+    rays = [[1, *signs] for signs in product((-1, 1), repeat=7)]
+    (cube,) = fileio.parse_fan({"cones": [{"rays": rays}]}, datum)
+    assert len(cube.cone._rays) == 128
+    assert len(fileio.parse_fan({"cones": [{"rays": [[1] * 8]}] * 512}, datum)) == 512
+
+
 @pytest.mark.parametrize("colors", [5, None, "D", {"name": "D", "rho": [1]}])
 @pytest.mark.parametrize("in_morphism", [False, True])
 def test_colors_that_are_not_a_list_are_input_errors(colors, in_morphism, tmp_path, capsys):

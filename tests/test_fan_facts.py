@@ -2,7 +2,8 @@
 
 ``fan_from_maximal_cones`` keeps the colored faces and owner masks of its
 closure on the fan, and ``colored._checked_fan`` reads the fan's report and
-faces off them, testing only F2.  Each input here is decided both ways.
+faces off them, testing only F2, from pairs of given cones.  Each input here
+is decided both ways.
 """
 
 import dataclasses
@@ -13,7 +14,7 @@ import pytest
 
 from conftest import cube_pattern_cones, random_complete_2d_fan, random_unimodular, toric_datum
 from test_galois import KFORM_CASES, SWAP, _kform_case
-from coloredfans import colored, fileio
+from coloredfans import colored, fileio, galois
 from coloredfans.colored import (
     ColoredCone,
     ColoredFan,
@@ -52,16 +53,29 @@ def colored_plane():
 
 def overlapping_colored_fans():
     """Closure-built colored fans that fail F2: the quadrant beside the
-    half-cone with D, and the two half-cones sharing their ray with and
-    without D."""
+    half-cone with D; the two half-cones sharing their ray with and without
+    D; one half-cone given twice, with and without D; a ray given inside
+    the quadrant; and the ray of D given without D beside the half-cone
+    with D, of which it is a face."""
     datum = colored_plane()
+    half = [(1, 0), (1, 1)]
     return [
         (datum, fan_from_maximal_cones(datum, _plain(datum, maximal)))
         for maximal in (
-            [([(1, 0), (0, 1)], ()), ([(1, 0), (1, 1)], ("D",))],
-            [([(1, 0), (1, 1)], ("D",)), ([(1, 1), (0, 1)], ())],
+            [([(1, 0), (0, 1)], ()), (half, ("D",))],
+            [(half, ("D",)), ([(1, 1), (0, 1)], ())],
+            [(half, ("D",)), (half, ())],
+            [([(1, 0), (0, 1)], ()), ([(1, 2)], ())],
+            [(half, ("D",)), ([(1, 1)], ())],
         )
     ]
+
+
+def lower_half_plane():
+    """The plane with the lower half-plane as valuation cone, D placed at
+    (0, 1) and E at (1, 2), both outside it."""
+    valuation = cone_from_generators([(1, 0), (-1, 0), (0, -1)], 2)
+    return SphericalDatum(2, valuation, ("D", "E"), {"D": (0, 1), "E": (1, 2)})
 
 
 def same_route(datum, fan):
@@ -99,6 +113,15 @@ def seeded_fans():
     quadrant, ray = ([(1, 0), (0, 1)], ()), ([(1, 0)], ())
     yield plane, fan_from_maximal_cones(plane, _plain(plane, [ray, quadrant, ray, quadrant]))
     yield plane, fan_from_maximal_cones(plane, _plain(plane, [quadrant, ray]))
+    # two cones whose relative interiors meet only above the valuation cone
+    lower = lower_half_plane()
+    maximal = [([(1, -1), (0, 1)], ("D",)), ([(-1, -1), (1, 2)], ("E",))]
+    assert all(cone_from_generators(rays, 2).in_relative_interior((1, 3)) for rays, _ in maximal)
+    yield lower, fan_from_maximal_cones(lower, _plain(lower, maximal))
+    # the ray of D given with D, as the half-cone with D has it as a face
+    with_d = colored_plane()
+    maximal = [([(1, 0), (1, 1)], ("D",)), ([(1, 1)], ("D",))]
+    yield with_d, fan_from_maximal_cones(with_d, _plain(with_d, maximal))
     for _ in range(20):
         yield plane, random_complete_2d_fan(rng, plane, max_rays=6)
     # the 64 patterns share their 24 triangles, built once
@@ -126,8 +149,8 @@ def test_facts_route_matches_full_validation(monkeypatch):
 
     monkeypatch.setattr(colored, "relative_interior_meets", meets)
     verdicts = [same_route(datum, fan) for datum, fan in seeded_fans()]
-    assert len(verdicts) == len(KFORM_CASES) + 5 + 20 + 64 + 2
-    assert verdicts[-2:] == [False, False] and all(verdicts[:-2])
+    assert len(verdicts) == len(KFORM_CASES) + 7 + 20 + 64 + 5
+    assert verdicts[-5:] == [False] * 5 and all(verdicts[:-5])
 
 
 def test_facts_route_matches_full_validation_on_fixtures():
@@ -189,7 +212,7 @@ def test_facts_do_not_outlive_their_fan_or_datum(monkeypatch, toric_plane, p2_fa
 def test_unchecked_k_form_takes_faces_from_facts_and_still_tests_overlap(
     monkeypatch, toric_plane, p2_fan
 ):
-    counts = {"faces": 0, "relint": 0}
+    counts = {"faces": 0, "relint": 0, "pairs": 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -202,11 +225,14 @@ def test_unchecked_k_form_takes_faces_from_facts_and_still_tests_overlap(
     monkeypatch.setattr(
         colored, "relative_interior_meets", counting("relint", colored.relative_interior_meets)
     )
+    monkeypatch.setattr(galois, "_given_pairs_agree", counting("pairs", galois._given_pairs_agree))
     s3 = action_from_generators(
         toric_plane, [GroupElement.make([[0, -1], [1, -1]]), GroupElement.make(SWAP)]
     )
+    # the orbit is still tested for overlaps, from its pairs of cones and with
+    # no LP
     closed = has_k_form(toric_plane, s3, p2_fan, check=False)
-    assert counts["faces"] == 0 and counts["relint"] > 0
+    assert counts == {"faces": 0, "relint": 0, "pairs": 1}
     assert closed == has_k_form(toric_plane, s3, ColoredFan(p2_fan.cones), check=False)
 
     # a wide cone beside its mirror image: invariant, and the orbit overlaps
@@ -215,7 +241,9 @@ def test_unchecked_k_form_takes_faces_from_facts_and_still_tests_overlap(
         datum, _plain(datum, [([(1, 0), (1, 2)], ()), ([(0, 1), (2, 1)], ())])
     )
     swap = action_from_generators(datum, [GroupElement.make(SWAP)])
+    counts["relint"] = 0
     result = has_k_form(datum, swap, wide, check=False)
-    assert result == has_k_form(datum, swap, ColoredFan(wide.cones), check=False)
+    # the overlap is found, and the LP pair test names it
     assert result.invariant and not result.orbits_quasiprojective
-    assert "overlap" in result.reasons[0]
+    assert "overlap" in result.reasons[0] and counts["relint"] > 0
+    assert result == has_k_form(datum, swap, ColoredFan(wide.cones), check=False)

@@ -161,15 +161,15 @@ def test_failed_fan_reports_every_given_cone(tmp_path):
 def test_loaded_fan_checks_each_given_cone_once(monkeypatch):
     from coloredfans import colored
 
-    real = colored.validate_colored_cone
+    # every C1-C4 check, the closure's and the public one, runs _cone_axioms
+    real = colored._cone_axioms
     checked = []
 
     def counting(datum, cc):
         checked.append(cc.key())
         return real(datum, cc)
 
-    for module in (colored, fileio):
-        monkeypatch.setattr(module, "validate_colored_cone", counting)
+    monkeypatch.setattr(colored, "_cone_axioms", counting)
     datum = fileio.parse_datum(fileio.load_json(FIXTURES / "datum_toric2.json"))
     raw = fileio.parse_fan(fileio.load_json(FIXTURES / "fan_p1xp1.json"), datum)
     fan, report = fileio.validated_fan(datum, raw)

@@ -450,7 +450,7 @@ def test_orbit_fan_that_is_not_quasiprojective(tmp_path, capsys):
 
 def test_k_form_reads_faces_from_validation(monkeypatch, toric_plane, p2_fan):
     real_faces, real_validate = colored.colored_faces, colored._validate_fan
-    real_cone_check = colored.validate_colored_cone
+    real_cone_check = colored._cone_axioms
     calls = []
     cone_checks = []
     inside = []
@@ -472,7 +472,7 @@ def test_k_form_reads_faces_from_validation(monkeypatch, toric_plane, p2_fan):
 
     for module in (colored, quasiproj):
         monkeypatch.setattr(module, "colored_faces", counting_faces)
-    monkeypatch.setattr(colored, "validate_colored_cone", counting_cone_check)
+    monkeypatch.setattr(colored, "_cone_axioms", counting_cone_check)
     monkeypatch.setattr(colored, "_validate_fan", flagged_validate)
     s3 = action_from_generators(
         toric_plane,
