@@ -25,11 +25,11 @@ validation report.
 Whether a relative interior meets the valuation cone V is decided on two
 routes with the same answers.  :func:`relative_interior_meets`,
 :func:`colored_faces` and :func:`validate_colored_fan` solve one exact LP per
-test.  The face closure of :func:`fan_from_maximal_cones` checks each given
-cone C against C1-C4 once (C2 by the LP), keeps K = C ∩ V, which C1 builds,
-and decides each face from K with integer dot products
-(:func:`_face_meets`); F2 on a closure-built fan is decided from pairs of
-given cones, one double description each (:func:`_given_pairs_agree`).
+test.  The face closure (:func:`_face_closure`) checks each given cone C
+against C1-C4 once (C2 by the LP), keeps K = C ∩ V, which C1 builds, and
+decides each face from K with integer dot products (:func:`_face_meets`).
+Its :class:`_Closure` decides F2 from pairs of given cones, one double
+description each, and names the maximal members.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .cones import Cone, _dd, cone_from_generators, describe_vectors
+from .cones import Cone, _dd, _ray_sum, cone_from_generators, describe_vectors
 from .errors import InvalidColoredConeError, InvalidFanError, UnknownColorError
 from .linalg import IntVec, RatVec, _dot, is_zero, vec
 from .linprog import LPProblem, lp_feasible
@@ -107,39 +107,22 @@ class ColoredCone:
 
 
 @dataclass(frozen=True)
-class _FanFacts:
-    """What :func:`fan_from_maximal_cones` proved while it closed its cones.
-
-    ``faces`` holds the colored faces of every member, keyed by member key,
-    as :func:`_face_closure` recorded them (each member passed C1-C4, and
-    each face was kept by the test from K, :func:`_face_meets`), and
-    ``owners`` the bit mask, per fan member in fan order, of the given cones
-    it is a colored face of; the given cones themselves are read off the
-    masks (:func:`_given_cones`).  They hold for ``datum`` only.
-    """
-
-    datum: SphericalDatum
-    faces: dict
-    owners: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ColoredFan:
     """A finite set of colored cones, stored in a fixed order: repeated
     members (equal :meth:`ColoredCone.key`) keep their first occurrence."""
 
     cones: tuple[ColoredCone, ...]
-    _facts: _FanFacts | None = field(default=None, init=False, compare=False, repr=False)
-    """The facts of a fan built by :func:`fan_from_maximal_cones`, the only
-    place that sets them; ``ColoredFan(...)`` and ``dataclasses.replace``
-    start without.  They hold every member's colored faces.  :func:`_checked_fan`
-    reads them, so ``has_k_form`` and the file loader derive no face and test
-    only F2, from the pairs of given cones and with no LP unless F2 fails.
-    ``validate_colored_fan``, ``maximal_members``,
-    ``build_support_lp`` and ``is_quasiprojective`` do not read them yet:
-    the benchmark gate pins the work of ``is_quasiprojective(check=True)`` on
-    the twisted cube by equality, and they switch over once its counts become
-    upper bounds."""
+    _facts: _Closure | None = field(default=None, init=False, compare=False, repr=False)
+    """The closure a fan built by :func:`fan_from_maximal_cones` was read
+    off, the only place that sets it; ``ColoredFan(...)`` and
+    ``dataclasses.replace`` start without.  It holds every member's colored
+    faces.  :func:`_checked_fan` reads it, so ``has_k_form`` and the file
+    loader derive no face and test only F2, from the pairs of given cones
+    and with no LP unless F2 fails.  ``validate_colored_fan``,
+    ``maximal_members``, ``build_support_lp`` and ``is_quasiprojective`` do
+    not read it yet: the benchmark gate pins the work of
+    ``is_quasiprojective(check=True)`` on the twisted cube by equality, and
+    they switch over once its counts become upper bounds."""
 
     def __post_init__(self):
         distinct: dict = {}
@@ -261,12 +244,6 @@ def _kept_faces(
     return tuple(out)
 
 
-def _ray_sum(rays: Sequence[IntVec], dim: int) -> IntVec:
-    """The sum of ``rays``, a point in the relative interior of the cone they
-    generate; the origin when there are none."""
-    return tuple(map(sum, zip(*rays))) if rays else (0,) * dim
-
-
 def member_sort_key(cc: ColoredCone):
     cone = cc.cone
     return (cone.dim, cone._rays, cone._lineality, tuple(sorted(cc.colors)))
@@ -277,36 +254,84 @@ def fan_from_maximal_cones(
 ) -> ColoredFan:
     """Close the given colored cones under colored faces, deduplicated and sorted.
 
-    The fan keeps the faces and owner masks of the closure as its facts (see
-    :class:`_FanFacts`).
+    The fan keeps its :class:`_Closure` as its facts.
     """
-    faces: dict = {}
-    ordered, owners = _face_closure(datum, maximal, faces)
-    fan = ColoredFan(tuple(ordered))
-    object.__setattr__(fan, "_facts", _FanFacts(datum, faces, tuple(owners)))
+    closure = _face_closure(datum, maximal, {})
+    fan = ColoredFan(closure.members)
+    object.__setattr__(fan, "_facts", closure)
     return fan
+
+
+@dataclass(frozen=True, eq=False)
+class _Closure:
+    """The colored faces of some given colored cones, closed for ``datum``
+    by :func:`_face_closure`.
+
+    ``members`` holds them deduplicated and sorted; ``owners`` the bit mask,
+    per member, of the given cones it is a colored face of, one bit per
+    distinct given cone; ``faces`` maps each member key (and maybe others)
+    to its colored faces.  Every member is a colored face of a given cone
+    that passed C1-C4.
+    """
+
+    datum: SphericalDatum
+    members: tuple[ColoredCone, ...]
+    owners: tuple[int, ...]
+    faces: dict
+
+    def given(self) -> list[ColoredCone]:
+        """The given cones, in bit order: for each bit, the member of largest
+        dimension holding it, as its other holders are its proper faces."""
+        bits = range(max(self.owners, default=0).bit_length())
+        held = [[cc for cc, m in zip(self.members, self.owners) if m >> b & 1] for b in bits]
+        return [max(cones, key=lambda cc: cc.cone.dim) for cones in held]
+
+    def maximal(self) -> list[ColoredCone]:
+        """The members that are a colored face of no other member, in member
+        order: the given cones whose mask has one bit, their own."""
+        given = {cc.key() for cc in self.given()}
+        return [
+            m
+            for m, mask in zip(self.members, self.owners)
+            if mask & (mask - 1) == 0 and m.key() in given
+        ]
+
+    def overlaps(self):
+        """Yield, in order, the pairs ``i < j`` of members whose relative
+        interiors share a valuation vector: F2 holds when there is none.
+
+        The pairs of given cones are screened first, with no LP
+        (:func:`_given_pairs_agree`).  Only when the screen fails are the
+        pairs of members with no common owner tested by LP
+        (:func:`_overlapping_pairs`), so that the pairs are those of the
+        all-pairs test.
+        """
+        if not _given_pairs_agree(self.datum, self.given(), self.faces):
+            yield from _overlapping_pairs(self.datum, self.members, self.owners)
 
 
 def _face_closure(
     datum: SphericalDatum, cones: Iterable[ColoredCone], faces: dict
-) -> tuple[list[ColoredCone], list[int]]:
-    """The colored faces of ``cones``, deduplicated and sorted.
+) -> _Closure:
+    """The :class:`_Closure` of ``cones``.
 
-    ``faces`` maps a member key to its colored faces.  Those of a given cone
-    missing from it are computed, in the given order, by one C1-C4 check
-    and relints decided from K = C ∩ V (:func:`_closure_faces`, which
-    raises :class:`InvalidColoredConeError` as :func:`colored_faces` does);
-    only the given cones run :meth:`Cone.faces`.  A face met first is
-    given the faces of its owner whose rays lie in it, which are its own, in
-    ``Cone.faces`` order (faces are strictly convex, C3).  A given cone met
-    earlier as a face is not checked again: it equals, key for key, a colored
-    face of a checked cone.  Also returns, for each face, the bit mask of the
-    given cones it is a face of.
+    ``faces`` maps a member key to its colored faces, and the closure keeps
+    it.  Those of a given cone missing from it are computed, in the given
+    order, by one C1-C4 check and relints decided from K = C ∩ V
+    (:func:`_closure_faces`, which raises :class:`InvalidColoredConeError` as
+    :func:`colored_faces` does); only the given cones run :meth:`Cone.faces`.
+    A face met first is given the faces of its owner whose rays lie in it,
+    which are its own, in ``Cone.faces`` order (faces are strictly convex,
+    C3).  A given cone met earlier as a face is not checked again: it equals,
+    key for key, a colored face of a checked cone.  A cone given twice keeps
+    its first occurrence.
     """
+    given: dict = {}
+    for cc in cones:
+        given.setdefault(cc.key(), cc)
     members: dict = {}
     owners: dict = {}
-    for bit, cc in enumerate(cones):
-        key = cc.key()
+    for bit, (key, cc) in enumerate(given.items()):
         if key not in faces:
             faces[key] = _closure_faces(datum, cc)
         for face in faces[key]:
@@ -317,8 +342,8 @@ def _face_closure(
                 )
             members.setdefault(face.key(), face)
             owners[face.key()] = owners.get(face.key(), 0) | 1 << bit
-    ordered = sorted(members.values(), key=member_sort_key)
-    return ordered, [owners[cc.key()] for cc in ordered]
+    ordered = tuple(sorted(members.values(), key=member_sort_key))
+    return _Closure(datum, ordered, tuple(owners[cc.key()] for cc in ordered), faces)
 
 
 def validate_colored_fan(datum: SphericalDatum, fan: ColoredFan) -> ValidationReport:
@@ -351,7 +376,7 @@ def _validate_fan(datum: SphericalDatum, fan: ColoredFan) -> tuple[ValidationRep
                     f"F1: colored face {face.describe()} of cone[{i}] is not a member"
                 )
     report.checks["F1"] = f1_ok
-    _record_f2(datum, fan, report)
+    _record_f2(fan, report, _overlapping_pairs(datum, fan.cones))
     return report, faces
 
 
@@ -364,12 +389,9 @@ def _checked_fan(datum: SphericalDatum, fan: ColoredFan) -> tuple[ValidationRepo
     valuation vectors of the parent on it (C1), it is kept only when its
     relative interior meets the valuation cone (C2), and it inherits strict
     convexity and its colors from the parent (C3, C4).  Only F2 is tested,
-    on the pairs of given cones, read off the owner masks
-    (:func:`_given_cones`), with no LP (:func:`_given_pairs_agree`); when it
-    fails, the pairs of members with no common owner are tested by LP, so
-    that the reasons are those of the full route.  The faces are looked up
-    in the facts (:func:`_proven_faces`).  Any other fan is validated in
-    full.
+    by the overlaps of the closure (:meth:`_Closure.overlaps`), whose pairs
+    give the reasons of the full route.  The faces are looked up in the
+    closure (:func:`_proven_faces`).  Any other fan is validated in full.
     """
     faces = _proven_faces(datum, fan)
     if faces is None:
@@ -380,11 +402,7 @@ def _checked_fan(datum: SphericalDatum, fan: ColoredFan) -> tuple[ValidationRepo
         for axiom in ("C1", "C2", "C3", "C4"):
             report.checks[f"cone[{i}].{axiom}"] = True
     report.checks["F1"] = True
-    owners = fan._facts.owners
-    if _given_pairs_agree(datum, _given_cones(fan.cones, owners), faces):
-        report.checks["F2"] = True
-    else:
-        _record_f2(datum, fan, report, owners)
+    _record_f2(fan, report, fan._facts.overlaps())
     return report, faces
 
 
@@ -397,43 +415,32 @@ def _proven_faces(datum: SphericalDatum, fan: ColoredFan) -> dict | None:
     return {cc.key(): facts.faces[cc.key()] for cc in fan}
 
 
-def _given_cones(cones: Sequence[ColoredCone], owners: Sequence[int]) -> list[ColoredCone]:
-    """For each bit of the owner masks of ``cones``, the cone of largest
-    dimension holding it: the given cone of that bit, whose other holders are
-    its proper faces."""
-    return [
-        max((cc for cc, mask in zip(cones, owners) if mask >> bit & 1), key=lambda cc: cc.cone.dim)
-        for bit in range(max(owners, default=0).bit_length())
-    ]
-
-
 def _given_pairs_agree(
-    datum: SphericalDatum, given: Iterable[ColoredCone], faces: dict
+    datum: SphericalDatum, given: Sequence[ColoredCone], faces: dict
 ) -> bool:
     """True when no valuation vector lies in the relative interiors of two
     distinct colored faces of the cones ``given``: F2 on their closure.
 
-    Each given cone passed C1-C4, and ``faces`` maps its key to its colored
-    faces.  For given cones Z, Z' with distinct keys, one double description
-    of the inequalities of Z, Z' and V gives the rays of Z ∩ Z' ∩ V, and w,
-    their sum, lies in its relative interior.  So the face G of Z holding w
-    in its relative interior is the smallest face of Z containing
-    Z ∩ Z' ∩ V (Rockafellar, *Convex Analysis*, Thm 18.2), and a colored
-    face, as w is a valuation vector; likewise G' of Z'.  The test is that
-    G and G', with their colors, agree for every pair.  If not, they are two
-    members holding w.  If so, and colored faces M of Z and M' of Z' share a
-    valuation vector v in their relative interiors, then v lies in
+    The given cones have distinct keys, each passed C1-C4, and ``faces`` maps
+    its key to its colored faces.  For given cones Z, Z', one double
+    description of the inequalities of Z, Z' and V gives the rays of
+    Z ∩ Z' ∩ V, and w, their sum, lies in its relative interior.  So the face
+    G of Z holding w in its relative interior is the smallest face of Z
+    containing Z ∩ Z' ∩ V (Rockafellar, *Convex Analysis*, Thm 18.2), and a
+    colored face, as w is a valuation vector; likewise G' of Z'.  The test is
+    that G and G', with their colors, agree for every pair.  If not, they are
+    two members holding w.  If so, and colored faces M of Z and M' of Z'
+    share a valuation vector v in their relative interiors, then v lies in
     Z ∩ Z' ∩ V, so M and M' are faces of G = G' with v in both relative
     interiors: the same cone, with the colors of G placed in it.
     """
-    distinct = list({cc.key(): cc for cc in given}.values())
     valuation = datum.valuation_cone._ineqs
 
     def face_holding(cc: ColoredCone, w: IntVec):
         return next(f.key() for f in faces[cc.key()] if f.cone._holds_in_relative_interior(w))
 
-    for i, first in enumerate(distinct):
-        for second in distinct[i + 1 :]:
+    for i, first in enumerate(given):
+        for second in given[i + 1 :]:
             _, rays = _dd(first.cone._ineqs + second.cone._ineqs + valuation, datum.dim)
             w = _ray_sum(rays, datum.dim)
             if face_holding(first, w) != face_holding(second, w):
@@ -459,18 +466,14 @@ def _overlapping_pairs(
                 yield i, j
 
 
-def _record_f2(
-    datum: SphericalDatum,
-    fan: ColoredFan,
-    report: ValidationReport,
-    owners: Sequence[int] | None = None,
-) -> None:
-    """Record F2 in ``report``, with one reason per overlapping pair."""
+def _record_f2(fan: ColoredFan, report: ValidationReport, pairs: Iterable) -> None:
+    """Record F2 in ``report``, with one reason per pair ``i, j`` of
+    members in ``pairs``, the pairs that overlap."""
     cones = fan.cones
     reasons = [
         f"F2: {cones[i].describe()} and {cones[j].describe()} both "
         "hold a valuation vector in their relative interiors"
-        for i, j in _overlapping_pairs(datum, cones, owners)
+        for i, j in pairs
     ]
     report.reasons.extend(reasons)
     report.checks["F2"] = not reasons

@@ -354,14 +354,9 @@ class Cone:
             raise ValueError("dimension mismatch between cones")
         return self in other.faces()
 
-    def _interior_point(self) -> IntVec:
-        if not self._rays:
-            return (0,) * self.ambient_dim
-        return tuple(map(sum, zip(*self._rays)))
-
     def interior_point(self) -> RatVec:
         """Sum of the canonical rays: a point in the relative interior."""
-        return tuple(map(Fraction, self._interior_point()))
+        return tuple(map(Fraction, _ray_sum(self._rays, self.ambient_dim)))
 
     # -- structural equality -------------------------------------------
 
@@ -379,6 +374,12 @@ class Cone:
 
     def __repr__(self):
         return f"Cone(ambient_dim={self.ambient_dim}, rays={describe_vectors(self._rays)}, lineality={describe_vectors(self._lineality)})"
+
+
+def _ray_sum(rays: Sequence[IntVec], dim: int) -> IntVec:
+    """The sum of ``rays``, a point in the relative interior of the cone they
+    generate; the origin when there are none."""
+    return tuple(map(sum, zip(*rays))) if rays else (0,) * dim
 
 
 def _face_sort_key(cone: Cone):

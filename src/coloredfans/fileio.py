@@ -49,6 +49,9 @@ MAX_DIM = 64
 # has 128 rays.
 MAX_CONES = 512
 MAX_RAYS = 256
+# Most generators an action may list, checked before any matrix is built:
+# each distinct one is tested for infinite order, seconds at dimension 64.
+MAX_GENERATORS = 64
 
 
 def _require_int(x, where: str) -> int:
@@ -172,6 +175,8 @@ def parse_action(obj, datum: SphericalDatum, where: str = "action") -> GroupActi
     data = _expect_keys(obj, ("generators",), (), where)
     if not isinstance(data["generators"], list):
         raise SchemaError(f"{where}.generators: expected a list")
+    if len(data["generators"]) > MAX_GENERATORS:
+        raise SchemaError(f"{where}.generators: more than {MAX_GENERATORS}")
     gens = []
     for i, entry in enumerate(data["generators"]):
         gobj = _expect_keys(entry, ("matrix",), ("color_perm",), f"{where}.generators[{i}]")

@@ -18,11 +18,11 @@ orbit fan.  Invariance alone classifies the embedding among algebraic spaces
 over the base field; (b) is the extra condition for a scheme form, stated
 over a perfect base field.  Both are read off the generators' images of
 the members, never off the enumerated group.  Orbit fans are built in one
-place, inside ``has_k_form``, their colored faces taken from the fan's
-validation or its proven facts; the faces of a cone missing from both are
-decided from its intersection with the valuation cone, with no LP, and
-overlapping orbit cones are found from pairs of orbit cones, also with no
-LP (see :func:`_k_form`).
+place, inside ``has_k_form``, as face closures (``colored._face_closure``)
+whose colored faces come from the fan's validation or its closure; the
+faces of a cone missing from both are decided from its intersection with
+the valuation cone, with no LP.  The closure names the overlapping and the
+maximal orbit cones (see :func:`_k_form`).
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ from .colored import (
     SphericalDatum,
     _checked_fan,
     _face_closure,
-    _given_pairs_agree,
-    _overlapping_pairs,
     _proven_faces,
 )
 from .errors import ClosureCapError, InvalidFanError
@@ -186,7 +184,8 @@ class GroupAction:
         every cap; and, when every generator is a lattice automorphism, as
         soon as two elements share their color permutation and their matrix
         mod 3, which proves the group infinite.  The closure is kept; the
-        error is raised on every call.  In the library only
+        error is raised on every call.  The order test runs once per distinct
+        generator matrix.  In the library only
         :func:`validate_action` reads it: invariance and orbits come from the
         generators (:func:`_image_table`).
         """
@@ -195,7 +194,7 @@ class GroupAction:
     @cached_property
     def _closure(self) -> tuple[GroupElement, ...]:
         exceeded = f"group closure exceeded the cap of {CLOSURE_CAP} elements"
-        if any(_has_infinite_order(g.matrix) for g in self.generators):
+        if any(map(_has_infinite_order, {g.matrix: None for g in self.generators})):
             raise ClosureCapError(exceeded)
         ident = identity_element(self.dim, self.colors)
         # composed after the identity, which spells each fixed color out, each
@@ -387,16 +386,14 @@ def _k_form(
     ``faces`` maps member keys to colored faces; the faces of a member
     missing from it are found when its orbit is closed, and stored there (a
     member failing C1-C4 raises :class:`InvalidColoredConeError`).  Each
-    orbit fan's support LP is posed on the orbit members whose owner mask in
-    that closure has one bit, their own: no other orbit member has them as a
-    face.  When ``validated`` is False, every orbit fan not yet verified is
-    tested for overlapping cones, a (b) failure: the pairs of orbit cones are
-    compared with no LP (:func:`colored._given_pairs_agree`), and only an
-    overlap found there runs the LP pair test, which names its first pair.
-    Otherwise the fan
-    and the action have passed validation: F1 and invariance make every orbit
-    member a fan member, so F2 already rules out overlapping orbit cones and
-    no overlap test runs.
+    orbit fan's support LP is posed on the maximal cones of its closure
+    (:meth:`colored._Closure.maximal`).  When ``validated`` is False, every
+    orbit fan not yet verified is tested for overlapping cones, a (b)
+    failure, and the first overlapping pair of its closure is named
+    (:meth:`colored._Closure.overlaps`).  Otherwise the fan and the action
+    have passed validation: F1 and invariance make every orbit member a fan
+    member, so F2 already rules out overlapping orbit cones and no overlap
+    test runs.
 
     A member whose orbit lies inside an already verified orbit fan is
     skipped before its orbit is closed: a verified orbit fan is closed under
@@ -422,15 +419,10 @@ def _k_form(
         orbit = images[cc.key()]
         if any(orbit.keys() <= done for done in verified):
             continue
-        ordered, owners = _face_closure(datum, orbit.values(), faces)
-        overlap = None
-        if not validated and not _given_pairs_agree(datum, orbit.values(), faces):
-            # the first overlapping pair, as the LP pair test finds it; pairs
-            # of faces of one orbit cone are skipped: distinct faces of one
-            # cone have disjoint relative interiors
-            overlap = next(_overlapping_pairs(datum, ordered, owners), None)
+        closure = _face_closure(datum, orbit.values(), faces)
+        overlap = None if validated else next(closure.overlaps(), None)
         if overlap is not None:
-            first, second = (ordered[i].describe() for i in overlap)
+            first, second = (closure.members[i].describe() for i in overlap)
             return KFormResult(
                 False,
                 invariant=True,
@@ -439,15 +431,12 @@ def _k_form(
                     f"(b) orbit cones {first} and {second} overlap inside the valuation cone",
                 ),
             )
-        maximal = [
-            m for m, mask in zip(ordered, owners) if m.key() in orbit and mask & (mask - 1) == 0
-        ]
-        if lp_feasible(_support_lp(datum, maximal)) is None:
+        if lp_feasible(_support_lp(datum, closure.maximal())) is None:
             return KFormResult(
                 False,
                 invariant=True,
                 orbits_quasiprojective=False,
                 reasons=(f"(b) the orbit fan of {cc.describe()} is not quasiprojective",),
             )
-        verified.append(frozenset(m.key() for m in ordered))
+        verified.append(frozenset(m.key() for m in closure.members))
     return KFormResult(True, invariant=True, orbits_quasiprojective=True)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .colored import ColoredCone, ColoredFan, SphericalDatum, colored_faces, validate_colored_fan
+from .cones import _ray_sum
 from .errors import InvalidFanError
 from .linalg import RatVec
 from .linprog import LPProblem, lp_feasible
@@ -88,7 +89,7 @@ def _support_lp(datum: SphericalDatum, maximal: Sequence[ColoredCone]) -> LPProb
     ineqs = []
     for k, zk in enumerate(maximal):
         valuation_part = zk.cone.intersect(datum.valuation_cone)
-        witness = valuation_part._interior_point()
+        witness = _ray_sum(valuation_part._rays, n)
         for l in range(len(maximal)):
             if l == k:
                 continue

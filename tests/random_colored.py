@@ -7,14 +7,27 @@ vectors, so that C1 holds by construction, or, one time in five, random
 vectors with random colors, which mostly fail C1-C4.  The rank-one data of
 the fixtures (``datum_rank1``, ``datum_horo1``), colors on either side of a
 valuation cone, are the template.
+
+A colored action is generated by one or two signed permutation matrices of
+rank 2 or 3, each with a color permutation, on a datum made invariant by
+construction: the valuation cone is the whole space or the cone over an
+orbit of one or two random vectors, and the colors sit on orbits of random
+points, once or twice at each point.  A generator sends the colors at p to
+those at g.p in a random order, and datum and action are then moved by a
+unimodular base change and kept when they pass ``validate_action``.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import count
 
+from conftest import random_unimodular
+from reference_exact import reference_invert
 from coloredfans.colored import ColoredCone, SphericalDatum
 from coloredfans.cones import cone_from_generators
+from coloredfans.galois import GroupAction, GroupElement, action_from_generators, validate_action
+from coloredfans.linalg import matmul, matvec
 
 
 def _vector(rng: random.Random, dim: int, size: int = 2) -> tuple[int, ...]:
@@ -66,3 +79,57 @@ def random_colored_cone(rng: random.Random, datum: SphericalDatum) -> ColoredCon
                 combo = [x + c * y for x, y in zip(combo, g)]
             gens.append(tuple(combo))
     return ColoredCone(cone_from_generators(gens, dim), frozenset(names))
+
+
+def _signed_permutation(rng: random.Random, dim: int) -> tuple[tuple[int, ...], ...]:
+    perm = rng.sample(range(dim), dim)
+    return tuple(
+        tuple(rng.choice((1, -1)) if j == perm[i] else 0 for j in range(dim)) for i in range(dim)
+    )
+
+
+def random_colored_action(rng: random.Random) -> tuple[SphericalDatum, GroupAction]:
+    """A datum and a colored action on it, as the module docstring says."""
+    while True:
+        dim = rng.randint(2, 3)
+        gens = [_signed_permutation(rng, dim) for _ in range(rng.randint(1, 2))]
+        group = GroupAction(dim, (), tuple(map(GroupElement.make, gens))).elements()
+
+        def orbit(v):
+            return sorted({tuple(int(x) for x in matvec(g.matrix, v)) for g in group})
+
+        whole = rng.random() < 0.3
+        if whole:
+            rays = [tuple(s * (i == j) for j in range(dim)) for i in range(dim) for s in (1, -1)]
+        else:
+            rays = [r for _ in range(rng.randint(1, 2)) for r in orbit(_vector(rng, dim))]
+        valuation = cone_from_generators(rays, dim)
+        if valuation.dim < dim or not (whole or valuation._facets):
+            continue
+        labels: dict = {}  # the color names placed at each point
+        names = (f"D{i}" for i in count())
+        for _ in range(rng.randint(0, 2)):
+            v = _vector(rng, dim)
+            copies = rng.choice((1, 1, 2))
+            for p in orbit(v) if any(v) else ():
+                labels.setdefault(p, []).extend(next(names) for _ in range(copies))
+        if sum(map(len, labels.values())) > 6:
+            continue
+        elements = []
+        for g in gens:
+            perm = {}
+            for p, placed in labels.items():
+                perm.update(zip(placed, rng.sample(labels[tuple(matvec(g, p))], len(placed))))
+            elements.append((g, perm))
+        a = random_unimodular(rng, dim)
+        a_inv = reference_invert(a)
+        rho = {name: matvec(a, p) for p, placed in labels.items() for name in placed}
+        datum = SphericalDatum(
+            dim, cone_from_generators([matvec(a, r) for r in rays], dim), tuple(sorted(rho)), rho
+        )
+        action = action_from_generators(
+            datum,
+            [GroupElement.make(matmul(a, matmul(g, a_inv)), perm) for g, perm in elements],
+        )
+        if validate_action(datum, action).passed:
+            return datum, action

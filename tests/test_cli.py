@@ -173,6 +173,38 @@ def test_valuation_generator_limit_is_an_input_error(tmp_path, capsys):
     assert err.splitlines() == ["input error: datum.valuation_cone.generators: more than 256"]
 
 
+@pytest.mark.parametrize("copies, code", [(64, 0), (65, 2)])
+def test_action_generator_limit(copies, code, tmp_path, capsys, monkeypatch):
+    """An action may list 64 generators; more is refused before any matrix
+    is read.  Repeated generators are tested for infinite order once."""
+    from coloredfans import fileio, galois
+
+    assert fileio.MAX_GENERATORS == 64
+    action = tmp_path / "action.json"
+    action.write_text(json.dumps({"generators": [{"matrix": [[0, 1], [1, 0]]}] * copies}))
+    calls = {"matrices": 0, "orders": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(fileio, "_int_matrix", counting("matrices", fileio._int_matrix))
+    monkeypatch.setattr(
+        galois, "_has_infinite_order", counting("orders", galois._has_infinite_order)
+    )
+    argv = ["validate", "--datum", fx("datum_toric2.json"), "--action", str(action)]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == "" and err.splitlines() == ["input error: action.generators: more than 64"]
+        assert calls == {"matrices": 0, "orders": 0}
+    else:
+        assert calls == {"matrices": 64, "orders": 1}
+
+
 def test_limits_admit_the_eight_dimensional_cube_cone():
     """The cone over {1} x {-1,1}^7, 128 rays, and 512 cones are read."""
     from itertools import product

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import cube_pattern_cones, random_complete_2d_fan, random_unimodular, toric_datum
 from test_galois import KFORM_CASES, SWAP, _kform_case
-from coloredfans import colored, fileio, galois
+from coloredfans import colored, fileio
 from coloredfans.colored import (
     ColoredCone,
     ColoredFan,
@@ -166,6 +166,22 @@ def test_facts_route_matches_full_validation_on_fixtures():
         assert report == _validate_fan(datum, fan)[0]
 
 
+def test_closure_names_its_given_and_maximal_cones_and_overlaps():
+    plane = toric_datum(2)
+    quadrant, ray, left = ([(1, 0), (0, 1)], ()), ([(1, 0)], ()), ([(0, 1), (-1, 0)], ())
+    keys = [cc.key() for cc in _plain(plane, [ray, quadrant, left])]
+    # the ray, a face of the quadrant, and the quadrant are each given twice
+    given = _plain(plane, [ray, quadrant, ray, quadrant, left])
+    closure = colored._face_closure(plane, given, {})
+    assert [cc.key() for cc in closure.given()] == keys
+    assert [cc.key() for cc in closure.maximal()] == [keys[2], keys[1]]  # member order
+    assert list(closure.overlaps()) == []
+    # F2 fails: the pairs are those of the all-pairs LP test
+    for datum, fan in overlapping_colored_fans():
+        pairs = list(fan._facts.overlaps())
+        assert pairs and pairs == list(colored._overlapping_pairs(datum, fan.cones))
+
+
 def test_failing_fan_raises_the_same_error_on_both_routes():
     for datum, fan in overlapping_colored_fans():
         action = action_from_generators(datum, [identity_element(2, datum.colors)])
@@ -225,7 +241,9 @@ def test_unchecked_k_form_takes_faces_from_facts_and_still_tests_overlap(
     monkeypatch.setattr(
         colored, "relative_interior_meets", counting("relint", colored.relative_interior_meets)
     )
-    monkeypatch.setattr(galois, "_given_pairs_agree", counting("pairs", galois._given_pairs_agree))
+    monkeypatch.setattr(
+        colored, "_given_pairs_agree", counting("pairs", colored._given_pairs_agree)
+    )
     s3 = action_from_generators(
         toric_plane, [GroupElement.make([[0, -1], [1, -1]]), GroupElement.make(SWAP)]
     )

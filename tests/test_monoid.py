@@ -160,6 +160,48 @@ def test_monoid_k_form_conjugation_covariance(toric_plane):
             )
 
 
+def test_monoid_k_form_matches_reference_with_and_without_lp(toric_plane):
+    """Both values of ``force_lp`` give the verdict of the rebuilding
+    reference on the cone's face closure, on the monoid k-form cases above
+    and in test_galois.py.  The shear of test_galois.py is left out: the
+    reference enumerates the group, and the shear's is infinite."""
+    from coloredfans.colored import SphericalDatum
+    from coloredfans.linalg import matmul
+    from reference_exact import reference_invert
+    from reference_kform import reference_has_k_form
+
+    swap = GroupElement.make([[0, 1], [1, 0]])
+    plane_monoid, skew = cc([(-1, 0), (0, -1)], 2), cc([(-1, 0), (-1, -1)], 2)
+    cases = [(toric_plane, gens, cone) for gens in ([swap], []) for cone in (plane_monoid, skew)]
+    rng = random.Random(11)
+    while len(cases) < 14:
+        vs = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(1, 3))]
+        try:
+            cases.append((toric_plane, [swap], monoid_cone_from_valuations(toric_plane, vs)))
+        except MonoidConeError:
+            continue
+    rng = random.Random(73)
+    for cone in (plane_monoid, skew):
+        for _ in range(3):
+            a = random_unimodular(rng, 2)
+            moved = GroupElement.make(matmul(a, matmul(swap.matrix, reference_invert(a))))
+            datum = SphericalDatum(2, toric_plane.valuation_cone.image(a))
+            cases.append((datum, [moved], ColoredCone(cone.cone.image(a), cone.colors)))
+    colored_datum = SphericalDatum(2, toric_plane.valuation_cone, ("D",), {"D": (1, 0)})
+    for gens in ([], [GroupElement.make([[1, 0], [0, -1]])]):
+        cases.append((colored_datum, gens, cc([(1, 0), (0, -1)], 2, ["D"])))
+
+    verdicts = []
+    for datum, gens, cone in cases:
+        action = action_from_generators(datum, gens)
+        fan = fan_from_maximal_cones(datum, [cone])
+        expected = reference_has_k_form(datum, action, fan, check=False).verdict
+        for force_lp in (False, True):
+            assert monoid_has_k_form(datum, action, cone, force_lp=force_lp) == expected
+        verdicts.append(expected)
+    assert len(verdicts) == 22 and 0 < sum(verdicts) < 22
+
+
 def projection_morphism():
     return MorphismData.make([[1, 0]])
 

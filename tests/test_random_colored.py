@@ -1,12 +1,15 @@
 """The LP-free colored faces and F2 of the closure route, against the LP
-route, on seeded random colored data (``random_colored.py``)."""
+route, and ``has_k_form`` against the rebuilding reference, on seeded random
+colored data and actions (``random_colored.py``)."""
 
 import random
 from itertools import combinations
 
-from random_colored import random_colored_cone, random_datum
+from random_colored import random_colored_action, random_colored_cone, random_datum
 from test_fan_facts import same_route
+from test_galois import _compare_with_reference
 from coloredfans.colored import (
+    ColoredFan,
     _cone_axioms,
     _face_meets,
     colored_faces,
@@ -14,6 +17,7 @@ from coloredfans.colored import (
     relative_interior_meets,
     validate_colored_cone,
 )
+from coloredfans.galois import apply_element
 
 
 def passing_cones(seed, data, cones_per_datum):
@@ -67,3 +71,39 @@ def test_f2_from_given_pairs_matches_the_lp_on_random_colored_fans():
         for pair in combinations(cones[:3], 2):
             verdicts.append(same_route(datum, fan_from_maximal_cones(datum, pair)))
     assert len(verdicts) > 60 and 0.1 < sum(verdicts) / len(verdicts) < 0.9
+
+
+def test_k_form_matches_the_reference_on_random_colored_actions():
+    """has_k_form, with and without validation, on closure-built fans and on
+    the same members given one by one, against the rebuilding reference.
+    The fans are the orbit of a random colored cone, that orbit with a
+    second cone, and the first cone alone."""
+    # about 2 s on a 2-core x86_64 box with Python 3.11
+    rng = random.Random(2112)
+    outcomes, permuted = [], 0
+    for _ in range(12):
+        datum, action = random_colored_action(rng)
+        permuted += any(g.apply_color(c) != c for g in action.generators for c in datum.colors)
+        cones = [random_colored_cone(rng, datum) for _ in range(4)]
+        cones = [cc for cc in cones if validate_colored_cone(datum, cc).passed][:2]
+        if not cones:
+            continue
+        images = {}
+        for g in action.elements():
+            image = apply_element(g, cones[0])
+            images.setdefault(image.key(), image)
+        orbit = list(images.values())
+        # the reference's memos hold for one datum and action
+        orbits, memo = {}, {}
+        for given in (orbit, orbit + cones[1:], cones[:1]):
+            closed = fan_from_maximal_cones(datum, given)
+            for fan in (closed, ColoredFan(closed.cones)):
+                for check in (True, False):
+                    outcomes.append(
+                        _compare_with_reference(datum, action, fan, check, orbits, memo)
+                    )
+    assert len(outcomes) > 100 and permuted > 2
+    # a k-form, a non-invariant fan, overlapping orbit cones and an F2 failure
+    for answer in ("verdict=True", "offending cone", "overlap inside"):
+        assert any(answer in str(o) for o in outcomes), answer
+    assert any(isinstance(o, tuple) and o[1].startswith("F2: ") for o in outcomes)
