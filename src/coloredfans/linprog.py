@@ -8,8 +8,11 @@ Two independent deciders over the same problem type:
   fraction-free, so no ``Fraction`` is built inside the simplex.  Each free
   variable is split as t = p - q, and only the p half is stored: every row
   keeps the q column equal to minus the p column, so it is read off as
-  such.  The simplex takes the pivots that a simplex over the rationals
-  takes on the full tableau, and returns an exact
+  such.  Rows that are equal apart from their own columns (the basic one
+  and an artificial row's slack) are stored once, as a class with the basic
+  labels it stands for: support LPs repeat most of their rows.  The simplex
+  takes the pivots that a simplex over the rationals takes on the full
+  tableau, and returns an exact
   rational assignment, re-verified against the problem, or ``None``.  The
   point is read off the final tableau over one common denominator, lifted
   through the equalities and re-verified in integers; its ``Fraction``
@@ -259,68 +262,84 @@ def lp_feasible(lp: LPProblem) -> RatVec | None:
     return tuple([Fraction(x, den) for x in nums])
 
 
+# the keys of a class's own coefficients in its row (see _phase_one)
+SIGMA, TAU = -1, -2
+
+
 def _phase_one(num_vars: int, ineqs: list[SparseRow]) -> Point | None:
     """Feasible point of {t : (a / s) . t >= b / s} by phase-1 simplex with Bland's rule,
     over one common denominator, or None.
 
     Free variables are split as t = p - q; every constraint gets a slack, and
-    only rows whose right hand side is positive need an artificial variable.
-    The tableau is kept integral and sparse: row i is a ``{column: int}`` map
-    with an integer right hand side ``rhs[i]``, and stands for the rational
-    row obtained by dividing both by the row's coefficient on its basic
-    column, which stays positive.  The reduced costs form one more integral
-    row, the last, with an implicit positive scale and minus the objective
-    value over that scale as its right hand side; only their signs are read.  Every comparison of
-    Bland's rule therefore comes out as over the rationals.
+    rows with a positive right hand side an artificial.  The tableau is
+    integral and sparse; a row stands for itself over its positive
+    coefficient on its basic column.  The reduced costs are the last row,
+    over an implicit positive scale, with minus the objective as right hand
+    side; only their signs are read, so Bland's rule compares as over the
+    rationals.  Only p is stored: every row is a combination of start rows,
+    whose q column is minus the p column, so column ``num_vars + j`` reads
+    as ``-row[j]``.  Columns keep their labels (p, q, slacks, then the
+    artificial of row i at ``2 * num_vars + m + i``) for pricing.
 
-    Only the p half of each split variable is stored.  In every start row
-    the q column is minus the p column, and every later row, the reduced
-    costs included, is a combination of start rows, so column
-    ``num_vars + j`` reads as ``-row[j]`` throughout; ``+-v`` have one gcd.
-    The columns keep their labels (p, then q, then the slacks, then the
-    artificials), so pricing takes the smallest label with a negative reduced
-    cost, as over the full tableau.
+    Rows equal apart from their own columns (the basic one and an artificial
+    row's slack, held by no other row) get the same update on every pivot
+    not on them and tie in every ratio test, where Bland's rule takes the
+    smallest basic label; so each class of them is stored once, and the
+    pivots are those of the full tableau.  Class k has one row per basic
+    label x in ``labels[k]``, sorted: ``rows[k]`` holds the columns that are
+    not own, and under the keys ``SIGMA`` and ``TAU`` the coefficients of x
+    and of its own slack, if any, which pivots scale and divide with the
+    row.  A basic q column x reads as ``-SIGMA`` in the p column
+    ``x - num_vars``.  The classes start as the groups of equal input rows.
     """
     nv = num_vars
     m = len(ineqs)
     n_struct = 2 * nv + m
     rows: list[dict[int, int]] = []
     rhs: list[int] = []
-    basis: list[int] = []
-    next_art = n_struct
+    labels: list[list[int]] = []
+    first: dict[tuple, int] = {}
+    # minimize the artificial sum: the reduced costs relative to the start
+    # basis are minus the artificial rows, each over the common multiple of
+    # their scales
+    red: dict[int, int] = {}
+    objective = 0
+    common = lcm(*[s for _, b, s in ineqs if b > 0])
     for i, (terms, b, s) in enumerate(ineqs):
         if b > 0:
             # a.t - s * slack + s * artificial = b, the artificial basic
+            c = common // s
+            objective -= c * b
+            for j, x in terms:
+                red[j] = red.get(j, 0) - c * x
+            red[2 * nv + i] = c * s
+            label = n_struct + i
+        else:
+            label = 2 * nv + i
+        n = len(rows)
+        k = first.setdefault((tuple(terms), b, s), n)
+        if k != n:
+            labels[k].append(label)
+            continue
+        if b > 0:
             row = dict(terms)
-            row[2 * nv + i] = -s
-            row[next_art] = s
-            basis.append(next_art)
-            next_art += 1
+            row[TAU] = -s
             rhs.append(b)
         else:
             # -a.t + s * slack = -b, the slack basic at -b / s >= 0
-            row = {j: -c for j, c in terms}
-            row[2 * nv + i] = s
-            basis.append(2 * nv + i)
+            row = {j: -x for j, x in terms}
             rhs.append(-b)
+        row[SIGMA] = s
         rows.append(row)
-
-    # minimize the artificial sum: reduced costs relative to the start basis,
-    # each artificial row over the common multiple of their scales
-    art_rows = [i for i in range(m) if basis[i] >= n_struct]
-    common = lcm(*(rows[i][basis[i]] for i in art_rows))
-    red: dict[int, int] = {}
-    objective = 0
-    for i in art_rows:
-        row = rows[i]
-        k = common // row[basis[i]]
-        objective -= k * rhs[i]
-        for j, x in row.items():
-            if j < n_struct:
-                red[j] = red.get(j, 0) - k * x
+        labels.append([label])
+    if not objective:
+        # no artificial: the slack basis is feasible, with every t_j = 0
+        return [0] * nv, 1
+    # the reduced costs are the last class, with no member
     red = {j: x for j, x in red.items() if x}
     rows.append(red)
     rhs.append(objective)
+    labels.append([])
 
     while True:
         # a stored entry x prices p_j at x and q_j at -x
@@ -330,66 +349,73 @@ def _phase_one(num_vars: int, ineqs: list[SparseRow]) -> Point | None:
         if enter is None:
             break
         col, sign = (enter - nv, -1) if nv <= enter < 2 * nv else (enter, 1)
-        # the rows holding the column, and among them the minimum ratio
+        # the classes holding the column, and among them the minimum ratio
         # rhs / coef by cross-multiplication, ties to the smaller basic
         # column; the reduced costs are negative there, so they take no part
         hits = []
         leave = -1
-        for i, row in enumerate(rows):
+        for k, row in enumerate(rows):
             coef = row.get(col)
             if coef is None:
                 continue
             coef *= sign
-            hits.append((i, coef))
+            hits.append((k, coef))
             if coef <= 0:
                 continue
             if leave >= 0:
-                diff = rhs[i] * best_coef - best_rhs * coef
-                if diff > 0 or (diff == 0 and basis[i] > basis[leave]):
+                diff = rhs[k] * best_coef - best_rhs * coef
+                if diff > 0 or (diff == 0 and labels[k][0] > labels[leave][0]):
                     continue
-            leave, best_rhs, best_coef = i, rhs[i], coef
+            leave, best_rhs, best_coef = k, rhs[k], coef
         if leave < 0:
             raise AssertionError("internal error: unbounded phase-1 objective")
-        _pivot(rows, rhs, leave, best_coef, hits)
-        basis[leave] = enter
+        _pivot(rows, rhs, labels, leave, best_coef, hits, enter, nv, m)
 
     # the objective, a sum of nonnegative artificial values, is zero exactly
     # when the problem is feasible
-    if rhs[m]:
+    if rhs[-1]:
         return None
-    # a basic variable is rhs[i] over its coefficient; read all over their lcm
-    basic = [
-        (i, col, rows[i][col] if col < nv else -rows[i][col - nv])
-        for i, col in enumerate(basis)
-        if col < 2 * nv
-    ]
-    den = lcm(*(coef for _, _, coef in basic))
-    values = [0] * (2 * nv)
-    for i, col, coef in basic:
-        values[col] = rhs[i] * (den // coef)
+    # a basic variable is rhs over SIGMA; read all over their lcm
+    n2 = 2 * nv
+    basic = [(k, x) for k, members in enumerate(labels) for x in members if x < n2]
+    den = lcm(*(rows[k][SIGMA] for k, _ in basic))
+    values = [0] * n2
+    for k, x in basic:
+        values[x] = rhs[k] * (den // rows[k][SIGMA])
     return [values[j] - values[nv + j] for j in range(nv)], den
 
 
-def _pivot(rows, rhs, r, p, hits):
-    """One pivot on row r of the integral tableau, whose entry in the
-    entering column is ``p > 0``.
+def _pivot(rows, rhs, labels, r, p, hits, enter, nv, m):
+    """Pivot on class r, whose entry in the column ``enter`` is ``p > 0``;
+    ``hits`` lists ``(k, f)`` for every class with entry f != 0 there.
 
-    ``hits`` lists ``(i, f)`` for every row holding the entering column,
-    the reduced costs included, with ``f`` its entry there.  Every such row
-    but row r loses the column as ``row * (p / g) - prow * (f / g)``,
-    g = gcd(p, f), on both sides, and is then divided by the gcd of its
-    entries and right hand side.  The pivot row is left as it is: its entry
-    in the column becomes its scale.
+    The smallest member leaves: its row is the pivot row, with ``enter``
+    basic at ``SIGMA = p``, and the other members keep x - leave = 0, a new
+    class.  Each other hit becomes ``row * (p / g) - prow * (f / g)``,
+    g = gcd(p, f), divided by the gcd of its entries, own coefficients and
+    right hand side; one with f < 0 that then equals the pivot row apart
+    from its basic column joins the pivot row's class.
     """
-    prow = rows[r]
+    prow, pr = rows[r], rhs[r]
+    members = labels[r]
+    leave = members[0]
+    col = enter - nv if nv <= enter < 2 * nv else enter
+    del prow[col]
+    sigma = prow.pop(SIGMA)
+    tau = prow.pop(TAU, 0)
+    lcol, lval = (leave - nv, -sigma) if nv <= leave < 2 * nv else (leave, sigma)
+    prow[lcol] = lval
+    if tau:
+        prow[leave - m] = tau
     pitems = prow.items()
-    pr = rhs[r]
+    merging = []
     for i, f in hits:
         if i == r:
             continue
         g = gcd(p, f)
         a, b = p // g, f // g
         row = rows[i]
+        del row[col]
         if a != 1:
             for j in row:
                 row[j] *= a
@@ -406,6 +432,25 @@ def _pivot(rows, rhs, r, p, hits):
                 row[j] //= g
             h //= g
         rhs[i] = h
+        if f < 0 and h == pr:
+            merging.append(i)
+    prow[SIGMA] = p
+    joined = labels[r] = [enter]
+    for i in reversed(merging):
+        if rows[i] == prow:
+            joined += labels[i]
+            del rows[i], rhs[i], labels[i]
+    joined.sort()
+    if len(members) > 1:
+        # before the reduced costs, which stay last
+        g = gcd(sigma, tau)
+        rest = {lcol: -lval // g, SIGMA: sigma // g}
+        if tau:
+            rest[leave - m] = -tau // g
+            rest[TAU] = tau // g
+        rows.insert(-1, rest)
+        rhs.insert(-1, 0)
+        labels.insert(-1, members[1:])
 
 
 def fourier_motzkin(lp: LPProblem, max_vars: int = 8) -> bool:

@@ -2,9 +2,12 @@
 
 This is the dense rational simplex that ``coloredfans.linprog`` used before
 its integer tableau: equality pre-substitution by Fraction dot products, then
-a phase-1 simplex with Bland's rule and a running Fraction objective.  The
-integer simplex must take exactly the same pivots and return exactly the
-same assignment, so the two are compared LP by LP.
+a phase-1 simplex with Bland's rule and a running Fraction objective, one
+dense row per constraint.  The integer simplex must take exactly the same
+pivots and return exactly the same assignment, so the two are compared LP by
+LP, pivot by pivot.  The columns are labelled as in ``coloredfans.linprog``:
+p, then q, then the slacks, then the artificials, the artificial of row i at
+``2 * n + m + i``.
 """
 
 from __future__ import annotations
@@ -17,13 +20,14 @@ from coloredfans.linalg import F0, F1, RatVec, dot
 from coloredfans.linprog import LPProblem
 
 
-def reference_lp_feasible(lp: LPProblem) -> tuple[RatVec | None, int]:
-    """(assignment or None, number of pivots) by the Fraction simplex."""
+def reference_lp_feasible(lp: LPProblem) -> tuple[RatVec | None, list[tuple[int, int]]]:
+    """(assignment or None, the (entering, leaving) labels of every pivot)
+    by the Fraction simplex."""
     n = lp.num_vars
     aug = [tuple(a) + (b,) for a, b in lp.eq_constraints]
     reduced, pivots = reference_rref(aug)
     if n in pivots:
-        return None, 0
+        return None, []
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
     particular = [F0] * n
@@ -40,27 +44,25 @@ def reference_lp_feasible(lp: LPProblem) -> tuple[RatVec | None, int]:
         (tuple(dot(a, d) for d in directions), b - dot(a, particular))
         for a, b in lp.ineq_constraints
     ]
-    solution, count = _phase_one(len(free), ineqs)
+    solution, path = _phase_one(len(free), ineqs)
     if solution is None:
-        return None, count
+        return None, path
     out = list(particular)
     for val, d in zip(solution, directions):
         if val:
             for i, di in enumerate(d):
                 if di:
                     out[i] += val * di
-    return tuple(out), count
+    return tuple(out), path
 
 
-def _phase_one(num_vars: int, ineqs) -> tuple[RatVec | None, int]:
+def _phase_one(num_vars: int, ineqs) -> tuple[RatVec | None, list[tuple[int, int]]]:
     m = len(ineqs)
     n_struct = 2 * num_vars + m
-    n_art = sum(1 for _, b in ineqs if b > 0)
-    ncols = n_struct + n_art
+    ncols = n_struct + m
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     basis: list[int] = []
-    next_art = n_struct
     for i, (a, b) in enumerate(ineqs):
         row = [F0] * ncols
         if b > 0:
@@ -69,9 +71,8 @@ def _phase_one(num_vars: int, ineqs) -> tuple[RatVec | None, int]:
                     row[j] = c
                     row[num_vars + j] = -c
             row[2 * num_vars + i] = -F1
-            row[next_art] = F1
-            basis.append(next_art)
-            next_art += 1
+            row[n_struct + i] = F1
+            basis.append(n_struct + i)
             rhs.append(b)
         else:
             for j, c in enumerate(a):
@@ -93,7 +94,7 @@ def _phase_one(num_vars: int, ineqs) -> tuple[RatVec | None, int]:
                 if row[j]:
                     red[j] -= row[j]
 
-    pivots = 0
+    path = []
     while True:
         enter = next((j for j in range(ncols) if red[j] < 0), None)
         if enter is None:
@@ -110,15 +111,15 @@ def _phase_one(num_vars: int, ineqs) -> tuple[RatVec | None, int]:
         theta, _, leave = best
         objective += red[enter] * theta
         _pivot(rows, rhs, red, leave, enter)
-        pivots += 1
+        path.append((enter, basis[leave]))
         basis[leave] = enter
 
     if objective != 0:
-        return None, pivots
+        return None, path
     values = [F0] * ncols
     for i, col in enumerate(basis):
         values[col] = rhs[i]
-    return tuple(values[j] - values[num_vars + j] for j in range(num_vars)), pivots
+    return tuple(values[j] - values[num_vars + j] for j in range(num_vars)), path
 
 
 def _pivot(rows, rhs, red, r, c):

@@ -1,13 +1,22 @@
+import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from conftest import cube_pattern_cones, random_complete_2d_fan, toric_datum
 from reference_exact import reference_relint_lp, reference_satisfied_by, reference_support_lp
 from reference_simplex import reference_lp_feasible
 
-from coloredfans import colored, linprog
-from coloredfans.colored import ColoredCone, fan_from_maximal_cones
+from coloredfans import colored, linprog, quasiproj
+from coloredfans.colored import (
+    ColoredCone,
+    SphericalDatum,
+    fan_from_maximal_cones,
+    member_sort_key,
+    validate_colored_cone,
+    validate_colored_fan,
+)
 from coloredfans.cones import cone_from_generators
 from coloredfans.errors import EliminationCapError
 from coloredfans.linprog import LPProblem, constraint, fourier_motzkin, lp_feasible
@@ -119,26 +128,27 @@ def test_float_input_is_made_exact():
 
 @pytest.fixture
 def pivots(monkeypatch):
-    """Calls of the simplex pivot since the last reset (``pivots.clear()``)."""
+    """The (entering, leaving) labels of the simplex pivots since the last
+    reset (``pivots.clear()``), one per call of ``_pivot``."""
     calls = []
     pivot = linprog._pivot
 
-    def counting(*args):
-        calls.append(None)
-        return pivot(*args)
+    def recording(rows, rhs, labels, r, p, hits, enter, *rest):
+        calls.append((enter, labels[r][0]))
+        return pivot(rows, rhs, labels, r, p, hits, enter, *rest)
 
-    monkeypatch.setattr(linprog, "_pivot", counting)
+    monkeypatch.setattr(linprog, "_pivot", recording)
     return calls
 
 
 def assert_matches_reference(lp: LPProblem, pivots: list):
-    """Same assignment, to the repr, and the same number of pivots as the
-    Fraction simplex."""
+    """Same assignment, to the repr, and the same (entering, leaving) pivots
+    as the Fraction simplex."""
     pivots.clear()
     x = lp_feasible(lp)
-    expected, expected_pivots = reference_lp_feasible(lp)
+    expected, path = reference_lp_feasible(lp)
     assert repr(x) == repr(expected)
-    assert len(pivots) == expected_pivots
+    assert pivots == path
     return x
 
 
@@ -189,13 +199,14 @@ def test_q_columns_and_tied_ratios_match_reference(monkeypatch, pivots):
     ties = set()
     pivot, phase_one = linprog._pivot, linprog._phase_one
 
-    def tie_recording(rows, rhs, r, p, hits):
-        # the reduced costs, the last row, are negative in the entering column
-        ratios = [Fraction(rhs[i], f) for i, f in hits if f > 0]
-        low = min(ratios)
-        if ratios.count(low) > 1:
+    def tie_recording(rows, rhs, labels, r, p, hits, *rest):
+        # the reduced costs, the last class, are negative in the entering
+        # column; a class stands for one row per member
+        ratios = [(Fraction(rhs[i], f), len(labels[i])) for i, f in hits if f > 0]
+        low = min(ratio for ratio, _ in ratios)
+        if sum(n for ratio, n in ratios if ratio == low) > 1:
             ties.add(low > 0)
-        return pivot(rows, rhs, r, p, hits)
+        return pivot(rows, rhs, labels, r, p, hits, *rest)
 
     points = []
 
@@ -221,6 +232,123 @@ def test_q_columns_and_tied_ratios_match_reference(monkeypatch, pivots):
     # both outcomes, and ties at a zero and at a positive ratio
     assert 10 < feasible < 50
     assert ties == {False, True}
+
+
+
+def repeated_lp(rng: random.Random) -> LPProblem:
+    """An LP without equalities whose rows repeat: up to three copies of rows
+    with b <= 0 and with b > 0, copies at a positive multiple, and repeated
+    rows ``-t_j >= b`` with b > 0, which need a negative free value."""
+    n = rng.randint(1, 4)
+    rows = []
+    for _ in range(rng.randint(2, 6)):
+        a = [rng.randint(-3, 3) for _ in range(n)]
+        b = rng.choice((-1, 0, 0, 1, 2))
+        rows += [(a, b)] * rng.choice((1, 2, 2, 3))
+        if rng.random() < 0.3:
+            k = rng.randint(2, 3)
+            rows.append(([k * x for x in a], k * b))
+    for j in rng.sample(range(n), rng.randint(0, n)):
+        e = [0] * n
+        e[j] = -1
+        rows += [(e, rng.randint(1, 2))] * rng.randint(1, 2)
+    rng.shuffle(rows)
+    return LPProblem(n, (), tuple(constraint(a, b) for a, b in rows))
+
+
+def test_repeated_rows_pivot_as_the_full_tableau(monkeypatch, pivots):
+    """Classes of equal rows take the Fraction simplex's (entering, leaving)
+    path on every LP and return its point to the repr.  The LPs split
+    classes of slack rows and of artificial rows when they pivot on them,
+    merge classes into the pivot row's class, and need q columns."""
+    seen = set()
+    pivot = linprog._pivot
+
+    def watching(rows, rhs, labels, r, p, hits, enter, *rest):
+        if len(labels[r]) > 1:
+            seen.add("split artificial" if linprog.TAU in rows[r] else "split slack")
+        pivot(rows, rhs, labels, r, p, hits, enter, *rest)
+        if any(enter in members and len(members) > 1 for members in labels):
+            seen.add("merge")
+
+    monkeypatch.setattr(linprog, "_pivot", watching)
+    rng = random.Random(7331)
+    outcomes = []
+    for _ in range(150):
+        lp = repeated_lp(rng)
+        x = assert_matches_reference(lp, pivots)
+        outcomes.append(x is not None)
+        if x is not None and min(x) < 0:
+            seen.add("negative")
+    assert 20 < sum(outcomes) < 130
+    assert seen == {"split artificial", "split slack", "merge", "negative"}
+
+
+def test_cube_support_lps_keep_their_pivots_and_points(pivots):
+    """The support LPs of all 64 cube patterns: the pivot count and point of
+    each, hashed, as the full tableau gives them."""
+    # about 5 s on a 2-core x86_64 box with Python 3.11
+    datum = toric_datum(3)
+    digest = hashlib.sha256()
+    total = 0
+    for index in range(64):
+        given = [ColoredCone(cone_from_generators(c, 3)) for c in cube_pattern_cones(index)]
+        lp = quasiproj._support_lp(datum, sorted(given, key=member_sort_key))
+        pivots.clear()
+        x = lp_feasible(lp)
+        total += len(pivots)
+        digest.update(f"{index} {len(pivots)} {x!r}\n".encode())
+    assert total == 16817
+    assert digest.hexdigest() == "8b3fa454450a0d4cb67d7df44d22375122071e40cad432627d109ab4baf5ffe7"
+
+
+def rank_one_fans(rng: random.Random, datum):
+    """Eight seeded valid fans on the line, each the closure of one or two
+    valid colored cones on the rays (1) and (-1)."""
+    cones = [
+        ColoredCone(cone_from_generators([ray], 1), frozenset(colors))
+        for ray in ((1,), (-1,))
+        for k in range(len(datum.colors) + 1)
+        for colors in combinations(datum.colors, k)
+    ]
+    cones = [cc for cc in cones if validate_colored_cone(datum, cc).passed]
+    fans = []
+    while len(fans) < 8:
+        fan = fan_from_maximal_cones(datum, rng.sample(cones, rng.randint(1, 2)))
+        if validate_colored_fan(datum, fan).passed:
+            fans.append(fan)
+    return fans
+
+
+def test_simplex_agrees_with_fourier_motzkin_on_small_support_lps():
+    """Support LPs of at most 8 variables, from complete plane fans with 3-4
+    rays and from toric and horospherical rank-one fans, and each of them
+    with its first witness row negated: (l_Z - l_Z') . w <= -1 at the sum w
+    of the rays of K, against (l_Z - l_Z') . g >= 0 on each of them, which
+    no point satisfies."""
+    rng = random.Random(8117)
+    plane = toric_datum(2)
+    horospherical = SphericalDatum(1, cone_from_generators([(1,), (-1,)], 1), ("D",), {"D": (1,)})
+    cases = [(plane, random_complete_2d_fan(rng, plane, 4)) for _ in range(12)]
+    cases += [(d, fan) for d in (toric_datum(1), horospherical) for fan in rank_one_fans(rng, d)]
+    verdicts, sizes = [], set()
+    for datum, fan in cases:
+        lp = build_support_lp(datum, fan)
+        sizes.add((datum.dim, lp.num_vars))
+        variants = [lp]
+        witness = next((k for k, (_, b) in enumerate(lp.ineq_constraints) if b > 0), None)
+        if witness is not None:
+            rows = list(lp.ineq_constraints)
+            a, b = rows[witness]
+            rows[witness] = (tuple(-x for x in a), b)
+            variants.append(LPProblem(lp.num_vars, lp.eq_constraints, tuple(rows)))
+        for k, variant in enumerate(variants):
+            x = lp_feasible(variant)
+            assert (x is not None) == fourier_motzkin(variant) == (k == 0)
+            verdicts.append(x is not None)
+    # plane fans of 6 and 8 variables, rank-one fans of 1 and 2
+    assert sizes == {(2, 6), (2, 8), (1, 1), (1, 2)}
+    assert len(verdicts) > 40
 
 
 def random_rational_lp(rng: random.Random) -> LPProblem:
