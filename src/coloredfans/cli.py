@@ -219,6 +219,9 @@ def run_command(
         weight = [int(part.strip()) for part in csv.split(",")]
     except ValueError:
         raise SchemaError(f"--lambda must be a comma-separated integer list, got {csv!r}")
+    if len(weight) > fileio.MAX_DIM:
+        # theta is squared exactly, cubic in the length
+        raise SchemaError(f"--lambda: at most {fileio.MAX_DIM} entries, got {len(weight)}")
     theta_obj = fileio.load_json(_need(theta_path, "theta"))
     n = len(weight)
     theta = fileio._int_matrix(theta_obj, n, n, "theta")

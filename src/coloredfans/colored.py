@@ -269,27 +269,21 @@ class _Closure:
 
     ``members`` holds them deduplicated and sorted; ``owners`` the bit mask,
     per member, of the given cones it is a colored face of, one bit per
-    distinct given cone; ``faces`` maps each member key (and maybe others)
-    to its colored faces.  Every member is a colored face of a given cone
-    that passed C1-C4.
+    distinct given cone; ``given`` those cones as members, in bit order;
+    ``faces`` maps each member key (and maybe others) to its colored faces.
+    Every member is a colored face of a given cone that passed C1-C4.
     """
 
     datum: SphericalDatum
     members: tuple[ColoredCone, ...]
     owners: tuple[int, ...]
+    given: tuple[ColoredCone, ...]
     faces: dict
-
-    def given(self) -> list[ColoredCone]:
-        """The given cones, in bit order: for each bit, the member of largest
-        dimension holding it, as its other holders are its proper faces."""
-        bits = range(max(self.owners, default=0).bit_length())
-        held = [[cc for cc, m in zip(self.members, self.owners) if m >> b & 1] for b in bits]
-        return [max(cones, key=lambda cc: cc.cone.dim) for cones in held]
 
     def maximal(self) -> list[ColoredCone]:
         """The members that are a colored face of no other member, in member
         order: the given cones whose mask has one bit, their own."""
-        given = {cc.key() for cc in self.given()}
+        given = {cc.key() for cc in self.given}
         return [
             m
             for m, mask in zip(self.members, self.owners)
@@ -306,7 +300,7 @@ class _Closure:
         (:func:`_overlapping_pairs`), so that the pairs are those of the
         all-pairs test.
         """
-        if not _given_pairs_agree(self.datum, self.given(), self.faces):
+        if not _given_pairs_agree(self.datum, self.given, self.faces):
             yield from _overlapping_pairs(self.datum, self.members, self.owners)
 
 
@@ -343,7 +337,8 @@ def _face_closure(
             members.setdefault(face.key(), face)
             owners[face.key()] = owners.get(face.key(), 0) | 1 << bit
     ordered = tuple(sorted(members.values(), key=member_sort_key))
-    return _Closure(datum, ordered, tuple(owners[cc.key()] for cc in ordered), faces)
+    owned = tuple(owners[cc.key()] for cc in ordered)
+    return _Closure(datum, ordered, owned, tuple(members[key] for key in given), faces)
 
 
 def validate_colored_fan(datum: SphericalDatum, fan: ColoredFan) -> ValidationReport:

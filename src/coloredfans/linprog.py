@@ -10,13 +10,14 @@ Two independent deciders over the same problem type:
   keeps the q column equal to minus the p column, so it is read off as
   such.  Rows that are equal apart from their own columns (the basic one
   and an artificial row's slack) are stored once, as a class with the basic
-  labels it stands for: support LPs repeat most of their rows.  The simplex
-  takes the pivots that a simplex over the rationals takes on the full
-  tableau, and returns an exact
-  rational assignment, re-verified against the problem, or ``None``.  The
-  point is read off the final tableau over one common denominator, lifted
-  through the equalities and re-verified in integers; its ``Fraction``
-  entries are built only on return.
+  labels it stands for: support LPs repeat most of their rows.  The classes
+  are the groups of equal input rows; a class splits when it pivots, and
+  classes never merge.  The simplex takes the pivots that a simplex over the
+  rationals takes on the full tableau, and returns an exact rational
+  assignment, re-verified against the problem, or ``None``.  The point is
+  read off the final tableau over one common denominator, lifted through the
+  equalities and re-verified in integers; its ``Fraction`` entries are built
+  only on return.
 * :func:`fourier_motzkin` -- variable elimination over integer rows,
   intended as a slow cross-checking oracle and capped at a configurable
   variable count.
@@ -290,7 +291,11 @@ def _phase_one(num_vars: int, ineqs: list[SparseRow]) -> Point | None:
     not own, and under the keys ``SIGMA`` and ``TAU`` the coefficients of x
     and of its own slack, if any, which pivots scale and divide with the
     row.  A basic q column x reads as ``-SIGMA`` in the p column
-    ``x - num_vars``.  The classes start as the groups of equal input rows.
+    ``x - num_vars``.  The classes start as the groups of equal input rows;
+    a pivot on a class splits off its smallest member, and classes never
+    merge.  Two classes that come to be equal tie in every ratio test, where
+    the smaller label leaves, as it would from one class of both, so the
+    pivots stay the full tableau's.
     """
     nv = num_vars
     m = len(ineqs)
@@ -332,10 +337,8 @@ def _phase_one(num_vars: int, ineqs: list[SparseRow]) -> Point | None:
         row[SIGMA] = s
         rows.append(row)
         labels.append([label])
-    if not objective:
-        # no artificial: the slack basis is feasible, with every t_j = 0
-        return [0] * nv, 1
-    # the reduced costs are the last class, with no member
+    # the reduced costs are the last class, with no member; with no
+    # artificial they are empty, and the slack basis, every t_j = 0, is optimal
     red = {j: x for j, x in red.items() if x}
     rows.append(red)
     rhs.append(objective)
@@ -393,8 +396,8 @@ def _pivot(rows, rhs, labels, r, p, hits, enter, nv, m):
     basic at ``SIGMA = p``, and the other members keep x - leave = 0, a new
     class.  Each other hit becomes ``row * (p / g) - prow * (f / g)``,
     g = gcd(p, f), divided by the gcd of its entries, own coefficients and
-    right hand side; one with f < 0 that then equals the pivot row apart
-    from its basic column joins the pivot row's class.
+    right hand side, and keeps its members.  Classes split and never merge:
+    the pivot class holds ``enter`` alone.
     """
     prow, pr = rows[r], rhs[r]
     members = labels[r]
@@ -408,7 +411,6 @@ def _pivot(rows, rhs, labels, r, p, hits, enter, nv, m):
     if tau:
         prow[leave - m] = tau
     pitems = prow.items()
-    merging = []
     for i, f in hits:
         if i == r:
             continue
@@ -432,15 +434,8 @@ def _pivot(rows, rhs, labels, r, p, hits, enter, nv, m):
                 row[j] //= g
             h //= g
         rhs[i] = h
-        if f < 0 and h == pr:
-            merging.append(i)
     prow[SIGMA] = p
-    joined = labels[r] = [enter]
-    for i in reversed(merging):
-        if rows[i] == prow:
-            joined += labels[i]
-            del rows[i], rhs[i], labels[i]
-    joined.sort()
+    labels[r] = [enter]
     if len(members) > 1:
         # before the reduced costs, which stay last
         g = gcd(sigma, tau)

@@ -1,15 +1,20 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from random_colored import random_colored_action, random_colored_cone, random_datum
 
-from coloredfans import cli
+from coloredfans import cli, fileio
 from coloredfans.cli import COMMANDS, main, run_command
+from coloredfans.colored import fan_from_maximal_cones, validate_colored_cone
 from coloredfans.errors import InputFileError, SemanticError
+from coloredfans.galois import apply_element
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -104,6 +109,24 @@ def test_lined_non_involution_is_input_error(tmp_path):
     theta.write_text("[[2]]\n")
     with pytest.raises(SemanticError):
         run_command("lined", lambda_csv="1", theta_path=str(theta))
+
+
+def test_lined_weight_longer_than_the_dimension_cap_exits_before_theta(
+    tmp_path, monkeypatch, capsys
+):
+    # theta is squared exactly, which takes about 2 s at n = 65
+    n = fileio.MAX_DIM + 1
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps([[-(i == j) for j in range(n)] for i in range(n)]))
+    read = []
+    load = fileio.load_json
+    monkeypatch.setattr(fileio, "load_json", lambda path: read.append(path) or load(path))
+    start = time.perf_counter()
+    code = main(["lined", "--theta", str(theta), "--lambda", ",".join(["1"] * n)])
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert (code, out, read) == (2, "", [])
+    assert f"at most {fileio.MAX_DIM} entries" in err
 
 
 def test_schema_error_exit_code(tmp_path, capsys):
@@ -512,6 +535,88 @@ def test_cli_deterministic_across_runs():
     )
     assert first.text == second.text
     assert first.payload == second.payload
+
+
+def _text_from_payload(payload: dict) -> str:
+    """The text report of a payload, notes left out: the verdict, then the
+    axioms, witnesses and reasons, each section only when nonempty."""
+    lines = [f"command: {payload['command']}"]
+    lines.append(f"verdict: {'PASS' if payload['verdict'] else 'FAIL'}")
+    if payload["axioms"]:
+        lines.append("axioms:")
+        lines += [f"  {name}: {'ok' if ok else 'FAIL'}" for name, ok in payload["axioms"].items()]
+    if payload["witnesses"]:
+        lines.append("witnesses:")
+        lines += [f"  {w['cone']}: [{', '.join(w['coefficients'])}]" for w in payload["witnesses"]]
+    if payload["reasons"]:
+        lines.append("reasons:")
+        lines += [f"  {reason}" for reason in payload["reasons"]]
+    return "\n".join(lines) + "\n"
+
+
+def random_cli_inputs(tmp_path):
+    """Seeded files from ``random_colored.py``: (command, datum, fan, action)
+    for ``validate`` and ``quasiproj`` on fans of one or two passing cones,
+    and for ``validate`` and ``kform`` on a colored action with a fan of
+    one cone or of its orbit under the generators."""
+    rng = random.Random(4099)
+    cases = []
+
+    def write(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    def fan_file(name, datum, cones):
+        return write(name, fileio.serialize_fan(datum, fan_from_maximal_cones(datum, cones)))
+
+    for i in range(10):
+        datum = random_datum(rng)
+        cones = []
+        while len(cones) < 2:
+            cc = random_colored_cone(rng, datum)
+            if validate_colored_cone(datum, cc).passed:
+                cones.append(cc)
+        datum_path = write(f"datum{i}.json", fileio.serialize_datum(datum))
+        fan_path = fan_file(f"fan{i}.json", datum, cones[: 1 + i % 2])
+        cases += [(command, datum_path, fan_path, None) for command in ("validate", "quasiproj")]
+    for i in range(4):
+        datum, action = random_colored_action(rng)
+        cc = random_colored_cone(rng, datum)
+        while not validate_colored_cone(datum, cc).passed:
+            cc = random_colored_cone(rng, datum)
+        orbit = [cc] + [apply_element(g, cc) for g in action.generators] if i % 2 else [cc]
+        datum_path = write(f"action_datum{i}.json", fileio.serialize_datum(datum))
+        fan_path = fan_file(f"action_fan{i}.json", datum, orbit)
+        action_path = write(f"action{i}.json", fileio.serialize_action(action))
+        cases += [(command, datum_path, fan_path, action_path) for command in ("validate", "kform")]
+    return cases
+
+
+def test_text_and_json_agree_on_random_inputs(tmp_path, capsys):
+    """Each command prints the same exit code, verdict, axioms, witnesses and
+    reasons as text and as ``--json``."""
+    # about 0.7 s on a 2-core x86_64 box with Python 3.11
+    codes, sections = set(), set()
+    for command, datum, fan, action in random_cli_inputs(tmp_path):
+        argv = [command, "--datum", datum, "--fan", fan]
+        if action is not None:
+            argv += ["--action", action]
+        code = main(argv)
+        text = capsys.readouterr().out
+        assert main(argv + ["--json"]) == code
+        codes.add((command, code))
+        if code == 2:
+            assert text == capsys.readouterr().out == ""
+            continue
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] is (code == 0)
+        kept = [line for line in text.splitlines(keepends=True) if not line.startswith("note: ")]
+        assert "".join(kept) == _text_from_payload(payload)
+        sections.update(key for key in ("witnesses", "reasons") if payload[key])
+    # passing and failing verdicts, input errors, witnesses and reasons
+    assert {("quasiproj", 0), ("quasiproj", 2), ("validate", 1), ("kform", 1)} <= codes
+    assert sections == {"witnesses", "reasons"}
 
 
 # -- the parser ---------------------------------------------------------------

@@ -173,7 +173,7 @@ def test_closure_names_its_given_and_maximal_cones_and_overlaps():
     # the ray, a face of the quadrant, and the quadrant are each given twice
     given = _plain(plane, [ray, quadrant, ray, quadrant, left])
     closure = colored._face_closure(plane, given, {})
-    assert [cc.key() for cc in closure.given()] == keys
+    assert [cc.key() for cc in closure.given] == keys
     assert [cc.key() for cc in closure.maximal()] == [keys[2], keys[1]]  # member order
     assert list(closure.overlaps()) == []
     # F2 fails: the pairs are those of the all-pairs LP test

@@ -260,7 +260,8 @@ def test_repeated_rows_pivot_as_the_full_tableau(monkeypatch, pivots):
     """Classes of equal rows take the Fraction simplex's (entering, leaving)
     path on every LP and return its point to the repr.  The LPs split
     classes of slack rows and of artificial rows when they pivot on them,
-    merge classes into the pivot row's class, and need q columns."""
+    and need q columns.  Classes never merge: after each pivot the entering
+    label is alone in its class."""
     seen = set()
     pivot = linprog._pivot
 
@@ -268,8 +269,7 @@ def test_repeated_rows_pivot_as_the_full_tableau(monkeypatch, pivots):
         if len(labels[r]) > 1:
             seen.add("split artificial" if linprog.TAU in rows[r] else "split slack")
         pivot(rows, rhs, labels, r, p, hits, enter, *rest)
-        if any(enter in members and len(members) > 1 for members in labels):
-            seen.add("merge")
+        assert all(members == [enter] for members in labels if enter in members)
 
     monkeypatch.setattr(linprog, "_pivot", watching)
     rng = random.Random(7331)
@@ -281,7 +281,7 @@ def test_repeated_rows_pivot_as_the_full_tableau(monkeypatch, pivots):
         if x is not None and min(x) < 0:
             seen.add("negative")
     assert 20 < sum(outcomes) < 130
-    assert seen == {"split artificial", "split slack", "merge", "negative"}
+    assert seen == {"split artificial", "split slack", "negative"}
 
 
 def test_cube_support_lps_keep_their_pivots_and_points(pivots):
