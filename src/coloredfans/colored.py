@@ -25,11 +25,14 @@ validation report.
 Whether a relative interior meets the valuation cone V is decided on two
 routes with the same answers.  :func:`relative_interior_meets`,
 :func:`colored_faces` and :func:`validate_colored_fan` solve one exact LP per
-test.  The face closure (:func:`_face_closure`) checks each given cone C
-against C1-C4 once (C2 by the LP), keeps K = C ∩ V, which C1 builds, and
-decides each face from K with integer dot products (:func:`_face_meets`).
-Its :class:`_Closure` decides F2 from pairs of given cones, one double
-description each, and names the maximal members.
+test, on the faces of :meth:`Cone.faces`.  The face closure
+(:func:`_face_closure`) checks each given cone C against C1-C4 once (C2 by
+the LP), keeps K = C ∩ V, which C1 builds, reads the faces of C off its
+facet-ray incidences with no double description
+(:meth:`Cone._lattice_faces`), and decides each face from K with integer
+dot products (:func:`_face_meets`).  Its :class:`_Closure` decides F2 from
+pairs of given cones, one double description each, and names the maximal
+members.
 """
 
 from __future__ import annotations
@@ -207,9 +210,12 @@ def colored_faces(datum: SphericalDatum, cc: ColoredCone) -> tuple[ColoredCone, 
 
 def _closure_faces(datum: SphericalDatum, cc: ColoredCone) -> tuple[ColoredCone, ...]:
     """:func:`colored_faces`, each relative interior decided from K = C ∩ V
-    (:func:`_face_meets`), with no LP."""
+    (:func:`_face_meets`), with no LP, and the faces walked from the
+    facet-ray incidences (:meth:`Cone._lattice_faces`), with no double
+    description."""
     report, part = _cone_axioms(datum, cc)
     report.require(InvalidColoredConeError, "axioms failed")
+    cc.cone._lattice_faces()
     return _kept_faces(datum, cc, lambda face: _face_meets(part, face))
 
 
@@ -313,12 +319,14 @@ def _face_closure(
     it.  Those of a given cone missing from it are computed, in the given
     order, by one C1-C4 check and relints decided from K = C ∩ V
     (:func:`_closure_faces`, which raises :class:`InvalidColoredConeError` as
-    :func:`colored_faces` does); only the given cones run :meth:`Cone.faces`.
-    A face met first is given the faces of its owner whose rays lie in it,
-    which are its own, in ``Cone.faces`` order (faces are strictly convex,
-    C3).  A given cone met earlier as a face is not checked again: it equals,
-    key for key, a colored face of a checked cone.  A cone given twice keeps
-    its first occurrence.
+    :func:`colored_faces` does); only the given cones walk a face lattice
+    (:meth:`Cone._lattice_faces`).  A face met first is given the faces of
+    its owner whose rays lie in it, which are its own, in ``Cone.faces``
+    order (faces are strictly convex, C3): each face is a bit mask over its
+    owner's rays, and only the faces up to it in that order, which is by
+    dimension first, are tested.  A given cone met earlier as a face is not
+    checked again: it equals, key for key, a colored face of a checked cone.
+    A cone given twice keeps its first occurrence.
     """
     given: dict = {}
     for cc in cones:
@@ -328,11 +336,14 @@ def _face_closure(
     for bit, (key, cc) in enumerate(given.items()):
         if key not in faces:
             faces[key] = _closure_faces(datum, cc)
-        for face in faces[key]:
+        bits = {r: 1 << i for i, r in enumerate(cc.cone._rays)}
+        masks = [sum(bits[r] for r in face.cone._rays) for face in faces[key]]
+        for i, face in enumerate(faces[key]):
             if face.key() not in faces:
-                rays = set(face.cone._rays)
                 faces[face.key()] = tuple(
-                    sub for sub in faces[key] if rays.issuperset(sub.cone._rays)
+                    sub
+                    for sub, mask in zip(faces[key][: i + 1], masks)
+                    if mask | masks[i] == masks[i]
                 )
             members.setdefault(face.key(), face)
             owners[face.key()] = owners.get(face.key(), 0) | 1 << bit

@@ -315,7 +315,14 @@ class Cone:
         )
 
     def faces(self) -> tuple["Cone", ...]:
-        """All faces, canonical and deduplicated, the cone itself included."""
+        """All faces, canonical and deduplicated, the cone itself included.
+
+        Each face is cut from a face found before by one facet hyperplane, a
+        double description per cut.  The LP route of ``colored`` reaches
+        these cuts, and ``bench/run.py`` pins their count on the twisted
+        cube; :meth:`_lattice_faces` gives the same tuple with no double
+        description, and these cuts are its test oracle.
+        """
         if self._faces is None:
             found = {self}
             queue = [self]
@@ -332,6 +339,63 @@ class Cone:
                         found.add(cut)
                         queue.append(cut)
             self._faces = tuple(sorted(found, key=_face_sort_key))
+        return self._faces
+
+    def _lattice_faces(self, limit: int | None = None) -> tuple["Cone", ...] | None:
+        """:meth:`faces`, read off the facet-ray incidences with no double
+        description (Kaibel & Pfetsch, "Computing the face lattice of a
+        polytope from its vertex-facet incidences", 2002); None, with
+        nothing stored, once more than ``limit`` faces are found.
+
+        A face is the lineality space plus the cone over the rays it holds,
+        so it is known by that ray set S, a bit mask here.  The faces of the
+        face S are S itself and the faces of its facets, which are the
+        inclusion-maximal cuts S ∩ T_f by the facets f not tight on S, T_f
+        being the rays on f; a breadth-first search from the full ray set
+        walks them all.  The face S keeps the cone's lineality, adds the
+        facets tight on S to its span equations, and takes one facet f per
+        maximal cut as a facet normal, which is canonical modulo those
+        equations whichever f is taken.
+        """
+        if self._faces is not None:
+            return self._faces if limit is None or len(self._faces) <= limit else None
+        rays = self._rays
+        tight = [
+            sum(1 << i for i, r in enumerate(rays) if _dot(a, r) == 0) for a in self._facets
+        ]
+        full = (1 << len(rays)) - 1
+        seen = {full}
+        queue = [full]
+        found = []
+        for s in queue:
+            cuts: dict[int, IntVec] = {}
+            span_eq = list(self._span_eq)
+            for a, t in zip(self._facets, tight):
+                if s & ~t:
+                    cuts.setdefault(s & t, a)
+                else:
+                    span_eq.append(a)
+            facets = []
+            for cut, a in cuts.items():
+                if not any(cut != other and cut & other == cut for other in cuts):
+                    facets.append(a)
+                    if cut not in seen:
+                        seen.add(cut)
+                        queue.append(cut)
+            if limit is not None and len(seen) > limit:
+                return None
+            found.append(
+                self
+                if s == full
+                else Cone._from_descriptions(
+                    self.ambient_dim,
+                    self._lineality,
+                    [r for i, r in enumerate(rays) if s >> i & 1],
+                    span_eq,
+                    facets,
+                )
+            )
+        self._faces = tuple(sorted(found, key=_face_sort_key))
         return self._faces
 
     def _relint_rows(self) -> tuple:

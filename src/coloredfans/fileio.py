@@ -49,6 +49,12 @@ MAX_DIM = 64
 # has 128 rays.
 MAX_CONES = 512
 MAX_RAYS = 256
+# Most faces the given cones of one fan may have together, counted while
+# their face lattices are walked, so that one cone with a huge lattice stops
+# near the cap: the closure builds every face and compares each with the
+# faces of its cone.  The cone over the cube {1} x {-1,1}^7 has 2188 faces,
+# that over {1} x {-1,1}^8 has 6562.
+MAX_FACES = 4096
 # Most generators an action may list, checked before any matrix is built:
 # each distinct one is tested for infinite order, seconds at dimension 64.
 MAX_GENERATORS = 64
@@ -146,7 +152,10 @@ def parse_fan(obj, datum: SphericalDatum, where: str = "fan") -> list[ColoredCon
     """Schema-level parse of the maximal cones; no axiom validation here.
 
     Every entry is read, and checked against :data:`MAX_CONES` and
-    :data:`MAX_RAYS`, before any cone is built."""
+    :data:`MAX_RAYS`, before any cone is built.  Each cone's face lattice
+    is walked as soon as the cone is built, once per distinct colored cone
+    as the closure walks them, and kept on the cone; more than
+    :data:`MAX_FACES` faces in all is a schema error."""
     data = _expect_keys(obj, ("cones",), (), where)
     if not isinstance(data["cones"], list):
         raise SchemaError(f"{where}.cones: expected a list")
@@ -168,7 +177,19 @@ def parse_fan(obj, datum: SphericalDatum, where: str = "fan") -> list[ColoredCon
         if unknown:
             raise SchemaError(f"{where}.cones[{i}]: unknown colors {unknown}")
         parsed.append((rays, frozenset(colors)))
-    return [ColoredCone(cone_from_generators(rays, datum.dim), colors) for rays, colors in parsed]
+    cones = []
+    walked = set()
+    budget = MAX_FACES
+    for rays, colors in parsed:
+        cc = ColoredCone(cone_from_generators(rays, datum.dim), colors)
+        cones.append(cc)
+        if cc.key() not in walked:
+            walked.add(cc.key())
+            faces = cc.cone._lattice_faces(budget)
+            if faces is None:
+                raise SchemaError(f"{where}.cones: more than {MAX_FACES} faces in all")
+            budget -= len(faces)
+    return cones
 
 
 def parse_action(obj, datum: SphericalDatum, where: str = "action") -> GroupAction:

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import os
 import random
@@ -185,6 +186,59 @@ def test_cone_and_ray_limits_are_input_errors(cones, where, tmp_path, capsys, mo
     out, err = capsys.readouterr()
     assert out == "" and err.splitlines() == [f"input error: {where}"]
     assert built == [2]  # the valuation cone of the datum only
+
+
+def cube_cone_files(tmp_path, n, sides):
+    """A datum of rank n with the whole space as valuation cone, and a fan of
+    the cones over the cubes {side} x {-1, 1}^(n-1), 3^(n-1) + 1 faces each."""
+    datum = tmp_path / "datum.json"
+    units = [[s * (i == j) for j in range(n)] for i in range(n) for s in (1, -1)]
+    datum.write_text(json.dumps({"dim": n, "valuation_cone": {"generators": units}}))
+    corners = [list(c) for c in itertools.product((1, -1), repeat=n - 1)]
+    fan = tmp_path / "fan.json"
+    fan.write_text(json.dumps({"cones": [{"rays": [[s] + c for c in corners]} for s in sides]}))
+    return str(datum), str(fan)
+
+
+@pytest.mark.parametrize(
+    "n, sides, code, built",
+    # 2188 faces; 6562 faces, and the second cone is never built; twice 2188
+    [(8, (1,), 0, 2), (9, (1, -1), 2, 2), (8, (1, -1), 2, 3)],
+)
+def test_face_limit_counts_the_faces_of_all_given_cones(
+    n, sides, code, built, tmp_path, capsys, monkeypatch
+):
+    """The given cones of a fan may have 4096 faces in all.  Each cone's face
+    lattice is walked once the cone is built, and the walk stops once it
+    finds more, before any later cone is built or any axiom checked."""
+    from coloredfans import cones
+
+    assert fileio.MAX_FACES == 4096
+    datum, fan = cube_cone_files(tmp_path, n, sides)
+    generated, faces = [], []
+    real_generators, real_faces = fileio.cone_from_generators, cones.Cone._from_descriptions
+
+    def counting_generators(gens, dim):
+        generated.append(dim)
+        return real_generators(gens, dim)
+
+    def counting_faces(*args):
+        faces.append(args[0])
+        return real_faces(*args)
+
+    monkeypatch.setattr(fileio, "cone_from_generators", counting_generators)
+    monkeypatch.setattr(cones.Cone, "_from_descriptions", staticmethod(counting_faces))
+    start = time.perf_counter()
+    assert main(["validate", "--datum", datum, "--fan", fan]) == code
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert len(generated) == built  # the datum's valuation cone, then given cones
+    if code == 0:
+        assert err == "" and "verdict: PASS" in out
+        return
+    assert out == "" and err.splitlines() == ["input error: fan.cones: more than 4096 faces in all"]
+    assert len(faces) <= built + fileio.MAX_FACES
+    assert elapsed < 5
 
 
 def test_valuation_generator_limit_is_an_input_error(tmp_path, capsys):

@@ -5,7 +5,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import membership_oracle, random_cone
+from conftest import cube_pattern_cones, membership_oracle, random_cone
+from random_colored import random_colored_cone, random_datum
 from reference_exact import (
     reference_cone_from_generators,
     reference_cone_from_inequalities,
@@ -13,7 +14,7 @@ from reference_exact import (
     reference_invert,
     reference_rank,
 )
-from coloredfans.cones import _dd, cone_from_generators, cone_from_inequalities
+from coloredfans.cones import Cone, _dd, cone_from_generators, cone_from_inequalities
 from coloredfans.linalg import identity, mat, matmul, vec
 
 
@@ -561,3 +562,58 @@ def test_relint_rows_are_built_once_and_left_out_of_equality():
     ]
     assert list(rows) == expected
     assert len(rows) == 2 * len(a._span_eq) + 2 * len(a._facets) == 6
+
+
+def lattice_agrees_with_cuts(cone):
+    """Assert that the face lattice read off the facet-ray incidences is
+    :meth:`Cone.faces`, the double description cuts: the same faces, field
+    for field, in the same order.  Each route runs on its own copy of the
+    cone, so that neither finds the other's faces stored.  Returns the
+    lattice's faces."""
+
+    def copy():
+        return Cone(cone.ambient_dim, cone._rays, cone._lineality, cone._facets, cone._span_eq)
+
+    walked = copy()
+    lattice = walked._lattice_faces()
+    assert walked._faces is lattice and lattice[-1] is walked
+    cuts = copy().faces()
+    assert [fields(f) for f in lattice] == [fields(f) for f in cuts]
+    return lattice
+
+
+def test_face_lattice_matches_the_cuts_on_random_and_cube_pattern_cones():
+    rng = random.Random(2424)
+    cones = []
+    for _ in range(30):
+        datum = random_datum(rng)
+        cones.append(datum.valuation_cone)
+        cones.extend(random_colored_cone(rng, datum).cone for _ in range(6))
+    # lower-dimensional cones, cones with lineality, and linear subspaces
+    assert sum(c.dim < c.ambient_dim for c in cones) > 50
+    assert sum(bool(c._lineality) for c in cones) > 10
+    assert any(c._lineality and not c._rays for c in cones)
+    for cone in cones:
+        lattice_agrees_with_cuts(cone)
+    # every cone of the 64 cube patterns, 24 distinct triangles, and its faces
+    triangles = {tri for pattern in range(64) for tri in cube_pattern_cones(pattern)}
+    assert len(triangles) == 24
+    for tri in triangles:
+        for face in lattice_agrees_with_cuts(cone_from_generators(tri, 3)):
+            lattice_agrees_with_cuts(face)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_face_lattice_matches_the_cuts_on_cube_cones(n):
+    """The cone over the cube {1} x {-1, 1}^(n-1): 3^(n-1) + 1 faces."""
+    cube = cone_from_generators([(1,) + s for s in product((1, -1), repeat=n - 1)], n)
+    assert len(lattice_agrees_with_cuts(cube)) == 3 ** (n - 1) + 1
+
+
+def test_face_lattice_stops_past_its_limit():
+    cube = cone_from_generators([(1,) + s for s in product((1, -1), repeat=3)], 4)
+    assert cube._lattice_faces(27) is None and cube._faces is None
+    faces = cube._lattice_faces(28)
+    assert len(faces) == 28 and cube._faces is faces
+    # stored faces are measured against the limit too
+    assert cube._lattice_faces(27) is None and cube._lattice_faces() is faces

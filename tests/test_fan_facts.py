@@ -12,9 +12,15 @@ from pathlib import Path
 
 import pytest
 
-from conftest import cube_pattern_cones, random_complete_2d_fan, random_unimodular, toric_datum
+from conftest import (
+    TWISTED_CUBE_CONES,
+    cube_pattern_cones,
+    random_complete_2d_fan,
+    random_unimodular,
+    toric_datum,
+)
 from test_galois import KFORM_CASES, SWAP, _kform_case
-from coloredfans import colored, fileio
+from coloredfans import colored, cones, fileio
 from coloredfans.colored import (
     ColoredCone,
     ColoredFan,
@@ -180,6 +186,34 @@ def test_closure_names_its_given_and_maximal_cones_and_overlaps():
     for datum, fan in overlapping_colored_fans():
         pairs = list(fan._facts.overlaps())
         assert pairs and pairs == list(colored._overlapping_pairs(datum, fan.cones))
+
+
+def test_closure_walks_face_lattices_with_no_double_description_cut(monkeypatch):
+    """On the twisted cube the closure runs 4 double descriptions per given
+    cone, the two of C1's intersection and the two of its regenerated cone,
+    and none for faces: each face lattice is read off the facet-ray
+    incidences, and the double description cuts of ``Cone.faces`` never
+    run."""
+    octant = toric_datum(3)
+    maximal = [ColoredCone(cone_from_generators(triple, 3)) for triple in TWISTED_CUBE_CONES]
+    dd_calls, cut_loops = [], []
+    real_dd, real_faces = cones._dd, cones.Cone.faces
+
+    def counting_dd(rows, dim):
+        dd_calls.append(dim)
+        return real_dd(rows, dim)
+
+    def watched_faces(self):
+        if self._faces is None:
+            cut_loops.append(self)
+        return real_faces(self)
+
+    for module in (cones, colored):
+        monkeypatch.setattr(module, "_dd", counting_dd)
+    monkeypatch.setattr(cones.Cone, "faces", watched_faces)
+    fan = fan_from_maximal_cones(octant, maximal)
+    assert len(fan) == 12 + 18 + 8 + 1
+    assert len(dd_calls) == 48 and cut_loops == []
 
 
 def test_failing_fan_raises_the_same_error_on_both_routes():
