@@ -32,12 +32,12 @@ from .errors import (
 )
 from .galois import _k_form, validate_action
 from .monoid import (
-    check_fan_morphism,
+    _fan_morphism,
     is_monoid_cone,
     lined_closure_real_form,
     monoid_has_k_form,
 )
-from .quasiproj import is_quasiprojective
+from .quasiproj import _support_forms
 
 COMMANDS = ("validate", "quasiproj", "kform", "monoid", "monoid-kform", "morphism", "lined")
 
@@ -141,7 +141,8 @@ def run_command(
 
     if command == "quasiproj":
         inputs = fileio.parse_inputs(_need(datum_path, "datum"), _need(fan_path, "fan"))
-        result = is_quasiprojective(inputs.datum, inputs.fan, check=False)
+        # parse_inputs validated the fan; its closure names the maximal cones
+        result = _support_forms(inputs.datum, inputs.fan._facts.maximal())
         witnesses = []
         if result.witness is not None:
             witnesses = [
@@ -203,9 +204,8 @@ def run_command(
             _need(fan_path, "fan"),
             morphism_path=_need(morphism_path, "morphism"),
         )
-        result = check_fan_morphism(
-            inputs.datum, inputs.target_datum, inputs.morphism, inputs.fan, inputs.target_fan
-        )
+        # parse_inputs validated the morphism data
+        result = _fan_morphism(inputs.morphism, inputs.fan, inputs.target_fan)
         witnesses = [
             f"{src.describe()} -> {dst.describe()}" for src, dst in result.assignment
         ]

@@ -121,7 +121,9 @@ class ColoredFan:
     ``dataclasses.replace`` start without.  It holds every member's colored
     faces.  :func:`_checked_fan` reads it, so ``has_k_form`` and the file
     loader derive no face and test only F2, from the pairs of given cones
-    and with no LP unless F2 fails.  ``validate_colored_fan``,
+    and with no LP unless F2 fails.  CLI ``kform`` reads the faces, and CLI
+    ``quasiproj`` the maximal cones (:meth:`_Closure.maximal`), of the fan
+    the loader validated.  ``validate_colored_fan``,
     ``maximal_members``, ``build_support_lp`` and ``is_quasiprojective`` do
     not read it yet: the benchmark gate pins the work of
     ``is_quasiprojective(check=True)`` on the twisted cube by equality, and

@@ -43,8 +43,7 @@ from .colored import (
 from .errors import ClosureCapError, InvalidFanError
 from .cones import _integer_map
 from .linalg import RatMat, identity, mat, matmul, matvec, rank
-from .linprog import lp_feasible
-from .quasiproj import _support_lp
+from .quasiproj import _support_forms
 from .reports import ValidationReport
 
 PERFECT_FIELD_NOTE = (
@@ -431,7 +430,7 @@ def _k_form(
                     f"(b) orbit cones {first} and {second} overlap inside the valuation cone",
                 ),
             )
-        if lp_feasible(_support_lp(datum, closure.maximal())) is None:
+        if not _support_forms(datum, closure.maximal()).verdict:
             return KFormResult(
                 False,
                 invariant=True,

@@ -171,6 +171,14 @@ def check_fan_morphism(
     the target colors.  The first matching target in fan order is recorded.
     """
     validate_morphism_data(datum_src, datum_dst, m)
+    return _fan_morphism(m, fan_src, fan_dst)
+
+
+def _fan_morphism(
+    m: MorphismData, fan_src: ColoredFan, fan_dst: ColoredFan
+) -> MorphismCheckResult:
+    """The verdict of :func:`check_fan_morphism` on morphism data that
+    passed :func:`validate_morphism_data`."""
     cmap = m.color_map_dict
     assignment = []
     reasons = []

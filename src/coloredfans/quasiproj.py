@@ -11,6 +11,12 @@ which is equivalent by homogeneity and convexity.
 Variables are assigned to maximal cones only; faces inherit their parents'
 forms through condition (1), so quantifying the strict condition over
 face/parent pairs would contradict it and is deliberately avoided.
+
+:func:`is_quasiprojective` validates the fan and finds its maximal members
+by colored faces.  A caller that already holds the maximal cones of a
+validated fan -- the CLI reads them off the loaded fan's closure, and
+``galois._k_form`` off each orbit fan's closure -- skips both and calls
+:func:`_support_forms`, the solve and the forms that every route shares.
 """
 
 from __future__ import annotations
@@ -106,8 +112,17 @@ def is_quasiprojective(
     if check:
         validate_colored_fan(datum, fan).require(InvalidFanError, "fan failed validation")
     maximal = maximal_members(datum, fan)
-    lp = build_support_lp(datum, fan, check=False)
-    assignment = lp_feasible(lp)
+    return _support_forms(datum, maximal, build_support_lp(datum, fan, check=False))
+
+
+def _support_forms(
+    datum: SphericalDatum, maximal: Sequence[ColoredCone], lp: LPProblem | None = None
+) -> QuasiprojectivityResult:
+    """Solve the support LP posed on the maximal cones ``maximal`` (``lp``
+    when it is already built, else :func:`_support_lp`) and attach its forms
+    to those cones, in order.  The cones are not checked: they must be the
+    maximal members of a validated fan."""
+    assignment = lp_feasible(_support_lp(datum, maximal) if lp is None else lp)
     if assignment is None:
         return QuasiprojectivityResult(False, None)
     n = datum.dim

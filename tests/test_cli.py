@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import cube_pattern_cones, toric_datum
 from random_colored import random_colored_action, random_colored_cone, random_datum
 
 from coloredfans import cli, fileio
@@ -16,6 +17,7 @@ from coloredfans.cli import COMMANDS, main, run_command
 from coloredfans.colored import fan_from_maximal_cones, validate_colored_cone
 from coloredfans.errors import InputFileError, SemanticError
 from coloredfans.galois import apply_element
+from coloredfans.quasiproj import is_quasiprojective, maximal_members
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -87,7 +89,19 @@ def test_monoid_commands():
     assert kform.exit_code == 0
 
 
-def test_morphism_command():
+def test_morphism_command(monkeypatch):
+    """The loader validates the morphism data; the command does not again."""
+    from coloredfans import monoid
+
+    calls = []
+    validate = monoid.validate_morphism_data
+
+    def counting(*args):
+        calls.append(args)
+        return validate(*args)
+
+    monkeypatch.setattr(fileio, "validate_morphism_data", counting)
+    monkeypatch.setattr(monoid, "validate_morphism_data", counting)
     result = run_command(
         "morphism",
         datum_path=fx("datum_toric2.json"),
@@ -96,6 +110,7 @@ def test_morphism_command():
     )
     assert result.exit_code == 0
     assert result.payload["witnesses"]
+    assert len(calls) == 1
 
 
 def test_lined_command():
@@ -347,7 +362,7 @@ def test_kform_reuses_the_faces_of_the_validated_fan(monkeypatch):
     runs no colored-face pass and no relint LP: the orbit fans take the faces
     that the loaded fan carries, and F2 rules out overlapping orbit cones.
     Only the support LPs of the orbit fans are solved."""
-    from coloredfans import colored, fileio, galois
+    from coloredfans import colored, fileio, quasiproj
 
     calls = []
 
@@ -362,7 +377,7 @@ def test_kform_reuses_the_faces_of_the_validated_fan(monkeypatch):
     # every relint LP, the F2 and overlap pair tests included, runs in colored
     relint = counting("relint", colored.relative_interior_meets)
     monkeypatch.setattr(colored, "relative_interior_meets", relint)
-    monkeypatch.setattr(galois, "lp_feasible", counting("support", galois.lp_feasible))
+    monkeypatch.setattr(quasiproj, "lp_feasible", counting("support", quasiproj.lp_feasible))
     parse = fileio.parse_inputs
 
     def parsed(*args):
@@ -380,6 +395,35 @@ def test_kform_reuses_the_faces_of_the_validated_fan(monkeypatch):
     assert result.exit_code == 0
     # the orbits of the four quadrants under the swap: two fixed, one pair
     assert calls == ["support"] * 3
+
+
+def test_quasiproj_reads_the_maximal_cones_off_the_loaded_fan(monkeypatch):
+    """``parse_inputs`` closes the fan and checks C1-C4 once per given cone;
+    ``quasiproj`` then poses the support LP on the closure's maximal cones,
+    with no second validation and no colored-face pass."""
+    from coloredfans import colored, quasiproj
+
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(colored, "_cone_axioms", counting("axioms", colored._cone_axioms))
+    relint = counting("relint", colored.relative_interior_meets)
+    monkeypatch.setattr(colored, "relative_interior_meets", relint)
+    monkeypatch.setattr(
+        quasiproj, "maximal_members", counting("maximal", quasiproj.maximal_members)
+    )
+    result = run_command(
+        "quasiproj", datum_path=fx("datum_toric2.json"), fan_path=fx("fan_p2.json")
+    )
+    assert result.exit_code == 0
+    assert len(result.payload["witnesses"]) == 3
+    assert (calls.count("axioms"), calls.count("relint"), calls.count("maximal")) == (3, 3, 0)
 
 
 def test_monoid_kform_names_the_failed_monoid_axioms():
@@ -647,12 +691,35 @@ def random_cli_inputs(tmp_path):
     return cases
 
 
+def fixed_quasiproj_inputs(tmp_path):
+    """(command, datum, fan, action) for ``quasiproj`` on a plane fan file
+    that lists faces of a cone beside the cone, and on the cube patterns 24
+    (the twisted cube, not quasiprojective) and 0 (quasiprojective)."""
+    plane = tmp_path / "plane.json"
+    plane.write_text(fileio.serialize_datum(toric_datum(2)))
+    beside = tmp_path / "fan_faces_beside.json"
+    rays = [[[1, 0]], [[1, 0], [0, 1]], [[0, 1]], [[0, 1], [-1, 0]], [[0, 0]]]
+    beside.write_text(json.dumps({"cones": [{"rays": r, "colors": []} for r in rays]}))
+    cases = [("quasiproj", str(plane), str(beside), None)]
+    space = tmp_path / "space.json"
+    space.write_text(fileio.serialize_datum(toric_datum(3)))
+    for pattern in (24, 0):
+        cube = tmp_path / f"cube{pattern}.json"
+        cones = [{"rays": [list(r) for r in c], "colors": []} for c in cube_pattern_cones(pattern)]
+        cube.write_text(json.dumps({"cones": cones}))
+        cases.append(("quasiproj", str(space), str(cube), None))
+    return cases
+
+
 def test_text_and_json_agree_on_random_inputs(tmp_path, capsys):
     """Each command prints the same exit code, verdict, axioms, witnesses and
-    reasons as text and as ``--json``."""
-    # about 0.7 s on a 2-core x86_64 box with Python 3.11
+    reasons as text and as ``--json``.  The verdict and witnesses of
+    ``quasiproj``, read off the loaded fan's closure, are those of
+    ``is_quasiprojective`` validating the same fan in full."""
+    # about 2 s on a 2-core x86_64 box with Python 3.11, most of it the cubes
     codes, sections = set(), set()
-    for command, datum, fan, action in random_cli_inputs(tmp_path):
+    cases = random_cli_inputs(tmp_path) + fixed_quasiproj_inputs(tmp_path)
+    for command, datum, fan, action in cases:
         argv = [command, "--datum", datum, "--fan", fan]
         if action is not None:
             argv += ["--action", action]
@@ -668,8 +735,18 @@ def test_text_and_json_agree_on_random_inputs(tmp_path, capsys):
         kept = [line for line in text.splitlines(keepends=True) if not line.startswith("note: ")]
         assert "".join(kept) == _text_from_payload(payload)
         sections.update(key for key in ("witnesses", "reasons") if payload[key])
+        if command == "quasiproj":
+            inputs = fileio.parse_inputs(datum, fan)
+            assert inputs.fan._facts.maximal() == list(maximal_members(inputs.datum, inputs.fan))
+            result = is_quasiprojective(inputs.datum, inputs.fan, check=True)
+            assert payload["verdict"] is result.verdict
+            assert payload["witnesses"] == [
+                {"cone": f.cone.describe(), "coefficients": list(map(cli.rat_str, f.coefficients))}
+                for f in result.witness or ()
+            ]
     # passing and failing verdicts, input errors, witnesses and reasons
-    assert {("quasiproj", 0), ("quasiproj", 2), ("validate", 1), ("kform", 1)} <= codes
+    assert {("quasiproj", code) for code in (0, 1, 2)} <= codes
+    assert {("validate", 1), ("kform", 1)} <= codes
     assert sections == {"witnesses", "reasons"}
 
 
