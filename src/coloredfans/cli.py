@@ -37,7 +37,7 @@ from .monoid import (
     lined_closure_real_form,
     monoid_has_k_form,
 )
-from .quasiproj import _support_forms
+from .quasiproj import _support_forms, _support_ineq_rows
 
 COMMANDS = ("validate", "quasiproj", "kform", "monoid", "monoid-kform", "morphism", "lined")
 
@@ -142,7 +142,14 @@ def run_command(
     if command == "quasiproj":
         inputs = fileio.parse_inputs(_need(datum_path, "datum"), _need(fan_path, "fan"))
         # parse_inputs validated the fan; its closure names the maximal cones
-        result = _support_forms(inputs.datum, inputs.fan._facts.maximal())
+        maximal = inputs.fan._facts.maximal()
+        rows = _support_ineq_rows(inputs.datum, maximal)
+        if rows > fileio.MAX_SUPPORT_ROWS:
+            raise SchemaError(
+                f"fan: the support LP would have {rows} inequality rows, "
+                f"more than {fileio.MAX_SUPPORT_ROWS}"
+            )
+        result = _support_forms(inputs.datum, maximal)
         witnesses = []
         if result.witness is not None:
             witnesses = [

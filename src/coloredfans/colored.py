@@ -26,11 +26,13 @@ Whether a relative interior meets the valuation cone V is decided on two
 routes with the same answers.  :func:`relative_interior_meets`,
 :func:`colored_faces` and :func:`validate_colored_fan` solve one exact LP per
 test, on the faces of :meth:`Cone.faces`.  The face closure
-(:func:`_face_closure`) checks each given cone C against C1-C4 once (C2 by
-the LP), keeps K = C ∩ V, which C1 builds, reads the faces of C off its
-facet-ray incidences with no double description
-(:meth:`Cone._lattice_faces`), and decides each face from K with integer
-dot products (:func:`_face_meets`).  Its :class:`_Closure` decides F2 from
+(:func:`_face_closure`) runs no LP.  It checks each given cone C against
+C1-C4 once (:func:`_closure_axioms`), from K = C ∩ V: K is C, with no
+double description, when C lies in V, and C2 holds when the ray sum of K
+lies in relint(C).  It reads the faces of C off its facet-ray incidences
+with no double description (:meth:`Cone._lattice_faces`), and keeps every
+face when K is C, else decides each face from K with integer dot products
+(:func:`_face_meets`).  Its :class:`_Closure` decides F2 from
 pairs of given cones, one double description each, and names the maximal
 members.
 """
@@ -119,13 +121,13 @@ class ColoredFan:
     """The closure a fan built by :func:`fan_from_maximal_cones` was read
     off, the only place that sets it; ``ColoredFan(...)`` and
     ``dataclasses.replace`` start without.  It holds every member's colored
-    faces.  :func:`_checked_fan` reads it, so ``has_k_form`` and the file
-    loader derive no face and test only F2, from the pairs of given cones
-    and with no LP unless F2 fails.  CLI ``kform`` reads the faces, and CLI
-    ``quasiproj`` the maximal cones (:meth:`_Closure.maximal`), of the fan
-    the loader validated.  ``validate_colored_fan``,
-    ``maximal_members``, ``build_support_lp`` and ``is_quasiprojective`` do
-    not read it yet: the benchmark gate pins the work of
+    faces, found with no LP (C1-C4 included).  :func:`_checked_fan` reads
+    it, so ``has_k_form`` and the file loader derive no face and test only
+    F2, from the pairs of given cones and with no LP unless F2 fails.  CLI
+    ``kform`` reads the faces, and CLI ``quasiproj`` the maximal cones
+    (:meth:`_Closure.maximal`), of the fan the loader validated.
+    ``validate_colored_fan``, ``maximal_members``, ``build_support_lp`` and
+    ``is_quasiprojective`` do not read it yet: the benchmark gate pins the work of
     ``is_quasiprojective(check=True)`` on the twisted cube by equality, and
     they switch over once its counts become upper bounds."""
 
@@ -171,33 +173,78 @@ def validate_colored_cone(datum: SphericalDatum, cc: ColoredCone) -> ValidationR
 
 def _cone_axioms(datum: SphericalDatum, cc: ColoredCone) -> tuple[ValidationReport, Cone]:
     """The report of :func:`validate_colored_cone`, and the intersection
-    K = C ∩ V of the cone with the valuation cone, which C1 builds."""
+    K = C ∩ V of the cone with the valuation cone, which C1 builds; C2 by
+    the LP."""
+    placed = _placed_colors(datum, cc)
+    part = cc.cone.intersect(datum.valuation_cone)
+    regenerated = cone_from_generators(placed + list(part._generators()), datum.dim)
+    c2 = relative_interior_meets(datum, cc.cone)
+    return _axiom_report(datum, cc, regenerated, c2), part
+
+
+def _closure_axioms(datum: SphericalDatum, cc: ColoredCone) -> tuple[ValidationReport, Cone]:
+    """:func:`_cone_axioms` with no LP, and with no double description when
+    C lies in V.
+
+    K is C itself when every generator of C satisfies the inequalities of
+    V (:func:`_valuation_part`); then C1 holds exactly when every placed
+    color lies in C, and the regenerated cone is built only for the reason
+    of a failure.  C2 holds exactly when w, the ray sum of K, lies in
+    relint(C): w lies in relint(K), which lies in the relative interior of
+    the smallest face of C holding K (Rockafellar, *Convex Analysis*,
+    Thm 18.2), and that face is C exactly when relint(C) meets V.
+    """
+    placed = _placed_colors(datum, cc)
+    cone = cc.cone
+    part = _valuation_part(datum, cone)
+    regenerated = None
+    if part is not cone or not all(map(cone.contains, placed)):
+        regenerated = cone_from_generators(placed + list(part._generators()), datum.dim)
+    c2 = cone._holds_in_relative_interior(_ray_sum(part._rays, datum.dim))
+    return _axiom_report(datum, cc, regenerated, c2), part
+
+
+def _valuation_part(datum: SphericalDatum, cone: Cone) -> Cone:
+    """K = C ∩ V: ``cone`` itself when each of its generators satisfies the
+    inequalities of V, integer dot products and no double description."""
+    valuation = datum.valuation_cone._ineqs
+    if all(_dot(a, g) >= 0 for g in cone._generators() for a in valuation):
+        return cone
+    return cone.intersect(datum.valuation_cone)
+
+
+def _placed_colors(datum: SphericalDatum, cc: ColoredCone) -> list[RatVec]:
+    """The placements of the colors of ``cc``, in name order, once its
+    colors and its dimension are checked against ``datum``."""
     colors = datum.check_colors(cc.colors)
     if cc.cone.ambient_dim != datum.dim:
         raise ValueError("colored cone does not live in the ambient dimension")
-    report = ValidationReport(subject=f"colored cone {cc.describe()}")
+    return [datum.rho(name) for name in sorted(colors)]
 
-    intersection = cc.cone.intersect(datum.valuation_cone)
-    gens = [datum.rho(name) for name in sorted(colors)]
-    gens.extend(intersection._generators())
-    regenerated = cone_from_generators(gens, datum.dim)
+
+def _axiom_report(
+    datum: SphericalDatum, cc: ColoredCone, regenerated: Cone | None, c2: bool
+) -> ValidationReport:
+    """The C1-C4 report of ``cc``, which both routes build, given the cone
+    that its placed colors and the generators of K = C ∩ V generate (None
+    when it is known to be C) and the C2 verdict."""
+    report = ValidationReport(subject=f"colored cone {cc.describe()}")
+    c1 = regenerated is None or regenerated == cc.cone
     report.record(
         "C1",
-        regenerated == cc.cone,
-        "the placed colors and the valuation part of the cone generate "
+        c1,
+        None
+        if c1
+        else "the placed colors and the valuation part of the cone generate "
         f"{describe_vectors(regenerated._rays)}, not the stored cone",
     )
-    report.record(
-        "C2",
-        relative_interior_meets(datum, cc.cone),
-        "the relative interior misses the valuation cone",
-    )
+    report.record("C2", c2, "the relative interior misses the valuation cone")
     report.record("C3", cc.cone.is_strictly_convex, "the cone contains a line")
-    zero_colors = sorted(name for name in colors if is_zero(datum.rho(name)))
+    zero_colors = sorted(name for name in cc.colors if is_zero(datum.rho(name)))
     report.record(
         "C4", not zero_colors, f"colors placed at the origin: {zero_colors}"
     )
-    return report, intersection
+    return report
 
 
 def colored_faces(datum: SphericalDatum, cc: ColoredCone) -> tuple[ColoredCone, ...]:
@@ -211,13 +258,16 @@ def colored_faces(datum: SphericalDatum, cc: ColoredCone) -> tuple[ColoredCone, 
 
 
 def _closure_faces(datum: SphericalDatum, cc: ColoredCone) -> tuple[ColoredCone, ...]:
-    """:func:`colored_faces`, each relative interior decided from K = C ∩ V
-    (:func:`_face_meets`), with no LP, and the faces walked from the
-    facet-ray incidences (:meth:`Cone._lattice_faces`), with no double
-    description."""
-    report, part = _cone_axioms(datum, cc)
+    """:func:`colored_faces` with no LP: C1-C4 by :func:`_closure_axioms`,
+    the faces walked from the facet-ray incidences
+    (:meth:`Cone._lattice_faces`), with no double description, and each
+    relative interior decided from K = C ∩ V (:func:`_face_meets`).  When K
+    is C every face is kept: it lies in V."""
+    report, part = _closure_axioms(datum, cc)
     report.require(InvalidColoredConeError, "axioms failed")
     cc.cone._lattice_faces()
+    if part is cc.cone:
+        return _kept_faces(datum, cc, lambda face: True)
     return _kept_faces(datum, cc, lambda face: _face_meets(part, face))
 
 
@@ -319,9 +369,9 @@ def _face_closure(
 
     ``faces`` maps a member key to its colored faces, and the closure keeps
     it.  Those of a given cone missing from it are computed, in the given
-    order, by one C1-C4 check and relints decided from K = C ∩ V
-    (:func:`_closure_faces`, which raises :class:`InvalidColoredConeError` as
-    :func:`colored_faces` does); only the given cones walk a face lattice
+    order, by one C1-C4 check and relints decided from K = C ∩ V, with no
+    LP (:func:`_closure_faces`, which raises :class:`InvalidColoredConeError`
+    as :func:`colored_faces` does); only the given cones walk a face lattice
     (:meth:`Cone._lattice_faces`).  A face met first is given the faces of
     its owner whose rays lie in it, which are its own, in ``Cone.faces``
     order (faces are strictly convex, C3): each face is a bit mask over its

@@ -58,6 +58,12 @@ MAX_FACES = 4096
 # Most generators an action may list, checked before any matrix is built:
 # each distinct one is tested for infinite order, seconds at dimension 64.
 MAX_GENERATORS = 64
+# Most inequality rows CLI ``quasiproj`` poses in a support LP, counted from
+# the maximal cones before the LP is built: the exact simplex grows about
+# cubically with the rows.  The fan of the m plane cones on (1, k), (1, k+1)
+# has 3m(m-1): about 1.7 s at m = 18 (918 rows) and 2.3 s at m = 20 (1140
+# rows) on a 2-core x86_64 box with Python 3.11.  The twisted cube has 528.
+MAX_SUPPORT_ROWS = 1024
 
 
 def _require_int(x, where: str) -> int:

@@ -24,7 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .colored import ColoredCone, ColoredFan, SphericalDatum, colored_faces, validate_colored_fan
+from .colored import (
+    ColoredCone,
+    ColoredFan,
+    SphericalDatum,
+    _valuation_part,
+    colored_faces,
+    validate_colored_fan,
+)
 from .cones import _ray_sum
 from .errors import InvalidFanError
 from .linalg import RatVec
@@ -103,6 +110,15 @@ def _support_lp(datum: SphericalDatum, maximal: Sequence[ColoredCone]) -> LPProb
                 ineqs.append((difference_row(k, l, g), 0, 1))
             ineqs.append((difference_row(k, l, witness), 1, 1))
     return LPProblem._from_integral(num_vars, eqs, ineqs)
+
+
+def _support_ineq_rows(datum: SphericalDatum, maximal: Sequence[ColoredCone]) -> int:
+    """The inequality rows of :func:`_support_lp` on ``maximal``, counted
+    before any is built: m - 1 per generator of each K_k = Z_k ∩ V and per
+    witness, m the number of maximal cones."""
+    m = len(maximal)
+    gens = (len(_valuation_part(datum, cc.cone)._generators()) for cc in maximal)
+    return sum((m - 1) * (g + 1) for g in gens)
 
 
 def is_quasiprojective(

@@ -14,7 +14,8 @@ from random_colored import random_colored_action, random_colored_cone, random_da
 
 from coloredfans import cli, fileio
 from coloredfans.cli import COMMANDS, main, run_command
-from coloredfans.colored import fan_from_maximal_cones, validate_colored_cone
+from coloredfans.colored import ColoredCone, fan_from_maximal_cones, validate_colored_cone
+from coloredfans.cones import cone_from_generators
 from coloredfans.errors import InputFileError, SemanticError
 from coloredfans.galois import apply_element
 from coloredfans.quasiproj import is_quasiprojective, maximal_members
@@ -334,6 +335,66 @@ def test_colors_that_are_not_a_list_are_input_errors(colors, in_morphism, tmp_pa
     assert err.splitlines() == [f"input error: {where}: expected a list"]
 
 
+def line_fan_files(tmp_path, m):
+    """The plane with V the whole plane, and the fan of the m cones on
+    (1, k) and (1, k+1), k < m: its support LP has 3m(m-1) inequality rows."""
+    datum, fan = tmp_path / "datum.json", tmp_path / "fan.json"
+    datum.write_text(json.dumps({
+        "dim": 2,
+        "valuation_cone": {"generators": [[1, 0], [-1, 0], [0, 1], [0, -1]]},
+    }))
+    fan.write_text(json.dumps({"cones": [{"rays": [[1, k], [1, k + 1]]} for k in range(m)]}))
+    return str(datum), str(fan)
+
+
+@pytest.mark.parametrize("m, code", [(16, 0), (64, 2)])
+def test_support_lp_row_limit(m, code, tmp_path, capsys):
+    """CLI ``quasiproj`` poses support LPs of up to 1024 inequality rows,
+    counted from the maximal cones before the LP is built: 720 at m = 16,
+    12096 at m = 64."""
+    assert fileio.MAX_SUPPORT_ROWS == 1024
+    datum, fan = line_fan_files(tmp_path, m)
+    start = time.perf_counter()
+    assert main(["quasiproj", "--datum", datum, "--fan", fan]) == code
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert err == "" and "verdict: PASS" in out
+        return
+    assert out == "" and err.splitlines() == [
+        "input error: fan: the support LP would have 12096 inequality rows, more than 1024"
+    ]
+    assert elapsed < 5
+
+
+def test_support_lp_rows_are_counted_exactly():
+    """The count the limit reads is the number of inequality rows of the
+    LP, on every loadable fan fixture, the m = 16 line fan and the twisted
+    cube, and every fixture stays below the limit."""
+    from test_fan_facts import FAN_FIXTURE_DATA
+    from coloredfans.quasiproj import _support_ineq_rows, _support_lp
+
+    fans = []
+    for fan_name, datum_name in FAN_FIXTURE_DATA.items():
+        try:
+            inputs = fileio.parse_inputs(fx(datum_name), fx(fan_name))
+        except SemanticError:
+            continue
+        fans.append((inputs.datum, inputs.fan))
+    plane = toric_datum(2)
+    line = [ColoredCone(cone_from_generators([(1, k), (1, k + 1)], 2)) for k in range(16)]
+    cube = [ColoredCone(cone_from_generators(t, 3)) for t in cube_pattern_cones(24)]
+    fans.append((plane, fan_from_maximal_cones(plane, line)))
+    fans.append((toric_datum(3), fan_from_maximal_cones(toric_datum(3), cube)))
+    counts = []
+    for datum, fan in fans:
+        maximal = fan._facts.maximal()
+        counts.append(_support_ineq_rows(datum, maximal))
+        assert counts[-1] == len(_support_lp(datum, maximal)._ineqs)
+    assert len(counts) == 10 and counts[-2:] == [720, 528]
+    assert max(counts) <= fileio.MAX_SUPPORT_ROWS
+
+
 def test_monoid_kform_checks_the_monoid_cone_once(monkeypatch):
     import coloredfans.cli
     import coloredfans.monoid
@@ -398,9 +459,9 @@ def test_kform_reuses_the_faces_of_the_validated_fan(monkeypatch):
 
 
 def test_quasiproj_reads_the_maximal_cones_off_the_loaded_fan(monkeypatch):
-    """``parse_inputs`` closes the fan and checks C1-C4 once per given cone;
-    ``quasiproj`` then poses the support LP on the closure's maximal cones,
-    with no second validation and no colored-face pass."""
+    """``parse_inputs`` closes the fan and checks C1-C4 once per given cone,
+    with no LP; ``quasiproj`` then poses the support LP on the closure's
+    maximal cones, with no second validation and no colored-face pass."""
     from coloredfans import colored, quasiproj
 
     calls = []
@@ -412,7 +473,7 @@ def test_quasiproj_reads_the_maximal_cones_off_the_loaded_fan(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(colored, "_cone_axioms", counting("axioms", colored._cone_axioms))
+    monkeypatch.setattr(colored, "_closure_axioms", counting("axioms", colored._closure_axioms))
     relint = counting("relint", colored.relative_interior_meets)
     monkeypatch.setattr(colored, "relative_interior_meets", relint)
     monkeypatch.setattr(
@@ -423,7 +484,7 @@ def test_quasiproj_reads_the_maximal_cones_off_the_loaded_fan(monkeypatch):
     )
     assert result.exit_code == 0
     assert len(result.payload["witnesses"]) == 3
-    assert (calls.count("axioms"), calls.count("relint"), calls.count("maximal")) == (3, 3, 0)
+    assert (calls.count("axioms"), calls.count("relint"), calls.count("maximal")) == (3, 0, 0)
 
 
 def test_monoid_kform_names_the_failed_monoid_axioms():

@@ -189,15 +189,14 @@ def test_closure_names_its_given_and_maximal_cones_and_overlaps():
 
 
 def test_closure_walks_face_lattices_with_no_double_description_cut(monkeypatch):
-    """On the twisted cube the closure runs 4 double descriptions per given
-    cone, the two of C1's intersection and the two of its regenerated cone,
-    and none for faces: each face lattice is read off the facet-ray
-    incidences, and the double description cuts of ``Cone.faces`` never
-    run."""
+    """On the twisted cube, whose cones lie in V, the whole space, the
+    closure runs no double description and no LP: C1-C4 take dot products
+    with K = C, each face lattice is read off the facet-ray incidences, and
+    the double description cuts of ``Cone.faces`` never run."""
     octant = toric_datum(3)
     maximal = [ColoredCone(cone_from_generators(triple, 3)) for triple in TWISTED_CUBE_CONES]
-    dd_calls, cut_loops = [], []
-    real_dd, real_faces = cones._dd, cones.Cone.faces
+    dd_calls, cut_loops, lps = [], [], []
+    real_dd, real_faces, real_lp = cones._dd, cones.Cone.faces, colored.lp_feasible
 
     def counting_dd(rows, dim):
         dd_calls.append(dim)
@@ -208,12 +207,17 @@ def test_closure_walks_face_lattices_with_no_double_description_cut(monkeypatch)
             cut_loops.append(self)
         return real_faces(self)
 
+    def counting_lp(lp):
+        lps.append(lp)
+        return real_lp(lp)
+
     for module in (cones, colored):
         monkeypatch.setattr(module, "_dd", counting_dd)
     monkeypatch.setattr(cones.Cone, "faces", watched_faces)
+    monkeypatch.setattr(colored, "lp_feasible", counting_lp)
     fan = fan_from_maximal_cones(octant, maximal)
     assert len(fan) == 12 + 18 + 8 + 1
-    assert len(dd_calls) == 48 and cut_loops == []
+    assert dd_calls == [] and cut_loops == [] and lps == []
 
 
 def test_failing_fan_raises_the_same_error_on_both_routes():

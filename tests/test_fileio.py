@@ -161,20 +161,24 @@ def test_failed_fan_reports_every_given_cone(tmp_path):
 def test_loaded_fan_checks_each_given_cone_once(monkeypatch):
     from coloredfans import colored
 
-    # every C1-C4 check, the closure's and the public one, runs _cone_axioms
-    real = colored._cone_axioms
+    # the closure checks C1-C4 by _closure_axioms; the public check, by
+    # _cone_axioms, runs only when one fails
     checked = []
 
-    def counting(datum, cc):
-        checked.append(cc.key())
-        return real(datum, cc)
+    def counting(name, real):
+        def wrapper(datum, cc):
+            checked.append((name, cc.key()))
+            return real(datum, cc)
 
-    monkeypatch.setattr(colored, "_cone_axioms", counting)
+        return wrapper
+
+    for name in ("_closure_axioms", "_cone_axioms"):
+        monkeypatch.setattr(colored, name, counting(name, getattr(colored, name)))
     datum = fileio.parse_datum(fileio.load_json(FIXTURES / "datum_toric2.json"))
     raw = fileio.parse_fan(fileio.load_json(FIXTURES / "fan_p1xp1.json"), datum)
     fan, report = fileio.validated_fan(datum, raw)
     assert fan is not None and report.passed
-    assert len(raw) == 4 and checked == [cc.key() for cc in raw]
+    assert len(raw) == 4 and checked == [("_closure_axioms", cc.key()) for cc in raw]
 
 
 def test_non_integral_data_not_serializable():

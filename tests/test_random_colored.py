@@ -1,15 +1,21 @@
-"""The LP-free colored faces and F2 of the closure route, against the LP
-route, and ``has_k_form`` against the rebuilding reference, on seeded random
-colored data and actions (``random_colored.py``)."""
+"""The LP-free C1-C4, colored faces and F2 of the closure route, against the
+LP route, and ``has_k_form`` against the rebuilding reference, on seeded
+random colored data and actions (``random_colored.py``)."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
+from conftest import cube_pattern_cones, toric_datum
 from random_colored import random_colored_action, random_colored_cone, random_datum
 from test_fan_facts import same_route
 from test_galois import _compare_with_reference
+from coloredfans import colored
 from coloredfans.colored import (
+    ColoredCone,
     ColoredFan,
+    SphericalDatum,
+    _closure_axioms,
     _cone_axioms,
     _face_meets,
     colored_faces,
@@ -17,6 +23,7 @@ from coloredfans.colored import (
     relative_interior_meets,
     validate_colored_cone,
 )
+from coloredfans.cones import cone_from_generators
 from coloredfans.galois import apply_element
 
 
@@ -39,6 +46,64 @@ def _collinear(a, b) -> bool:
     """Nonzero vectors on one line: every 2 x 2 minor of (a, b) vanishes."""
     pairs = combinations(range(len(a)), 2)
     return any(a) and any(b) and all(a[i] * b[j] == a[j] * b[i] for i, j in pairs)
+
+
+def axiom_cases(seed, data):
+    """(datum, colored cone) pairs: random ones, the distinct cones of the 64
+    cube patterns, and hand-made ones in the upper half-plane, one failing
+    each axiom."""
+    rng = random.Random(seed)
+    for _ in range(data):
+        datum = random_datum(rng)
+        for _ in range(8):
+            yield datum, random_colored_cone(rng, datum)
+    cube = toric_datum(3)
+    triples = {triple for pattern in range(64) for triple in cube_pattern_cones(pattern)}
+    for triple in sorted(triples):
+        yield cube, ColoredCone(cone_from_generators(triple, 3))
+    upper = SphericalDatum(
+        2,
+        cone_from_generators([(1, 0), (-1, 0), (0, 1)], 2),
+        ("D", "E", "Z"),
+        {"D": (0, -1), "E": (1, 1), "Z": (0, 0)},
+    )
+    for gens, colors in [
+        ([(1, 0), (0, 1)], {"E"}),  # passes, C in V
+        ([(1, 0), (0, 1)], {"D"}),  # C1: D lies outside C, C in V
+        ([(1, 0), (0, -1)], {"D"}),  # C2: C is not in V
+        ([(1, 0), (-1, 0)], set()),  # C3
+        ([(1, 0), (0, 1)], {"Z"}),  # C4
+    ]:
+        yield upper, ColoredCone(cone_from_generators(gens, 2), frozenset(colors))
+
+
+def test_closure_axioms_match_the_lp_route(monkeypatch):
+    """``_closure_axioms`` gives the report of ``_cone_axioms``, byte for byte,
+    and the same K, and ``fan_from_maximal_cones`` runs no LP."""
+    failed, routes = Counter(), Counter()
+    passed = []
+    for datum, cc in axiom_cases(11, 40):
+        report, part = _closure_axioms(datum, cc)
+        expected, expected_part = _cone_axioms(datum, cc)
+        assert repr(report) == repr(expected) and part == expected_part
+        failed.update(name for name, ok in report.checks.items() if not ok)
+        inside = part == cc.cone
+        routes["inside" if inside else "cut"] += 1
+        routes["C1 fails inside"] += inside and not report.checks["C1"]
+        routes["lined"] += not cc.cone.is_strictly_convex
+        if report.passed:
+            passed.append((datum, cc))
+    assert set(failed) == {"C1", "C2", "C3", "C4"}
+    assert min(routes.values()) > 0 and routes["C1 fails inside"] > 5
+
+    relints = []
+    monkeypatch.setattr(colored, "relative_interior_meets", lambda *a: relints.append(a))
+    for datum, cc in passed:
+        fan_from_maximal_cones(datum, [cc])
+    for pattern in range(64):
+        given = [ColoredCone(cone_from_generators(t, 3)) for t in cube_pattern_cones(pattern)]
+        fan_from_maximal_cones(toric_datum(3), given)
+    assert len(passed) > 150 and relints == []
 
 
 def test_faces_from_k_match_the_lp_on_random_colored_cones():
