@@ -17,12 +17,14 @@ of the fan under the action, and (b) quasiprojectivity of every member's
 orbit fan.  Invariance alone classifies the embedding among algebraic spaces
 over the base field; (b) is the extra condition for a scheme form, stated
 over a perfect base field.  Both are read off the generators' images of
-the members, never off the enumerated group.  Orbit fans are built in one
+the members, of the maximal members alone once fan and action are
+validated, never off the enumerated group.  Orbit fans are built in one
 place, inside ``has_k_form``, as face closures (``colored._face_closure``)
 whose colored faces come from the fan's validation or its closure; the
 faces of a cone missing from both are decided from its intersection with
 the valuation cone, with no LP.  The closure names the overlapping and the
-maximal orbit cones (see :func:`_k_form`).
+maximal orbit cones, and each orbit fan is decided by row generation from
+its walls (see :func:`_k_form`).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .colored import (
 from .errors import ClosureCapError, InvalidFanError
 from .cones import _integer_map
 from .linalg import RatMat, identity, mat, matmul, matvec, rank
-from .quasiproj import _support_forms
+from .quasiproj import _support_feasible
 from .reports import ValidationReport
 
 PERFECT_FIELD_NOTE = (
@@ -299,26 +301,32 @@ def apply_element(g: GroupElement, cc: ColoredCone) -> ColoredCone:
     return ColoredCone(cc.cone._image(*g._map), frozenset(g.apply_color(c) for c in cc.colors))
 
 
-def _image_table(action: GroupAction, fan: ColoredFan) -> tuple[ColoredCone | None, dict]:
-    """Apply each generator to each member (generators outer, members inner).
+def _image_table(
+    action: GroupAction, fan: ColoredFan, sources: Iterable[ColoredCone] | None = None
+) -> tuple[ColoredCone | None, dict]:
+    """Apply each generator to each source, by default each member
+    (generators outer, sources inner).
 
-    Returns the first member with an image outside the fan, or None, and
-    each member's orbit: the members that generator images reach from it,
-    keyed by member key, itself first (none when a member offends).  What
+    Returns the first source with an image outside the fan, or None, and
+    each source's orbit: the members that generator images reach from it,
+    keyed by member key, itself first (none when a source offends).  What
     each generator keeps in the fan, every product keeps there, and
     :meth:`GroupAction.elements` lists the identity and the generators
-    first: the whole group gives the same offender and orbits.
+    first: over all members, the whole group gives the same offender and
+    orbits.  Sources other than all members must map into themselves: the
+    maximal members under a validated action (see :func:`_k_form`).
     """
     members = {cc.key(): cc for cc in fan}
-    edges: dict = {key: [] for key in members}
+    sources = members if sources is None else {cc.key(): cc for cc in sources}
+    edges: dict = {key: [] for key in sources}
     for g in action.generators:
-        for key, cc in members.items():
+        for key, cc in sources.items():
             image = apply_element(g, cc).key()
             if image not in members:
                 return cc, {}
             edges[key].append(image)
     orbits = {}
-    for start in members:
+    for start in sources:
         orbit, queue = {start: members[start]}, [start]
         for key in queue:
             reached = {image: members[image] for image in edges[key] if image not in orbit}
@@ -355,12 +363,15 @@ def has_k_form(
     images g.Z, the members that generator images reach from Z.  Its support
     LP is posed on the images that are a face of no other image: all of them,
     unless a singular generator under ``check=False`` maps Z onto a face.
+    Only the verdict is kept, so the LP is solved by row generation from the
+    pairs of images that share a wall (:func:`quasiproj._support_feasible`).
 
     With ``check=True`` the fan and the action are validated first; the fan
-    validation supplies every member's colored faces, and F2 rules out
-    overlapping orbit cones.  A fan that :func:`fan_from_maximal_cones` built
-    for ``datum`` carries every member's faces and C1-C4 and F1, so only F2 is
-    tested (:func:`colored._checked_fan`); any other fan is validated in full.
+    validation supplies every member's colored faces, F2 rules out
+    overlapping orbit cones, and only the maximal members are mapped.  A
+    fan that :func:`fan_from_maximal_cones` built for ``datum`` carries every
+    member's faces and C1-C4 and F1, so only F2 is tested
+    (:func:`colored._checked_fan`); any other fan is validated in full.
     With ``check=False`` nothing is validated: the faces are looked up in the
     fan's facts or computed as needed, and overlapping orbit cones are looked
     for and reported as a (b) failure (see :func:`_k_form`).
@@ -386,7 +397,20 @@ def _k_form(
     missing from it are found when its orbit is closed, and stored there (a
     member failing C1-C4 raises :class:`InvalidColoredConeError`).  Each
     orbit fan's support LP is posed on the maximal cones of its closure
-    (:meth:`colored._Closure.maximal`).  When ``validated`` is False, every
+    (:meth:`colored._Closure.maximal`) and decided by
+    :func:`quasiproj._support_feasible`.
+
+    When ``validated`` is True, ``faces`` holds every member's faces, and
+    the generators are applied to the maximal members only, the members
+    that are a proper colored face of no member, and only their orbits are
+    looped over.  Each generator is a lattice automorphism that fixes the
+    valuation cone and the placements, so it maps the colored faces of Z
+    onto those of g.Z: on a face-closed fan, the images of the maximal
+    members decide invariance, and every other member lies in the orbit
+    fan of a maximal member of higher dimension, which the loop meets
+    first.  When an image leaves the fan, the member loop of
+    :func:`_image_table` runs again, so that the offender named is the one
+    of the group route.  When ``validated`` is False, every
     orbit fan not yet verified is tested for overlapping cones, a (b)
     failure, and the first overlapping pair of its closure is named
     (:meth:`colored._Closure.overlaps`).  Otherwise the fan and the action
@@ -401,7 +425,14 @@ def _k_form(
     piece).  Each skipped member is a colored face of a cone that passed
     C1-C4, and so passes them itself.
     """
-    offender, images = _image_table(action, fan)
+    sources = None
+    if validated:
+        proper = {f.key() for cc in fan for f in faces[cc.key()] if f.key() != cc.key()}
+        sources = [cc for cc in fan if cc.key() not in proper]
+    offender, images = _image_table(action, fan, sources)
+    if offender is not None and sources is not None:
+        # the member loop names the offender of the group route
+        offender = _image_table(action, fan)[0]
     if offender is not None:
         return KFormResult(
             False,
@@ -414,7 +445,7 @@ def _k_form(
         )
 
     verified: list[frozenset] = []
-    for cc in sorted(fan, key=lambda cc: -cc.cone.dim):
+    for cc in sorted(fan if sources is None else sources, key=lambda cc: -cc.cone.dim):
         orbit = images[cc.key()]
         if any(orbit.keys() <= done for done in verified):
             continue
@@ -430,7 +461,7 @@ def _k_form(
                     f"(b) orbit cones {first} and {second} overlap inside the valuation cone",
                 ),
             )
-        if not _support_forms(datum, closure.maximal()).verdict:
+        if not _support_feasible(datum, closure.maximal()):
             return KFormResult(
                 False,
                 invariant=True,

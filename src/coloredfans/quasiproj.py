@@ -12,11 +12,21 @@ Variables are assigned to maximal cones only; faces inherit their parents'
 forms through condition (1), so quantifying the strict condition over
 face/parent pairs would contradict it and is deliberately avoided.
 
-:func:`is_quasiprojective` validates the fan and finds its maximal members
-by colored faces.  A caller that already holds the maximal cones of a
-validated fan -- the CLI reads them off the loaded fan's closure, and
-``galois._k_form`` off each orbit fan's closure -- skips both and calls
-:func:`_support_forms`, the solve and the forms that every route shares.
+The LP is decided on two routes, which give the same verdict:
+
+* the all-pairs LP (:func:`_support_lp`, solved by :func:`_support_forms`),
+  whose Bland point gives the forms.  :func:`is_quasiprojective` and
+  :func:`build_support_lp` validate the fan and find its maximal members by
+  colored faces; CLI ``quasiproj`` reads the maximal cones off the loaded
+  fan's closure and calls :func:`_support_forms` directly.
+  :func:`build_support_lp` returns this LP, and the other two return or
+  print its forms.
+* row generation (:func:`_support_feasible`), for a caller that needs only
+  the verdict: ``galois._k_form``, on each orbit fan's closure.  It starts
+  from the row blocks of the pairs of maximal cones that share a wall and
+  adds the blocks that its point violates.
+
+Both build their rows in one place (:func:`_support_rows`).
 """
 
 from __future__ import annotations
@@ -34,8 +44,8 @@ from .colored import (
 )
 from .cones import _ray_sum
 from .errors import InvalidFanError
-from .linalg import RatVec
-from .linprog import LPProblem, lp_feasible
+from .linalg import RatVec, _over_common_denominator
+from .linprog import LPProblem, SparseRow, lp_feasible
 
 
 @dataclass(frozen=True)
@@ -83,8 +93,19 @@ def build_support_lp(
 
 def _support_lp(datum: SphericalDatum, maximal: Sequence[ColoredCone]) -> LPProblem:
     """The LP of :func:`build_support_lp` posed on the given maximal cones."""
+    eqs, blocks, _ = _support_rows(datum, maximal)
+    ineqs = [row for block in blocks for row in block]
+    return LPProblem._from_integral(datum.dim * len(maximal), eqs, ineqs)
+
+
+def _support_rows(
+    datum: SphericalDatum, maximal: Sequence[ColoredCone]
+) -> tuple[list[SparseRow], list[list[SparseRow]], list[bool]]:
+    """The rows of :func:`_support_lp` on ``maximal``: the equality rows, the
+    inequality rows in blocks, one per ordered pair (k, l), k != l, in that
+    order (the generators of K_k = Z_k ∩ V, then the witness row), and per
+    block whether Z_k and Z_l share a wall: dim(Z_k ∩ Z_l) = dim Z_k - 1."""
     n = datum.dim
-    num_vars = n * len(maximal)
 
     def difference_row(k: int, l: int, g: Sequence[int]) -> list[tuple[int, int]]:
         """The nonzero terms of (l_Z - l_Z') . g, columns increasing."""
@@ -94,22 +115,57 @@ def _support_lp(datum: SphericalDatum, maximal: Sequence[ColoredCone]) -> LPProb
 
     # every vector below is integral, so each row is over the scale s = 1
     eqs = []
+    shared_dims = {}
     for k in range(len(maximal)):
         for l in range(k + 1, len(maximal)):
             shared = maximal[k].cone.intersect(maximal[l].cone)
+            shared_dims[k, l] = shared_dims[l, k] = shared.dim
             for g in shared._rays + shared._lineality:
                 eqs.append((difference_row(k, l, g), 0, 1))
-    ineqs = []
+    blocks, walls = [], []
     for k, zk in enumerate(maximal):
         valuation_part = zk.cone.intersect(datum.valuation_cone)
+        gens = valuation_part._generators()
         witness = _ray_sum(valuation_part._rays, n)
         for l in range(len(maximal)):
             if l == k:
                 continue
-            for g in valuation_part._generators():
-                ineqs.append((difference_row(k, l, g), 0, 1))
-            ineqs.append((difference_row(k, l, witness), 1, 1))
-    return LPProblem._from_integral(num_vars, eqs, ineqs)
+            block = [(difference_row(k, l, g), 0, 1) for g in gens]
+            block.append((difference_row(k, l, witness), 1, 1))
+            blocks.append(block)
+            walls.append(shared_dims[k, l] == zk.cone.dim - 1)
+    return eqs, blocks, walls
+
+
+def _support_feasible(datum: SphericalDatum, maximal: Sequence[ColoredCone]) -> bool:
+    """Whether the LP of :func:`_support_lp` on ``maximal`` is feasible, by
+    row generation from the blocks of the pairs that share a wall.
+
+    Each round solves the equality rows and the active blocks.  No point
+    means no point of the full LP, whose rows include them.  A point that
+    holds, in exact integer dot products, on every other block solves the
+    full LP; otherwise the blocks it violates join and the round repeats,
+    ending at the full LP at worst.  With no wall block the full LP is
+    solved at once: the equality rows alone give the origin, which fails
+    every witness row, so every block would join.
+    """
+    eqs, blocks, active = _support_rows(datum, maximal)
+    num_vars = datum.dim * len(maximal)
+    if not any(active):
+        active = [True] * len(blocks)
+    while True:
+        rows = [row for block, on in zip(blocks, active) if on for row in block]
+        x = lp_feasible(LPProblem._from_integral(num_vars, eqs, rows))
+        if x is None:
+            return False
+        point = _over_common_denominator(x)
+        violated = [
+            not on and not LPProblem._from_integral(num_vars, [], block)._holds_at(*point)
+            for block, on in zip(blocks, active)
+        ]
+        if not any(violated):
+            return True
+        active = [on or bad for on, bad in zip(active, violated)]
 
 
 def _support_ineq_rows(datum: SphericalDatum, maximal: Sequence[ColoredCone]) -> int:

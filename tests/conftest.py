@@ -10,7 +10,8 @@ import pytest
 
 from coloredfans.colored import ColoredCone, SphericalDatum, fan_from_maximal_cones
 from coloredfans.cones import Cone, cone_from_generators
-from coloredfans.linprog import LPProblem, fourier_motzkin
+from coloredfans import quasiproj
+from coloredfans.linprog import LPProblem, fourier_motzkin, lp_feasible
 
 
 def membership_oracle(gens, v, dim) -> bool:
@@ -219,3 +220,27 @@ def p1xp1_fan(toric_plane):
             ColoredCone(cone_from_generators([(0, -1), (1, 0)], 2)),
         ],
     )
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """A check that ``quasiproj._support_feasible`` gives ``expected``, by
+    default the verdict of the all-pairs LP, on the given maximal cones; it
+    returns the verdict and the inequality row count of each LP solved."""
+    solves = []
+
+    def counting(lp):
+        solves.append(len(lp._ineqs))
+        return lp_feasible(lp)
+
+    monkeypatch.setattr(quasiproj, "lp_feasible", counting)
+
+    def check(datum, maximal, expected=None):
+        solves.clear()
+        verdict = quasiproj._support_feasible(datum, maximal)
+        if expected is None:
+            expected = lp_feasible(quasiproj._support_lp(datum, maximal)) is not None
+        assert verdict == expected
+        return verdict, list(solves)
+
+    return check

@@ -2,6 +2,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations, product
 from pathlib import Path
 from time import perf_counter
 
@@ -394,6 +395,21 @@ def test_k_form_matches_rebuilding_reference():
     assert any("verdict=True" in o for o in outcomes)
 
 
+def test_orbit_support_rows_match_the_all_pairs_lp(routes):
+    """Row generation against the all-pairs LP on the orbit fan of every
+    member in every case, each case moved by a seeded base change: the
+    orbit fans of the invariant kform_orbits entries."""
+    rng = random.Random(607)
+    verdicts = []
+    for case in KFORM_CASES:
+        datum, fan, action = _kform_case(case, random_unimodular(rng, case[1]))
+        for cc in fan:
+            images = [apply_element(g, cc) for g in action.elements()]
+            closure = colored._face_closure(datum, images, {})
+            verdicts.append(routes(datum, closure.maximal())[0])
+    assert len(verdicts) == 7 + 9 + 13 + 2 + 3 * 27 and all(verdicts)
+
+
 def test_overlapping_orbit_matches_reference(toric_plane):
     action = swap_action(toric_plane)
     overlapping = ColoredFan(tuple(
@@ -407,7 +423,7 @@ def test_overlapping_orbit_matches_reference(toric_plane):
         _compare_with_reference(toric_plane, action, sub, False)
 
 
-def test_orbit_fan_that_is_not_quasiprojective(tmp_path, capsys):
+def test_orbit_fan_that_is_not_quasiprojective(tmp_path, capsys, routes):
     """Refusal (b) on a valid, invariant fan: the cyclic orbit of one cone in
     the toric 3-space gives three cones meeting only at the origin, whose
     support LP has no solution."""
@@ -422,6 +438,8 @@ def test_orbit_fan_that_is_not_quasiprojective(tmp_path, capsys):
     lp = _support_lp(datum, orbit)
     assert (lp.num_vars, len(lp.ineq_constraints) + len(lp.eq_constraints)) == (9, 24)
     assert lp_feasible(lp) is None and not fourier_motzkin(lp, max_vars=lp.num_vars)
+    # no two cones share a wall, so row generation solves the full LP at once
+    assert routes(datum, orbit) == (False, [24])
     refusal = (
         "(b) the orbit fan of (cone rays=[(-2,-1,-1), (-2,1,-1), (2,1,-1)]; colors=[]) "
         "is not quasiprojective",
@@ -888,3 +906,82 @@ def test_invariance_and_orbits_never_enumerate_the_group(
         assert str(caught.value) == (
             "action violates closure: closure: group closure exceeded the cap of 100000 elements"
         )
+
+
+# -- images of the maximal members ---------------------------------------------
+
+
+def test_checked_k_form_maps_the_maximal_members_only(monkeypatch, toric_plane, p2_fan):
+    """Under a validated action the generators map the 3 maximal cones of
+    P2, 6 images, not all 7 members, and a ray that is maximal beside a
+    chamber is mapped as well; when an image leaves the fan, the member loop
+    runs again and names the offender of the group route."""
+    applied = []
+
+    def counting_apply(g, cc):
+        applied.append(cc)
+        return apply_element(g, cc)
+
+    monkeypatch.setattr(galois, "apply_element", counting_apply)
+    s3 = action_from_generators(
+        toric_plane, [GroupElement.make([[0, -1], [1, -1]]), GroupElement.make(SWAP)]
+    )
+    assert has_k_form(toric_plane, s3, p2_fan, check=True).verdict
+    assert len(applied) == 6 and all(cc.cone.dim == 2 for cc in applied)
+    quarter = action_from_generators(toric_plane, [GroupElement.make([[0, -1], [1, 0]])])
+    result = has_k_form(toric_plane, quarter, p2_fan, check=True)
+    assert result == reference_has_k_form(toric_plane, quarter, p2_fan, check=True)
+    assert result.reasons == (
+        "(a) fan is not invariant under the Galois action; offending cone: "
+        "(cone rays=[(-1,-1)]; colors=[])",
+    )
+    # the maximal cones alone would name a chamber
+    maximal = p2_fan._facts.maximal()
+    assert galois._image_table(quarter, p2_fan, maximal)[0].cone.dim == 2
+    # maximal members of two dimensions: the rays beside a chamber are mapped too
+    swap = swap_action(toric_plane)
+    chamber = ColoredCone(cone_from_generators([(1, 0), (0, 1)], 2))
+    rays = [ColoredCone(cone_from_generators([r], 2)) for r in ((-1, 0), (0, -1))]
+    for given, invariant in (([chamber] + rays, True), ([chamber, rays[0]], False)):
+        fan = fan_from_maximal_cones(toric_plane, given)
+        result = has_k_form(toric_plane, swap, fan, check=True)
+        assert result == reference_has_k_form(toric_plane, swap, fan, check=True)
+        assert result.invariant == invariant
+
+
+def test_b3_chamber_fan_is_decided_from_its_walls(monkeypatch, tmp_path, capsys):
+    """The 48 chambers of type B3, the images of x1 >= x2 >= x3 >= 0 under
+    the signed permutations, form one orbit of the order-48 group that the
+    swap, the 3-cycle and one sign flip generate.  Its orbit fan is decided
+    by one LP, on the 576 rows of the 144 ordered pairs that share a wall,
+    of the 9024 of the all-pairs LP."""
+    datum = toric_datum(3)
+    chamber = [(1, 0, 0), (1, 1, 0), (1, 1, 1)]
+    fan = fan_from_maximal_cones(datum, [
+        ColoredCone(cone_from_generators([[s * r[i] for s, i in zip(signs, p)] for r in chamber], 3))
+        for p in permutations(range(3))
+        for signs in product((1, -1), repeat=3)
+    ])
+    flip = [[1, 0, 0], [0, 1, 0], [0, 0, -1]]
+    action = action_from_generators(datum, [GroupElement.make(m) for m in (SWAP_XY, CYCLE3, flip)])
+    assert len(fan._facts.maximal()) == 48 and "group order 48" in validate_action(datum, action).notes
+    shapes = []
+
+    def recording(lp):
+        shapes.append((lp.num_vars, len(lp._eqs), len(lp._ineqs)))
+        return lp_feasible(lp)
+
+    monkeypatch.setattr(quasiproj, "lp_feasible", recording)
+    assert has_k_form(datum, action, fan, check=True).verdict
+    assert shapes == [(144, 360, 576)]
+    monkeypatch.undo()
+    paths = []
+    for name, text in (
+        ("datum", serialize_datum(datum)),
+        ("fan", serialize_fan(datum, fan)),
+        ("action", serialize_action(action)),
+    ):
+        paths += [f"--{name}", str(tmp_path / f"{name}.json")]
+        (tmp_path / f"{name}.json").write_text(text)
+    assert main(["kform", *paths]) == 0
+    assert "verdict: PASS" in capsys.readouterr().out

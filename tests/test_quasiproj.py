@@ -1,8 +1,13 @@
+import json
 import random
+from collections import Counter
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from conftest import (
+    cube_pattern_cones,
     random_complete_2d_fan,
     random_unimodular,
     toric_datum,
@@ -152,3 +157,70 @@ def test_witness_transforms_contravariantly(toric_plane, p2_fan):
         flat = tuple(c for m in moved_maximal for c in transformed[m.cone])
         moved_lp = build_support_lp(moved_datum, moved_fan, check=False)
         assert moved_lp.satisfied_by(flat)
+
+
+# -- row generation against the all-pairs LP (the routes fixture) ------------
+
+
+def test_row_generation_matches_the_all_pairs_lp_on_plane_fans(toric_plane, routes):
+    """200 random complete plane fans, decided by their wall rows alone, then
+    sub-fans of larger ones: random subsets of their maximal cones, where
+    more blocks may join."""
+    rng = random.Random(4200)
+    for _ in range(200):
+        fan = random_complete_2d_fan(rng, toric_plane)
+        verdict, solves = routes(toric_plane, fan._facts.maximal())
+        assert verdict and len(solves) == 1
+    rounds = Counter()
+    for _ in range(100):
+        maximal = random_complete_2d_fan(rng, toric_plane, max_rays=8)._facts.maximal()
+        verdict, solves = routes(toric_plane, rng.sample(maximal, rng.randint(2, len(maximal))))
+        rounds[verdict, len(solves)] += 1
+    assert rounds[True, 2] and rounds[True, 3]
+
+
+def test_row_generation_matches_the_cube_goldens_and_sub_fans(routes):
+    """The 64 cube patterns decide as ``bench/golden_cube.json`` says, each in
+    one solve of its wall rows; a random subset of each pattern's maximal
+    cones gives the all-pairs verdict, "yes" and "no" after several solves."""
+    golden = Path(__file__).resolve().parent.parent / "bench" / "golden_cube.json"
+    patterns = json.loads(golden.read_text())["patterns"]
+    datum = toric_datum(3)
+    rng = random.Random(4201)
+    rounds = Counter()
+    for pattern in range(64):
+        cones = [ColoredCone(cone_from_generators(c, 3)) for c in cube_pattern_cones(pattern)]
+        maximal = fan_from_maximal_cones(datum, cones)._facts.maximal()
+        verdict, solves = routes(datum, maximal, patterns[pattern]["quasiprojective"])
+        assert solves == [144]
+        rounds["pattern", verdict] += 1
+        verdict, solves = routes(datum, rng.sample(cones, rng.randint(3, 8)))
+        rounds[verdict, len(solves) > 1] += 1
+    assert rounds["pattern", True] == 46 and rounds["pattern", False] == 18
+    assert rounds[True, True] and rounds[False, True]
+
+
+def test_row_generation_matches_the_all_pairs_lp_on_random_colored_fans(routes):
+    """Face closures of two or three random colored cones that pass C1-C4
+    and F2 (``random_colored.py``): V is not the whole space and there are
+    colors."""
+    from test_random_colored import passing_cones
+
+    rounds = Counter()
+    for datum, passed in passing_cones(4049, 40, 6):
+        cones = [cc for cc, _ in passed]
+        for k in (2, 3):
+            for given in list(combinations(cones[:4], k))[:3]:
+                fan = fan_from_maximal_cones(datum, given)
+                if next(fan._facts.overlaps(), None) is None:
+                    _, solves = routes(datum, fan._facts.maximal())
+                    rounds[len(solves), bool(datum.colors)] += 1
+    assert sum(rounds.values()) > 100 and rounds[2, True] and rounds[2, False]
+
+
+def test_row_generation_on_the_line_fan(toric_plane, routes):
+    """The m = 16 line fan: each cone shares a wall with its neighbours only,
+    and the 90 rows of those 30 ordered pairs decide the 720-row LP."""
+    line = [ColoredCone(cone_from_generators([(1, k), (1, k + 1)], 2)) for k in range(16)]
+    maximal = fan_from_maximal_cones(toric_plane, line)._facts.maximal()
+    assert routes(toric_plane, maximal) == (True, [90])
