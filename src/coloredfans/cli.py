@@ -37,7 +37,7 @@ from .monoid import (
     lined_closure_real_form,
     monoid_has_k_form,
 )
-from .quasiproj import _support_forms, _support_ineq_rows
+from .quasiproj import _support_forms, _support_ineq_rows, _support_lp, _valuation_parts
 
 COMMANDS = ("validate", "quasiproj", "kform", "monoid", "monoid-kform", "morphism", "lined")
 
@@ -143,13 +143,16 @@ def run_command(
         inputs = fileio.parse_inputs(_need(datum_path, "datum"), _need(fan_path, "fan"))
         # parse_inputs validated the fan; its closure names the maximal cones
         maximal = inputs.fan._facts.maximal()
-        rows = _support_ineq_rows(inputs.datum, maximal)
+        parts = _valuation_parts(inputs.datum, maximal)
+        rows = _support_ineq_rows(parts)
         if rows > fileio.MAX_SUPPORT_ROWS:
             raise SchemaError(
                 f"fan: the support LP would have {rows} inequality rows, "
                 f"more than {fileio.MAX_SUPPORT_ROWS}"
             )
-        result = _support_forms(inputs.datum, maximal)
+        result = _support_forms(
+            inputs.datum, maximal, _support_lp(inputs.datum, maximal, parts)
+        )
         witnesses = []
         if result.witness is not None:
             witnesses = [

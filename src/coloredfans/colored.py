@@ -99,10 +99,13 @@ class ColoredCone:
     colors: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "colors", frozenset(self.colors))
+        colors = frozenset(self.colors)
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "_key", (self.cone, tuple(sorted(colors))))
 
     def key(self):
-        return (self.cone, tuple(sorted(self.colors)))
+        """The cone and the sorted colors, computed once, at construction."""
+        return self._key
 
     def describe(self) -> str:
         body = f"rays={describe_vectors(self.cone._rays)}"
@@ -257,15 +260,17 @@ def colored_faces(datum: SphericalDatum, cc: ColoredCone) -> tuple[ColoredCone, 
     return _kept_faces(datum, cc, lambda face: relative_interior_meets(datum, face))
 
 
-def _closure_faces(datum: SphericalDatum, cc: ColoredCone) -> tuple[ColoredCone, ...]:
+def _closure_faces(
+    datum: SphericalDatum, cc: ColoredCone, table: dict
+) -> tuple[ColoredCone, ...]:
     """:func:`colored_faces` with no LP: C1-C4 by :func:`_closure_axioms`,
     the faces walked from the facet-ray incidences
-    (:meth:`Cone._lattice_faces`), with no double description, and each
-    relative interior decided from K = C ∩ V (:func:`_face_meets`).  When K
-    is C every face is kept: it lies in V."""
+    (:meth:`Cone._lattice_faces`, sharing ``table``), with no double
+    description, and each relative interior decided from K = C ∩ V
+    (:func:`_face_meets`).  When K is C every face is kept: it lies in V."""
     report, part = _closure_axioms(datum, cc)
     report.require(InvalidColoredConeError, "axioms failed")
-    cc.cone._lattice_faces()
+    cc.cone._lattice_faces(table=table)
     if part is cc.cone:
         return _kept_faces(datum, cc, lambda face: True)
     return _kept_faces(datum, cc, lambda face: _face_meets(part, face))
@@ -372,22 +377,24 @@ def _face_closure(
     order, by one C1-C4 check and relints decided from K = C ∩ V, with no
     LP (:func:`_closure_faces`, which raises :class:`InvalidColoredConeError`
     as :func:`colored_faces` does); only the given cones walk a face lattice
-    (:meth:`Cone._lattice_faces`).  A face met first is given the faces of
-    its owner whose rays lie in it, which are its own, in ``Cone.faces``
-    order (faces are strictly convex, C3): each face is a bit mask over its
-    owner's rays, and only the faces up to it in that order, which is by
-    dimension first, are tested.  A given cone met earlier as a face is not
-    checked again: it equals, key for key, a colored face of a checked cone.
-    A cone given twice keeps its first occurrence.
+    (:meth:`Cone._lattice_faces`), all through one table, so that a face two
+    given cones share is one :class:`Cone`, built once.  A face met first is
+    given the faces of its owner whose rays lie in it, which are its own, in
+    ``Cone.faces`` order (faces are strictly convex, C3): each face is a bit
+    mask over its owner's rays, and only the faces up to it in that order,
+    which is by dimension first, are tested.  A given cone met earlier as a
+    face is not checked again: it equals, key for key, a colored face of a
+    checked cone.  A cone given twice keeps its first occurrence.
     """
     given: dict = {}
     for cc in cones:
         given.setdefault(cc.key(), cc)
     members: dict = {}
     owners: dict = {}
+    table: dict = {}
     for bit, (key, cc) in enumerate(given.items()):
         if key not in faces:
-            faces[key] = _closure_faces(datum, cc)
+            faces[key] = _closure_faces(datum, cc, table)
         bits = {r: 1 << i for i, r in enumerate(cc.cone._rays)}
         masks = [sum(bits[r] for r in face.cone._rays) for face in faces[key]]
         for i, face in enumerate(faces[key]):

@@ -341,25 +341,36 @@ class Cone:
             self._faces = tuple(sorted(found, key=_face_sort_key))
         return self._faces
 
-    def _lattice_faces(self, limit: int | None = None) -> tuple["Cone", ...] | None:
+    def _lattice_faces(
+        self, limit: int | None = None, table: dict | None = None
+    ) -> tuple["Cone", ...] | None:
         """:meth:`faces`, read off the facet-ray incidences with no double
         description (Kaibel & Pfetsch, "Computing the face lattice of a
         polytope from its vertex-facet incidences", 2002); None, with
-        nothing stored, once more than ``limit`` faces are found.
+        nothing stored on the cone, once more than ``limit`` faces are found.
 
         A face is the lineality space plus the cone over the rays it holds,
         so it is known by that ray set S, a bit mask here.  The faces of the
         face S are S itself and the faces of its facets, which are the
         inclusion-maximal cuts S ∩ T_f by the facets f not tight on S, T_f
         being the rays on f; a breadth-first search from the full ray set
-        walks them all.  The face S keeps the cone's lineality, adds the
-        facets tight on S to its span equations, and takes one facet f per
-        maximal cut as a facet normal, which is canonical modulo those
-        equations whichever f is taken.
+        walks them all.  The face S keeps the cone's lineality and the
+        cone's canonical rays in S, which stay canonical; it adds the facets
+        tight on S to its span equations, echelon-reduced, and takes one
+        facet f per maximal cut as a facet normal, reduced modulo them,
+        which is canonical whichever f is taken.
+
+        ``table`` maps (lineality, rays) to a cone, for cones of this ambient
+        dimension: a face found there is that cone, and a face built here,
+        the cone itself included, is stored there.  Callers that walk several
+        cones pass one table, so that a face two cones share is one object,
+        built once.
         """
         if self._faces is not None:
             return self._faces if limit is None or len(self._faces) <= limit else None
-        rays = self._rays
+        table = {} if table is None else table
+        rays, lineality = self._rays, self._lineality
+        table.setdefault((lineality, rays), self)
         tight = [
             sum(1 << i for i, r in enumerate(rays) if _dot(a, r) == 0) for a in self._facets
         ]
@@ -384,17 +395,21 @@ class Cone:
                         queue.append(cut)
             if limit is not None and len(seen) > limit:
                 return None
-            found.append(
-                self
-                if s == full
-                else Cone._from_descriptions(
+            if s == full:
+                found.append(self)
+                continue
+            key = (lineality, tuple([r for i, r in enumerate(rays) if s >> i & 1]))
+            face = table.get(key)
+            if face is None:
+                span, _ = _echelon(span_eq)
+                face = table[key] = Cone(
                     self.ambient_dim,
-                    self._lineality,
-                    [r for i, r in enumerate(rays) if s >> i & 1],
-                    span_eq,
-                    facets,
+                    key[1],
+                    lineality,
+                    _canonical_rays(facets, span),
+                    tuple(span),
                 )
-            )
+            found.append(face)
         self._faces = tuple(sorted(found, key=_face_sort_key))
         return self._faces
 

@@ -161,7 +161,9 @@ def parse_fan(obj, datum: SphericalDatum, where: str = "fan") -> list[ColoredCon
     :data:`MAX_RAYS`, before any cone is built.  Each cone's face lattice
     is walked as soon as the cone is built, once per distinct colored cone
     as the closure walks them, and kept on the cone; more than
-    :data:`MAX_FACES` faces in all is a schema error."""
+    :data:`MAX_FACES` faces in all is a schema error.  The walks share one
+    table (see :meth:`Cone._lattice_faces`), so that a face two cones share
+    is built once."""
     data = _expect_keys(obj, ("cones",), (), where)
     if not isinstance(data["cones"], list):
         raise SchemaError(f"{where}.cones: expected a list")
@@ -185,13 +187,14 @@ def parse_fan(obj, datum: SphericalDatum, where: str = "fan") -> list[ColoredCon
         parsed.append((rays, frozenset(colors)))
     cones = []
     walked = set()
+    table: dict = {}
     budget = MAX_FACES
     for rays, colors in parsed:
         cc = ColoredCone(cone_from_generators(rays, datum.dim), colors)
         cones.append(cc)
         if cc.key() not in walked:
             walked.add(cc.key())
-            faces = cc.cone._lattice_faces(budget)
+            faces = cc.cone._lattice_faces(budget, table)
             if faces is None:
                 raise SchemaError(f"{where}.cones: more than {MAX_FACES} faces in all")
             budget -= len(faces)

@@ -7,10 +7,12 @@ cone.  The profinite group itself is never materialized: the caller supplies
 generators of the relevant finite quotient and the closure stops at
 ``CLOSURE_CAP`` elements, or at once on a generator of infinite order or,
 for lattice automorphisms, on two elements that agree mod 3.  Element
-matrices keep integral entries as ``int``, so the closure multiplies
-integers; a cone's image under an element maps both of its descriptions by
-the matrix and a multiple of its inverse, computed once per element, and
-runs no double description.
+matrices keep integral entries as ``int``.  The closure multiplies plain
+integer matrices, each over one denominator, with color permutations as
+index tuples, and builds each :class:`GroupElement` once, for the result.
+A cone's image under an element maps both of its descriptions by the
+matrix and a multiple of its inverse, computed once per element, and runs
+no double description; the order test reads the same integer matrix.
 
 ``has_k_form`` combines the two classification ingredients: (a) invariance
 of the fan under the action, and (b) quasiprojectivity of every member's
@@ -30,8 +32,10 @@ its walls (see :func:`_k_form`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from math import lcm
+from fractions import Fraction
+from functools import cache, cached_property
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping
 
 from .colored import (
@@ -44,7 +48,7 @@ from .colored import (
 )
 from .errors import ClosureCapError, InvalidFanError
 from .cones import _integer_map
-from .linalg import RatMat, identity, mat, matmul, matvec, rank
+from .linalg import RatMat, identity, mat, matmul, matvec
 from .quasiproj import _support_feasible
 from .reports import ValidationReport
 
@@ -117,11 +121,13 @@ def identity_element(dim: int, colors: Iterable[str] = ()) -> GroupElement:
     return GroupElement(identity(dim), tuple(sorted((c, c) for c in colors)))
 
 
+@cache
 def _order_exponent(n: int) -> int:
     """L = lcm{m : phi(m) <= n}: the order of every n x n rational matrix of
     finite order divides L (its minimal polynomial is a product of distinct
     cyclotomic polynomials Phi_m, of degree phi(m) <= n).  Since
-    phi(m) >= sqrt(m/2), every such m is at most 2n^2."""
+    phi(m) >= sqrt(m/2), every such m is at most 2n^2.  Computed once per
+    dimension."""
     bound = 2 * n * n
     phi = list(range(bound + 1))
     for p in range(2, bound + 1):
@@ -135,27 +141,32 @@ def _order_exponent(n: int) -> int:
 _ORDER_PRIME = 2**61 - 1
 
 
-def _has_infinite_order(matrix: RatMat) -> bool:
-    """True when ``matrix`` is invertible and A^L != I for L of
+def _has_infinite_order(g: GroupElement) -> bool:
+    """True when the matrix A of ``g`` is invertible and A^L != I for L of
     :func:`_order_exponent`, so that its powers are pairwise distinct.
 
-    With d the common denominator and B = dA, A^L = I means B^L = d^L I.  Both
-    sides are taken modulo ``_ORDER_PRIME``, B^L by repeated squaring, so the
-    entries stay small whatever the size of L.  A difference there proves
-    A^L != I.  Equality, which every matrix of finite order gives, proves
-    nothing, and the answer is False.  Singular and non-square matrices are
-    False as well.
+    With d the common denominator and B = dA, the integer rows of
+    :attr:`GroupElement._map`, A^L = I means B^L = d^L I.  Both sides are
+    taken modulo ``_ORDER_PRIME``, B^L by repeated squaring, so the entries
+    stay small whatever the size of L.  A difference there proves A^L != I.
+    Equality, which every matrix of finite order gives, proves nothing, and
+    the answer is False.  Singular and non-square matrices, which
+    ``_map`` gives no inverse, are False as well.
     """
+    matrix = g.matrix
     n = len(matrix)
-    if any(len(row) != n for row in matrix) or rank(matrix) < n:
+    if any(len(row) != n for row in matrix):
+        return False
+    rows, inverse = g._map
+    if inverse is None:
         return False
     p = _ORDER_PRIME
     d = lcm(*(x.denominator for row in matrix for x in row))
 
     def times(a, b):
-        return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+        return [[sum(map(mul, row, col)) % p for col in zip(*b)] for row in a]
 
-    base = [[int(x * d) % p for x in row] for row in matrix]
+    base = [[x % p for x in row] for row in rows]
     power = [[int(i == j) for j in range(n)] for i in range(n)]
     e = _order_exponent(n)
     target = pow(d, e, p)
@@ -194,13 +205,53 @@ class GroupAction:
 
     @cached_property
     def _closure(self) -> tuple[GroupElement, ...]:
+        """The elements, in the order of a breadth-first search from the
+        identity that composes each generator after each element of the last
+        round, as :meth:`GroupElement.compose` would.
+
+        The search runs on plain tuples ``(d, M, P)``: the matrix is M / d,
+        with M an integer matrix and d > 0 coprime to its entries, and P
+        lists, per color label in sorted order, the index of its image, or
+        -1 for a label the element leaves out.  Equal elements give equal
+        tuples, and the :class:`GroupElement` of each is built once, at the
+        end.
+        """
         exceeded = f"group closure exceeded the cap of {CLOSURE_CAP} elements"
-        if any(map(_has_infinite_order, {g.matrix: None for g in self.generators})):
+        if any(map(_has_infinite_order, {g.matrix: g for g in self.generators}.values())):
             raise ClosureCapError(exceeded)
-        ident = identity_element(self.dim, self.colors)
+        labels = sorted(
+            {*self.colors, *(c for g in self.generators for pair in g.color_perm for c in pair)}
+        )
+        index = {c: i for i, c in enumerate(labels)}
+
+        def compose(g, h):
+            """g after h."""
+            (dg, mg, pg), (dh, mh, ph) = g, h
+            cols = tuple(zip(*mh))
+            m = tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in mg)
+            d = dg * dh
+            if d != 1:
+                common = gcd(d, *(x for row in m for x in row))
+                if common != 1:
+                    d //= common
+                    m = tuple(tuple([x // common for x in row]) for row in m)
+            perm = tuple(
+                pg[c] if v < 0 else v if pg[v] < 0 else pg[v] for c, v in enumerate(ph)
+            )
+            return d, m, perm
+
+        def plain(g: GroupElement):
+            d = lcm(*(x.denominator for row in g.matrix for x in row))
+            perm = [-1] * len(labels)
+            for c, v in g.color_perm:
+                perm[index[c]] = index[v]
+            return d, tuple(g._map[0]), tuple(perm)
+
+        fixed = tuple(i if c in self.colors else -1 for i, c in enumerate(labels))
+        ident = (1, identity(self.dim), fixed)
         # composed after the identity, which spells each fixed color out, each
         # element has one form; the first round lists the distinct generators
-        generators = [ident.compose(g) for g in self.generators]
+        generators = [compose(ident, plain(g)) for g in self.generators]
         seen = {ident: None}
         # Lattice automorphisms only: two elements with one color permutation
         # and one matrix mod 3 differ by a nontrivial element of the kernel of
@@ -209,10 +260,10 @@ class GroupAction:
         lattice = all(g._is_lattice_automorphism for g in self.generators)
         residues: dict = {}
 
-        def residue_clash(g: GroupElement) -> bool:
+        def residue_clash(g) -> bool:
             if not lattice:
                 return False
-            key = (tuple(tuple(x % 3 for x in row) for row in g.matrix), g.color_perm)
+            key = (tuple(tuple(x % 3 for x in row) for row in g[1]), g[2])
             return residues.setdefault(key, g) != g
 
         residue_clash(ident)  # records the identity's key
@@ -221,14 +272,23 @@ class GroupAction:
             new_frontier = []
             for g in generators:
                 for h in frontier:
-                    gh = g.compose(h)
+                    gh = compose(g, h)
                     if gh not in seen:
                         seen[gh] = None
                         new_frontier.append(gh)
                         if len(seen) > CLOSURE_CAP or residue_clash(gh):
                             raise ClosureCapError(exceeded)
             frontier = new_frontier
-        return tuple(seen)
+
+        def element(d, m, perm) -> GroupElement:
+            matrix = m if d == 1 else tuple(
+                tuple([x // d if x % d == 0 else Fraction(x, d) for x in row]) for row in m
+            )
+            return GroupElement(
+                matrix, tuple((labels[c], labels[v]) for c, v in enumerate(perm) if v >= 0)
+            )
+
+        return tuple(element(*g) for g in seen)
 
 
 def action_from_generators(
@@ -302,10 +362,15 @@ def apply_element(g: GroupElement, cc: ColoredCone) -> ColoredCone:
 
 
 def _image_table(
-    action: GroupAction, fan: ColoredFan, sources: Iterable[ColoredCone] | None = None
+    action: GroupAction,
+    fan: ColoredFan,
+    sources: Iterable[ColoredCone] | None = None,
+    taken: dict | None = None,
 ) -> tuple[ColoredCone | None, dict]:
     """Apply each generator to each source, by default each member
-    (generators outer, sources inner).
+    (generators outer, sources inner).  ``taken`` maps (generator index,
+    source key) to the key of the image, and each image taken is stored
+    there: a call handed the ``taken`` of an earlier one maps no cone twice.
 
     Returns the first source with an image outside the fan, or None, and
     each source's orbit: the members that generator images reach from it,
@@ -318,10 +383,13 @@ def _image_table(
     """
     members = {cc.key(): cc for cc in fan}
     sources = members if sources is None else {cc.key(): cc for cc in sources}
+    taken = {} if taken is None else taken
     edges: dict = {key: [] for key in sources}
-    for g in action.generators:
+    for i, g in enumerate(action.generators):
         for key, cc in sources.items():
-            image = apply_element(g, cc).key()
+            image = taken.get((i, key))
+            if image is None:
+                image = taken[i, key] = apply_element(g, cc).key()
             if image not in members:
                 return cc, {}
             edges[key].append(image)
@@ -410,13 +478,13 @@ def _k_form(
     fan of a maximal member of higher dimension, which the loop meets
     first.  When an image leaves the fan, the member loop of
     :func:`_image_table` runs again, so that the offender named is the one
-    of the group route.  When ``validated`` is False, every
-    orbit fan not yet verified is tested for overlapping cones, a (b)
-    failure, and the first overlapping pair of its closure is named
-    (:meth:`colored._Closure.overlaps`).  Otherwise the fan and the action
-    have passed validation: F1 and invariance make every orbit member a fan
-    member, so F2 already rules out overlapping orbit cones and no overlap
-    test runs.
+    of the group route; it reuses the images the maximal pass took.  When
+    ``validated`` is False, every orbit fan not yet verified is tested for
+    overlapping cones, a (b) failure, and the first overlapping pair of its
+    closure is named (:meth:`colored._Closure.overlaps`).  Otherwise the
+    fan and the action have passed validation: F1 and invariance make every
+    orbit member a fan member, so F2 already rules out overlapping orbit
+    cones and no overlap test runs.
 
     A member whose orbit lies inside an already verified orbit fan is
     skipped before its orbit is closed: a verified orbit fan is closed under
@@ -429,10 +497,11 @@ def _k_form(
     if validated:
         proper = {f.key() for cc in fan for f in faces[cc.key()] if f.key() != cc.key()}
         sources = [cc for cc in fan if cc.key() not in proper]
-    offender, images = _image_table(action, fan, sources)
+    taken: dict = {}
+    offender, images = _image_table(action, fan, sources, taken)
     if offender is not None and sources is not None:
         # the member loop names the offender of the group route
-        offender = _image_table(action, fan)[0]
+        offender = _image_table(action, fan, None, taken)[0]
     if offender is not None:
         return KFormResult(
             False,

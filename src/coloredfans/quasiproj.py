@@ -18,15 +18,19 @@ The LP is decided on two routes, which give the same verdict:
   whose Bland point gives the forms.  :func:`is_quasiprojective` and
   :func:`build_support_lp` validate the fan and find its maximal members by
   colored faces; CLI ``quasiproj`` reads the maximal cones off the loaded
-  fan's closure and calls :func:`_support_forms` directly.
-  :func:`build_support_lp` returns this LP, and the other two return or
-  print its forms.
+  fan's closure, builds the LP with :func:`_support_lp` and hands it to
+  :func:`_support_forms`.  :func:`build_support_lp` returns this LP, and the
+  other two return or print its forms.
 * row generation (:func:`_support_feasible`), for a caller that needs only
   the verdict: ``galois._k_form``, on each orbit fan's closure.  It starts
   from the row blocks of the pairs of maximal cones that share a wall and
   adds the blocks that its point violates.
 
-Both build their rows in one place (:func:`_support_rows`).
+Both build their rows in one place (:func:`_support_rows`), from the parts
+K_k = Z_k ∩ V that the caller hands in.  :func:`_support_feasible` and CLI
+``quasiproj`` take them from :func:`colored._valuation_part`, which is Z_k
+itself, with no double description, when Z_k lies in V.  Only
+:func:`build_support_lp` intersects every maximal cone with V.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .colored import (
     colored_faces,
     validate_colored_fan,
 )
-from .cones import _ray_sum
+from .cones import Cone, _ray_sum
 from .errors import InvalidFanError
 from .linalg import RatVec, _over_common_denominator
 from .linprog import LPProblem, SparseRow, lp_feasible
@@ -88,23 +92,37 @@ def build_support_lp(
     """
     if check:
         validate_colored_fan(datum, fan).require(InvalidFanError, "fan failed validation")
-    return _support_lp(datum, maximal_members(datum, fan))
+    maximal = maximal_members(datum, fan)
+    # Cone.intersect, not _valuation_part: bench/run.py pins the double
+    # descriptions of is_quasiprojective(check=True) on the twisted cube by
+    # equality (TWISTED_CUBE_COUNTS), these among them
+    parts = [cc.cone.intersect(datum.valuation_cone) for cc in maximal]
+    return _support_lp(datum, maximal, parts)
 
 
-def _support_lp(datum: SphericalDatum, maximal: Sequence[ColoredCone]) -> LPProblem:
-    """The LP of :func:`build_support_lp` posed on the given maximal cones."""
-    eqs, blocks, _ = _support_rows(datum, maximal)
+def _support_lp(
+    datum: SphericalDatum, maximal: Sequence[ColoredCone], parts: Sequence[Cone]
+) -> LPProblem:
+    """The LP of :func:`build_support_lp` posed on the given maximal cones,
+    given their parts K_k = Z_k ∩ V."""
+    eqs, blocks, _ = _support_rows(datum, maximal, parts)
     ineqs = [row for block in blocks for row in block]
     return LPProblem._from_integral(datum.dim * len(maximal), eqs, ineqs)
 
 
+def _valuation_parts(datum: SphericalDatum, maximal: Sequence[ColoredCone]) -> list[Cone]:
+    """K_k = Z_k ∩ V for each maximal cone, by :func:`colored._valuation_part`."""
+    return [_valuation_part(datum, cc.cone) for cc in maximal]
+
+
 def _support_rows(
-    datum: SphericalDatum, maximal: Sequence[ColoredCone]
+    datum: SphericalDatum, maximal: Sequence[ColoredCone], parts: Sequence[Cone]
 ) -> tuple[list[SparseRow], list[list[SparseRow]], list[bool]]:
-    """The rows of :func:`_support_lp` on ``maximal``: the equality rows, the
-    inequality rows in blocks, one per ordered pair (k, l), k != l, in that
-    order (the generators of K_k = Z_k ∩ V, then the witness row), and per
-    block whether Z_k and Z_l share a wall: dim(Z_k ∩ Z_l) = dim Z_k - 1."""
+    """The rows of :func:`_support_lp` on ``maximal``, given ``parts``, the
+    cones K_k = Z_k ∩ V in order: the equality rows, the inequality rows in
+    blocks, one per ordered pair (k, l), k != l, in that order (the
+    generators of K_k, then the witness row), and per block whether Z_k and
+    Z_l share a wall: dim(Z_k ∩ Z_l) = dim Z_k - 1."""
     n = datum.dim
 
     def difference_row(k: int, l: int, g: Sequence[int]) -> list[tuple[int, int]]:
@@ -123,8 +141,7 @@ def _support_rows(
             for g in shared._rays + shared._lineality:
                 eqs.append((difference_row(k, l, g), 0, 1))
     blocks, walls = [], []
-    for k, zk in enumerate(maximal):
-        valuation_part = zk.cone.intersect(datum.valuation_cone)
+    for k, (zk, valuation_part) in enumerate(zip(maximal, parts)):
         gens = valuation_part._generators()
         witness = _ray_sum(valuation_part._rays, n)
         for l in range(len(maximal)):
@@ -149,7 +166,7 @@ def _support_feasible(datum: SphericalDatum, maximal: Sequence[ColoredCone]) -> 
     solved at once: the equality rows alone give the origin, which fails
     every witness row, so every block would join.
     """
-    eqs, blocks, active = _support_rows(datum, maximal)
+    eqs, blocks, active = _support_rows(datum, maximal, _valuation_parts(datum, maximal))
     num_vars = datum.dim * len(maximal)
     if not any(active):
         active = [True] * len(blocks)
@@ -168,13 +185,12 @@ def _support_feasible(datum: SphericalDatum, maximal: Sequence[ColoredCone]) -> 
         active = [on or bad for on, bad in zip(active, violated)]
 
 
-def _support_ineq_rows(datum: SphericalDatum, maximal: Sequence[ColoredCone]) -> int:
-    """The inequality rows of :func:`_support_lp` on ``maximal``, counted
-    before any is built: m - 1 per generator of each K_k = Z_k ∩ V and per
-    witness, m the number of maximal cones."""
-    m = len(maximal)
-    gens = (len(_valuation_part(datum, cc.cone)._generators()) for cc in maximal)
-    return sum((m - 1) * (g + 1) for g in gens)
+def _support_ineq_rows(parts: Sequence[Cone]) -> int:
+    """The inequality rows of :func:`_support_lp` on m maximal cones with
+    the parts ``parts``, counted before any is built: m - 1 per generator of
+    each K_k = Z_k ∩ V and per witness."""
+    m = len(parts)
+    return sum((m - 1) * (len(part._generators()) + 1) for part in parts)
 
 
 def is_quasiprojective(
@@ -188,13 +204,12 @@ def is_quasiprojective(
 
 
 def _support_forms(
-    datum: SphericalDatum, maximal: Sequence[ColoredCone], lp: LPProblem | None = None
+    datum: SphericalDatum, maximal: Sequence[ColoredCone], lp: LPProblem
 ) -> QuasiprojectivityResult:
-    """Solve the support LP posed on the maximal cones ``maximal`` (``lp``
-    when it is already built, else :func:`_support_lp`) and attach its forms
-    to those cones, in order.  The cones are not checked: they must be the
-    maximal members of a validated fan."""
-    assignment = lp_feasible(_support_lp(datum, maximal) if lp is None else lp)
+    """Solve ``lp``, the support LP posed on the maximal cones ``maximal``,
+    and attach its forms to those cones, in order.  The cones are not
+    checked: they must be the maximal members of a validated fan."""
+    assignment = lp_feasible(lp)
     if assignment is None:
         return QuasiprojectivityResult(False, None)
     n = datum.dim

@@ -239,7 +239,8 @@ def routes(monkeypatch):
         solves.clear()
         verdict = quasiproj._support_feasible(datum, maximal)
         if expected is None:
-            expected = lp_feasible(quasiproj._support_lp(datum, maximal)) is not None
+            parts = quasiproj._valuation_parts(datum, maximal)
+            expected = lp_feasible(quasiproj._support_lp(datum, maximal, parts)) is not None
         assert verdict == expected
         return verdict, list(solves)
 

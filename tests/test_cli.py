@@ -232,18 +232,18 @@ def test_face_limit_counts_the_faces_of_all_given_cones(
     assert fileio.MAX_FACES == 4096
     datum, fan = cube_cone_files(tmp_path, n, sides)
     generated, faces = [], []
-    real_generators, real_faces = fileio.cone_from_generators, cones.Cone._from_descriptions
+    real_generators, real_init = fileio.cone_from_generators, cones.Cone.__init__
 
     def counting_generators(gens, dim):
         generated.append(dim)
         return real_generators(gens, dim)
 
-    def counting_faces(*args):
-        faces.append(args[0])
-        return real_faces(*args)
+    def counting_init(self, *args):
+        faces.append(self)
+        real_init(self, *args)
 
     monkeypatch.setattr(fileio, "cone_from_generators", counting_generators)
-    monkeypatch.setattr(cones.Cone, "_from_descriptions", staticmethod(counting_faces))
+    monkeypatch.setattr(cones.Cone, "__init__", counting_init)
     start = time.perf_counter()
     assert main(["validate", "--datum", datum, "--fan", fan]) == code
     elapsed = time.perf_counter() - start
@@ -372,7 +372,7 @@ def test_support_lp_rows_are_counted_exactly():
     LP, on every loadable fan fixture, the m = 16 line fan and the twisted
     cube, and every fixture stays below the limit."""
     from test_fan_facts import FAN_FIXTURE_DATA
-    from coloredfans.quasiproj import _support_ineq_rows, _support_lp
+    from coloredfans.quasiproj import _support_ineq_rows, _support_lp, _valuation_parts
 
     fans = []
     for fan_name, datum_name in FAN_FIXTURE_DATA.items():
@@ -389,8 +389,9 @@ def test_support_lp_rows_are_counted_exactly():
     counts = []
     for datum, fan in fans:
         maximal = fan._facts.maximal()
-        counts.append(_support_ineq_rows(datum, maximal))
-        assert counts[-1] == len(_support_lp(datum, maximal)._ineqs)
+        parts = _valuation_parts(datum, maximal)
+        counts.append(_support_ineq_rows(parts))
+        assert counts[-1] == len(_support_lp(datum, maximal, parts)._ineqs)
     assert len(counts) == 10 and counts[-2:] == [720, 528]
     assert max(counts) <= fileio.MAX_SUPPORT_ROWS
 

@@ -617,3 +617,23 @@ def test_face_lattice_stops_past_its_limit():
     assert len(faces) == 28 and cube._faces is faces
     # stored faces are measured against the limit too
     assert cube._lattice_faces(27) is None and cube._lattice_faces() is faces
+
+
+def test_walks_that_share_a_table_share_their_faces():
+    """Two cones with the z-axis as lineality space, the quadrant x, y >= 0
+    and its mirror x <= 0, walked through one table: the faces they share,
+    the z-axis and the half-plane x = 0 <= y, are one object each, built
+    once, and every face has the fields of the cuts."""
+    axis = [(0, 0, 1), (0, 0, -1)]
+    right = cone_from_generators([(1, 0, 0), (0, 1, 0)] + axis, 3)
+    left = cone_from_generators([(-1, 0, 0), (0, 1, 0)] + axis, 3)
+    table = {}
+    walked = [c._lattice_faces(table=table) for c in (right, left)]
+    shared = [f for f in walked[0] if f in walked[1]]
+    assert len(shared) == 2 and all(f._lineality == ((0, 0, 1),) for f in shared)
+    assert all(any(f is g for g in walked[1]) for f in shared)
+    # each owner and each distinct proper face, keyed by lineality and rays
+    assert len(table) == 2 + 4
+    assert all(table[f._lineality, f._rays] is f for faces in walked for f in faces)
+    for cone, faces in zip((right, left), walked):
+        assert [fields(f) for f in faces] == [fields(f) for f in lattice_agrees_with_cuts(cone)]

@@ -19,7 +19,7 @@ from conftest import (
     random_unimodular,
     toric_datum,
 )
-from test_galois import KFORM_CASES, SWAP, _kform_case
+from test_galois import KFORM_CASES, OCTANTS, P2_RAYS, SWAP, _cycle, _kform_case
 from coloredfans import colored, cones, fileio
 from coloredfans.colored import (
     ColoredCone,
@@ -218,6 +218,39 @@ def test_closure_walks_face_lattices_with_no_double_description_cut(monkeypatch)
     fan = fan_from_maximal_cones(octant, maximal)
     assert len(fan) == 12 + 18 + 8 + 1
     assert dd_calls == [] and cut_loops == [] and lps == []
+
+
+def test_closure_builds_each_shared_face_once(monkeypatch):
+    """A face that two given cones share is one ``Cone``, built once: the
+    closure of the octant fan builds its 19 proper faces, not 8 times 7,
+    and that of P2 its 4, not 3 times 3.  Each face has the fields that a
+    double description of its rays gives."""
+    built = []
+    real_init = cones.Cone.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        real_init(self, *args)
+
+    space, plane = toric_datum(3), toric_datum(2)
+    cases = [
+        (space, _plain(space, [(rays, ()) for rays in OCTANTS]), 19),
+        (plane, _plain(plane, [(rays, ()) for rays in _cycle(P2_RAYS)]), 4),
+    ]
+    for datum, given, proper in cases:
+        monkeypatch.setattr(cones.Cone, "__init__", counting_init)
+        built.clear()
+        closure = colored._face_closure(datum, given, {})
+        monkeypatch.undo()
+        assert len(built) == proper and len(closure.members) == proper + len(given)
+        assert {cc.cone for cc in closure.members} == set(built) | {cc.cone for cc in given}
+        faces = {}
+        for cc in given:
+            for face in cc.cone.faces():
+                assert faces.setdefault(face, face) is face
+        for face in built:
+            fresh = cones.cone_from_generators(face._rays, datum.dim)
+            assert (face._facets, face._span_eq) == (fresh._facets, fresh._span_eq)
 
 
 def test_failing_fan_raises_the_same_error_on_both_routes():

@@ -289,3 +289,21 @@ def test_fan_parse_serialize_identity_property(objects):
 
     text = serialized(fan_obj)
     assert serialized(json.loads(text)) == text
+
+
+def test_face_budget_counts_shared_faces_once_per_cone(monkeypatch):
+    """The 8 octants have 8 faces each, 64 against the budget, of which 27
+    are distinct: the walks share those, one object each, and the budget
+    counts every cone's faces, shared ones included."""
+    units = [[s * (i == j) for j in range(3)] for i in range(3) for s in (1, -1)]
+    datum = fileio.parse_datum({"dim": 3, "valuation_cone": {"generators": units}})
+    octants = [
+        [[x, 0, 0], [0, y, 0], [0, 0, z]] for x in (1, -1) for y in (1, -1) for z in (1, -1)
+    ]
+    obj = {"cones": [{"rays": rays} for rays in octants]}
+    monkeypatch.setattr(fileio, "MAX_FACES", 64)
+    parsed = fileio.parse_fan(obj, datum)
+    assert len({id(f) for cc in parsed for f in cc.cone.faces()}) == 27
+    monkeypatch.setattr(fileio, "MAX_FACES", 63)
+    with pytest.raises(SchemaError, match="more than 63 faces in all"):
+        fileio.parse_fan(obj, datum)

@@ -44,6 +44,7 @@ from coloredfans.linalg import identity, mat, matmul, matvec
 from coloredfans.linprog import fourier_motzkin, lp_feasible
 from coloredfans.quasiproj import (
     _support_lp,
+    _valuation_parts,
     build_support_lp,
     is_quasiprojective,
     maximal_members,
@@ -383,9 +384,11 @@ def test_k_form_matches_rebuilding_reference():
                 # the support LP that has_k_form poses on the images is the
                 # one of the rebuilt orbit fan
                 orbit = reference_orbit_subfan(datum, action, cc, orbits)
-                images = {apply_element(g, cc) for g in action.elements()}
+                images = sorted(
+                    {apply_element(g, cc) for g in action.elements()}, key=member_sort_key
+                )
                 assert _support_lp(
-                    datum, sorted(images, key=member_sort_key)
+                    datum, images, _valuation_parts(datum, images)
                 ) == build_support_lp(datum, orbit, check=False)
             for i in range(len(fan)):
                 sub = ColoredFan(fan.cones[:i] + fan.cones[i + 1:])
@@ -435,7 +438,7 @@ def test_orbit_fan_that_is_not_quasiprojective(tmp_path, capsys, routes):
     fan = fan_from_maximal_cones(datum, orbit)
     assert len(fan.cones) == 22
     assert "group order 3" in validate_action(datum, action).notes
-    lp = _support_lp(datum, orbit)
+    lp = _support_lp(datum, orbit, _valuation_parts(datum, orbit))
     assert (lp.num_vars, len(lp.ineq_constraints) + len(lp.eq_constraints)) == (9, 24)
     assert lp_feasible(lp) is None and not fourier_motzkin(lp, max_vars=lp.num_vars)
     # no two cones share a wall, so row generation solves the full LP at once
@@ -650,6 +653,76 @@ def test_integer_closure_matches_fraction_closure():
         assert all(type(x) is int for g in got for row in g.matrix for x in row)
         orders[len(got)] += 1
     assert sorted(orders) == [2, 3, 4, 6, 8]
+
+
+def test_rational_generators_close_with_their_order_test_run_once_per_dimension():
+    """Rational matrices: a conjugate of finite order, by a matrix of
+    determinant 2, closes to the elements of the Fraction closure; one of
+    infinite order, diag(2, 1/2), is refused at once; a singular one still
+    closes.  The order exponent is computed once per dimension."""
+    galois._order_exponent.cache_clear()
+    a = [[2, 1], [0, 1]]
+    a_inv = reference_invert(a)
+    for gens in ([[[0, -1], [1, -1]]], [[[0, -1], [1, -1]], SWAP], [[[0, -1], [1, 0]], SWAP]):
+        conjugates = [matmul(a, matmul(mat(m), a_inv)) for m in gens]
+        assert any(x.denominator != 1 for m in conjugates for row in m for x in row)
+        action = GroupAction(2, ("A",), tuple(GroupElement.make(m) for m in conjugates))
+        got = action.elements()
+        assert list(got) == reference_elements(action)
+        assert [hash(g) for g in got] == [hash(g) for g in reference_elements(action)]
+    stretch = GroupAction(2, (), (GroupElement.make([[2, 0], [0, Fraction(1, 2)]]),))
+    start = perf_counter()
+    with pytest.raises(ClosureCapError, match="exceeded the cap of 100000 elements"):
+        stretch.elements()
+    assert perf_counter() - start < 0.1
+    half = Fraction(1, 2)
+    for m in ([[1, 0], [0, 0]], [[half, half], [half, half]]):
+        singular = GroupAction(2, (), (GroupElement.make(m),))
+        assert list(singular.elements()) == reference_elements(singular)
+        assert len(singular.elements()) == 2
+    swap3 = GroupAction(3, (), (GroupElement.make([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),))
+    assert len(swap3.elements()) == 2
+    info = galois._order_exponent.cache_info()
+    assert (info.misses, info.hits) == (2, 5)
+
+
+def test_offender_rerun_maps_no_member_twice(monkeypatch, toric_plane, p2_fan):
+    """When a maximal member's image leaves the fan, the member loop that
+    names the offender reuses the images the maximal pass took: on the
+    p2_quarter_turn and octant_one_cone_inversion cases of the benchmark
+    it maps 2 more members, and under the swap and the quarter turn it
+    maps the 3 chambers that the swap kept in the fan once, 10 images, not
+    13.  The reasons are those of the reference."""
+    applied = []
+
+    def counting_apply(g, cc):
+        applied.append((id(g), cc.key()))
+        return apply_element(g, cc)
+
+    monkeypatch.setattr(galois, "apply_element", counting_apply)
+    space = toric_datum(3)
+    octant = fan_from_maximal_cones(space, [ColoredCone(cone_from_generators(OCTANTS[0], 3))])
+    quarter = GroupElement.make([[0, -1], [1, 0]])
+    cases = [
+        (toric_plane, action_from_generators(toric_plane, [quarter]), p2_fan, 3),
+        (space, action_from_generators(space, [GroupElement.make(INVERSION3)]), octant, 3),
+        (
+            toric_plane,
+            action_from_generators(toric_plane, [GroupElement.make(SWAP), quarter]),
+            p2_fan,
+            10,
+        ),
+    ]
+    for datum, action, fan, count in cases:
+        applied.clear()
+        result = has_k_form(datum, action, fan, check=True)
+        assert len(applied) == len(set(applied)) == count
+        assert result == reference_has_k_form(datum, action, fan, check=True)
+        assert not result.invariant
+    assert result.reasons == (
+        "(a) fan is not invariant under the Galois action; offending cone: "
+        "(cone rays=[(-1,-1)]; colors=[])",
+    )
 
 
 def test_make_stores_integral_entries_as_int():

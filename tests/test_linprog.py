@@ -293,7 +293,8 @@ def test_cube_support_lps_keep_their_pivots_and_points(pivots):
     total = 0
     for index in range(64):
         given = [ColoredCone(cone_from_generators(c, 3)) for c in cube_pattern_cones(index)]
-        lp = quasiproj._support_lp(datum, sorted(given, key=member_sort_key))
+        maximal = sorted(given, key=member_sort_key)
+        lp = quasiproj._support_lp(datum, maximal, quasiproj._valuation_parts(datum, maximal))
         pivots.clear()
         x = lp_feasible(lp)
         total += len(pivots)

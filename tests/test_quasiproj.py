@@ -13,12 +13,21 @@ from conftest import (
     toric_datum,
     twisted_cube_fan,
 )
+from coloredfans import fileio
+from coloredfans.cli import main
 from coloredfans.colored import ColoredCone, SphericalDatum, fan_from_maximal_cones
-from coloredfans.cones import cone_from_generators
-from coloredfans.errors import InvalidFanError
+from coloredfans.cones import Cone, cone_from_generators
+from coloredfans.errors import InvalidFanError, SemanticError
+from coloredfans.galois import GroupElement, action_from_generators, has_k_form
 from coloredfans.linalg import matvec, vec
 from coloredfans.linprog import fourier_motzkin
-from coloredfans.quasiproj import build_support_lp, is_quasiprojective, maximal_members
+from coloredfans.quasiproj import (
+    _support_lp,
+    _valuation_parts,
+    build_support_lp,
+    is_quasiprojective,
+    maximal_members,
+)
 
 
 def test_single_maximal_cone_gives_empty_lp(toric_plane):
@@ -224,3 +233,67 @@ def test_row_generation_on_the_line_fan(toric_plane, routes):
     line = [ColoredCone(cone_from_generators([(1, k), (1, k + 1)], 2)) for k in range(16)]
     maximal = fan_from_maximal_cones(toric_plane, line)._facts.maximal()
     assert routes(toric_plane, maximal) == (True, [90])
+
+
+def test_support_lp_is_the_same_from_either_source_of_k(toric_plane):
+    """The LP posed on parts K_k = Z_k ∩ V from ``_valuation_part``, which
+    is Z_k itself when Z_k lies in V, equals ``build_support_lp``, which
+    intersects each Z_k with V: on every loadable fan fixture, the 64 cube
+    patterns, the m = 16 line fan and closures of random colored cones, where
+    V is not the whole space and some K_k is not Z_k."""
+    from test_fan_facts import FAN_FIXTURE_DATA, FIXTURES
+    from test_random_colored import passing_cones
+
+    fans = []
+    for fan_name, datum_name in FAN_FIXTURE_DATA.items():
+        try:
+            inputs = fileio.parse_inputs(FIXTURES / datum_name, FIXTURES / fan_name)
+        except SemanticError:
+            continue
+        fans.append((inputs.datum, inputs.fan))
+    space = toric_datum(3)
+    for pattern in range(64):
+        cones = [ColoredCone(cone_from_generators(c, 3)) for c in cube_pattern_cones(pattern)]
+        fans.append((space, fan_from_maximal_cones(space, cones)))
+    line = [ColoredCone(cone_from_generators([(1, k), (1, k + 1)], 2)) for k in range(16)]
+    fans.append((toric_plane, fan_from_maximal_cones(toric_plane, line)))
+    for datum, passed in passing_cones(4050, 12, 4):
+        if len(passed) >= 2:
+            fans.append((datum, fan_from_maximal_cones(datum, [cc for cc, _ in passed[:2]])))
+    assert len(fans) == 8 + 64 + 1 + 11
+    cut = 0
+    for datum, fan in fans:
+        maximal = fan._facts.maximal()
+        parts = _valuation_parts(datum, maximal)
+        cut += any(part is not cc.cone for part, cc in zip(parts, maximal))
+        assert _support_lp(datum, maximal, parts) == build_support_lp(datum, fan, check=False)
+    assert cut
+
+
+def test_no_cone_is_intersected_with_v_when_every_maximal_cone_lies_in_it(
+    monkeypatch, capsys, toric_plane, p2_fan
+):
+    """CLI ``quasiproj`` and ``has_k_form`` on P2 take each K_k = Z_k with
+    dot products; ``build_support_lp``, whose double descriptions the
+    benchmark gate pins, intersects V, the whole plane, with each of the 7
+    members for C1 and with each of the 3 maximal cones for its K_k."""
+    met = []
+    real_intersect = Cone.intersect
+
+    def spying(self, other):
+        if toric_plane.valuation_cone in (self, other):
+            met.append(self)
+        return real_intersect(self, other)
+
+    monkeypatch.setattr(Cone, "intersect", spying)
+    fixtures = Path(__file__).parent / "fixtures"
+    argv = ["quasiproj", "--datum", str(fixtures / "datum_toric2.json")]
+    assert main(argv + ["--fan", str(fixtures / "fan_p2.json")]) == 0
+    assert "verdict: PASS" in capsys.readouterr().out
+    s3 = action_from_generators(
+        toric_plane, [GroupElement.make([[0, -1], [1, -1]]), GroupElement.make([[0, 1], [1, 0]])]
+    )
+    assert has_k_form(toric_plane, s3, p2_fan, check=True).verdict
+    assert met == []
+    build_support_lp(toric_plane, p2_fan, check=False)
+    assert len(met) == 7 + 3

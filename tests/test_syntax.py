@@ -1,5 +1,6 @@
 """Every Python file of the project parses as Python 3.10, the supported
-minimum, and no library module imports a name it never uses.
+minimum, no library module imports a name it never uses, and every private
+function, method and class of the library is used in the library.
 
 ``ast.parse`` with ``feature_version=(3, 10)`` rejects the syntax that later
 versions added (``except*``, PEP 695 type parameters, ...), so this holds on
@@ -52,3 +53,23 @@ def test_library_modules_use_every_name_they_import():
             f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used
         ]
     assert unused == []
+
+
+def test_every_private_definition_is_referenced_in_the_library():
+    """A function, method or class under ``src/`` whose name starts with one
+    underscore is named somewhere in ``src/`` besides its definition, as a
+    name or an attribute, so that a helper that was replaced does not
+    linger.  Tests may call private helpers, but they do not count."""
+    defined, named = {}, set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = parse_310(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined[node.name] = f"{path.name}:{node.lineno}"
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    assert len(defined) > 50
+    assert sorted(f"{where} {name}" for name, where in defined.items() if name not in named) == []
