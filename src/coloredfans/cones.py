@@ -35,7 +35,9 @@ read.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .linalg import (
@@ -50,6 +52,12 @@ from .linalg import (
 )
 
 
+@cache
+def _unit_vectors(dim: int) -> tuple[IntVec, ...]:
+    """The standard basis of the integer vectors of length ``dim``."""
+    return tuple(tuple([int(i == j) for j in range(dim)]) for i in range(dim))
+
+
 def _dd(rows: Sequence[Sequence[int]], dim: int) -> tuple[list[IntVec], list[IntVec]]:
     """Double description of {x : r . x >= 0 for r in rows}, rows integral.
 
@@ -60,47 +68,68 @@ def _dd(rows: Sequence[Sequence[int]], dim: int) -> tuple[list[IntVec], list[Int
     the new row are adjacent exactly when no third ray's tight set contains
     their common one (Fukuda & Prodon, "Double description method
     revisited", 1996).  No elimination runs.
+
+    A tight set is an ``int`` bit mask over the row indices, and the count
+    of rays tight on a common set stops at the third.  The peel and combine
+    steps spell out :func:`linalg._combine`, each new vector divided by the
+    gcd of its entries.
     """
-    lin: list[IntVec] = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-    # each ray carries the set of processed rows that vanish on it
-    rays: list[tuple[IntVec, frozenset[int]]] = []
+    lin: list[IntVec] = list(_unit_vectors(dim))
+    # each ray carries the bit mask of the processed rows that vanish on it
+    rays: list[tuple[IntVec, int]] = []
     for idx, a in enumerate(rows):
-        lin_vals = [_dot(a, b) for b in lin]
+        bit = 1 << idx
+        lin_vals = [sum(map(mul, a, b)) for b in lin]
         if any(lin_vals):
             # the new inequality cuts the lineality space: peel one direction off
             j0 = next(i for i, v in enumerate(lin_vals) if v)
             b0, v0 = lin[j0], lin_vals[j0]
             if v0 < 0:
-                b0, v0 = tuple(-x for x in b0), -v0
+                b0, v0 = tuple([-x for x in b0]), -v0
             lin = [
                 _combine(v0, b, v, b0)
                 for i, (b, v) in enumerate(zip(lin, lin_vals))
                 if i != j0
             ]
-            rays = [
-                (_combine(v0, r, _dot(a, r), b0), tight | {idx})
-                for r, tight in rays
-            ]
-            rays.append((b0, frozenset(range(idx))))
-        else:
-            plus: list[tuple[IntVec, frozenset[int], int]] = []
-            minus: list[tuple[IntVec, frozenset[int], int]] = []
-            kept: list[tuple[IntVec, frozenset[int]]] = []
+            peeled = []
             for r, tight in rays:
-                v = _dot(a, r)
+                f = sum(map(mul, a, r))
+                out = [v0 * x - f * y for x, y in zip(r, b0)] if f else r
+                g = gcd(*out)
+                peeled.append((tuple([x // g for x in out]) if g > 1 else tuple(out), tight | bit))
+            rays = peeled
+            rays.append((b0, bit - 1))
+        else:
+            plus: list[tuple[IntVec, int, int]] = []
+            minus: list[tuple[IntVec, int, int]] = []
+            kept: list[tuple[IntVec, int]] = []
+            for r, tight in rays:
+                v = sum(map(mul, a, r))
                 if v > 0:
                     plus.append((r, tight, v))
                     kept.append((r, tight))
                 elif v < 0:
                     minus.append((r, tight, v))
                 else:
-                    kept.append((r, tight | {idx}))
-            for rp, tp, vp in plus:
-                for rm, tm, vm in minus:
-                    common = tp & tm
-                    # adjacent: rp and rm are the only rays tight on all of common
-                    if sum(common <= tight for _, tight in rays) == 2:
-                        kept.append((_combine(vp, rm, vm, rp), common | {idx}))
+                    kept.append((r, tight | bit))
+            if plus and minus:
+                tights = [tight for _, tight in rays]
+                for rp, tp, vp in plus:
+                    for rm, tm, vm in minus:
+                        common = tp & tm
+                        # adjacent: rp and rm are the only rays tight on all of common
+                        count = 0
+                        for tight in tights:
+                            if tight & common == common:
+                                count += 1
+                                if count > 2:
+                                    break
+                        else:
+                            out = [vp * x - vm * y for x, y in zip(rm, rp)]
+                            g = gcd(*out)
+                            kept.append(
+                                (tuple([x // g for x in out]) if g > 1 else tuple(out), common | bit)
+                            )
             rays = kept
     return lin, [r for r, _ in rays]
 

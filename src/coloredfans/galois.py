@@ -12,7 +12,10 @@ integer matrices, each over one denominator, with color permutations as
 index tuples, and builds each :class:`GroupElement` once, for the result.
 A cone's image under an element maps both of its descriptions by the
 matrix and a multiple of its inverse, computed once per element, and runs
-no double description; the order test reads the same integer matrix.
+no double description; the order test reads the same integer matrix.  The
+invariance and orbit loop builds no image of a strictly convex member
+under an invertible element: it looks the image up by its canonical rays
+and colors (:func:`_image_key`).
 
 ``has_k_form`` combines the two classification ingredients: (a) invariance
 of the fan under the action, and (b) quasiprojectivity of every member's
@@ -47,8 +50,8 @@ from .colored import (
     _proven_faces,
 )
 from .errors import ClosureCapError, InvalidFanError
-from .cones import _integer_map
-from .linalg import RatMat, identity, mat, matmul, matvec
+from .cones import _integer_map, _primitive
+from .linalg import RatMat, _dot, identity, mat, matmul, matvec
 from .quasiproj import _support_feasible
 from .reports import ValidationReport
 
@@ -361,6 +364,28 @@ def apply_element(g: GroupElement, cc: ColoredCone) -> ColoredCone:
     return ColoredCone(cc.cone._image(*g._map), frozenset(g.apply_color(c) for c in cc.colors))
 
 
+def _image_key(g: GroupElement, cc: ColoredCone, strict: dict):
+    """The key of ``apply_element(g, cc)`` when that image is a member, and a
+    key no member has when it is not; ``strict`` maps (ambient dimension,
+    canonical rays, sorted colors) to the key of each strictly convex member.
+
+    When the matrix of ``g`` is invertible in the cone's ambient dimension
+    and the cone is strictly convex, no cone is built: an invertible map
+    sends extreme rays to extreme rays and keeps strict convexity, so the
+    canonical rays of the image are the sorted primitive images of the
+    canonical rays, and the image is the member of those rays and colors,
+    if any.  Any other image is :func:`apply_element`, with its errors.
+    """
+    rows, inverse = g._map
+    cone = cc.cone
+    if inverse is None or len(rows) != cone.ambient_dim or cone._lineality:
+        return apply_element(g, cc).key()
+    perm = g.perm_map
+    rays = tuple(sorted(_primitive(tuple([_dot(row, r) for row in rows])) for r in cone._rays))
+    found = (cone.ambient_dim, rays, tuple(sorted({perm.get(c, c) for c in cc.colors})))
+    return strict.get(found, found)
+
+
 def _image_table(
     action: GroupAction,
     fan: ColoredFan,
@@ -368,9 +393,10 @@ def _image_table(
     taken: dict | None = None,
 ) -> tuple[ColoredCone | None, dict]:
     """Apply each generator to each source, by default each member
-    (generators outer, sources inner).  ``taken`` maps (generator index,
-    source key) to the key of the image, and each image taken is stored
-    there: a call handed the ``taken`` of an earlier one maps no cone twice.
+    (generators outer, sources inner), by :func:`_image_key`.  ``taken``
+    maps (generator index, source key) to the key of the image, and each
+    image taken is stored there: a call handed the ``taken`` of an earlier
+    one maps no cone twice.
 
     Returns the first source with an image outside the fan, or None, and
     each source's orbit: the members that generator images reach from it,
@@ -382,6 +408,11 @@ def _image_table(
     maximal members under a validated action (see :func:`_k_form`).
     """
     members = {cc.key(): cc for cc in fan}
+    strict = {
+        (cc.cone.ambient_dim, cc.cone._rays, key[1]): key
+        for key, cc in members.items()
+        if not cc.cone._lineality
+    }
     sources = members if sources is None else {cc.key(): cc for cc in sources}
     taken = {} if taken is None else taken
     edges: dict = {key: [] for key in sources}
@@ -389,7 +420,7 @@ def _image_table(
         for key, cc in sources.items():
             image = taken.get((i, key))
             if image is None:
-                image = taken[i, key] = apply_element(g, cc).key()
+                image = taken[i, key] = _image_key(g, cc, strict)
             if image not in members:
                 return cc, {}
             edges[key].append(image)
@@ -466,10 +497,15 @@ def _k_form(
     member failing C1-C4 raises :class:`InvalidColoredConeError`).  Each
     orbit fan's support LP is posed on the maximal cones of its closure
     (:meth:`colored._Closure.maximal`) and decided by
-    :func:`quasiproj._support_feasible`.
+    :func:`quasiproj._support_feasible`, which needs F2 on them: it reads
+    the intersection of two orbit cones that lie in V off their common
+    rays.  F2 holds by validation, or is tested first (below).
 
-    When ``validated`` is True, ``faces`` holds every member's faces, and
-    the generators are applied to the maximal members only, the members
+    The images are taken by :func:`_image_table`, which reads the image of
+    a strictly convex member under an invertible generator off its
+    canonical rays and builds no cone.  When ``validated`` is True,
+    ``faces`` holds every member's faces, and the generators are applied
+    to the maximal members only, the members
     that are a proper colored face of no member, and only their orbits are
     looped over.  Each generator is a lattice automorphism that fixes the
     valuation cone and the placements, so it maps the colored faces of Z

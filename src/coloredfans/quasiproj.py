@@ -29,8 +29,11 @@ The LP is decided on two routes, which give the same verdict:
 Both build their rows in one place (:func:`_support_rows`), from the parts
 K_k = Z_k ∩ V that the caller hands in.  :func:`_support_feasible` and CLI
 ``quasiproj`` take them from :func:`colored._valuation_part`, which is Z_k
-itself, with no double description, when Z_k lies in V.  Only
-:func:`build_support_lp` intersects every maximal cone with V.
+itself, with no double description, when Z_k lies in V; two such cones meet
+in the cone over their common rays, so their pair takes no double
+description either (F2 makes it a common face).  Only
+:func:`build_support_lp` intersects every maximal cone with V, and so every
+pair of maximal cones with each other.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .colored import (
 )
 from .cones import Cone, _ray_sum
 from .errors import InvalidFanError
-from .linalg import RatVec, _over_common_denominator
+from .linalg import RatVec, _echelon, _over_common_denominator
 from .linprog import LPProblem, SparseRow, lp_feasible
 
 
@@ -122,7 +125,20 @@ def _support_rows(
     cones K_k = Z_k ∩ V in order: the equality rows, the inequality rows in
     blocks, one per ordered pair (k, l), k != l, in that order (the
     generators of K_k, then the witness row), and per block whether Z_k and
-    Z_l share a wall: dim(Z_k ∩ Z_l) = dim Z_k - 1."""
+    Z_l share a wall: dim(Z_k ∩ Z_l) = dim Z_k - 1.
+
+    ``maximal`` must satisfy F2: no valuation vector lies in the relative
+    interiors of two distinct colored faces of its cones.  Then two strictly
+    convex cones Z_k, Z_l that lie in V, handed in as their own parts, meet
+    in a common face, read off with no double description: a point w in the
+    relative interior of Z_k ∩ Z_l lies in V, so the faces of Z_k and of Z_l
+    holding w in their relative interiors are colored faces, each the
+    smallest face containing Z_k ∩ Z_l (Rockafellar, *Convex Analysis*, Thm
+    18.2), and by F2 they are one cone, which is then Z_k ∩ Z_l.  A face of
+    a strictly convex cone is the cone over the canonical rays it holds, so
+    Z_k ∩ Z_l is the cone over the rays Z_k and Z_l share, in Z_k's sorted
+    order, and its dimension is their rank.  Any other pair is intersected
+    with :meth:`Cone.intersect`."""
     n = datum.dim
 
     def difference_row(k: int, l: int, g: Sequence[int]) -> list[tuple[int, int]]:
@@ -131,14 +147,24 @@ def _support_rows(
         minus = [(n * l + t, -x) for t, x in enumerate(g) if x]
         return plus + minus if k < l else minus + plus
 
+    # the ray sets of the strictly convex cones that are their own parts
+    ray_sets = [
+        set(cc.cone._rays) if part is cc.cone and not part._lineality else None
+        for cc, part in zip(maximal, parts)
+    ]
     # every vector below is integral, so each row is over the scale s = 1
     eqs = []
     shared_dims = {}
     for k in range(len(maximal)):
         for l in range(k + 1, len(maximal)):
-            shared = maximal[k].cone.intersect(maximal[l].cone)
-            shared_dims[k, l] = shared_dims[l, k] = shared.dim
-            for g in shared._rays + shared._lineality:
+            if ray_sets[k] is not None and ray_sets[l] is not None:
+                gens = [r for r in maximal[k].cone._rays if r in ray_sets[l]]
+                shared_dims[k, l] = shared_dims[l, k] = len(_echelon(gens)[1])
+            else:
+                shared = maximal[k].cone.intersect(maximal[l].cone)
+                shared_dims[k, l] = shared_dims[l, k] = shared.dim
+                gens = shared._rays + shared._lineality
+            for g in gens:
                 eqs.append((difference_row(k, l, g), 0, 1))
     blocks, walls = [], []
     for k, (zk, valuation_part) in enumerate(zip(maximal, parts)):

@@ -13,6 +13,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
+from coloredfans.linalg import _combine as _int_combine
+from coloredfans.linalg import _dot as _int_dot
 from coloredfans.linprog import LPProblem
 
 F0 = Fraction(0)
@@ -151,6 +153,49 @@ def reference_dd(rows, dim):
                             continue
                         w = _sub(_scale(rm, vp), _scale(rp, vm))
                         kept.append((_primitive(w), common | {idx}))
+            rays = kept
+    return lin, [r for r, _ in rays]
+
+
+def reference_integer_dd(rows, dim):
+    """The integer double description of ``cones._dd``, its tight sets kept
+    as frozensets and each adjacency test counting every ray: the same
+    lineality basis and the same rays, in the same order."""
+    lin = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays = []
+    for idx, a in enumerate(rows):
+        lin_vals = [_int_dot(a, b) for b in lin]
+        if any(lin_vals):
+            j0 = next(i for i, v in enumerate(lin_vals) if v)
+            b0, v0 = lin[j0], lin_vals[j0]
+            if v0 < 0:
+                b0, v0 = tuple(-x for x in b0), -v0
+            lin = [
+                _int_combine(v0, b, v, b0)
+                for i, (b, v) in enumerate(zip(lin, lin_vals))
+                if i != j0
+            ]
+            rays = [
+                (_int_combine(v0, r, _int_dot(a, r), b0), tight | {idx})
+                for r, tight in rays
+            ]
+            rays.append((b0, frozenset(range(idx))))
+        else:
+            plus, minus, kept = [], [], []
+            for r, tight in rays:
+                v = _int_dot(a, r)
+                if v > 0:
+                    plus.append((r, tight, v))
+                    kept.append((r, tight))
+                elif v < 0:
+                    minus.append((r, tight, v))
+                else:
+                    kept.append((r, tight | {idx}))
+            for rp, tp, vp in plus:
+                for rm, tm, vm in minus:
+                    common = tp & tm
+                    if sum(common <= tight for _, tight in rays) == 2:
+                        kept.append((_int_combine(vp, rm, vm, rp), common | {idx}))
             rays = kept
     return lin, [r for r, _ in rays]
 

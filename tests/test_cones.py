@@ -11,6 +11,7 @@ from reference_exact import (
     reference_cone_from_generators,
     reference_cone_from_inequalities,
     reference_dd,
+    reference_integer_dd,
     reference_invert,
     reference_rank,
 )
@@ -480,6 +481,37 @@ def test_double_description_round_trip_property(c):
     from_gens = cone_from_generators(c._generators(), c.ambient_dim)
     assert from_ineqs == c == from_gens
     assert fields(from_ineqs) == fields(c) == fields(from_gens)
+
+
+@st.composite
+def dd_inputs(draw):
+    """Up to 10 integer rows in dimension 1-5: random ones, then redundant
+    ones (a repeat, a negation or the sum of two); for about one draw in
+    three every row vanishes on the last axis, which is then lineality."""
+    dim = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim), max_size=7))
+    if rows:
+        picks = st.tuples(st.integers(0, 2), st.sampled_from(rows), st.sampled_from(rows))
+        for kind, a, b in draw(st.lists(picks, max_size=10 - len(rows))):
+            if kind == 0:
+                rows.append(a)
+            elif kind == 1:
+                rows.append(tuple(-x for x in a))
+            else:
+                rows.append(tuple(x + y for x, y in zip(a, b)))
+    if draw(st.integers(0, 2)) == 0:
+        rows = [row[:-1] + (0,) for row in rows]
+    return rows, dim
+
+
+@PROPERTY
+@given(dd_inputs())
+def test_double_description_matches_frozenset_loop_property(case):
+    """``_dd`` keeps tight sets as bit masks and stops each adjacency count
+    at the third ray: the same lineality basis and rays, in the same order,
+    as the loop with frozenset tight sets that counts every ray."""
+    rows, dim = case
+    assert _dd(rows, dim) == reference_integer_dd(rows, dim)
 
 
 @PROPERTY

@@ -694,12 +694,13 @@ def test_offender_rerun_maps_no_member_twice(monkeypatch, toric_plane, p2_fan):
     maps the 3 chambers that the swap kept in the fan once, 10 images, not
     13.  The reasons are those of the reference."""
     applied = []
+    image_key = galois._image_key
 
-    def counting_apply(g, cc):
+    def counting_image(g, cc, strict):
         applied.append((id(g), cc.key()))
-        return apply_element(g, cc)
+        return image_key(g, cc, strict)
 
-    monkeypatch.setattr(galois, "apply_element", counting_apply)
+    monkeypatch.setattr(galois, "_image_key", counting_image)
     space = toric_datum(3)
     octant = fan_from_maximal_cones(space, [ColoredCone(cone_from_generators(OCTANTS[0], 3))])
     quarter = GroupElement.make([[0, -1], [1, 0]])
@@ -780,13 +781,14 @@ def test_image_table_runs_no_double_description(monkeypatch, toric_plane, p2_fan
         return real_dd(rows, dim)
 
     applied = []
+    image_key = galois._image_key
 
-    def counting_apply(g, cc):
+    def counting_image(g, cc, strict):
         applied.append(g)
-        return apply_element(g, cc)
+        return image_key(g, cc, strict)
 
     monkeypatch.setattr("coloredfans.cones._dd", counting_dd)
-    monkeypatch.setattr("coloredfans.galois.apply_element", counting_apply)
+    monkeypatch.setattr("coloredfans.galois._image_key", counting_image)
     s3 = action_from_generators(
         toric_plane,
         [GroupElement.make([[0, -1], [1, -1]]), GroupElement.make(SWAP)],
@@ -795,11 +797,92 @@ def test_image_table_runs_no_double_description(monkeypatch, toric_plane, p2_fan
     assert offender is None
     assert sorted(len(orbit) for orbit in images.values()) == [1, 3, 3, 3, 3, 3, 3]
     assert calls == []
-    # every image goes through apply_element, 2 generators times 7 members
+    # every image goes through _image_key, 2 generators times 7 members
     assert len(applied) == 14 and len(set(map(id, applied))) == 2
     # a singular matrix keeps the double description
     p2_fan.cones[-1].cone.image(mat([[1, 0], [0, 0]]))
     assert calls
+
+
+def _by_apply_element(g, cc, strict):
+    """``galois._image_key`` on the route that builds every image."""
+    return apply_element(g, cc).key()
+
+
+def _table(action, fan, sources=None):
+    offender, orbits = galois._image_table(action, fan, sources)
+    return (
+        None if offender is None else offender.key(),
+        {key: list(orbit) for key, orbit in orbits.items()},
+    )
+
+
+def test_ray_route_matches_apply_element_route(monkeypatch):
+    """Images read off the canonical rays give the offender and the orbits
+    of images built by ``apply_element``: every k-form case under two
+    seeded base changes, over the fan, its maximal members and the fan with
+    each member removed, and ``has_k_form`` under ``check=False`` on each
+    of those sub-fans."""
+    rng = random.Random(1608)
+    offenders = 0
+    for case in KFORM_CASES:
+        for _ in range(2):
+            datum, fan, action = _kform_case(case, random_unimodular(rng, case[1]))
+            subs = [ColoredFan(fan.cones[:i] + fan.cones[i + 1:]) for i in range(len(fan))]
+            calls = [(fan, fan._facts.maximal())] + [(f, None) for f in [fan] + subs]
+            rays = [_table(action, f, sources) for f, sources in calls]
+            verdicts = [_outcome(lambda: has_k_form(datum, action, f, False)) for f in subs]
+            monkeypatch.setattr(galois, "_image_key", _by_apply_element)
+            assert rays == [_table(action, f, sources) for f, sources in calls]
+            assert verdicts == [
+                _outcome(lambda: has_k_form(datum, action, f, False)) for f in subs
+            ]
+            monkeypatch.undo()
+            offenders += sum(offender is not None for offender, _ in rays)
+    assert offenders
+
+
+def test_singular_generators_and_lineality_build_their_images(monkeypatch, toric_plane, p2_fan):
+    """``_image_key`` builds the image with ``apply_element`` for a singular
+    generator, which ``check=False`` lets through, and for a cone with
+    lineality; an invertible generator on strictly convex cones builds
+    none.  Either way the answers are those of the building route."""
+    applied = []
+
+    def counting_apply(g, cc):
+        applied.append(cc)
+        return apply_element(g, cc)
+
+    monkeypatch.setattr(galois, "apply_element", counting_apply)
+    s3 = action_from_generators(
+        toric_plane, [GroupElement.make([[0, -1], [1, -1]]), GroupElement.make(SWAP)]
+    )
+    projection = action_from_generators(toric_plane, [GroupElement.make([[1, 0], [0, 0]])])
+    inversion = action_from_generators(toric_plane, [GroupElement.make([[-1, 0], [0, -1]])])
+    halves = ColoredFan(tuple(
+        ColoredCone(cone_from_generators(gens, 2))
+        for gens in ([(1, 0), (-1, 0), (0, 1)], [(1, 0), (-1, 0), (0, -1)], [(1, 0), (-1, 0)])
+    ))
+    image_key = galois._image_key
+    tables = []
+    for action, fan in ((s3, p2_fan), (projection, p2_fan), (inversion, halves)):
+        applied.clear()
+        table = _table(action, fan)
+        outcome = _outcome(lambda: has_k_form(toric_plane, action, fan, check=False))
+        built = list(applied)
+        monkeypatch.setattr(galois, "_image_key", _by_apply_element)
+        assert table == _table(action, fan)
+        assert outcome == _outcome(lambda: has_k_form(toric_plane, action, fan, check=False))
+        monkeypatch.setattr(galois, "_image_key", image_key)
+        if action is s3:
+            assert built == []
+        else:
+            assert built and all(action is projection or cc.cone._lineality for cc in built)
+        tables.append(table)
+    # the projection maps the ray of (-1, -1) onto that of (-1, 0), no member;
+    # -1 swaps the half-planes and keeps the line
+    assert tables[0][0] is None and tables[1][0] is not None
+    assert tables[2][0] is None and [len(orbit) for orbit in tables[2][1].values()] == [2, 2, 1]
 
 
 # -- invariance and orbits from the generators --------------------------------
@@ -990,12 +1073,13 @@ def test_checked_k_form_maps_the_maximal_members_only(monkeypatch, toric_plane, 
     chamber is mapped as well; when an image leaves the fan, the member loop
     runs again and names the offender of the group route."""
     applied = []
+    image_key = galois._image_key
 
-    def counting_apply(g, cc):
+    def counting_image(g, cc, strict):
         applied.append(cc)
-        return apply_element(g, cc)
+        return image_key(g, cc, strict)
 
-    monkeypatch.setattr(galois, "apply_element", counting_apply)
+    monkeypatch.setattr(galois, "_image_key", counting_image)
     s3 = action_from_generators(
         toric_plane, [GroupElement.make([[0, -1], [1, -1]]), GroupElement.make(SWAP)]
     )

@@ -13,16 +13,18 @@ from conftest import (
     toric_datum,
     twisted_cube_fan,
 )
-from coloredfans import fileio
+from coloredfans import colored, fileio
 from coloredfans.cli import main
 from coloredfans.colored import ColoredCone, SphericalDatum, fan_from_maximal_cones
 from coloredfans.cones import Cone, cone_from_generators
 from coloredfans.errors import InvalidFanError, SemanticError
-from coloredfans.galois import GroupElement, action_from_generators, has_k_form
+from coloredfans.galois import GroupElement, action_from_generators, apply_element, has_k_form
 from coloredfans.linalg import matvec, vec
 from coloredfans.linprog import fourier_motzkin
 from coloredfans.quasiproj import (
+    _support_feasible,
     _support_lp,
+    _support_rows,
     _valuation_parts,
     build_support_lp,
     is_quasiprojective,
@@ -237,10 +239,12 @@ def test_row_generation_on_the_line_fan(toric_plane, routes):
 
 def test_support_lp_is_the_same_from_either_source_of_k(toric_plane):
     """The LP posed on parts K_k = Z_k ∩ V from ``_valuation_part``, which
-    is Z_k itself when Z_k lies in V, equals ``build_support_lp``, which
-    intersects each Z_k with V: on every loadable fan fixture, the 64 cube
-    patterns, the m = 16 line fan and closures of random colored cones, where
-    V is not the whole space and some K_k is not Z_k."""
+    is Z_k itself when Z_k lies in V, and then reads each Z_k ∩ Z_l off
+    their common rays, equals ``build_support_lp``, which intersects each
+    Z_k with V and each pair with ``Cone.intersect``: on every loadable fan
+    fixture, the 64 cube patterns, the m = 16 line fan and closures of
+    random colored cones, where V is not the whole space and some K_k is
+    not Z_k."""
     from test_fan_facts import FAN_FIXTURE_DATA, FIXTURES
     from test_random_colored import passing_cones
 
@@ -270,30 +274,133 @@ def test_support_lp_is_the_same_from_either_source_of_k(toric_plane):
     assert cut
 
 
-def test_no_cone_is_intersected_with_v_when_every_maximal_cone_lies_in_it(
-    monkeypatch, capsys, toric_plane, p2_fan
-):
-    """CLI ``quasiproj`` and ``has_k_form`` on P2 take each K_k = Z_k with
-    dot products; ``build_support_lp``, whose double descriptions the
-    benchmark gate pins, intersects V, the whole plane, with each of the 7
-    members for C1 and with each of the 3 maximal cones for its K_k."""
+# -- pair intersections read off the common rays ------------------------------
+
+
+def _copy(cone: Cone) -> Cone:
+    """The same cone as another object: a part that is not its cone, so that
+    ``_support_rows`` intersects each of its pairs with ``Cone.intersect``."""
+    return Cone(cone.ambient_dim, cone._rays, cone._lineality, cone._facets, cone._span_eq)
+
+
+def _intersect_spy(monkeypatch):
+    """Record, per ``Cone.intersect`` call, its two cones."""
     met = []
     real_intersect = Cone.intersect
 
     def spying(self, other):
-        if toric_plane.valuation_cone in (self, other):
-            met.append(self)
+        met.append((self, other))
         return real_intersect(self, other)
 
     monkeypatch.setattr(Cone, "intersect", spying)
+    return met
+
+
+def test_no_cone_is_intersected_with_v_when_every_maximal_cone_lies_in_it(
+    monkeypatch, capsys, toric_plane, p2_fan
+):
+    """Row generation, CLI ``quasiproj`` and ``has_k_form`` call
+    ``Cone.intersect`` zero times on fans whose maximal cones lie in V (P2,
+    P1 x P1 and the horospherical P1, whose V is the whole line): each
+    K_k = Z_k comes from dot products and each Z_k ∩ Z_l from common rays.
+    ``build_support_lp``, whose double descriptions the benchmark gate pins,
+    intersects V, the whole plane, with each of the 7 members of P2 for C1
+    and with each of the 3 maximal cones for its K_k, and each pair of
+    maximal cones with each other.  A pair with a cone that sticks out of V
+    takes ``Cone.intersect`` too: in the plane with the lower half-plane as
+    V, the cone over (1, -1) and (0, 1) with the color D at (0, 1) beside
+    the cone over (-1, -1) and (1, -1), which lies in V."""
+    from test_fan_facts import lower_half_plane
+
+    met = _intersect_spy(monkeypatch)
     fixtures = Path(__file__).parent / "fixtures"
-    argv = ["quasiproj", "--datum", str(fixtures / "datum_toric2.json")]
-    assert main(argv + ["--fan", str(fixtures / "fan_p2.json")]) == 0
-    assert "verdict: PASS" in capsys.readouterr().out
+    for datum_name, fan_name in (
+        ("datum_toric2.json", "fan_p2.json"),
+        ("datum_toric2.json", "fan_p1xp1.json"),
+        ("datum_horo1.json", "fan_horo_p1.json"),
+    ):
+        inputs = fileio.parse_inputs(fixtures / datum_name, fixtures / fan_name)
+        met.clear()
+        assert _support_feasible(inputs.datum, inputs.fan._facts.maximal())
+        argv = ["quasiproj", "--datum", str(fixtures / datum_name)]
+        assert main(argv + ["--fan", str(fixtures / fan_name)]) == 0
+        assert "verdict: PASS" in capsys.readouterr().out
+        assert met == []
     s3 = action_from_generators(
         toric_plane, [GroupElement.make([[0, -1], [1, -1]]), GroupElement.make([[0, 1], [1, 0]])]
     )
     assert has_k_form(toric_plane, s3, p2_fan, check=True).verdict
     assert met == []
     build_support_lp(toric_plane, p2_fan, check=False)
-    assert len(met) == 7 + 3
+    assert sum(toric_plane.valuation_cone in pair for pair in met) == 7 + 3
+    assert len(met) == 7 + 3 + 3
+    datum = lower_half_plane()
+    out = ColoredCone(cone_from_generators([(1, -1), (0, 1)], 2), {"D"})
+    inside = ColoredCone(cone_from_generators([(-1, -1), (1, -1)], 2))
+    maximal = fan_from_maximal_cones(datum, [out, inside])._facts.maximal()
+    parts = _valuation_parts(datum, maximal)
+    assert [part is cc.cone for part, cc in zip(parts, maximal)] == [
+        cc.key() == inside.key() for cc in maximal
+    ]
+    met.clear()
+    eqs, _, walls = _support_rows(datum, maximal, parts)
+    assert met == [(maximal[0].cone, maximal[1].cone)]
+    assert len(eqs) == 1 and walls == [True, True]
+
+
+def test_common_ray_route_matches_cone_intersect(monkeypatch, toric_plane):
+    """Maximal cones that lie in V and pass F2 meet in the cone over their
+    common rays: ``_support_rows`` on parts that are the cones themselves,
+    which runs no ``Cone.intersect``, gives the equalities, blocks and wall
+    flags of the same parts as other objects, which intersects every pair.
+    The fans are 200 random plane fans, the 64 cube patterns, the orbit fans
+    of the k-form cases under seeded base changes, the m = 16 line fan, two
+    pyramids sharing a square wall and the closures of random colored cones
+    that lie in V."""
+    from test_galois import KFORM_CASES, _kform_case
+    from test_random_colored import passing_cones
+
+    rng = random.Random(4300)
+    cases = [(toric_plane, random_complete_2d_fan(rng, toric_plane, 6)._facts.maximal())
+             for _ in range(200)]
+    space = toric_datum(3)
+    triangles: dict = {}
+    for pattern in range(64):
+        cones = [
+            ColoredCone(triangles.get(c) or triangles.setdefault(c, cone_from_generators(c, 3)))
+            for c in cube_pattern_cones(pattern)
+        ]
+        cases.append((space, fan_from_maximal_cones(space, cones)._facts.maximal()))
+    for case in KFORM_CASES:
+        datum, fan, action = _kform_case(case, random_unimodular(rng, case[1]))
+        for cc in fan:
+            images = [apply_element(g, cc) for g in action.elements()]
+            cases.append((datum, colored._face_closure(datum, images, {}).maximal()))
+    line = [ColoredCone(cone_from_generators([(1, k), (1, k + 1)], 2)) for k in range(16)]
+    cases.append((toric_plane, fan_from_maximal_cones(toric_plane, line)._facts.maximal()))
+    # two pyramids over one square: a wall of 4 rays and rank 3
+    square = [(1, 1, 0, 1), (1, -1, 0, 1), (-1, -1, 0, 1), (-1, 1, 0, 1)]
+    pyramids = [ColoredCone(cone_from_generators(square + [(0, 0, z, 1)], 4)) for z in (1, -1)]
+    space4 = toric_datum(4)
+    cases.append((space4, fan_from_maximal_cones(space4, pyramids)._facts.maximal()))
+    colored_in_v = 0
+    for datum, passed in passing_cones(4301, 40, 6):
+        in_v = [cc for cc, part in passed if part == cc.cone]
+        for given in list(combinations(in_v, 2))[:3]:
+            fan = fan_from_maximal_cones(datum, given)
+            if next(fan._facts.overlaps(), None) is None:
+                cases.append((datum, fan._facts.maximal()))
+                colored_in_v += any(cc.colors for cc in given)
+    assert len(cases) > 200 + 64 + 16 + 2 + 20 and colored_in_v
+    met = _intersect_spy(monkeypatch)
+    walls = 0
+    for datum, maximal in cases:
+        parts = _valuation_parts(datum, maximal)
+        assert all(part is cc.cone for part, cc in zip(parts, maximal))
+        met.clear()
+        rows = _support_rows(datum, maximal, parts)
+        assert met == []
+        assert rows == _support_rows(datum, maximal, [_copy(part) for part in parts])
+        assert len(met) == len(maximal) * (len(maximal) - 1) // 2
+        walls += sum(rows[2])
+    assert walls
