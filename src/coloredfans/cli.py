@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fileio
-from .colored import ColoredCone, SphericalDatum, _proven_faces
+from .colored import ColoredCone, SphericalDatum
 from .errors import (
     InputFileError,
     MonoidConeError,
@@ -170,9 +170,9 @@ def run_command(
             _need(fan_path, "fan"),
             _need(action_path, "action"),
         )
-        # parse_inputs validated the fan and the action; the fan keeps its faces
-        faces = _proven_faces(inputs.datum, inputs.fan)
-        result = _k_form(inputs.datum, inputs.action, inputs.fan, faces, validated=True)
+        # parse_inputs validated the fan and the action; its closure holds the faces
+        facts = inputs.fan._facts
+        result = _k_form(inputs.datum, inputs.action, inputs.fan, facts.faces, facts.maximal())
         axioms = {"invariant": result.invariant}
         if result.orbits_quasiprojective is not None:
             axioms["orbit_fans_quasiprojective"] = result.orbits_quasiprojective

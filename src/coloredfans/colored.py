@@ -24,6 +24,7 @@ validation report.
 
 Whether a relative interior meets the valuation cone V is decided on two
 routes with the same answers.  :func:`relative_interior_meets`,
+:func:`validate_colored_cone` (the LP route's one C1-C4 check),
 :func:`colored_faces` and :func:`validate_colored_fan` solve one exact LP per
 test, on the faces of :meth:`Cone.faces`.  The face closure
 (:func:`_face_closure`) runs no LP.  It checks each given cone C against
@@ -34,7 +35,7 @@ with no double description (:meth:`Cone._lattice_faces`), and keeps every
 face when K is C, else decides each face from K with integer dot products
 (:func:`_face_meets`).  Its :class:`_Closure` decides F2 from
 pairs of given cones, one double description each, and names the maximal
-members.
+members by the one maximality rule, :func:`_maximal`.
 """
 
 from __future__ import annotations
@@ -126,9 +127,11 @@ class ColoredFan:
     ``dataclasses.replace`` start without.  It holds every member's colored
     faces, found with no LP (C1-C4 included).  :func:`_checked_fan` reads
     it, so ``has_k_form`` and the file loader derive no face and test only
-    F2, from the pairs of given cones and with no LP unless F2 fails.  CLI
-    ``kform`` reads the faces, and CLI ``quasiproj`` the maximal cones
-    (:meth:`_Closure.maximal`), of the fan the loader validated.
+    F2, from the pairs of given cones and with no LP unless F2 fails;
+    ``has_k_form(check=False)`` reads the faces.  CLI ``kform`` reads the
+    faces and the maximal cones (:meth:`_Closure.maximal`, by the one rule
+    :func:`_maximal`), whose images name any offender in one pass, and CLI
+    ``quasiproj`` the maximal cones, of the fan the loader validated.
     ``validate_colored_fan``, ``maximal_members``, ``build_support_lp`` and
     ``is_quasiprojective`` do not read it yet: the benchmark gate pins the work of
     ``is_quasiprojective(check=True)`` on the twisted cube by equality, and
@@ -170,24 +173,17 @@ def relative_interior_meets(datum: SphericalDatum, cone: Cone, *others: Cone) ->
 
 
 def validate_colored_cone(datum: SphericalDatum, cc: ColoredCone) -> ValidationReport:
-    """Check the cone axioms C1-C4 for one colored cone."""
-    return _cone_axioms(datum, cc)[0]
-
-
-def _cone_axioms(datum: SphericalDatum, cc: ColoredCone) -> tuple[ValidationReport, Cone]:
-    """The report of :func:`validate_colored_cone`, and the intersection
-    K = C ∩ V of the cone with the valuation cone, which C1 builds; C2 by
-    the LP."""
+    """Check the cone axioms C1-C4 for one colored cone: C1 regenerates the
+    cone from its placed colors and K = C ∩ V, and C2 is decided by the LP."""
     placed = _placed_colors(datum, cc)
     part = cc.cone.intersect(datum.valuation_cone)
     regenerated = cone_from_generators(placed + list(part._generators()), datum.dim)
-    c2 = relative_interior_meets(datum, cc.cone)
-    return _axiom_report(datum, cc, regenerated, c2), part
+    return _axiom_report(datum, cc, regenerated, relative_interior_meets(datum, cc.cone))
 
 
 def _closure_axioms(datum: SphericalDatum, cc: ColoredCone) -> tuple[ValidationReport, Cone]:
-    """:func:`_cone_axioms` with no LP, and with no double description when
-    C lies in V.
+    """The report of :func:`validate_colored_cone`, with no LP and with no
+    double description when C lies in V, and K = C ∩ V.
 
     K is C itself when every generator of C satisfies the inequalities of
     V (:func:`_valuation_part`); then C1 holds exactly when every placed
@@ -345,13 +341,8 @@ class _Closure:
 
     def maximal(self) -> list[ColoredCone]:
         """The members that are a colored face of no other member, in member
-        order: the given cones whose mask has one bit, their own."""
-        given = {cc.key() for cc in self.given}
-        return [
-            m
-            for m, mask in zip(self.members, self.owners)
-            if mask & (mask - 1) == 0 and m.key() in given
-        ]
+        order (:func:`_maximal`)."""
+        return _maximal(self.members, self.faces)
 
     def overlaps(self):
         """Yield, in order, the pairs ``i < j`` of members whose relative
@@ -365,6 +356,13 @@ class _Closure:
         """
         if not _given_pairs_agree(self.datum, self.given, self.faces):
             yield from _overlapping_pairs(self.datum, self.members, self.owners)
+
+
+def _maximal(members: Sequence[ColoredCone], faces: dict) -> list[ColoredCone]:
+    """The members that are a proper colored face of no member, in the order
+    given; ``faces`` maps each member key to its colored faces."""
+    proper = {f.key() for cc in members for f in faces[cc.key()] if f.key() != cc.key()}
+    return [cc for cc in members if cc.key() not in proper]
 
 
 def _face_closure(
@@ -456,10 +454,10 @@ def _checked_fan(datum: SphericalDatum, fan: ColoredFan) -> tuple[ValidationRepo
     convexity and its colors from the parent (C3, C4).  Only F2 is tested,
     by the overlaps of the closure (:meth:`_Closure.overlaps`), whose pairs
     give the reasons of the full route.  The faces are looked up in the
-    closure (:func:`_proven_faces`).  Any other fan is validated in full.
+    closure.  Any other fan is validated in full.
     """
-    faces = _proven_faces(datum, fan)
-    if faces is None:
+    facts = fan._facts
+    if facts is None or facts.datum is not datum:
         return _validate_fan(datum, fan)
     report = ValidationReport(subject=f"colored fan with {len(fan)} cones")
     report.notes.append(FACE_CONVENTION_NOTE)
@@ -467,17 +465,8 @@ def _checked_fan(datum: SphericalDatum, fan: ColoredFan) -> tuple[ValidationRepo
         for axiom in ("C1", "C2", "C3", "C4"):
             report.checks[f"cone[{i}].{axiom}"] = True
     report.checks["F1"] = True
-    _record_f2(fan, report, fan._facts.overlaps())
-    return report, faces
-
-
-def _proven_faces(datum: SphericalDatum, fan: ColoredFan) -> dict | None:
-    """Every member's colored faces keyed by member key, in fan order, read
-    off the facts of ``fan``; None when it has none for ``datum``."""
-    facts = fan._facts
-    if facts is None or facts.datum is not datum:
-        return None
-    return {cc.key(): facts.faces[cc.key()] for cc in fan}
+    _record_f2(fan, report, facts.overlaps())
+    return report, {cc.key(): facts.faces[cc.key()] for cc in fan}
 
 
 def _given_pairs_agree(

@@ -28,9 +28,9 @@ from .colored import (
     ColoredFan,
     SphericalDatum,
     _checked_fan,
+    _closure_axioms,
     fan_from_maximal_cones,
     member_sort_key,
-    validate_colored_cone,
 )
 from .cones import cone_from_generators
 from .errors import InputFileError, InvalidColoredConeError, SchemaError, SemanticError
@@ -262,7 +262,8 @@ def validated_fan(
 
     Never raises on a failed axiom.  The closure checks each given cone
     against C1-C4 once.  When one fails no fan is built: the result is
-    ``None`` with a report keyed ``maximal[i].C*`` for every given cone.
+    ``None`` with a report keyed ``maximal[i].C*`` for every given cone,
+    checked with no LP (:func:`colored._closure_axioms`).
     Otherwise it is the closed fan with its report (``cone[i].C*``, ``F1``,
     ``F2``).  The closure proves C1-C4 and F1 for every member, so only F2
     is tested (:func:`colored._checked_fan`); the fan keeps the faces.
@@ -272,7 +273,7 @@ def validated_fan(
     except InvalidColoredConeError:
         report = ValidationReport(subject="fan members")
         for i, cc in enumerate(raw):
-            report.merge(validate_colored_cone(datum, cc), f"maximal[{i}]")
+            report.merge(_closure_axioms(datum, cc)[0], f"maximal[{i}]")
         return None, report
     return fan, _checked_fan(datum, fan)[0]
 

@@ -22,14 +22,15 @@ of the fan under the action, and (b) quasiprojectivity of every member's
 orbit fan.  Invariance alone classifies the embedding among algebraic spaces
 over the base field; (b) is the extra condition for a scheme form, stated
 over a perfect base field.  Both are read off the generators' images of
-the members, of the maximal members alone once fan and action are
-validated, never off the enumerated group.  Orbit fans are built in one
-place, inside ``has_k_form``, as face closures (``colored._face_closure``)
-whose colored faces come from the fan's validation or its closure; the
-faces of a cone missing from both are decided from its intersection with
-the valuation cone, with no LP.  The closure names the overlapping and the
-maximal orbit cones, and each orbit fan is decided by row generation from
-its walls (see :func:`_k_form`).
+the members, never off the enumerated group: of the maximal members alone
+(:func:`colored._maximal`) once fan and action are validated, and the same
+pass names the offender of the group route (:func:`_image_table`).  Orbit
+fans are built in one place, inside ``has_k_form``, as face closures
+(``colored._face_closure``) whose colored faces come from the fan's
+validation or its closure; the faces of a cone missing from both are
+decided from its intersection with the valuation cone, with no LP.  The
+closure names the overlapping and the maximal orbit cones, and each orbit
+fan is decided by row generation from its walls (see :func:`_k_form`).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .colored import (
     SphericalDatum,
     _checked_fan,
     _face_closure,
-    _proven_faces,
+    _maximal,
 )
 from .errors import ClosureCapError, InvalidFanError
 from .cones import _integer_map, _primitive
@@ -387,25 +388,23 @@ def _image_key(g: GroupElement, cc: ColoredCone, strict: dict):
 
 
 def _image_table(
-    action: GroupAction,
-    fan: ColoredFan,
-    sources: Iterable[ColoredCone] | None = None,
-    taken: dict | None = None,
+    action: GroupAction, fan: ColoredFan, sources: Iterable[ColoredCone] | None = None
 ) -> tuple[ColoredCone | None, dict]:
     """Apply each generator to each source, by default each member
-    (generators outer, sources inner), by :func:`_image_key`.  ``taken``
-    maps (generator index, source key) to the key of the image, and each
-    image taken is stored there: a call handed the ``taken`` of an earlier
-    one maps no cone twice.
+    (generators outer, sources inner), by :func:`_image_key`.
 
-    Returns the first source with an image outside the fan, or None, and
-    each source's orbit: the members that generator images reach from it,
-    keyed by member key, itself first (none when a source offends).  What
-    each generator keeps in the fan, every product keeps there, and
-    :meth:`GroupAction.elements` lists the identity and the generators
+    Returns the offender, or None, and each source's orbit: the members that
+    generator images reach from it, keyed by member key, itself first (none
+    when there is an offender).  When the image of a source under a
+    generator g leaves the fan, the offender is the first member, in fan
+    order, whose image under g leaves it: the sources before that source
+    stayed in the fan under g, so only members that are no source are mapped
+    again.  What each generator keeps in the fan, every product keeps there,
+    and :meth:`GroupAction.elements` lists the identity and the generators
     first: over all members, the whole group gives the same offender and
-    orbits.  Sources other than all members must map into themselves: the
-    maximal members under a validated action (see :func:`_k_form`).
+    orbits.  Sources other than all members must be members, in fan order,
+    that map into themselves: the maximal members under a validated action
+    (see :func:`_k_form`).
     """
     members = {cc.key(): cc for cc in fan}
     strict = {
@@ -414,15 +413,17 @@ def _image_table(
         if not cc.cone._lineality
     }
     sources = members if sources is None else {cc.key(): cc for cc in sources}
-    taken = {} if taken is None else taken
     edges: dict = {key: [] for key in sources}
-    for i, g in enumerate(action.generators):
+    for g in action.generators:
         for key, cc in sources.items():
-            image = taken.get((i, key))
-            if image is None:
-                image = taken[i, key] = _image_key(g, cc, strict)
+            image = _image_key(g, cc, strict)
             if image not in members:
-                return cc, {}
+                return next(
+                    m
+                    for m in fan
+                    if m.key() == key
+                    or m.key() not in sources and _image_key(g, m, strict) not in members
+                ), {}
             edges[key].append(image)
     orbits = {}
     for start in sources:
@@ -466,21 +467,25 @@ def has_k_form(
     pairs of images that share a wall (:func:`quasiproj._support_feasible`).
 
     With ``check=True`` the fan and the action are validated first; the fan
-    validation supplies every member's colored faces, F2 rules out
-    overlapping orbit cones, and only the maximal members are mapped.  A
-    fan that :func:`fan_from_maximal_cones` built for ``datum`` carries every
+    validation supplies every member's colored faces, from which
+    :func:`colored._maximal` names the maximal members, the only ones
+    mapped, and F2 rules out overlapping orbit cones.  A fan that
+    :func:`fan_from_maximal_cones` built for ``datum`` carries every
     member's faces and C1-C4 and F1, so only F2 is tested
     (:func:`colored._checked_fan`); any other fan is validated in full.
     With ``check=False`` nothing is validated: the faces are looked up in the
-    fan's facts or computed as needed, and overlapping orbit cones are looked
-    for and reported as a (b) failure (see :func:`_k_form`).
+    fan's facts or computed as needed, every member is mapped, and
+    overlapping orbit cones are looked for and reported as a (b) failure
+    (see :func:`_k_form`).
     """
     if not check:
-        return _k_form(datum, action, fan, _proven_faces(datum, fan) or {}, validated=False)
+        facts = fan._facts
+        faces = facts.faces if facts is not None and facts.datum is datum else {}
+        return _k_form(datum, action, fan, faces)
     fan_report, faces = _checked_fan(datum, fan)
     fan_report.require(InvalidFanError, "fan failed validation")
     validate_action(datum, action).require(InvalidFanError, "action failed validation")
-    return _k_form(datum, action, fan, faces, validated=True)
+    return _k_form(datum, action, fan, faces, _maximal(fan, faces))
 
 
 def _k_form(
@@ -488,7 +493,7 @@ def _k_form(
     action: GroupAction,
     fan: ColoredFan,
     faces: dict,
-    validated: bool,
+    maximal: list[ColoredCone] | None = None,
 ) -> KFormResult:
     """The verdict of :func:`has_k_form` once its validation is settled.
 
@@ -503,24 +508,22 @@ def _k_form(
 
     The images are taken by :func:`_image_table`, which reads the image of
     a strictly convex member under an invertible generator off its
-    canonical rays and builds no cone.  When ``validated`` is True,
-    ``faces`` holds every member's faces, and the generators are applied
-    to the maximal members only, the members
-    that are a proper colored face of no member, and only their orbits are
+    canonical rays and builds no cone.  ``maximal``, given once fan and
+    action have passed validation, holds the maximal members in fan order
+    (:func:`colored._maximal`), and only they are mapped and their orbits
     looped over.  Each generator is a lattice automorphism that fixes the
     valuation cone and the placements, so it maps the colored faces of Z
-    onto those of g.Z: on a face-closed fan, the images of the maximal
-    members decide invariance, and every other member lies in the orbit
-    fan of a maximal member of higher dimension, which the loop meets
-    first.  When an image leaves the fan, the member loop of
-    :func:`_image_table` runs again, so that the offender named is the one
-    of the group route; it reuses the images the maximal pass took.  When
-    ``validated`` is False, every orbit fan not yet verified is tested for
-    overlapping cones, a (b) failure, and the first overlapping pair of its
-    closure is named (:meth:`colored._Closure.overlaps`).  Otherwise the
-    fan and the action have passed validation: F1 and invariance make every
-    orbit member a fan member, so F2 already rules out overlapping orbit
-    cones and no overlap test runs.
+    onto those of g.Z: on a face-closed fan, a generator that keeps every
+    maximal member keeps every member, so the first generator to move a
+    maximal member out is the first to move any member out, and the
+    offender named under it is the one of the group route.  Every other
+    member lies in the orbit fan of a maximal member of higher dimension,
+    which the loop meets first.  F1 and invariance make every orbit member a
+    fan member, so F2 already rules out overlapping orbit cones.  With no
+    ``maximal`` every member is mapped, and every orbit fan not yet verified
+    is tested for overlapping cones, a (b) failure, and the first
+    overlapping pair of its closure is named
+    (:meth:`colored._Closure.overlaps`).
 
     A member whose orbit lies inside an already verified orbit fan is
     skipped before its orbit is closed: a verified orbit fan is closed under
@@ -529,15 +532,7 @@ def _k_form(
     piece).  Each skipped member is a colored face of a cone that passed
     C1-C4, and so passes them itself.
     """
-    sources = None
-    if validated:
-        proper = {f.key() for cc in fan for f in faces[cc.key()] if f.key() != cc.key()}
-        sources = [cc for cc in fan if cc.key() not in proper]
-    taken: dict = {}
-    offender, images = _image_table(action, fan, sources, taken)
-    if offender is not None and sources is not None:
-        # the member loop names the offender of the group route
-        offender = _image_table(action, fan, None, taken)[0]
+    offender, images = _image_table(action, fan, maximal)
     if offender is not None:
         return KFormResult(
             False,
@@ -550,12 +545,12 @@ def _k_form(
         )
 
     verified: list[frozenset] = []
-    for cc in sorted(fan if sources is None else sources, key=lambda cc: -cc.cone.dim):
+    for cc in sorted(fan if maximal is None else maximal, key=lambda cc: -cc.cone.dim):
         orbit = images[cc.key()]
         if any(orbit.keys() <= done for done in verified):
             continue
         closure = _face_closure(datum, orbit.values(), faces)
-        overlap = None if validated else next(closure.overlaps(), None)
+        overlap = None if maximal is not None else next(closure.overlaps(), None)
         if overlap is not None:
             first, second = (closure.members[i].describe() for i in overlap)
             return KFormResult(

@@ -22,8 +22,8 @@ from .colored import (
     ColoredCone,
     ColoredFan,
     SphericalDatum,
+    _closure_axioms,
     fan_from_maximal_cones,
-    validate_colored_cone,
 )
 from .cones import cone_from_generators
 from .errors import MonoidConeError, NotInvolutionError, SemanticError
@@ -40,7 +40,7 @@ class MonoidConeResult:
 
 def is_monoid_cone(datum: SphericalDatum, cc: ColoredCone) -> MonoidConeResult:
     """Check the monoid-cone conditions: all colors chosen, C1 with the full
-    color set, C2, C3, C4."""
+    color set, C2, C3, C4, with no LP (:func:`colored._closure_axioms`)."""
     datum.check_colors(cc.colors)
     report = ValidationReport(subject=f"monoid cone {cc.describe()}")
     report.record(
@@ -48,7 +48,7 @@ def is_monoid_cone(datum: SphericalDatum, cc: ColoredCone) -> MonoidConeResult:
         set(cc.colors) == set(datum.colors),
         f"cone must carry every color; missing {sorted(set(datum.colors) - set(cc.colors))}",
     )
-    axioms = validate_colored_cone(datum, ColoredCone(cc.cone, frozenset(datum.colors)))
+    axioms = _closure_axioms(datum, ColoredCone(cc.cone, frozenset(datum.colors)))[0]
     for name in ("C1", "C2", "C3", "C4"):
         report.checks[name] = axioms.checks[name]
     report.reasons.extend(axioms.reasons)

@@ -16,10 +16,11 @@ The LP is decided on two routes, which give the same verdict:
 
 * the all-pairs LP (:func:`_support_lp`, solved by :func:`_support_forms`),
   whose Bland point gives the forms.  :func:`is_quasiprojective` and
-  :func:`build_support_lp` validate the fan and find its maximal members by
-  colored faces; CLI ``quasiproj`` reads the maximal cones off the loaded
-  fan's closure, builds the LP with :func:`_support_lp` and hands it to
-  :func:`_support_forms`.  :func:`build_support_lp` returns this LP, and the
+  :func:`build_support_lp` validate the fan and find its maximal members
+  from its colored faces; CLI ``quasiproj`` reads the maximal cones off the
+  loaded fan's closure, builds the LP with :func:`_support_lp` and hands it
+  to :func:`_support_forms`.  Both apply the one maximality rule,
+  :func:`colored._maximal`.  :func:`build_support_lp` returns this LP, and the
   other two return or print its forms.
 * row generation (:func:`_support_feasible`), for a caller that needs only
   the verdict: ``galois._k_form``, on each orbit fan's closure.  It starts
@@ -45,6 +46,7 @@ from .colored import (
     ColoredCone,
     ColoredFan,
     SphericalDatum,
+    _maximal,
     _valuation_part,
     colored_faces,
     validate_colored_fan,
@@ -70,13 +72,10 @@ class QuasiprojectivityResult:
 
 
 def maximal_members(datum: SphericalDatum, fan: ColoredFan) -> tuple[ColoredCone, ...]:
-    """Members that are not proper colored faces of another member, in fan order."""
-    proper_face_keys = set()
-    for cc in fan:
-        for face in colored_faces(datum, cc):
-            if face.key() != cc.key():
-                proper_face_keys.add(face.key())
-    return tuple(cc for cc in fan if cc.key() not in proper_face_keys)
+    """Members that are not proper colored faces of another member, in fan
+    order (:func:`colored._maximal`), from one :func:`colored_faces` call
+    per member."""
+    return tuple(_maximal(fan, {cc.key(): colored_faces(datum, cc) for cc in fan}))
 
 
 def build_support_lp(

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -943,3 +944,80 @@ def test_cli_golden_output(command, tmp_path, capsys):
         argv.append(arg)
     code = main(argv)
     assert (code, capsys.readouterr().out) == GOLDEN[command]
+
+
+# -- the LP route stays behind the library entry points -------------------------
+
+
+def test_commands_reach_the_lp_route_only_through_f2_failures(monkeypatch, tmp_path):
+    """Every command over every combination of the fixtures and of the
+    failing golden inputs: no run calls ``validate_colored_cone``, the LP
+    route's C1-C4 check, and each relint LP a run makes is the pair test of
+    ``_Closure.overlaps`` after its screen found F2 to fail.  So a command
+    reaches the LP route only through the public library functions."""
+    import coloredfans
+    from coloredfans import colored
+
+    for name, obj in GOLDEN_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    files = sorted(FIXTURES.glob("*.json")) + sorted(tmp_path.glob("*.json"))
+    kinds = {
+        kind: [str(f) for f in files if f.name.startswith(kind)]
+        for kind in ("datum", "fan", "action", "morphism", "theta")
+    }
+    overlaps = colored._Closure.overlaps.__code__
+    calls = {"cone": 0, "relint": 0, "fallback": 0}
+
+    def spying(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            if name == "relint":
+                frame = sys._getframe(1)
+                while frame is not None and frame.f_code is not overlaps:
+                    frame = frame.f_back
+                calls["fallback"] += frame is not None
+            return real(*args)
+
+        return wrapper
+
+    for attr, name in (("validate_colored_cone", "cone"), ("relative_interior_meets", "relint")):
+        real = getattr(colored, attr)
+        spy = spying(name, real)
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith(coloredfans.__name__):
+                if getattr(module, attr, None) is real:
+                    monkeypatch.setattr(module, attr, spy)
+
+    none = [None]
+    runs = []
+    for datum in kinds["datum"]:
+        for fan, action in itertools.product(none + kinds["fan"], none + kinds["action"]):
+            runs.append(("validate", dict(datum_path=datum, fan_path=fan, action_path=action)))
+        for fan in kinds["fan"]:
+            runs.append(("quasiproj", dict(datum_path=datum, fan_path=fan)))
+            runs.append(("monoid", dict(datum_path=datum, fan_path=fan)))
+            for morphism in kinds["morphism"]:
+                paths = dict(datum_path=datum, fan_path=fan, morphism_path=morphism)
+                runs.append(("morphism", paths))
+            for action in kinds["action"]:
+                paths = dict(datum_path=datum, fan_path=fan, action_path=action)
+                runs.append(("kform", paths))
+                for force_lp in (False, True):
+                    runs.append(("monoid-kform", dict(paths, force_lp=force_lp)))
+    for theta, weight in itertools.product(kinds["theta"], ("1,2", "-1,0")):
+        runs.append(("lined", dict(theta_path=theta, lambda_csv=weight)))
+    assert {command for command, _ in runs} == set(COMMANDS)
+
+    codes = Counter()
+    for command, options in runs:
+        before = dict(calls)
+        try:
+            codes[run_command(command, **options).exit_code] += 1
+        except (InputFileError, ValueError):
+            codes[2] += 1
+        assert calls["cone"] == 0, (command, options)
+        assert calls["relint"] - before["relint"] == calls["fallback"] - before["fallback"], (
+            command,
+            options,
+        )
+    assert min(codes[0], codes[1], codes[2]) > 0 and calls["fallback"] > 0

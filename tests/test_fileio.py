@@ -161,8 +161,8 @@ def test_failed_fan_reports_every_given_cone(tmp_path):
 def test_loaded_fan_checks_each_given_cone_once(monkeypatch):
     from coloredfans import colored
 
-    # the closure checks C1-C4 by _closure_axioms; the public check, by
-    # _cone_axioms, runs only when one fails
+    # the closure checks C1-C4 by _closure_axioms, with no LP; so does the
+    # failure report, and the LP route's validate_colored_cone never runs
     checked = []
 
     def counting(name, real):
@@ -172,13 +172,24 @@ def test_loaded_fan_checks_each_given_cone_once(monkeypatch):
 
         return wrapper
 
-    for name in ("_closure_axioms", "_cone_axioms"):
-        monkeypatch.setattr(colored, name, counting(name, getattr(colored, name)))
+    for module, name in (
+        (colored, "_closure_axioms"),
+        (colored, "validate_colored_cone"),
+        (fileio, "_closure_axioms"),
+    ):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     datum = fileio.parse_datum(fileio.load_json(FIXTURES / "datum_toric2.json"))
     raw = fileio.parse_fan(fileio.load_json(FIXTURES / "fan_p1xp1.json"), datum)
     fan, report = fileio.validated_fan(datum, raw)
     assert fan is not None and report.passed
     assert len(raw) == 4 and checked == [("_closure_axioms", cc.key()) for cc in raw]
+    # a lined cone first: the closure stops at it, and the report checks
+    # every given cone once more
+    checked.clear()
+    line = ColoredCone(cone_from_generators([(1, 0), (-1, 0)], 2))
+    fan, report = fileio.validated_fan(datum, [line] + raw)
+    assert fan is None and report.checks["maximal[0].C3"] is False
+    assert checked == [("_closure_axioms", cc.key()) for cc in [line, line] + raw]
 
 
 def test_non_integral_data_not_serializable():

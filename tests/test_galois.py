@@ -471,7 +471,6 @@ def test_orbit_fan_that_is_not_quasiprojective(tmp_path, capsys, routes):
 
 def test_k_form_reads_faces_from_validation(monkeypatch, toric_plane, p2_fan):
     real_faces, real_validate = colored.colored_faces, colored._validate_fan
-    real_cone_check = colored._cone_axioms
     calls = []
     cone_checks = []
     inside = []
@@ -480,9 +479,12 @@ def test_k_form_reads_faces_from_validation(monkeypatch, toric_plane, p2_fan):
         calls.append((cc.key(), bool(inside)))
         return real_faces(datum, cc)
 
-    def counting_cone_check(datum, cc):
-        cone_checks.append(cc.key())
-        return real_cone_check(datum, cc)
+    def counting_cone_check(real):
+        def wrapper(datum, cc):
+            cone_checks.append(cc.key())
+            return real(datum, cc)
+
+        return wrapper
 
     def flagged_validate(datum, fan):
         inside.append(True)
@@ -493,7 +495,9 @@ def test_k_form_reads_faces_from_validation(monkeypatch, toric_plane, p2_fan):
 
     for module in (colored, quasiproj):
         monkeypatch.setattr(module, "colored_faces", counting_faces)
-    monkeypatch.setattr(colored, "_cone_axioms", counting_cone_check)
+    # both C1-C4 checks, the LP route's and the closure's
+    for name in ("validate_colored_cone", "_closure_axioms"):
+        monkeypatch.setattr(colored, name, counting_cone_check(getattr(colored, name)))
     monkeypatch.setattr(colored, "_validate_fan", flagged_validate)
     s3 = action_from_generators(
         toric_plane,
@@ -687,12 +691,14 @@ def test_rational_generators_close_with_their_order_test_run_once_per_dimension(
 
 
 def test_offender_rerun_maps_no_member_twice(monkeypatch, toric_plane, p2_fan):
-    """When a maximal member's image leaves the fan, the member loop that
-    names the offender reuses the images the maximal pass took: on the
+    """When a maximal member's image under a generator leaves the fan, the
+    same pass names the first member in fan order that this generator moves
+    out, mapping only members that are not maximal, none twice.  On the
     p2_quarter_turn and octant_one_cone_inversion cases of the benchmark
-    it maps 2 more members, and under the swap and the quarter turn it
-    maps the 3 chambers that the swap kept in the fan once, 10 images, not
-    13.  The reasons are those of the reference."""
+    that is one maximal image, then the origin and a ray, 3 images; under
+    the swap and the quarter turn, the 3 chambers under the swap, one under
+    the quarter turn, then the origin and the ray, 6 images.  The reasons
+    are those of the reference."""
     applied = []
     image_key = galois._image_key
 
@@ -711,7 +717,7 @@ def test_offender_rerun_maps_no_member_twice(monkeypatch, toric_plane, p2_fan):
             toric_plane,
             action_from_generators(toric_plane, [GroupElement.make(SWAP), quarter]),
             p2_fan,
-            10,
+            6,
         ),
     ]
     for datum, action, fan, count in cases:
@@ -1070,8 +1076,8 @@ def test_invariance_and_orbits_never_enumerate_the_group(
 def test_checked_k_form_maps_the_maximal_members_only(monkeypatch, toric_plane, p2_fan):
     """Under a validated action the generators map the 3 maximal cones of
     P2, 6 images, not all 7 members, and a ray that is maximal beside a
-    chamber is mapped as well; when an image leaves the fan, the member loop
-    runs again and names the offender of the group route."""
+    chamber is mapped as well; when an image leaves the fan, the same pass
+    names the offender of the group route."""
     applied = []
     image_key = galois._image_key
 
@@ -1092,9 +1098,13 @@ def test_checked_k_form_maps_the_maximal_members_only(monkeypatch, toric_plane, 
         "(a) fan is not invariant under the Galois action; offending cone: "
         "(cone rays=[(-1,-1)]; colors=[])",
     )
-    # the maximal cones alone would name a chamber
+    # the first chamber leaves; the origin and the ray of (-1, -1), members
+    # before it in fan order and no maximal cones, are mapped next
     maximal = p2_fan._facts.maximal()
-    assert galois._image_table(quarter, p2_fan, maximal)[0].cone.dim == 2
+    applied.clear()
+    offender = galois._image_table(quarter, p2_fan, maximal)[0]
+    assert offender.key() == p2_fan.cones[1].key() and offender.describe() in result.reasons[0]
+    assert [cc.cone.dim for cc in applied] == [2, 0, 1]
     # maximal members of two dimensions: the rays beside a chamber are mapped too
     swap = swap_action(toric_plane)
     chamber = ColoredCone(cone_from_generators([(1, 0), (0, 1)], 2))
@@ -1104,6 +1114,46 @@ def test_checked_k_form_maps_the_maximal_members_only(monkeypatch, toric_plane, 
         result = has_k_form(toric_plane, swap, fan, check=True)
         assert result == reference_has_k_form(toric_plane, swap, fan, check=True)
         assert result.invariant == invariant
+
+
+def test_maximal_members_come_in_fan_order():
+    """A fan holding the members in reverse order has no facts, so
+    ``has_k_form(check=True)`` validates it in full and maps its maximal
+    members in that order.  Over the kform catalogue and seeded signed
+    permutation groups on the plane fans, it gives the verdict of the
+    closure-built fan, and its reasons too when the fan is invariant.  A
+    fan that is not invariant names the first member, in its own order,
+    that the first generator moving a member out moves out: the reversed
+    fan names another cone, as the reference does."""
+    rng = random.Random(3131)
+    cases = [
+        (datum, action, fan)
+        for datum, fan, action in (
+            _kform_case(case, random_unimodular(rng, case[1])) for case in KFORM_CASES
+        )
+    ]
+    for dim, _, gens in _signed_permutation_groups(rng):
+        if dim == 2:
+            datum = toric_datum(2)
+            action = action_from_generators(datum, [GroupElement.make(m) for m in gens])
+            for rays in (SQUARE_RAYS, P2_RAYS, HEXAGON_RAYS):
+                given = [ColoredCone(cone_from_generators(c, 2)) for c in _cycle(rays)]
+                cases.append((datum, action, fan_from_maximal_cones(datum, given)))
+    moved = 0
+    for datum, action, fan in cases:
+        reverse = ColoredFan(fan.cones[::-1])
+        assert reverse._facts is None and reverse.member_keys() == fan.member_keys()
+        result = has_k_form(datum, action, reverse, check=True)
+        assert result == reference_has_k_form(datum, action, reverse, check=True)
+        closed = has_k_form(datum, action, fan, check=True)
+        assert (result.verdict, result.invariant, result.orbits_quasiprojective) == (
+            closed.verdict, closed.invariant, closed.orbits_quasiprojective
+        )
+        if result.invariant:
+            assert result == closed
+        else:
+            moved += result.reasons != closed.reasons
+    assert len(cases) == 16 and moved == 4
 
 
 def test_b3_chamber_fan_is_decided_from_its_walls(monkeypatch, tmp_path, capsys):

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from conftest import random_complete_2d_fan, random_unimodular, toric_datum
-from coloredfans.colored import ColoredCone, fan_from_maximal_cones
+from coloredfans.colored import ColoredCone, fan_from_maximal_cones, validate_colored_cone
 from coloredfans.cones import cone_from_generators
 from coloredfans.errors import MonoidConeError, NotInvolutionError, SemanticError
 from coloredfans.galois import GroupElement, action_from_generators
@@ -114,6 +114,50 @@ def test_non_monoid_cone_rejected_by_k_form(toric_line):
     ident = action_from_generators(toric_line, [])
     with pytest.raises(MonoidConeError):
         monoid_has_k_form(toric_line, ident, cc([(1,), (-1,)], 1))
+
+
+def test_monoid_report_matches_the_lp_route(monkeypatch):
+    """``is_monoid_cone`` checks C1-C4 on the closure route, with no LP; its
+    report equals, byte for byte, the one built from
+    ``validate_colored_cone``, on the fan fixtures with one cone and on
+    seeded random colored cones."""
+    from pathlib import Path
+
+    from random_colored import random_colored_cone, random_datum
+    from coloredfans import colored, fileio, monoid
+
+    fixtures = Path(__file__).parent / "fixtures"
+    cases = []
+    for fan_name, datum_name in (
+        ("fan_a2_monoid.json", "datum_toric2.json"),
+        ("fan_rank1_monoid_candidate.json", "datum_rank1.json"),
+        ("fan_rank1_back.json", "datum_rank1.json"),
+        ("fan_single_ray.json", "datum_toric2.json"),
+    ):
+        datum = fileio.parse_datum(fileio.load_json(fixtures / datum_name))
+        (cone,) = fileio.parse_fan(fileio.load_json(fixtures / fan_name), datum)
+        cases.append((datum, cone))
+    # a color placed at the origin fails C4
+    zero = colored.SphericalDatum(2, toric_datum(2).valuation_cone, ("Z",), {"Z": (0, 0)})
+    cases.append((zero, cc([(1, 0)], 2, ["Z"])))
+    rng = random.Random(4141)
+    for _ in range(30):
+        datum = random_datum(rng)
+        cases += [(datum, random_colored_cone(rng, datum)) for _ in range(4)]
+    relints = []
+    monkeypatch.setattr(colored, "relative_interior_meets", lambda *a: relints.append(a))
+    results = [is_monoid_cone(datum, cone) for datum, cone in cases]
+    assert relints == []
+    monkeypatch.undo()
+    monkeypatch.setattr(
+        monoid, "_closure_axioms", lambda datum, cone: (validate_colored_cone(datum, cone), None)
+    )
+    assert [repr(result.report) for result in results] == [
+        repr(is_monoid_cone(datum, cone).report) for datum, cone in cases
+    ]
+    verdicts = Counter(result.verdict for result in results)
+    failed = Counter(name for r in results for name, ok in r.report.checks.items() if not ok)
+    assert verdicts[True] >= 2 and set(failed) == {"all_colors", "C1", "C2", "C3", "C4"}
 
 
 def test_monoid_cone_implies_valid_colored_cone_with_all_colors(toric_plane):
