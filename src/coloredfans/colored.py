@@ -33,9 +33,9 @@ double description, when C lies in V, and C2 holds when the ray sum of K
 lies in relint(C).  It reads the faces of C off its facet-ray incidences
 with no double description (:meth:`Cone._lattice_faces`), and keeps every
 face when K is C, else decides each face from K with integer dot products
-(:func:`_face_meets`).  Its :class:`_Closure` decides F2 from
-pairs of given cones, one double description each, and names the maximal
-members by the one maximality rule, :func:`_maximal`.
+(:func:`_face_meets`).  Its :class:`_Closure` decides F2, and names the
+overlapping members, from pairs of given cones with no LP, and names the
+maximal members by the one maximality rule, :func:`_maximal`.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ class ColoredFan:
     ``dataclasses.replace`` start without.  It holds every member's colored
     faces, found with no LP (C1-C4 included).  :func:`_checked_fan` reads
     it, so ``has_k_form`` and the file loader derive no face and test only
-    F2, from the pairs of given cones and with no LP unless F2 fails;
+    F2, from the pairs of given cones and with no LP;
     ``has_k_form(check=False)`` reads the faces.  CLI ``kform`` reads the
     faces and the maximal cones (:meth:`_Closure.maximal`, by the one rule
     :func:`_maximal`), whose images name any offender in one pass, and CLI
@@ -253,7 +253,7 @@ def colored_faces(datum: SphericalDatum, cc: ColoredCone) -> tuple[ColoredCone, 
     LP (:func:`relative_interior_meets`).
     """
     validate_colored_cone(datum, cc).require(InvalidColoredConeError, "axioms failed")
-    return _kept_faces(datum, cc, lambda face: relative_interior_meets(datum, face))
+    return _kept_faces(datum, cc, cc.cone.faces(), lambda f: relative_interior_meets(datum, f))
 
 
 def _closure_faces(
@@ -266,10 +266,10 @@ def _closure_faces(
     (:func:`_face_meets`).  When K is C every face is kept: it lies in V."""
     report, part = _closure_axioms(datum, cc)
     report.require(InvalidColoredConeError, "axioms failed")
-    cc.cone._lattice_faces(table=table)
+    faces = cc.cone._lattice_faces(table=table)
     if part is cc.cone:
-        return _kept_faces(datum, cc, lambda face: True)
-    return _kept_faces(datum, cc, lambda face: _face_meets(part, face))
+        return _kept_faces(datum, cc, faces, lambda face: True)
+    return _kept_faces(datum, cc, faces, lambda face: _face_meets(part, face))
 
 
 def _face_meets(part: Cone, face: Cone) -> bool:
@@ -288,12 +288,12 @@ def _face_meets(part: Cone, face: Cone) -> bool:
 
 
 def _kept_faces(
-    datum: SphericalDatum, cc: ColoredCone, meets: Callable[[Cone], bool]
+    datum: SphericalDatum, cc: ColoredCone, faces: Sequence[Cone], meets: Callable[[Cone], bool]
 ) -> tuple[ColoredCone, ...]:
-    """The faces F of ``cc`` with ``meets(F)``, in :meth:`Cone.faces` order,
+    """The faces F of ``cc`` among ``faces`` with ``meets(F)``, in order,
     each with the colors of ``cc`` placed in it."""
     out = []
-    for face in cc.cone.faces():
+    for face in faces:
         if not meets(face):
             continue
         inherited = frozenset(
@@ -326,16 +326,14 @@ class _Closure:
     """The colored faces of some given colored cones, closed for ``datum``
     by :func:`_face_closure`.
 
-    ``members`` holds them deduplicated and sorted; ``owners`` the bit mask,
-    per member, of the given cones it is a colored face of, one bit per
-    distinct given cone; ``given`` those cones as members, in bit order;
-    ``faces`` maps each member key (and maybe others) to its colored faces.
+    ``members`` holds them deduplicated and sorted; ``given`` the distinct
+    given cones as members, in the order given; ``faces`` maps each member
+    key (and maybe others) to its colored faces.
     Every member is a colored face of a given cone that passed C1-C4.
     """
 
     datum: SphericalDatum
     members: tuple[ColoredCone, ...]
-    owners: tuple[int, ...]
     given: tuple[ColoredCone, ...]
     faces: dict
 
@@ -347,15 +345,48 @@ class _Closure:
     def overlaps(self):
         """Yield, in order, the pairs ``i < j`` of members whose relative
         interiors share a valuation vector: F2 holds when there is none.
+        No LP runs.
 
-        The pairs of given cones are screened first, with no LP
-        (:func:`_given_pairs_agree`).  Only when the screen fails are the
-        pairs of members with no common owner tested by LP
-        (:func:`_overlapping_pairs`), so that the pairs are those of the
-        all-pairs test.
+        Distinct faces of one cone have disjoint relative interiors, so such
+        a pair is a colored face M of a given cone Z and M' of another, Z'.
+        One double description of the inequalities of Z, Z' and V gives the
+        rays of P = Z ∩ Z' ∩ V.  A common valuation vector v of relint(M)
+        and relint(M') lies in P, in the relative interior of one face Q of
+        P, as does u, the ray sum of Q; and relint(Q) lies in the relative
+        interior of the smallest face of Z containing Q (Rockafellar, *Convex
+        Analysis*, Thm 18.2), which holds v, so is M; likewise M'.  So the
+        pairs are the distinct faces of Z and of Z' holding u in their
+        relative interiors, for u the ray sum of a face of P.
+
+        P itself is read first, at w, its ray sum.  When the faces G of Z
+        and G' of Z' holding w agree, with their colors, M and M' above are
+        faces of G = G' sharing v in their relative interiors: equal.  Only
+        when G and G' differ is the face lattice of P walked
+        (:meth:`Cone._lattice_faces`) and the member index built.
         """
-        if not _given_pairs_agree(self.datum, self.given, self.faces):
-            yield from _overlapping_pairs(self.datum, self.members, self.owners)
+        dim = self.datum.dim
+        valuation = self.datum.valuation_cone._ineqs
+        index: dict = {}
+        pairs = set()
+
+        def holding(cc: ColoredCone, u: IntVec):
+            faces = self.faces[cc.key()]
+            return next(f.key() for f in faces if f.cone._holds_in_relative_interior(u))
+
+        for i, first in enumerate(self.given):
+            for second in self.given[i + 1 :]:
+                rows = first.cone._ineqs + second.cone._ineqs + valuation
+                _, rays = _dd(rows, dim)
+                w = _ray_sum(rays, dim)
+                if holding(first, w) == holding(second, w):
+                    continue
+                index = index or {cc.key(): k for k, cc in enumerate(self.members)}
+                for face in cone_from_generators(rays, dim)._lattice_faces():
+                    u = _ray_sum(face._rays, dim)
+                    a, b = index[holding(first, u)], index[holding(second, u)]
+                    if a != b:
+                        pairs.add((min(a, b), max(a, b)))
+        yield from sorted(pairs)
 
 
 def _maximal(members: Sequence[ColoredCone], faces: dict) -> list[ColoredCone]:
@@ -388,9 +419,8 @@ def _face_closure(
     for cc in cones:
         given.setdefault(cc.key(), cc)
     members: dict = {}
-    owners: dict = {}
     table: dict = {}
-    for bit, (key, cc) in enumerate(given.items()):
+    for key, cc in given.items():
         if key not in faces:
             faces[key] = _closure_faces(datum, cc, table)
         bits = {r: 1 << i for i, r in enumerate(cc.cone._rays)}
@@ -403,10 +433,8 @@ def _face_closure(
                     if mask | masks[i] == masks[i]
                 )
             members.setdefault(face.key(), face)
-            owners[face.key()] = owners.get(face.key(), 0) | 1 << bit
     ordered = tuple(sorted(members.values(), key=member_sort_key))
-    owned = tuple(owners[cc.key()] for cc in ordered)
-    return _Closure(datum, ordered, owned, tuple(members[key] for key in given), faces)
+    return _Closure(datum, ordered, tuple(members[key] for key in given), faces)
 
 
 def validate_colored_fan(datum: SphericalDatum, fan: ColoredFan) -> ValidationReport:
@@ -469,53 +497,12 @@ def _checked_fan(datum: SphericalDatum, fan: ColoredFan) -> tuple[ValidationRepo
     return report, {cc.key(): facts.faces[cc.key()] for cc in fan}
 
 
-def _given_pairs_agree(
-    datum: SphericalDatum, given: Sequence[ColoredCone], faces: dict
-) -> bool:
-    """True when no valuation vector lies in the relative interiors of two
-    distinct colored faces of the cones ``given``: F2 on their closure.
-
-    The given cones have distinct keys, each passed C1-C4, and ``faces`` maps
-    its key to its colored faces.  For given cones Z, Z', one double
-    description of the inequalities of Z, Z' and V gives the rays of
-    Z ∩ Z' ∩ V, and w, their sum, lies in its relative interior.  So the face
-    G of Z holding w in its relative interior is the smallest face of Z
-    containing Z ∩ Z' ∩ V (Rockafellar, *Convex Analysis*, Thm 18.2), and a
-    colored face, as w is a valuation vector; likewise G' of Z'.  The test is
-    that G and G', with their colors, agree for every pair.  If not, they are
-    two members holding w.  If so, and colored faces M of Z and M' of Z'
-    share a valuation vector v in their relative interiors, then v lies in
-    Z ∩ Z' ∩ V, so M and M' are faces of G = G' with v in both relative
-    interiors: the same cone, with the colors of G placed in it.
-    """
-    valuation = datum.valuation_cone._ineqs
-
-    def face_holding(cc: ColoredCone, w: IntVec):
-        return next(f.key() for f in faces[cc.key()] if f.cone._holds_in_relative_interior(w))
-
-    for i, first in enumerate(given):
-        for second in given[i + 1 :]:
-            _, rays = _dd(first.cone._ineqs + second.cone._ineqs + valuation, datum.dim)
-            w = _ray_sum(rays, datum.dim)
-            if face_holding(first, w) != face_holding(second, w):
-                return False
-    return True
-
-
-def _overlapping_pairs(
-    datum: SphericalDatum, cones: Sequence[ColoredCone], owners: Sequence[int] | None = None
-):
+def _overlapping_pairs(datum: SphericalDatum, cones: Sequence[ColoredCone]):
     """Yield, in order, the pairs ``i < j`` of ``cones`` whose relative
-    interiors share a valuation vector.
-
-    ``owners`` gives each cone the bit mask of the cones it is a face of, and
-    pairs whose masks intersect are skipped: distinct faces of one cone have
-    disjoint relative interiors.  None tests every pair.
-    """
+    interiors share a valuation vector, one LP per pair
+    (:func:`relative_interior_meets`)."""
     for i in range(len(cones)):
         for j in range(i + 1, len(cones)):
-            if owners is not None and owners[i] & owners[j]:
-                continue
             if relative_interior_meets(datum, cones[i].cone, cones[j].cone):
                 yield i, j
 

@@ -460,7 +460,7 @@ class Cone:
     def is_face_of(self, other: "Cone") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("dimension mismatch between cones")
-        return self in other.faces()
+        return self in other._lattice_faces()
 
     def interior_point(self) -> RatVec:
         """Sum of the canonical rays: a point in the relative interior."""

@@ -15,6 +15,7 @@ dominantly-mapped colors.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -26,7 +27,7 @@ from .colored import (
     fan_from_maximal_cones,
 )
 from .cones import cone_from_generators
-from .errors import MonoidConeError, NotInvolutionError, SemanticError
+from .errors import InvalidColoredConeError, MonoidConeError, NotInvolutionError, SemanticError
 from .galois import GroupAction, has_k_form, is_fan_invariant
 from .linalg import RatMat, identity, mat, matmul, matvec, neg, rank, vec
 from .reports import ValidationReport
@@ -85,10 +86,15 @@ def monoid_has_k_form(
 
     The quasiprojectivity side is skipped on purpose (the monoid is affine);
     ``force_lp`` returns the verdict of the full k-form check instead, orbit
-    fans and their support LPs included.
+    fans and their support LPs included.  The closure checks the cone
+    against C1-C4 once; :func:`is_monoid_cone` runs only to name a failure.
     """
-    is_monoid_cone(datum, cc).report.require(MonoidConeError, "not a monoid cone")
-    fan = fan_from_maximal_cones(datum, [cc])
+    fan = None
+    if datum.check_colors(cc.colors) == set(datum.colors):
+        with suppress(InvalidColoredConeError):
+            fan = fan_from_maximal_cones(datum, [cc])
+    if fan is None:
+        is_monoid_cone(datum, cc).report.require(MonoidConeError, "not a monoid cone")
     if not force_lp:
         return is_fan_invariant(datum, action, fan)
     return has_k_form(datum, action, fan, check=False).verdict

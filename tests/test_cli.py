@@ -398,26 +398,35 @@ def test_support_lp_rows_are_counted_exactly():
 
 
 def test_monoid_kform_checks_the_monoid_cone_once(monkeypatch):
-    import coloredfans.cli
-    import coloredfans.monoid
+    """``monoid-kform`` checks its cone against C1-C4 once, in the closure of
+    the cone, with or without ``force_lp``: ``is_monoid_cone`` runs only to
+    name a failure."""
+    import coloredfans
+    from coloredfans import colored, monoid
 
-    calls = []
-    original = coloredfans.monoid.is_monoid_cone
+    real, checked, named = colored._closure_axioms, [], []
 
     def counting(datum, cc):
-        calls.append(cc)
-        return original(datum, cc)
+        checked.append(cc.key())
+        return real(datum, cc)
 
-    monkeypatch.setattr(coloredfans.monoid, "is_monoid_cone", counting)
-    monkeypatch.setattr(coloredfans.cli, "is_monoid_cone", counting)
-    result = run_command(
-        "monoid-kform",
-        datum_path=fx("datum_toric2.json"),
-        fan_path=fx("fan_a2_monoid.json"),
-        action_path=fx("action_swap.json"),
-    )
-    assert result.exit_code == 0
-    assert len(calls) == 1
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith(coloredfans.__name__):
+            if getattr(module, "_closure_axioms", None) is real:
+                monkeypatch.setattr(module, "_closure_axioms", counting)
+    naming = monoid.is_monoid_cone
+    monkeypatch.setattr(monoid, "is_monoid_cone", lambda *a: named.append(a) or naming(*a))
+    for force_lp in (False, True):
+        checked.clear()
+        result = run_command(
+            "monoid-kform",
+            datum_path=fx("datum_toric2.json"),
+            fan_path=fx("fan_a2_monoid.json"),
+            action_path=fx("action_swap.json"),
+            force_lp=force_lp,
+        )
+        assert result.exit_code == 0
+        assert len(checked) == 1 and named == []
 
 
 def test_kform_reuses_the_faces_of_the_validated_fan(monkeypatch):
@@ -952,9 +961,10 @@ def test_cli_golden_output(command, tmp_path, capsys):
 def test_commands_reach_the_lp_route_only_through_f2_failures(monkeypatch, tmp_path):
     """Every command over every combination of the fixtures and of the
     failing golden inputs: no run calls ``validate_colored_cone``, the LP
-    route's C1-C4 check, and each relint LP a run makes is the pair test of
-    ``_Closure.overlaps`` after its screen found F2 to fail.  So a command
-    reaches the LP route only through the public library functions."""
+    route's C1-C4 check, or ``relative_interior_meets``, not even when F2
+    fails (``_Closure.overlaps`` reads the overlapping pairs with no LP).
+    So a command reaches the LP route only through the public library
+    functions."""
     import coloredfans
     from coloredfans import colored
 
@@ -965,17 +975,11 @@ def test_commands_reach_the_lp_route_only_through_f2_failures(monkeypatch, tmp_p
         kind: [str(f) for f in files if f.name.startswith(kind)]
         for kind in ("datum", "fan", "action", "morphism", "theta")
     }
-    overlaps = colored._Closure.overlaps.__code__
-    calls = {"cone": 0, "relint": 0, "fallback": 0}
+    calls = {"cone": 0, "relint": 0}
 
     def spying(name, real):
         def wrapper(*args):
             calls[name] += 1
-            if name == "relint":
-                frame = sys._getframe(1)
-                while frame is not None and frame.f_code is not overlaps:
-                    frame = frame.f_back
-                calls["fallback"] += frame is not None
             return real(*args)
 
         return wrapper
@@ -987,6 +991,16 @@ def test_commands_reach_the_lp_route_only_through_f2_failures(monkeypatch, tmp_p
             if module is not None and module.__name__.startswith(coloredfans.__name__):
                 if getattr(module, attr, None) is real:
                     monkeypatch.setattr(module, attr, spy)
+
+    # the overlapping pairs every run finds, to show that F2 fails on some
+    real_overlaps, overlapping = colored._Closure.overlaps, []
+
+    def overlaps(self):
+        pairs = list(real_overlaps(self))
+        overlapping.extend(pairs)
+        yield from pairs
+
+    monkeypatch.setattr(colored._Closure, "overlaps", overlaps)
 
     none = [None]
     runs = []
@@ -1010,14 +1024,9 @@ def test_commands_reach_the_lp_route_only_through_f2_failures(monkeypatch, tmp_p
 
     codes = Counter()
     for command, options in runs:
-        before = dict(calls)
         try:
             codes[run_command(command, **options).exit_code] += 1
         except (InputFileError, ValueError):
             codes[2] += 1
-        assert calls["cone"] == 0, (command, options)
-        assert calls["relint"] - before["relint"] == calls["fallback"] - before["fallback"], (
-            command,
-            options,
-        )
-    assert min(codes[0], codes[1], codes[2]) > 0 and calls["fallback"] > 0
+        assert calls == {"cone": 0, "relint": 0}, (command, options)
+    assert min(codes[0], codes[1], codes[2]) > 0 and overlapping

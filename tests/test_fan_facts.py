@@ -1,6 +1,6 @@
 """The facts a closure-built fan carries, against full validation.
 
-``fan_from_maximal_cones`` keeps the colored faces and owner masks of its
+``fan_from_maximal_cones`` keeps the colored faces and given cones of its
 closure on the fan, and ``colored._checked_fan`` reads the fan's report and
 faces off them, testing only F2, from pairs of given cones.  Each input here
 is decided both ways.
@@ -313,7 +313,7 @@ def test_unchecked_k_form_takes_faces_from_facts_and_still_tests_overlap(
         colored, "relative_interior_meets", counting("relint", colored.relative_interior_meets)
     )
     monkeypatch.setattr(
-        colored, "_given_pairs_agree", counting("pairs", colored._given_pairs_agree)
+        colored._Closure, "overlaps", counting("pairs", colored._Closure.overlaps)
     )
     s3 = action_from_generators(
         toric_plane, [GroupElement.make([[0, -1], [1, -1]]), GroupElement.make(SWAP)]
@@ -330,9 +330,10 @@ def test_unchecked_k_form_takes_faces_from_facts_and_still_tests_overlap(
         datum, _plain(datum, [([(1, 0), (1, 2)], ()), ([(0, 1), (2, 1)], ())])
     )
     swap = action_from_generators(datum, [GroupElement.make(SWAP)])
-    counts["relint"] = 0
+    counts.update(relint=0, pairs=0)
     result = has_k_form(datum, swap, wide, check=False)
-    # the overlap is found, and the LP pair test names it
+    # the overlap is found and named, still with no LP
     assert result.invariant and not result.orbits_quasiprojective
-    assert "overlap" in result.reasons[0] and counts["relint"] > 0
+    assert "overlap" in result.reasons[0]
+    assert counts["pairs"] == 1 and counts["relint"] == 0
     assert result == has_k_form(datum, swap, ColoredFan(wide.cones), check=False)

@@ -8,15 +8,18 @@ from itertools import combinations
 
 from conftest import cube_pattern_cones, toric_datum
 from random_colored import random_colored_action, random_colored_cone, random_datum
-from test_fan_facts import same_route
+from test_cli import GOLDEN_INPUTS
+from test_fan_facts import FIXTURES, overlapping_colored_fans, same_route
 from test_galois import _compare_with_reference
-from coloredfans import colored
+from coloredfans import colored, fileio
 from coloredfans.colored import (
     ColoredCone,
     ColoredFan,
     SphericalDatum,
     _closure_axioms,
+    _face_closure,
     _face_meets,
+    _overlapping_pairs,
     colored_faces,
     fan_from_maximal_cones,
     relative_interior_meets,
@@ -136,6 +139,49 @@ def test_f2_from_given_pairs_matches_the_lp_on_random_colored_fans():
         for pair in combinations(cones[:3], 2):
             verdicts.append(same_route(datum, fan_from_maximal_cones(datum, pair)))
     assert len(verdicts) > 60 and 0.1 < sum(verdicts) / len(verdicts) < 0.9
+
+
+def random_closures(seed, data):
+    """Per random datum, the closures of two, two and three of four random
+    colored cones that pass C1-C4."""
+    rng = random.Random(seed)
+    for _ in range(data):
+        datum = random_datum(rng)
+        passed = []
+        while len(passed) < 4:
+            cc = random_colored_cone(rng, datum)
+            if _closure_axioms(datum, cc)[0].passed:
+                passed.append(cc)
+        for k in (2, 2, 3):
+            yield datum, _face_closure(datum, rng.sample(passed, k), {})
+
+
+def test_closure_overlaps_match_the_all_pairs_lp(monkeypatch):
+    """``_Closure.overlaps`` names the pairs of the all-pairs LP test, in its
+    order, with no LP: on random closures, the overlapping colored fans, 64
+    overlapping plane cones and the golden F2 failure."""
+    # about 5 s on a 2-core x86_64 box with Python 3.11, nearly all of it
+    # the LP oracle
+    relints = []
+    real = colored.relative_interior_meets
+    monkeypatch.setattr(colored, "relative_interior_meets", lambda *a: relints.append(a) or real(*a))
+
+    def overlaps(datum, closure):
+        relints.clear()
+        pairs = list(closure.overlaps())
+        assert relints == []
+        assert pairs == list(_overlapping_pairs(datum, closure.members))
+        return pairs
+
+    failed = [bool(overlaps(datum, closure)) for datum, closure in random_closures(7, 100)]
+    assert len(failed) == 300 and sum(failed) > 100
+
+    plane = fileio.parse_datum(fileio.load_json(FIXTURES / "datum_toric2.json"))
+    wide = [ColoredCone(cone_from_generators([(1, k), (1, k + 2)], 2)) for k in range(64)]
+    golden = fileio.parse_fan(GOLDEN_INPUTS["fan_f2.json"], plane)
+    cases = [(datum, fan._facts) for datum, fan in overlapping_colored_fans()]
+    cases += [(plane, _face_closure(plane, given, {})) for given in (wide, golden)]
+    assert all(overlaps(datum, closure) for datum, closure in cases)
 
 
 def test_k_form_matches_the_reference_on_random_colored_actions():
