@@ -34,8 +34,10 @@ lies in relint(C).  It reads the faces of C off its facet-ray incidences
 with no double description (:meth:`Cone._lattice_faces`), and keeps every
 face when K is C, else decides each face from K with integer dot products
 (:func:`_face_meets`).  Its :class:`_Closure` decides F2, and names the
-overlapping members, from pairs of given cones with no LP, and names the
-maximal members by the one maximality rule, :func:`_maximal`.
+overlapping members, from pairs of given cones with no LP, and with no
+double description when both lie in V and a walk on their faces separates
+them; it names the maximal members by the one maximality rule,
+:func:`_maximal`.
 """
 
 from __future__ import annotations
@@ -204,12 +206,16 @@ def _closure_axioms(datum: SphericalDatum, cc: ColoredCone) -> tuple[ValidationR
 
 
 def _valuation_part(datum: SphericalDatum, cone: Cone) -> Cone:
-    """K = C ∩ V: ``cone`` itself when each of its generators satisfies the
-    inequalities of V, integer dot products and no double description."""
+    """K = C ∩ V: ``cone`` itself when it lies in V (:func:`_in_valuation_cone`),
+    with no double description."""
+    return cone if _in_valuation_cone(datum, cone) else cone.intersect(datum.valuation_cone)
+
+
+def _in_valuation_cone(datum: SphericalDatum, cone: Cone) -> bool:
+    """Whether each generator of ``cone`` satisfies the inequalities of V:
+    integer dot products."""
     valuation = datum.valuation_cone._ineqs
-    if all(_dot(a, g) >= 0 for g in cone._generators() for a in valuation):
-        return cone
-    return cone.intersect(datum.valuation_cone)
+    return all(_dot(a, g) >= 0 for g in cone._generators() for a in valuation)
 
 
 def _placed_colors(datum: SphericalDatum, cc: ColoredCone) -> list[RatVec]:
@@ -349,25 +355,41 @@ class _Closure:
 
         Distinct faces of one cone have disjoint relative interiors, so such
         a pair is a colored face M of a given cone Z and M' of another, Z'.
-        One double description of the inequalities of Z, Z' and V gives the
-        rays of P = Z ∩ Z' ∩ V.  A common valuation vector v of relint(M)
-        and relint(M') lies in P, in the relative interior of one face Q of
-        P, as does u, the ray sum of Q; and relint(Q) lies in the relative
+        Let P = Z ∩ Z' ∩ V.  A common valuation vector v of relint(M) and
+        relint(M') lies in P, in the relative interior of one face Q of P,
+        as does u, the ray sum of Q; and relint(Q) lies in the relative
         interior of the smallest face of Z containing Q (Rockafellar, *Convex
         Analysis*, Thm 18.2), which holds v, so is M; likewise M'.  So the
         pairs are the distinct faces of Z and of Z' holding u in their
         relative interiors, for u the ray sum of a face of P.
 
-        P itself is read first, at w, its ray sum.  When the faces G of Z
-        and G' of Z' holding w agree, with their colors, M and M' above are
-        faces of G = G' sharing v in their relative interiors: equal.  Only
-        when G and G' differ is the face lattice of P walked
-        (:meth:`Cone._lattice_faces`) and the member index built.
+        When Z and Z' lie in V, P = Z ∩ Z' is found by a walk on their faces
+        (:func:`_separated_meet`), which runs no double description, as a
+        face of each; the colored faces of Z and of Z' on P are then the
+        faces G and G' below.  When that walk stalls, or a cone sticks out
+        of V, one double description of the inequalities of Z, Z' and V
+        gives the rays of P, and G and G' are the faces of Z and Z' holding
+        w, the ray sum of P, in their relative interiors.  When G and G'
+        agree, with their colors, M and M' above are faces of G = G'
+        sharing v in their relative interiors: equal.  Only when G and G'
+        differ is the face lattice of P walked (:meth:`Cone._lattice_faces`)
+        and the member index built.  The faces of a given cone, keyed by
+        their rays, are looked up from its first pair on.
         """
         dim = self.datum.dim
         valuation = self.datum.valuation_cone._ineqs
         index: dict = {}
         pairs = set()
+        by_rays: dict = {}
+
+        def faces_by_rays(cc: ColoredCone) -> dict | None:
+            """The colored faces of the given cone ``cc`` keyed by their rays,
+            when it lies in V, so that every face is one; else None."""
+            key = cc.key()
+            if key not in by_rays:
+                inside = _in_valuation_cone(self.datum, cc.cone)
+                by_rays[key] = {f.cone._rays: f for f in self.faces[key]} if inside else None
+            return by_rays[key]
 
         def holding(cc: ColoredCone, u: IntVec):
             faces = self.faces[cc.key()]
@@ -375,18 +397,69 @@ class _Closure:
 
         for i, first in enumerate(self.given):
             for second in self.given[i + 1 :]:
-                rows = first.cone._ineqs + second.cone._ineqs + valuation
-                _, rays = _dd(rows, dim)
-                w = _ray_sum(rays, dim)
-                if holding(first, w) == holding(second, w):
-                    continue
+                meet = None
+                first_faces, second_faces = faces_by_rays(first), faces_by_rays(second)
+                if first_faces is not None and second_faces is not None:
+                    meet = _separated_meet(first.cone, first_faces, second.cone, second_faces)
+                if meet is not None:
+                    if first_faces[meet._rays].key() == second_faces[meet._rays].key():
+                        continue
+                else:
+                    _, rays = _dd(first.cone._ineqs + second.cone._ineqs + valuation, dim)
+                    w = _ray_sum(rays, dim)
+                    if holding(first, w) == holding(second, w):
+                        continue
+                    meet = cone_from_generators(rays, dim)
                 index = index or {cc.key(): k for k, cc in enumerate(self.members)}
-                for face in cone_from_generators(rays, dim)._lattice_faces():
+                for face in meet._lattice_faces():
                     u = _ray_sum(face._rays, dim)
                     a, b = index[holding(first, u)], index[holding(second, u)]
                     if a != b:
                         pairs.add((min(a, b), max(a, b)))
         yield from sorted(pairs)
+
+
+def _separated_meet(
+    first: Cone, first_faces: dict, second: Cone, second_faces: dict
+) -> Cone | None:
+    """Z ∩ Z' as a face of Z, for strictly convex cones Z = ``first`` and
+    Z' = ``second``, given the colored faces of each, all of their faces,
+    keyed by their rays; None when the walk below stalls.  No double
+    description runs.
+
+    The walk keeps two faces F of Z and F' of Z' with F ∩ F' = Z ∩ Z',
+    starting from Z and Z'.  While an inequality f of F is <= 0 on every
+    ray of F' and nonzero on a ray of F or F' (:func:`_separating`), or the
+    reverse, F ∩ F' lies in the hyperplane of f, which cuts a face off
+    each: F by F ∩ f⊥ and F' by F' ∩ f⊥, each the cone over its rays on f⊥.
+    The rays shrink, so the walk ends: when the two ray sets agree, Z ∩ Z'
+    = F; when one is empty, Z ∩ Z' = {0}.
+    """
+    while first._rays != second._rays and first._rays and second._rays:
+        cut = _separating(first, second) or _separating(second, first)
+        if cut is None:
+            return None
+        first = first_faces[tuple([r for r in first._rays if not _dot(cut, r)])].cone
+        second = second_faces[tuple([r for r in second._rays if not _dot(cut, r)])].cone
+    return first if second._rays else first_faces[()].cone
+
+
+def _separating(a: Cone, b: Cone) -> IntVec | None:
+    """An inequality f of the strictly convex cone ``a``, f >= 0 on it,
+    with f <= 0 on every ray of ``b`` and f != 0 on a ray of ``a`` or ``b``:
+    a facet normal of ``a``, which is positive on a ray of ``a``, or a span
+    equation of ``a``, of either sign, that is negative on a ray of ``b``;
+    None when there is none."""
+    for f in a._facets:
+        if all(_dot(f, r) <= 0 for r in b._rays):
+            return f
+    for e in a._span_eq:
+        values = [_dot(e, r) for r in b._rays]
+        if max(values) <= 0 and min(values) < 0:
+            return e
+        if min(values) >= 0 and max(values) > 0:
+            return tuple([-x for x in e])
+    return None
 
 
 def _maximal(members: Sequence[ColoredCone], faces: dict) -> list[ColoredCone]:

@@ -367,8 +367,14 @@ def serialize_datum(datum: SphericalDatum) -> str:
 
 
 def fan_to_obj(datum: SphericalDatum, fan: ColoredFan) -> dict:
+    """The maximal cones of the fan's face closure, sorted: read off its facts
+    when :func:`fan_from_maximal_cones` built it for ``datum``, since a
+    closure closed again keeps its members."""
+    facts = fan._facts
+    if facts is None or facts.datum is not datum:
+        facts = _face_closure(datum, fan, {})
     cones = []
-    for cc in sorted(_face_closure(datum, fan, {}).maximal(), key=member_sort_key):
+    for cc in sorted(facts.maximal(), key=member_sort_key):
         cones.append({"rays": [list(r) for r in cc.cone._rays], "colors": sorted(cc.colors)})
     return {"cones": cones}
 

@@ -24,13 +24,16 @@ over the base field; (b) is the extra condition for a scheme form, stated
 over a perfect base field.  Both are read off the generators' images of
 the members, never off the enumerated group: of the maximal members alone
 (:func:`colored._maximal`) once fan and action are validated, and the same
-pass names the offender of the group route (:func:`_image_table`).  Orbit
-fans are built in one place, inside ``has_k_form``, as face closures
+pass names the offender of the group route (:func:`_image_table`).  Once
+fan and action are validated, the action is a finite group, and each orbit
+fan is decided by one LP over the form of one orbit cone, with the
+transversal of the orbit read off the same images (:func:`_orbit_forms`).
+Without validation, orbit fans are built as face closures
 (``colored._face_closure``) whose colored faces come from the fan's
-validation or its closure; the faces of a cone missing from both are
-decided from its intersection with the valuation cone, with no LP.  The
-closure names the overlapping and the maximal orbit cones, and each orbit
-fan is decided by row generation from its walls (see :func:`_k_form`).
+closure; the faces of a cone missing from it are decided from its
+intersection with the valuation cone, with no LP.  The closure names the
+overlapping and the maximal orbit cones, and each orbit fan is decided by
+row generation from its walls (see :func:`_k_form`).
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .colored import (
     ColoredCone,
@@ -49,10 +52,22 @@ from .colored import (
     _checked_fan,
     _face_closure,
     _maximal,
+    _valuation_part,
 )
 from .errors import ClosureCapError, InvalidFanError
-from .cones import _integer_map, _primitive
-from .linalg import RatMat, _dot, identity, mat, matmul, matvec
+from .cones import _integer_map, _primitive, _ray_sum
+from .linalg import (
+    IntVec,
+    RatMat,
+    RatVec,
+    _dot,
+    _over_common_denominator,
+    identity,
+    mat,
+    matmul,
+    matvec,
+)
+from .linprog import LPProblem, SparseRow, lp_feasible
 from .quasiproj import _support_feasible
 from .reports import ValidationReport
 
@@ -389,13 +404,15 @@ def _image_key(g: GroupElement, cc: ColoredCone, strict: dict):
 
 def _image_table(
     action: GroupAction, fan: ColoredFan, sources: Iterable[ColoredCone] | None = None
-) -> tuple[ColoredCone | None, dict]:
+) -> tuple[ColoredCone | None, dict, dict]:
     """Apply each generator to each source, by default each member
     (generators outer, sources inner), by :func:`_image_key`.
 
-    Returns the offender, or None, and each source's orbit: the members that
-    generator images reach from it, keyed by member key, itself first (none
-    when there is an offender).  When the image of a source under a
+    Returns the offender, or None; each source's orbit, the members that
+    generator images reach from it breadth first, keyed by member key,
+    itself first; and the images, per source key the image keys under the
+    generators, in order (both empty when there is an offender).  When the
+    image of a source under a
     generator g leaves the fan, the offender is the first member, in fan
     order, whose image under g leaves it: the sources before that source
     stayed in the fan under g, so only members that are no source are mapped
@@ -423,7 +440,7 @@ def _image_table(
                     for m in fan
                     if m.key() == key
                     or m.key() not in sources and _image_key(g, m, strict) not in members
-                ), {}
+                ), {}, {}
             edges[key].append(image)
     orbits = {}
     for start in sources:
@@ -433,7 +450,7 @@ def _image_table(
             orbit.update(reached)
             queue += reached
         orbits[start] = orbit
-    return None, orbits
+    return None, orbits, edges
 
 
 def is_fan_invariant(datum: SphericalDatum, action: GroupAction, fan: ColoredFan) -> bool:
@@ -463,8 +480,7 @@ def has_k_form(
     images g.Z, the members that generator images reach from Z.  Its support
     LP is posed on the images that are a face of no other image: all of them,
     unless a singular generator under ``check=False`` maps Z onto a face.
-    Only the verdict is kept, so the LP is solved by row generation from the
-    pairs of images that share a wall (:func:`quasiproj._support_feasible`).
+    Only the verdict is kept.
 
     With ``check=True`` the fan and the action are validated first; the fan
     validation supplies every member's colored faces, from which
@@ -472,11 +488,17 @@ def has_k_form(
     mapped, and F2 rules out overlapping orbit cones.  A fan that
     :func:`fan_from_maximal_cones` built for ``datum`` carries every
     member's faces and C1-C4 and F1, so only F2 is tested
-    (:func:`colored._checked_fan`); any other fan is validated in full.
-    With ``check=False`` nothing is validated: the faces are looked up in the
-    fan's facts or computed as needed, every member is mapped, and
-    overlapping orbit cones are looked for and reported as a (b) failure
-    (see :func:`_k_form`).
+    (:func:`colored._checked_fan`); any other fan is validated in full.  The
+    action is then a finite group of lattice automorphisms fixing V, so the
+    support LP has a solution exactly when it has an invariant one, and it
+    is decided over the form of one orbit cone (:func:`_orbit_forms`), whose
+    lifted forms are checked exactly.
+    With ``check=False`` nothing is validated, and the action need not be a
+    finite group: the faces are looked up in the fan's facts or computed as
+    needed, every member is mapped, overlapping orbit cones are looked for
+    and reported as a (b) failure, and the support LP is solved by row
+    generation from the pairs of images that share a wall
+    (:func:`quasiproj._support_feasible`; see :func:`_k_form`).
     """
     if not check:
         facts = fan._facts
@@ -497,42 +519,45 @@ def _k_form(
 ) -> KFormResult:
     """The verdict of :func:`has_k_form` once its validation is settled.
 
-    ``faces`` maps member keys to colored faces; the faces of a member
-    missing from it are found when its orbit is closed, and stored there (a
-    member failing C1-C4 raises :class:`InvalidColoredConeError`).  Each
-    orbit fan's support LP is posed on the maximal cones of its closure
-    (:meth:`colored._Closure.maximal`) and decided by
-    :func:`quasiproj._support_feasible`, which needs F2 on them: it reads
-    the intersection of two orbit cones that lie in V off their common
-    rays.  F2 holds by validation, or is tested first (below).
-
     The images are taken by :func:`_image_table`, which reads the image of
     a strictly convex member under an invertible generator off its
-    canonical rays and builds no cone.  ``maximal``, given once fan and
-    action have passed validation, holds the maximal members in fan order
-    (:func:`colored._maximal`), and only they are mapped and their orbits
-    looped over.  Each generator is a lattice automorphism that fixes the
-    valuation cone and the placements, so it maps the colored faces of Z
-    onto those of g.Z: on a face-closed fan, a generator that keeps every
-    maximal member keeps every member, so the first generator to move a
-    maximal member out is the first to move any member out, and the
-    offender named under it is the one of the group route.  Every other
-    member lies in the orbit fan of a maximal member of higher dimension,
-    which the loop meets first.  F1 and invariance make every orbit member a
-    fan member, so F2 already rules out overlapping orbit cones.  With no
-    ``maximal`` every member is mapped, and every orbit fan not yet verified
-    is tested for overlapping cones, a (b) failure, and the first
-    overlapping pair of its closure is named
-    (:meth:`colored._Closure.overlaps`).
+    canonical rays and builds no cone.
 
-    A member whose orbit lies inside an already verified orbit fan is
-    skipped before its orbit is closed: a verified orbit fan is closed under
-    colored faces, so it then holds the whole orbit fan, and a subfan of a
-    quasiprojective fan is quasiprojective (it carves out an open invariant
-    piece).  Each skipped member is a colored face of a cone that passed
-    C1-C4, and so passes them itself.
+    ``maximal``, given once fan and action have passed validation, holds
+    the maximal members in fan order (:func:`colored._maximal`), and only
+    they are mapped and their orbits looped over.  Each generator is a
+    lattice automorphism that fixes the valuation cone and the placements,
+    so it maps the colored faces of Z onto those of g.Z: on a face-closed
+    fan, a generator that keeps every maximal member keeps every member, so
+    the first generator to move a maximal member out is the first to move
+    any member out, and the offender named under it is the one of the group
+    route.  Every other member lies in the orbit fan of a maximal member,
+    and the images of a maximal member are the maximal cones of its orbit
+    fan, which no other maximal member's orbit fan holds: so a maximal
+    member already met in an orbit is skipped, and each orbit fan is decided
+    on its orbit by :func:`_orbit_forms`, one form's LP with no face
+    closure.  F1 and invariance make every orbit member a fan member, so F2
+    already rules out overlapping orbit cones.
+
+    With no ``maximal`` every member is mapped, and the action, not
+    validated, need not be a finite group of automorphisms.  ``faces`` maps
+    member keys to colored faces; the faces of a member missing from it are
+    found when its orbit is closed (:func:`colored._face_closure`), and
+    stored there (a member failing C1-C4 raises
+    :class:`InvalidColoredConeError`).  Each orbit fan not yet verified is
+    tested for overlapping cones, a (b) failure, and the first overlapping
+    pair of its closure is named (:meth:`colored._Closure.overlaps`); then
+    its support LP is posed on the maximal cones of the closure
+    (:meth:`colored._Closure.maximal`) and decided by
+    :func:`quasiproj._support_feasible`.  A member whose orbit lies inside
+    an already verified orbit fan is skipped before its orbit is closed: a
+    verified orbit fan is closed under colored faces, so it then holds the
+    whole orbit fan, and a subfan of a quasiprojective fan is
+    quasiprojective (it carves out an open invariant piece).  Each skipped
+    member is a colored face of a cone that passed C1-C4, and so passes
+    them itself.
     """
-    offender, images = _image_table(action, fan, maximal)
+    offender, images, edges = _image_table(action, fan, maximal)
     if offender is not None:
         return KFormResult(
             False,
@@ -544,13 +569,32 @@ def _k_form(
             ),
         )
 
+    def not_quasiprojective(cc: ColoredCone) -> KFormResult:
+        return KFormResult(
+            False,
+            invariant=True,
+            orbits_quasiprojective=False,
+            reasons=(f"(b) the orbit fan of {cc.describe()} is not quasiprojective",),
+        )
+
+    if maximal is not None:
+        met: set = set()
+        for cc in sorted(maximal, key=lambda cc: -cc.cone.dim):
+            if cc.key() in met:
+                continue
+            orbit = images[cc.key()]
+            if _orbit_forms(datum, action, orbit, edges) is None:
+                return not_quasiprojective(cc)
+            met.update(orbit)
+        return KFormResult(True, invariant=True, orbits_quasiprojective=True)
+
     verified: list[frozenset] = []
-    for cc in sorted(fan if maximal is None else maximal, key=lambda cc: -cc.cone.dim):
+    for cc in sorted(fan, key=lambda cc: -cc.cone.dim):
         orbit = images[cc.key()]
         if any(orbit.keys() <= done for done in verified):
             continue
         closure = _face_closure(datum, orbit.values(), faces)
-        overlap = None if maximal is not None else next(closure.overlaps(), None)
+        overlap = next(closure.overlaps(), None)
         if overlap is not None:
             first, second = (closure.members[i].describe() for i in overlap)
             return KFormResult(
@@ -562,11 +606,99 @@ def _k_form(
                 ),
             )
         if not _support_feasible(datum, closure.maximal()):
-            return KFormResult(
-                False,
-                invariant=True,
-                orbits_quasiprojective=False,
-                reasons=(f"(b) the orbit fan of {cc.describe()} is not quasiprojective",),
-            )
+            return not_quasiprojective(cc)
         verified.append(frozenset(m.key() for m in closure.members))
     return KFormResult(True, invariant=True, orbits_quasiprojective=True)
+
+
+def _orbit_forms(
+    datum: SphericalDatum, action: GroupAction, orbit: dict, edges: dict
+) -> list[RatVec] | None:
+    """Support forms of the orbit fan of Z_0, the first cone of ``orbit``,
+    one per orbit cone in ``orbit`` order, or None when the orbit fan is not
+    quasiprojective; ``orbit`` and ``edges`` as :func:`_image_table` returns
+    them, for a validated action on a fan that satisfies F2.
+
+    The action is then a finite group of lattice automorphisms fixing V,
+    and it permutes the orbit cones Z_j = g_j Z_0, which are the maximal
+    cones of the orbit fan.  It maps the solutions of their support LP
+    (:func:`quasiproj._support_lp`) onto solutions, l_{g.j} = l_j g^-1, so
+    the average of any solution over the group is an invariant one, and
+    the LP is feasible exactly when it has an invariant solution: one form
+    l_0, with l_j = l_0 t_j for t_j = g_j^-1.  An invariant family maps
+    each pair (k, l) of the LP onto a pair (0, j), so only those are posed,
+    over the n entries of l_0 (Bödi, Herr & Joswig, *Math. Program.* 2013):
+
+    * l_0 t_k s^-1 = l_0 t_{s.k} for each generator s and orbit cone Z_k
+      with t_k s^-1 != t_{s.k}: then l_0 is fixed by the Schreier generator
+      h = g_{s.k}^-1 s g_k != I, and these generate the stabilizer of Z_0;
+    * l_0 . (v - t_j v) = 0 on the generators v of Z_0 ∩ Z_j, for j != 0:
+      the common rays when Z_0, so each Z_j, lies in V (F2 makes the meet a
+      common face, as in :func:`quasiproj._support_rows`), else by
+      :meth:`Cone.intersect`;
+    * for each j != 0, one block: l_0 . (x - t_j x) >= 0 on the generators
+      x of K_0 = Z_0 ∩ V, and >= 1 at their ray sum, which g_j maps onto
+      that of K_j = g_j K_0.
+
+    The transversal t_j is read off the generator images ``edges``,
+    breadth first as ``orbit`` lists the cones.  A solution is lifted to
+    l_j = l_0 t_j and checked exactly: l_{s.j} = l_j s^-1 for every
+    generator s and orbit cone j, which makes the family invariant, so that
+    each block of the full LP maps onto a block that the LP solved.
+    """
+    n = datum.dim
+    # s^-1 of a lattice automorphism s: _map holds the transpose of its inverse
+    inverses = [tuple(zip(*g._map[1][0])) for g in action.generators]
+    keys = list(orbit)
+    transversal = {keys[0]: identity(n)}
+    eqs = []
+    for key in keys:
+        for s_inv, image in zip(inverses, edges[key]):
+            moved = matmul(transversal[key], s_inv)
+            known = transversal.setdefault(image, moved)
+            if known != moved:
+                diff = [[a - b for a, b in zip(*rows)] for rows in zip(moved, known)]
+                eqs += [_row(column, 0) for column in zip(*diff)]
+    z0 = orbit[keys[0]].cone
+    part = _valuation_part(datum, z0)
+    gens = part._generators()
+    witness = _ray_sum(part._rays, n)
+    ineqs = []
+    for key in keys[1:]:
+        t = transversal[key]
+        zj = orbit[key].cone
+        if part is z0:
+            rays = set(zj._rays)
+            shared = [r for r in z0._rays if r in rays]
+        else:
+            shared = z0.intersect(zj)._rays
+        eqs += [_row(_minus_image(t, v), 0) for v in shared]
+        ineqs += [_row(_minus_image(t, x), 0) for x in gens]
+        ineqs.append(_row(_minus_image(t, witness), 1))
+    point = lp_feasible(LPProblem._from_integral(n, eqs, ineqs))
+    if point is None:
+        return None
+    # the forms as integer numerators over one denominator
+    nums, den = _over_common_denominator(point)
+    forms = {key: _times(nums, t) for key, t in transversal.items()}
+    for key in keys:
+        for s_inv, image in zip(inverses, edges[key]):
+            if forms[image] != _times(forms[key], s_inv):
+                raise AssertionError("internal error: the lifted orbit forms are not invariant")
+    return [tuple([Fraction(x, den) for x in forms[key]]) for key in keys]
+
+
+def _minus_image(t: Sequence[IntVec], x: IntVec) -> list[int]:
+    """x - t x, for an integer matrix ``t``."""
+    return [a - _dot(row, x) for a, row in zip(x, t)]
+
+
+def _times(form: Sequence[int], t: Sequence[IntVec]) -> IntVec:
+    """The integer row vector ``form`` times the integer matrix ``t``."""
+    return tuple([_dot(form, column) for column in zip(*t)])
+
+
+def _row(coefficients: Sequence[int], b: int) -> SparseRow:
+    """The integral LP row ``coefficients . x >= b`` (or ``= b``), over the
+    scale 1."""
+    return [(j, x) for j, x in enumerate(coefficients) if x], b, 1

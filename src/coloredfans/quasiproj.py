@@ -12,7 +12,7 @@ Variables are assigned to maximal cones only; faces inherit their parents'
 forms through condition (1), so quantifying the strict condition over
 face/parent pairs would contradict it and is deliberately avoided.
 
-The LP is decided on two routes, which give the same verdict:
+The LP is decided on two routes here, which give the same verdict:
 
 * the all-pairs LP (:func:`_support_lp`, solved by :func:`_support_forms`),
   whose Bland point gives the forms.  :func:`is_quasiprojective` and
@@ -23,9 +23,15 @@ The LP is decided on two routes, which give the same verdict:
   :func:`colored._maximal`.  :func:`build_support_lp` returns this LP, and the
   other two return or print its forms.
 * row generation (:func:`_support_feasible`), for a caller that needs only
-  the verdict: ``galois._k_form``, on each orbit fan's closure.  It starts
+  the verdict: ``has_k_form(check=False)``, on each orbit fan's closure,
+  where the action, not validated, need not be a finite group.  It starts
   from the row blocks of the pairs of maximal cones that share a wall and
   adds the blocks that its point violates.
+
+A validated action is a finite group, and ``galois._orbit_forms`` decides
+each orbit fan of ``has_k_form(check=True)`` and CLI ``kform`` on a third,
+smaller LP: over the form of one orbit cone, whose solutions lift to
+invariant solutions of the all-pairs LP.
 
 Both build their rows in one place (:func:`_support_rows`), from the parts
 K_k = Z_k ∩ V that the caller hands in.  :func:`_support_feasible` and CLI

@@ -433,8 +433,9 @@ def test_kform_reuses_the_faces_of_the_validated_fan(monkeypatch):
     """Once ``parse_inputs`` has validated the fan and the action, ``kform``
     runs no colored-face pass and no relint LP: the orbit fans take the faces
     that the loaded fan carries, and F2 rules out overlapping orbit cones.
-    Only the support LPs of the orbit fans are solved."""
-    from coloredfans import colored, fileio, quasiproj
+    Only the orbit LPs of the orbit fans are solved, over one form each, and
+    no all-pairs or row-generation support LP."""
+    from coloredfans import colored, fileio, galois, quasiproj
 
     calls = []
 
@@ -450,6 +451,7 @@ def test_kform_reuses_the_faces_of_the_validated_fan(monkeypatch):
     relint = counting("relint", colored.relative_interior_meets)
     monkeypatch.setattr(colored, "relative_interior_meets", relint)
     monkeypatch.setattr(quasiproj, "lp_feasible", counting("support", quasiproj.lp_feasible))
+    monkeypatch.setattr(galois, "lp_feasible", counting("orbit", galois.lp_feasible))
     parse = fileio.parse_inputs
 
     def parsed(*args):
@@ -466,7 +468,7 @@ def test_kform_reuses_the_faces_of_the_validated_fan(monkeypatch):
     )
     assert result.exit_code == 0
     # the orbits of the four quadrants under the swap: two fixed, one pair
-    assert calls == ["support"] * 3
+    assert calls == ["orbit"] * 3
 
 
 def test_quasiproj_reads_the_maximal_cones_off_the_loaded_fan(monkeypatch):

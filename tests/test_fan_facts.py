@@ -220,6 +220,40 @@ def test_closure_walks_face_lattices_with_no_double_description_cut(monkeypatch)
     assert dd_calls == [] and cut_loops == [] and lps == []
 
 
+def test_overlaps_of_cones_in_v_run_no_double_description(monkeypatch):
+    """The separating-facet walk finds the meet of every pair of given cones
+    with no double description: on each seeded fan whose given cones lie in
+    V and pass F2 (the kform catalogue under base changes, the benchmark's
+    other catalogue entries, random plane fans and the 64 cube patterns) and
+    on each loadable fixture fan whose given cones lie in V.  A closure of
+    one given cone looks up no face for it."""
+    closures = [(datum, fan._facts) for datum, fan in seeded_fans()]
+    for fan_name, datum_name in FAN_FIXTURE_DATA.items():
+        datum = fileio.parse_datum(fileio.load_json(FIXTURES / datum_name))
+        fan, _ = fileio.validated_fan(
+            datum, fileio.parse_fan(fileio.load_json(FIXTURES / fan_name), datum)
+        )
+        if fan is not None:
+            closures.append((datum, fan._facts))
+    calls = []
+
+    def counting(name, real):
+        return lambda *args: calls.append(name) or real(*args)
+
+    monkeypatch.setattr(colored, "_dd", counting("dd", colored._dd))
+    monkeypatch.setattr(colored, "_in_valuation_cone", counting("in_v", colored._in_valuation_cone))
+    walked = single = 0
+    for datum, closure in closures:
+        if not all(colored._in_valuation_cone(datum, cc.cone) for cc in closure.given):
+            continue
+        calls.clear()
+        if next(closure.overlaps(), None) is None:
+            assert "dd" not in calls
+            walked += 1
+            single += len(closure.given) == 1 and calls == []
+    assert walked == len(KFORM_CASES) + 6 + 20 + 64 + 8 and single == 3 + 4
+
+
 def test_closure_builds_each_shared_face_once(monkeypatch):
     """A face that two given cones share is one ``Cone``, built once: the
     closure of the octant fan builds its 19 proper faces, not 8 times 7,

@@ -192,6 +192,28 @@ def test_loaded_fan_checks_each_given_cone_once(monkeypatch):
     assert checked == [("_closure_axioms", cc.key()) for cc in [line, line] + raw]
 
 
+def test_serializing_a_closure_built_fan_closes_nothing(monkeypatch):
+    """A fan that ``fan_from_maximal_cones`` built for the datum carries its
+    closure, so serializing it checks no cone against C1-C4; the same
+    members without facts are closed again, one check per member, and give
+    the same bytes."""
+    from conftest import toric_datum, twisted_cube_fan
+    from coloredfans import colored
+
+    datum = toric_datum(3)
+    fan = twisted_cube_fan(datum)
+    checked = []
+    real = colored._closure_axioms
+    monkeypatch.setattr(colored, "_closure_axioms", lambda d, cc: checked.append(cc) or real(d, cc))
+    text = fileio.serialize_fan(datum, fan)
+    assert checked == []
+    assert fileio.serialize_fan(datum, ColoredFan(fan.cones)) == text
+    assert len(checked) == len(fan) == 39
+    # facts for another datum are not read
+    checked.clear()
+    assert fileio.serialize_fan(toric_datum(3), fan) == text and len(checked) == 39
+
+
 def test_non_integral_data_not_serializable():
     from coloredfans.colored import SphericalDatum
     from fractions import Fraction

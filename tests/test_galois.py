@@ -8,7 +8,7 @@ from time import perf_counter
 
 import pytest
 
-from conftest import random_unimodular, toric_datum
+from conftest import cube_pattern_cones, random_unimodular, toric_datum
 from reference_exact import reference_invert
 from reference_kform import (
     reference_has_k_form,
@@ -426,7 +426,7 @@ def test_overlapping_orbit_matches_reference(toric_plane):
         _compare_with_reference(toric_plane, action, sub, False)
 
 
-def test_orbit_fan_that_is_not_quasiprojective(tmp_path, capsys, routes):
+def test_orbit_fan_that_is_not_quasiprojective(monkeypatch, tmp_path, capsys, routes):
     """Refusal (b) on a valid, invariant fan: the cyclic orbit of one cone in
     the toric 3-space gives three cones meeting only at the origin, whose
     support LP has no solution."""
@@ -443,6 +443,11 @@ def test_orbit_fan_that_is_not_quasiprojective(tmp_path, capsys, routes):
     assert lp_feasible(lp) is None and not fourier_motzkin(lp, max_vars=lp.num_vars)
     # no two cones share a wall, so row generation solves the full LP at once
     assert routes(datum, orbit) == (False, [24])
+    # over one form, with a trivial stabilizer: one block of 4 rows per other cone
+    shapes = _lp_shapes(monkeypatch, galois)
+    assert not has_k_form(datum, action, fan, check=True).verdict
+    assert shapes == [(3, 0, 8)]
+    assert _orbit_forms_agree(datum, action, fan, fan._facts.maximal()) == [False]
     refusal = (
         "(b) the orbit fan of (cone rays=[(-2,-1,-1), (-2,1,-1), (2,1,-1)]; colors=[]) "
         "is not quasiprojective",
@@ -799,7 +804,7 @@ def test_image_table_runs_no_double_description(monkeypatch, toric_plane, p2_fan
         toric_plane,
         [GroupElement.make([[0, -1], [1, -1]]), GroupElement.make(SWAP)],
     )
-    offender, images = galois._image_table(s3, p2_fan)
+    offender, images, _ = galois._image_table(s3, p2_fan)
     assert offender is None
     assert sorted(len(orbit) for orbit in images.values()) == [1, 3, 3, 3, 3, 3, 3]
     assert calls == []
@@ -816,7 +821,7 @@ def _by_apply_element(g, cc, strict):
 
 
 def _table(action, fan, sources=None):
-    offender, orbits = galois._image_table(action, fan, sources)
+    offender, orbits, _ = galois._image_table(action, fan, sources)
     return (
         None if offender is None else offender.key(),
         {key: list(orbit) for key, orbit in orbits.items()},
@@ -996,7 +1001,7 @@ def test_singular_generator_orbits_are_the_reachable_members(toric_plane):
                 assert has_k_form(toric_plane, action, fan, check=False) == reference_has_k_form(
                     toric_plane, action, fan, check=False
                 )
-                offender, orbits = galois._image_table(action, fan)
+                offender, orbits, _ = galois._image_table(action, fan)
                 expected = reference_invariance_offender(action, fan)
                 assert (offender is None) == (expected is None)
                 if expected is not None:
@@ -1156,32 +1161,38 @@ def test_maximal_members_come_in_fan_order():
     assert len(cases) == 16 and moved == 4
 
 
-def test_b3_chamber_fan_is_decided_from_its_walls(monkeypatch, tmp_path, capsys):
-    """The 48 chambers of type B3, the images of x1 >= x2 >= x3 >= 0 under
-    the signed permutations, form one orbit of the order-48 group that the
-    swap, the 3-cycle and one sign flip generate.  Its orbit fan is decided
-    by one LP, on the 576 rows of the 144 ordered pairs that share a wall,
-    of the 9024 of the all-pairs LP."""
+def _b3_orbit(rays):
+    """The toric 3-space, the fan of the images of the cone over ``rays``
+    under the 48 signed permutations, and the group B3 that the swap, the
+    3-cycle and one sign flip generate."""
     datum = toric_datum(3)
-    chamber = [(1, 0, 0), (1, 1, 0), (1, 1, 1)]
     fan = fan_from_maximal_cones(datum, [
-        ColoredCone(cone_from_generators([[s * r[i] for s, i in zip(signs, p)] for r in chamber], 3))
+        ColoredCone(cone_from_generators([[s * r[i] for s, i in zip(signs, p)] for r in rays], 3))
         for p in permutations(range(3))
         for signs in product((1, -1), repeat=3)
     ])
     flip = [[1, 0, 0], [0, 1, 0], [0, 0, -1]]
     action = action_from_generators(datum, [GroupElement.make(m) for m in (SWAP_XY, CYCLE3, flip)])
     assert len(fan._facts.maximal()) == 48 and "group order 48" in validate_action(datum, action).notes
+    return datum, fan, action
+
+
+def _lp_shapes(monkeypatch, *modules) -> list:
+    """The (variables, equalities, inequalities) of each LP that
+    ``lp_feasible`` solves in ``modules``, recorded from now on."""
     shapes = []
 
     def recording(lp):
         shapes.append((lp.num_vars, len(lp._eqs), len(lp._ineqs)))
         return lp_feasible(lp)
 
-    monkeypatch.setattr(quasiproj, "lp_feasible", recording)
-    assert has_k_form(datum, action, fan, check=True).verdict
-    assert shapes == [(144, 360, 576)]
-    monkeypatch.undo()
+    for module in modules:
+        monkeypatch.setattr(module, "lp_feasible", recording)
+    return shapes
+
+
+def _kform_cli(datum, fan, action, tmp_path, capsys) -> dict:
+    """CLI ``kform --json`` on the serialized inputs, which exits 0: its stdout."""
     paths = []
     for name, text in (
         ("datum", serialize_datum(datum)),
@@ -1190,5 +1201,110 @@ def test_b3_chamber_fan_is_decided_from_its_walls(monkeypatch, tmp_path, capsys)
     ):
         paths += [f"--{name}", str(tmp_path / f"{name}.json")]
         (tmp_path / f"{name}.json").write_text(text)
-    assert main(["kform", *paths]) == 0
-    assert "verdict: PASS" in capsys.readouterr().out
+    capsys.readouterr()
+    assert main(["kform", *paths, "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_b3_chamber_fan_is_decided_from_its_walls(monkeypatch, tmp_path, capsys):
+    """The 48 chambers of type B3, the images of x1 >= x2 >= x3 >= 0 under
+    the signed permutations, form one orbit of the order-48 group that the
+    swap, the 3-cycle and one sign flip generate.  Validated, its orbit fan
+    is decided by one LP over the form of one chamber, whose stabilizer is
+    trivial: 4 rows for each of the 47 other chambers and one equality per
+    ray a chamber shares with the first.  Unvalidated, row generation
+    decides it by one LP, on the 576 rows of the 144 ordered pairs that
+    share a wall, of the 9024 of the all-pairs LP."""
+    datum, fan, action = _b3_orbit([(1, 0, 0), (1, 1, 0), (1, 1, 1)])
+    shapes = _lp_shapes(monkeypatch, galois, quasiproj)
+    assert has_k_form(datum, action, fan, check=True).verdict
+    assert shapes == [(3, 15, 47 * 4)]
+    shapes.clear()
+    assert has_k_form(datum, action, fan, check=False).verdict
+    assert shapes == [(144, 360, 576)]
+    monkeypatch.undo()
+    assert _kform_cli(datum, fan, action, tmp_path, capsys)["verdict"] is True
+
+
+def test_wall_free_b3_orbit_fan_is_decided_on_one_form(monkeypatch, tmp_path, capsys):
+    """The 2-D cone on (3, 5, 7) and (3, 6, 7) has 48 images under the signed
+    permutations, no two of which share a ray, so no pair shares a wall and
+    row generation would solve the all-pairs LP at once: 144 variables and
+    6768 rows, on which Bland's rule stalls at the origin.  Validated, the
+    orbit fan is one LP over the form of one cone, whose stabilizer is
+    trivial: 3 variables, no equality and 3 rows for each of the 47 other
+    cones, and its lifted forms solve the all-pairs LP.  CLI ``kform``
+    decides it too."""
+    datum, fan, action = _b3_orbit([(3, 5, 7), (3, 6, 7)])
+    shapes = _lp_shapes(monkeypatch, galois)
+    assert has_k_form(datum, action, fan, check=True).verdict
+    assert shapes == [(3, 0, 141)]
+    monkeypatch.undo()
+    maximal = fan._facts.maximal()
+    _, orbits, edges = galois._image_table(action, fan, maximal)
+    forms = dict(zip(orbits[maximal[0].key()], galois._orbit_forms(
+        datum, action, orbits[maximal[0].key()], edges
+    )))
+    lp = _support_lp(datum, maximal, _valuation_parts(datum, maximal))
+    assert (lp.num_vars, len(lp._eqs), len(lp._ineqs)) == (144, 0, 6768)
+    assert lp.satisfied_by([x for cc in maximal for x in forms[cc.key()]])
+    assert _kform_cli(datum, fan, action, tmp_path, capsys)["verdict"] is True
+
+
+def _orbit_forms_agree(datum, action, fan, sources=None) -> list[bool]:
+    """``_orbit_forms`` on each orbit of the sources, by default every
+    member, against the all-pairs LP posed on the maximal cones of the
+    orbit's closure: a "yes" lifts to forms that satisfy it, a "no" is its
+    verdict too.  Returns the verdicts, one per distinct orbit."""
+    _, orbits, edges = galois._image_table(action, fan, sources)
+    verdicts, met = [], set()
+    for key, orbit in orbits.items():
+        if key in met:
+            continue
+        met.update(orbit)
+        forms = galois._orbit_forms(datum, action, orbit, edges)
+        maximal = colored._face_closure(datum, orbit.values(), {}).maximal()
+        assert {cc.key() for cc in maximal} == orbit.keys()
+        lp = _support_lp(datum, maximal, _valuation_parts(datum, maximal))
+        if forms is None:
+            assert lp_feasible(lp) is None
+        else:
+            by_key = dict(zip(orbit, forms))
+            assert lp.satisfied_by([x for cc in maximal for x in by_key[cc.key()]])
+        verdicts.append(forms is not None)
+    return verdicts
+
+
+def test_orbit_forms_match_the_all_pairs_lp():
+    """The invariant-form LP against the all-pairs LP: every orbit of the
+    kform catalogue, the octant groups among it, under a seeded base
+    change, and the 278 orbits of maximal cones of the 64 cube patterns
+    under their stabilizers in the signed permutations.  The twisted cube
+    under its stabilizer gets the reference's answer."""
+    rng = random.Random(609)
+    verdicts = []
+    for case in KFORM_CASES:
+        datum, fan, action = _kform_case(case, random_unimodular(rng, case[1]))
+        verdicts += _orbit_forms_agree(datum, action, fan)
+    assert len(verdicts) == 3 + 3 + 3 + 2 + 14 + 10 + 9 and all(verdicts)
+    datum = toric_datum(3)
+    signed = [
+        GroupElement.make([[s * (j == p[i]) for j in range(3)] for i, s in enumerate(signs)])
+        for p in permutations(range(3))
+        for signs in product((1, -1), repeat=3)
+    ]
+    verdicts = []
+    for pattern in range(64):
+        fan = fan_from_maximal_cones(
+            datum, [ColoredCone(cone_from_generators(c, 3)) for c in cube_pattern_cones(pattern)]
+        )
+        maximal, keys = fan._facts.maximal(), fan.member_keys()
+        stabilizer = action_from_generators(datum, [
+            g for g in signed if all(apply_element(g, cc).key() in keys for cc in maximal)
+        ])
+        verdicts += _orbit_forms_agree(datum, stabilizer, fan, maximal)
+        if pattern == 24:
+            result = has_k_form(datum, stabilizer, fan, check=True)
+            assert result == reference_has_k_form(datum, stabilizer, fan, check=True)
+            assert result.verdict
+    assert len(verdicts) == 278 and all(verdicts)

@@ -159,18 +159,31 @@ def random_closures(seed, data):
 def test_closure_overlaps_match_the_all_pairs_lp(monkeypatch):
     """``_Closure.overlaps`` names the pairs of the all-pairs LP test, in its
     order, with no LP: on random closures, the overlapping colored fans, 64
-    overlapping plane cones and the golden F2 failure."""
+    overlapping plane cones and the golden F2 failure.  It names them too
+    when every pair takes the double description of Z ∩ Z' ∩ V in place of
+    the separating-facet walk, which settles some pairs and stalls on
+    others."""
     # about 5 s on a 2-core x86_64 box with Python 3.11, nearly all of it
     # the LP oracle
     relints = []
     real = colored.relative_interior_meets
     monkeypatch.setattr(colored, "relative_interior_meets", lambda *a: relints.append(a) or real(*a))
+    walks = Counter()
+    walk = colored._separated_meet
+
+    def counted_walk(*args):
+        meet = walk(*args)
+        walks[meet is not None] += 1
+        return meet
 
     def overlaps(datum, closure):
         relints.clear()
+        monkeypatch.setattr(colored, "_separated_meet", counted_walk)
         pairs = list(closure.overlaps())
         assert relints == []
         assert pairs == list(_overlapping_pairs(datum, closure.members))
+        monkeypatch.setattr(colored, "_separated_meet", lambda *args: None)
+        assert list(closure.overlaps()) == pairs
         return pairs
 
     failed = [bool(overlaps(datum, closure)) for datum, closure in random_closures(7, 100)]
@@ -182,6 +195,7 @@ def test_closure_overlaps_match_the_all_pairs_lp(monkeypatch):
     cases = [(datum, fan._facts) for datum, fan in overlapping_colored_fans()]
     cases += [(plane, _face_closure(plane, given, {})) for given in (wide, golden)]
     assert all(overlaps(datum, closure) for datum, closure in cases)
+    assert walks[True] > 2000 and walks[False] > 50
 
 
 def test_k_form_matches_the_reference_on_random_colored_actions():
