@@ -113,7 +113,6 @@ def run_command(
     lambda_csv=None,
     theta_path=None,
     as_json: bool = False,
-    force_lp: bool = False,
 ) -> CommandResult:
     """Execute one CLI command; raises InputFileError subclasses for exit code 2."""
     if command not in COMMANDS:
@@ -170,9 +169,9 @@ def run_command(
             _need(fan_path, "fan"),
             _need(action_path, "action"),
         )
-        # parse_inputs validated the fan and the action; its closure holds the faces
-        facts = inputs.fan._facts
-        result = _k_form(inputs.datum, inputs.action, inputs.fan, facts.faces, facts.maximal())
+        # parse_inputs validated the fan and the action; its closure names the maximal cones
+        maximal = inputs.fan._facts.maximal()
+        result = _k_form(inputs.datum, inputs.action, inputs.fan, maximal)
         axioms = {"invariant": result.invariant}
         if result.orbits_quasiprojective is not None:
             axioms["orbit_fans_quasiprojective"] = result.orbits_quasiprojective
@@ -198,7 +197,7 @@ def run_command(
         )
         cc = _load_single_cone(inputs.datum, _need(fan_path, "fan"))
         try:
-            verdict = monoid_has_k_form(inputs.datum, inputs.action, cc, force_lp=force_lp)
+            verdict = monoid_has_k_form(inputs.datum, inputs.action, cc)
         except MonoidConeError as exc:
             raise SemanticError(f"not a monoid cone: {exc}")
         reasons = [] if verdict else ["the face closure of the cone is not invariant"]
@@ -262,7 +261,8 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--lambda", dest="lambda_csv")
     parser.add_argument("--theta")
     parser.add_argument("--json", action="store_true")
-    parser.add_argument("--force-lp", action="store_true")
+    # monoid-kform always decides fan invariance, the k-form verdict of a monoid cone
+    parser.add_argument("--force-lp", action="store_true", help="accepted and ignored")
     return parser
 
 
@@ -290,7 +290,6 @@ def main(argv=None) -> int:
             lambda_csv=args.lambda_csv,
             theta_path=args.theta,
             as_json=args.json,
-            force_lp=args.force_lp,
         )
     except (InputFileError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

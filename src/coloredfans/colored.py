@@ -127,13 +127,14 @@ class ColoredFan:
     """The closure a fan built by :func:`fan_from_maximal_cones` was read
     off, the only place that sets it; ``ColoredFan(...)`` and
     ``dataclasses.replace`` start without.  It holds every member's colored
-    faces, found with no LP (C1-C4 included).  :func:`_checked_fan` reads
-    it, so ``has_k_form`` and the file loader derive no face and test only
-    F2, from the pairs of given cones and with no LP;
-    ``has_k_form(check=False)`` reads the faces.  CLI ``kform`` reads the
-    faces and the maximal cones (:meth:`_Closure.maximal`, by the one rule
-    :func:`_maximal`), whose images name any offender in one pass, and CLI
-    ``quasiproj`` the maximal cones, of the fan the loader validated.
+    faces, found with no LP (C1-C4 included), and counts only for the
+    datum it was closed for (:func:`_facts_for`).  :func:`_checked_fan`
+    reads it, so ``has_k_form`` and the file loader derive no face and test
+    only F2, from the pairs of given cones and with no LP;
+    ``has_k_form(check=False)`` reads the faces, and ``fileio.fan_to_obj``
+    the maximal cones.  CLI ``kform`` and ``quasiproj`` read the maximal
+    cones (:meth:`_Closure.maximal`, by the one rule :func:`_maximal`) of
+    the fan the loader validated.
     ``validate_colored_fan``, ``maximal_members``, ``build_support_lp`` and
     ``is_quasiprojective`` do not read it yet: the benchmark gate pins the work of
     ``is_quasiprojective(check=True)`` on the twisted cube by equality, and
@@ -419,6 +420,29 @@ class _Closure:
         yield from sorted(pairs)
 
 
+def _meet_generators(first: Cone, second: Cone, second_rays: set | None) -> list[IntVec]:
+    """Generators of Z ∩ Z' for the cones Z = ``first`` and Z' = ``second``
+    of two colored cones that satisfy F2 together: no valuation vector lies
+    in the relative interiors of two distinct colored faces of theirs.
+
+    ``second_rays``, the set of the canonical rays of Z', is given when Z
+    and Z' are strictly convex and lie in V.  Then they meet in a common
+    face, read off with no double description: a point w in the relative
+    interior of Z ∩ Z' lies in V, so the faces of Z and of Z' holding w in
+    their relative interiors are colored faces, each the smallest face
+    containing Z ∩ Z' (Rockafellar, *Convex Analysis*, Thm 18.2), and by F2
+    they are one cone, which is then Z ∩ Z'.  A face of a strictly convex
+    cone is the cone over the canonical rays it holds, so the generators
+    are the rays Z and Z' share, in Z's sorted order.  With no
+    ``second_rays`` they are the rays and the lineality of
+    :meth:`Cone.intersect`, its one double description.
+    """
+    if second_rays is not None:
+        return [r for r in first._rays if r in second_rays]
+    shared = first.intersect(second)
+    return [*shared._rays, *shared._lineality]
+
+
 def _separated_meet(
     first: Cone, first_faces: dict, second: Cone, second_faces: dict
 ) -> Cone | None:
@@ -557,8 +581,8 @@ def _checked_fan(datum: SphericalDatum, fan: ColoredFan) -> tuple[ValidationRepo
     give the reasons of the full route.  The faces are looked up in the
     closure.  Any other fan is validated in full.
     """
-    facts = fan._facts
-    if facts is None or facts.datum is not datum:
+    facts = _facts_for(datum, fan)
+    if facts is None:
         return _validate_fan(datum, fan)
     report = ValidationReport(subject=f"colored fan with {len(fan)} cones")
     report.notes.append(FACE_CONVENTION_NOTE)
@@ -568,6 +592,15 @@ def _checked_fan(datum: SphericalDatum, fan: ColoredFan) -> tuple[ValidationRepo
     report.checks["F1"] = True
     _record_f2(fan, report, facts.overlaps())
     return report, {cc.key(): facts.faces[cc.key()] for cc in fan}
+
+
+def _facts_for(datum: SphericalDatum, fan: ColoredFan) -> _Closure | None:
+    """The closure ``fan`` was read off (:attr:`ColoredFan._facts`) when
+    :func:`fan_from_maximal_cones` closed it for this very ``datum``; else
+    None: a closure for another datum decided its faces against another
+    valuation cone and other placements."""
+    facts = fan._facts
+    return facts if facts is not None and facts.datum is datum else None
 
 
 def _overlapping_pairs(datum: SphericalDatum, cones: Sequence[ColoredCone]):

@@ -30,6 +30,7 @@ from .colored import (
     _checked_fan,
     _closure_axioms,
     _face_closure,
+    _facts_for,
     fan_from_maximal_cones,
     member_sort_key,
 )
@@ -370,9 +371,7 @@ def fan_to_obj(datum: SphericalDatum, fan: ColoredFan) -> dict:
     """The maximal cones of the fan's face closure, sorted: read off its facts
     when :func:`fan_from_maximal_cones` built it for ``datum``, since a
     closure closed again keeps its members."""
-    facts = fan._facts
-    if facts is None or facts.datum is not datum:
-        facts = _face_closure(datum, fan, {})
+    facts = _facts_for(datum, fan) or _face_closure(datum, fan, {})
     cones = []
     for cc in sorted(facts.maximal(), key=member_sort_key):
         cones.append({"rays": [list(r) for r in cc.cone._rays], "colors": sorted(cc.colors)})

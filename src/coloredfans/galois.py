@@ -33,7 +33,7 @@ Without validation, orbit fans are built as face closures
 closure; the faces of a cone missing from it are decided from its
 intersection with the valuation cone, with no LP.  The closure names the
 overlapping and the maximal orbit cones, and each orbit fan is decided by
-row generation from its walls (see :func:`_k_form`).
+row generation from its walls (see :func:`has_k_form`).
 """
 
 from __future__ import annotations
@@ -51,7 +51,9 @@ from .colored import (
     SphericalDatum,
     _checked_fan,
     _face_closure,
+    _facts_for,
     _maximal,
+    _meet_generators,
     _valuation_part,
 )
 from .errors import ClosureCapError, InvalidFanError
@@ -492,102 +494,39 @@ def has_k_form(
     action is then a finite group of lattice automorphisms fixing V, so the
     support LP has a solution exactly when it has an invariant one, and it
     is decided over the form of one orbit cone (:func:`_orbit_forms`), whose
-    lifted forms are checked exactly.
+    lifted forms are checked exactly (see :func:`_k_form`).
+
     With ``check=False`` nothing is validated, and the action need not be a
-    finite group: the faces are looked up in the fan's facts or computed as
-    needed, every member is mapped, overlapping orbit cones are looked for
-    and reported as a (b) failure, and the support LP is solved by row
-    generation from the pairs of images that share a wall
-    (:func:`quasiproj._support_feasible`; see :func:`_k_form`).
-    """
-    if not check:
-        facts = fan._facts
-        faces = facts.faces if facts is not None and facts.datum is datum else {}
-        return _k_form(datum, action, fan, faces)
-    fan_report, faces = _checked_fan(datum, fan)
-    fan_report.require(InvalidFanError, "fan failed validation")
-    validate_action(datum, action).require(InvalidFanError, "action failed validation")
-    return _k_form(datum, action, fan, faces, _maximal(fan, faces))
-
-
-def _k_form(
-    datum: SphericalDatum,
-    action: GroupAction,
-    fan: ColoredFan,
-    faces: dict,
-    maximal: list[ColoredCone] | None = None,
-) -> KFormResult:
-    """The verdict of :func:`has_k_form` once its validation is settled.
-
-    The images are taken by :func:`_image_table`, which reads the image of
-    a strictly convex member under an invertible generator off its
-    canonical rays and builds no cone.
-
-    ``maximal``, given once fan and action have passed validation, holds
-    the maximal members in fan order (:func:`colored._maximal`), and only
-    they are mapped and their orbits looped over.  Each generator is a
-    lattice automorphism that fixes the valuation cone and the placements,
-    so it maps the colored faces of Z onto those of g.Z: on a face-closed
-    fan, a generator that keeps every maximal member keeps every member, so
-    the first generator to move a maximal member out is the first to move
-    any member out, and the offender named under it is the one of the group
-    route.  Every other member lies in the orbit fan of a maximal member,
-    and the images of a maximal member are the maximal cones of its orbit
-    fan, which no other maximal member's orbit fan holds: so a maximal
-    member already met in an orbit is skipped, and each orbit fan is decided
-    on its orbit by :func:`_orbit_forms`, one form's LP with no face
-    closure.  F1 and invariance make every orbit member a fan member, so F2
-    already rules out overlapping orbit cones.
-
-    With no ``maximal`` every member is mapped, and the action, not
-    validated, need not be a finite group of automorphisms.  ``faces`` maps
-    member keys to colored faces; the faces of a member missing from it are
-    found when its orbit is closed (:func:`colored._face_closure`), and
-    stored there (a member failing C1-C4 raises
-    :class:`InvalidColoredConeError`).  Each orbit fan not yet verified is
-    tested for overlapping cones, a (b) failure, and the first overlapping
-    pair of its closure is named (:meth:`colored._Closure.overlaps`); then
-    its support LP is posed on the maximal cones of the closure
-    (:meth:`colored._Closure.maximal`) and decided by
-    :func:`quasiproj._support_feasible`.  A member whose orbit lies inside
-    an already verified orbit fan is skipped before its orbit is closed: a
-    verified orbit fan is closed under colored faces, so it then holds the
-    whole orbit fan, and a subfan of a quasiprojective fan is
+    finite group of automorphisms; no command and no other library function
+    takes this route.  Every member is mapped (:func:`_image_table`).  The
+    colored faces come from the closure the fan was read off, when it was
+    closed for ``datum`` (:func:`colored._facts_for`); the faces of a
+    member missing from it are found when its orbit is closed
+    (:func:`colored._face_closure`), and stored there (a member failing
+    C1-C4 raises :class:`InvalidColoredConeError`).  Each orbit fan not yet
+    verified is tested for overlapping cones, a (b) failure, and the first
+    overlapping pair of its closure is named
+    (:meth:`colored._Closure.overlaps`); then its support LP is posed on
+    the maximal cones of the closure (:meth:`colored._Closure.maximal`) and
+    decided by row generation from the pairs of images that share a wall
+    (:func:`quasiproj._support_feasible`).  A member whose orbit lies
+    inside an already verified orbit fan is skipped before its orbit is
+    closed: a verified orbit fan is closed under colored faces, so it then
+    holds the whole orbit fan, and a subfan of a quasiprojective fan is
     quasiprojective (it carves out an open invariant piece).  Each skipped
     member is a colored face of a cone that passed C1-C4, and so passes
     them itself.
     """
-    offender, images, edges = _image_table(action, fan, maximal)
+    if check:
+        fan_report, faces = _checked_fan(datum, fan)
+        fan_report.require(InvalidFanError, "fan failed validation")
+        validate_action(datum, action).require(InvalidFanError, "action failed validation")
+        return _k_form(datum, action, fan, _maximal(fan, faces))
+    offender, images, _ = _image_table(action, fan)
     if offender is not None:
-        return KFormResult(
-            False,
-            invariant=False,
-            orbits_quasiprojective=None,
-            reasons=(
-                "(a) fan is not invariant under the Galois action; offending cone: "
-                f"{offender.describe()}",
-            ),
-        )
-
-    def not_quasiprojective(cc: ColoredCone) -> KFormResult:
-        return KFormResult(
-            False,
-            invariant=True,
-            orbits_quasiprojective=False,
-            reasons=(f"(b) the orbit fan of {cc.describe()} is not quasiprojective",),
-        )
-
-    if maximal is not None:
-        met: set = set()
-        for cc in sorted(maximal, key=lambda cc: -cc.cone.dim):
-            if cc.key() in met:
-                continue
-            orbit = images[cc.key()]
-            if _orbit_forms(datum, action, orbit, edges) is None:
-                return not_quasiprojective(cc)
-            met.update(orbit)
-        return KFormResult(True, invariant=True, orbits_quasiprojective=True)
-
+        return _not_invariant(offender)
+    facts = _facts_for(datum, fan)
+    faces = {} if facts is None else facts.faces
     verified: list[frozenset] = []
     for cc in sorted(fan, key=lambda cc: -cc.cone.dim):
         orbit = images[cc.key()]
@@ -606,9 +545,70 @@ def _k_form(
                 ),
             )
         if not _support_feasible(datum, closure.maximal()):
-            return not_quasiprojective(cc)
+            return _not_quasiprojective(cc)
         verified.append(frozenset(m.key() for m in closure.members))
     return KFormResult(True, invariant=True, orbits_quasiprojective=True)
+
+
+def _k_form(
+    datum: SphericalDatum, action: GroupAction, fan: ColoredFan, maximal: list[ColoredCone]
+) -> KFormResult:
+    """The verdict of :func:`has_k_form` on a fan and an action that passed
+    validation, given the maximal members in fan order
+    (:func:`colored._maximal`).
+
+    Only the maximal members are mapped, by :func:`_image_table`, which
+    reads the image of a strictly convex member under an invertible
+    generator off its canonical rays and builds no cone, and only their
+    orbits are looped over.  Each generator is a lattice automorphism that
+    fixes the valuation cone and the placements, so it maps the colored
+    faces of Z onto those of g.Z: on a face-closed fan, a generator that
+    keeps every maximal member keeps every member, so the first generator
+    to move a maximal member out is the first to move any member out, and
+    the offender named under it is the one of the group route.  Every other
+    member lies in the orbit fan of a maximal member, and the images of a
+    maximal member are the maximal cones of its orbit fan, which no other
+    maximal member's orbit fan holds: so a maximal member already met in an
+    orbit is skipped, and each orbit fan is decided on its orbit by
+    :func:`_orbit_forms`, one form's LP with no face closure.  F1 and
+    invariance make every orbit member a fan member, so F2 already rules
+    out overlapping orbit cones.
+    """
+    offender, images, edges = _image_table(action, fan, maximal)
+    if offender is not None:
+        return _not_invariant(offender)
+    met: set = set()
+    for cc in sorted(maximal, key=lambda cc: -cc.cone.dim):
+        if cc.key() in met:
+            continue
+        orbit = images[cc.key()]
+        if _orbit_forms(datum, action, orbit, edges) is None:
+            return _not_quasiprojective(cc)
+        met.update(orbit)
+    return KFormResult(True, invariant=True, orbits_quasiprojective=True)
+
+
+def _not_invariant(offender: ColoredCone) -> KFormResult:
+    """The (a) failure, naming a member that a generator maps out of the fan."""
+    return KFormResult(
+        False,
+        invariant=False,
+        orbits_quasiprojective=None,
+        reasons=(
+            "(a) fan is not invariant under the Galois action; offending cone: "
+            f"{offender.describe()}",
+        ),
+    )
+
+
+def _not_quasiprojective(cc: ColoredCone) -> KFormResult:
+    """The (b) failure of the orbit fan of ``cc``."""
+    return KFormResult(
+        False,
+        invariant=True,
+        orbits_quasiprojective=False,
+        reasons=(f"(b) the orbit fan of {cc.describe()} is not quasiprojective",),
+    )
 
 
 def _orbit_forms(
@@ -632,10 +632,9 @@ def _orbit_forms(
     * l_0 t_k s^-1 = l_0 t_{s.k} for each generator s and orbit cone Z_k
       with t_k s^-1 != t_{s.k}: then l_0 is fixed by the Schreier generator
       h = g_{s.k}^-1 s g_k != I, and these generate the stabilizer of Z_0;
-    * l_0 . (v - t_j v) = 0 on the generators v of Z_0 ∩ Z_j, for j != 0:
-      the common rays when Z_0, so each Z_j, lies in V (F2 makes the meet a
-      common face, as in :func:`quasiproj._support_rows`), else by
-      :meth:`Cone.intersect`;
+    * l_0 . (v - t_j v) = 0 on the generators v of Z_0 ∩ Z_j, for j != 0
+      (:func:`colored._meet_generators`): the common rays when Z_0, so each
+      Z_j, lies in V, else by :meth:`Cone.intersect`;
     * for each j != 0, one block: l_0 . (x - t_j x) >= 0 on the generators
       x of K_0 = Z_0 ∩ V, and >= 1 at their ray sum, which g_j maps onto
       that of K_j = g_j K_0.
@@ -667,11 +666,7 @@ def _orbit_forms(
     for key in keys[1:]:
         t = transversal[key]
         zj = orbit[key].cone
-        if part is z0:
-            rays = set(zj._rays)
-            shared = [r for r in z0._rays if r in rays]
-        else:
-            shared = z0.intersect(zj)._rays
+        shared = _meet_generators(z0, zj, set(zj._rays) if part is z0 else None)
         eqs += [_row(_minus_image(t, v), 0) for v in shared]
         ineqs += [_row(_minus_image(t, x), 0) for x in gens]
         ineqs.append(_row(_minus_image(t, witness), 1))

@@ -4,8 +4,7 @@ A monoid cone is a single colored cone carrying *all* colors of the datum,
 strictly convex, generated by the placed colors together with valuation
 vectors; its face closure is the whole (simple) fan.  Because the underlying
 variety is affine, the k-form criterion degenerates to invariance of that
-simple fan under the Galois action; an optional flag runs the full k-form
-check, support LPs included, and returns its verdict.
+simple fan under the Galois action, and that is the one check run.
 
 Fan morphisms are checked against supplied morphism data: a surjective
 linear map that carries the source valuation cone onto the target one, plus
@@ -28,7 +27,7 @@ from .colored import (
 )
 from .cones import cone_from_generators
 from .errors import InvalidColoredConeError, MonoidConeError, NotInvolutionError, SemanticError
-from .galois import GroupAction, has_k_form, is_fan_invariant
+from .galois import GroupAction, is_fan_invariant
 from .linalg import RatMat, identity, mat, matmul, matvec, neg, rank, vec
 from .reports import ValidationReport
 
@@ -76,18 +75,22 @@ def monoid_cone_from_valuations(
     return cc
 
 
-def monoid_has_k_form(
-    datum: SphericalDatum,
-    action: GroupAction,
-    cc: ColoredCone,
-    force_lp: bool = False,
-) -> bool:
+def monoid_has_k_form(datum: SphericalDatum, action: GroupAction, cc: ColoredCone) -> bool:
     """k-form existence for a monoid cone: invariance of its face closure.
 
-    The quasiprojectivity side is skipped on purpose (the monoid is affine);
-    ``force_lp`` returns the verdict of the full k-form check instead, orbit
-    fans and their support LPs included.  The closure checks the cone
-    against C1-C4 once; :func:`is_monoid_cone` runs only to name a failure.
+    The quasiprojectivity side holds on its own (the monoid is affine), and
+    ``has_k_form(check=False)`` on the closure gives the same verdict.  On a
+    fan that is not invariant both answer no.  On an invariant one:
+
+    * every image of a member is a face of the cone Z;
+    * Z has the top dimension, so it is handled first, and its orbit
+      closure is the whole face fan, with Z as its only maximal cone and no
+      overlap, all its members being faces of Z;
+    * a support LP on one cone has no row, so it is feasible, and every
+      other orbit lies inside that closure and is skipped.
+
+    The closure checks the cone against C1-C4 once; :func:`is_monoid_cone`
+    runs only to name a failure.
     """
     fan = None
     if datum.check_colors(cc.colors) == set(datum.colors):
@@ -95,9 +98,7 @@ def monoid_has_k_form(
             fan = fan_from_maximal_cones(datum, [cc])
     if fan is None:
         is_monoid_cone(datum, cc).report.require(MonoidConeError, "not a monoid cone")
-    if not force_lp:
-        return is_fan_invariant(datum, action, fan)
-    return has_k_form(datum, action, fan, check=False).verdict
+    return is_fan_invariant(datum, action, fan)
 
 
 @dataclass(frozen=True)

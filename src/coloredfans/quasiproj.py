@@ -24,9 +24,10 @@ The LP is decided on two routes here, which give the same verdict:
   other two return or print its forms.
 * row generation (:func:`_support_feasible`), for a caller that needs only
   the verdict: ``has_k_form(check=False)``, on each orbit fan's closure,
-  where the action, not validated, need not be a finite group.  It starts
-  from the row blocks of the pairs of maximal cones that share a wall and
-  adds the blocks that its point violates.
+  where the action, not validated, need not be a finite group; no command
+  and no other library function reaches it.  It starts from the row blocks
+  of the pairs of maximal cones that share a wall and adds the blocks that
+  its point violates.
 
 A validated action is a finite group, and ``galois._orbit_forms`` decides
 each orbit fan of ``has_k_form(check=True)`` and CLI ``kform`` on a third,
@@ -37,8 +38,8 @@ Both build their rows in one place (:func:`_support_rows`), from the parts
 K_k = Z_k ∩ V that the caller hands in.  :func:`_support_feasible` and CLI
 ``quasiproj`` take them from :func:`colored._valuation_part`, which is Z_k
 itself, with no double description, when Z_k lies in V; two such cones meet
-in the cone over their common rays, so their pair takes no double
-description either (F2 makes it a common face).  Only
+in the cone over their common rays (:func:`colored._meet_generators`), so
+their pair takes no double description either.  Only
 :func:`build_support_lp` intersects every maximal cone with V, and so every
 pair of maximal cones with each other.
 """
@@ -53,6 +54,7 @@ from .colored import (
     ColoredFan,
     SphericalDatum,
     _maximal,
+    _meet_generators,
     _valuation_part,
     colored_faces,
     validate_colored_fan,
@@ -132,18 +134,12 @@ def _support_rows(
     generators of K_k, then the witness row), and per block whether Z_k and
     Z_l share a wall: dim(Z_k ∩ Z_l) = dim Z_k - 1.
 
-    ``maximal`` must satisfy F2: no valuation vector lies in the relative
-    interiors of two distinct colored faces of its cones.  Then two strictly
-    convex cones Z_k, Z_l that lie in V, handed in as their own parts, meet
-    in a common face, read off with no double description: a point w in the
-    relative interior of Z_k ∩ Z_l lies in V, so the faces of Z_k and of Z_l
-    holding w in their relative interiors are colored faces, each the
-    smallest face containing Z_k ∩ Z_l (Rockafellar, *Convex Analysis*, Thm
-    18.2), and by F2 they are one cone, which is then Z_k ∩ Z_l.  A face of
-    a strictly convex cone is the cone over the canonical rays it holds, so
-    Z_k ∩ Z_l is the cone over the rays Z_k and Z_l share, in Z_k's sorted
-    order, and its dimension is their rank.  Any other pair is intersected
-    with :meth:`Cone.intersect`."""
+    ``maximal`` must satisfy F2.  Then :func:`colored._meet_generators`
+    reads Z_k ∩ Z_l off the rays Z_k and Z_l share, with no double
+    description, when both are strictly convex and handed in as their own
+    parts, that is when they lie in V; any other pair is intersected with
+    :meth:`Cone.intersect`.  The dimension of Z_k ∩ Z_l is the rank of its
+    generators."""
     n = datum.dim
 
     def difference_row(k: int, l: int, g: Sequence[int]) -> list[tuple[int, int]]:
@@ -162,13 +158,9 @@ def _support_rows(
     shared_dims = {}
     for k in range(len(maximal)):
         for l in range(k + 1, len(maximal)):
-            if ray_sets[k] is not None and ray_sets[l] is not None:
-                gens = [r for r in maximal[k].cone._rays if r in ray_sets[l]]
-                shared_dims[k, l] = shared_dims[l, k] = len(_echelon(gens)[1])
-            else:
-                shared = maximal[k].cone.intersect(maximal[l].cone)
-                shared_dims[k, l] = shared_dims[l, k] = shared.dim
-                gens = shared._rays + shared._lineality
+            second_rays = ray_sets[l] if ray_sets[k] is not None else None
+            gens = _meet_generators(maximal[k].cone, maximal[l].cone, second_rays)
+            shared_dims[k, l] = shared_dims[l, k] = len(_echelon(gens)[1])
             for g in gens:
                 eqs.append((difference_row(k, l, g), 0, 1))
     blocks, walls = [], []

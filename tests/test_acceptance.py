@@ -242,7 +242,8 @@ def test_monoid_suite():
         assert is_monoid_cone(plane, cone).verdict
         fan = fan_from_maximal_cones(plane, [cone])
         invariant = is_fan_invariant(plane, swap_action, fan)
-        assert monoid_has_k_form(plane, swap_action, cone, force_lp=True) == invariant
+        assert monoid_has_k_form(plane, swap_action, cone) == invariant
+        assert has_k_form(plane, swap_action, fan, check=False).verdict == invariant
         built += 1
     print("PASS monoid-suite (50 valuation sets)")
 
@@ -303,7 +304,6 @@ def test_cli_and_serialization():
         datum_path=fx("datum_toric2.json"),
         fan_path=fx("fan_a2_monoid.json"),
         action_path=fx("action_swap.json"),
-        force_lp=True,
     ).exit_code == 0
     assert run_command(
         "morphism",

@@ -86,7 +86,6 @@ def test_monoid_commands():
         datum_path=fx("datum_toric2.json"),
         fan_path=fx("fan_a2_monoid.json"),
         action_path=fx("action_swap.json"),
-        force_lp=True,
     )
     assert kform.exit_code == 0
 
@@ -397,9 +396,9 @@ def test_support_lp_rows_are_counted_exactly():
     assert max(counts) <= fileio.MAX_SUPPORT_ROWS
 
 
-def test_monoid_kform_checks_the_monoid_cone_once(monkeypatch):
+def test_monoid_kform_checks_the_monoid_cone_once(monkeypatch, capsys):
     """``monoid-kform`` checks its cone against C1-C4 once, in the closure of
-    the cone, with or without ``force_lp``: ``is_monoid_cone`` runs only to
+    the cone, with or without ``--force-lp``: ``is_monoid_cone`` runs only to
     name a failure."""
     import coloredfans
     from coloredfans import colored, monoid
@@ -416,16 +415,16 @@ def test_monoid_kform_checks_the_monoid_cone_once(monkeypatch):
                 monkeypatch.setattr(module, "_closure_axioms", counting)
     naming = monoid.is_monoid_cone
     monkeypatch.setattr(monoid, "is_monoid_cone", lambda *a: named.append(a) or naming(*a))
-    for force_lp in (False, True):
+    argv = [
+        "monoid-kform",
+        "--datum", fx("datum_toric2.json"),
+        "--fan", fx("fan_a2_monoid.json"),
+        "--action", fx("action_swap.json"),
+    ]
+    for flags in ([], ["--force-lp"]):
         checked.clear()
-        result = run_command(
-            "monoid-kform",
-            datum_path=fx("datum_toric2.json"),
-            fan_path=fx("fan_a2_monoid.json"),
-            action_path=fx("action_swap.json"),
-            force_lp=force_lp,
-        )
-        assert result.exit_code == 0
+        assert main(argv + flags) == 0
+        assert "verdict: PASS" in capsys.readouterr().out
         assert len(checked) == 1 and named == []
 
 
@@ -957,6 +956,30 @@ def test_cli_golden_output(command, tmp_path, capsys):
     assert (code, capsys.readouterr().out) == GOLDEN[command]
 
 
+def test_force_lp_changes_no_monoid_kform_output(tmp_path, capsys):
+    """``--force-lp`` is accepted and ignored: every ``monoid-kform`` command
+    of the golden file, in text and --json form, prints the same bytes, on
+    stdout and stderr, and exits with the same code without it."""
+    for name, obj in GOLDEN_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    commands = [c for c in GOLDEN if c.split()[0] == "monoid-kform"]
+    assert len(commands) == 4 and all("--force-lp" in c.split() for c in commands)
+    assert {"--json" in c.split() for c in commands} == {False, True}
+    for command in commands:
+        argv = [
+            str(tmp_path / arg if arg in GOLDEN_INPUTS else FIXTURES / arg)
+            if arg.endswith(".json")
+            else arg
+            for arg in command.split()
+        ]
+        runs = []
+        for args in (argv, [arg for arg in argv if arg != "--force-lp"]):
+            code = main(args)
+            runs.append((code, capsys.readouterr()))
+        assert runs[0] == runs[1], command
+        assert (runs[0][0], runs[0][1].out) == GOLDEN[command]
+
+
 # -- the LP route stays behind the library entry points -------------------------
 
 
@@ -1018,8 +1041,7 @@ def test_commands_reach_the_lp_route_only_through_f2_failures(monkeypatch, tmp_p
             for action in kinds["action"]:
                 paths = dict(datum_path=datum, fan_path=fan, action_path=action)
                 runs.append(("kform", paths))
-                for force_lp in (False, True):
-                    runs.append(("monoid-kform", dict(paths, force_lp=force_lp)))
+                runs.append(("monoid-kform", paths))
     for theta, weight in itertools.product(kinds["theta"], ("1,2", "-1,0")):
         runs.append(("lined", dict(theta_path=theta, lambda_csv=weight)))
     assert {command for command, _ in runs} == set(COMMANDS)

@@ -1031,9 +1031,10 @@ def test_invariance_and_orbits_never_enumerate_the_group(
     assert has_k_form(toric_plane, swap, p1xp1_fan, check=False).verdict
     monoid_cone = ColoredCone(cone_from_generators([(-1, 0), (0, -1)], 2))
     skew = ColoredCone(cone_from_generators([(-1, 0), (-1, -1)], 2))
-    for force_lp in (False, True):
-        assert monoid_has_k_form(toric_plane, swap, monoid_cone, force_lp=force_lp)
-        assert not monoid_has_k_form(toric_plane, swap, skew, force_lp=force_lp)
+    for cone, expected in ((monoid_cone, True), (skew, False)):
+        assert monoid_has_k_form(toric_plane, swap, cone) == expected
+        closure = fan_from_maximal_cones(toric_plane, [cone])
+        assert has_k_form(toric_plane, swap, closure, check=False).verdict == expected
 
     shear = action_from_generators(toric_plane, [GroupElement.make([[1, 1], [0, 1]])])
     axis = fan_from_maximal_cones(toric_plane, [
@@ -1048,9 +1049,10 @@ def test_invariance_and_orbits_never_enumerate_the_group(
         "(cone rays=[(0,-1)]; colors=[])",
     )
     ray = ColoredCone(cone_from_generators([(1, 0)], 2))
-    for force_lp in (False, True):
-        assert monoid_has_k_form(toric_plane, shear, ray, force_lp=force_lp)
-        assert not monoid_has_k_form(toric_plane, shear, monoid_cone, force_lp=force_lp)
+    for cone, expected in ((ray, True), (monoid_cone, False)):
+        assert monoid_has_k_form(toric_plane, shear, cone) == expected
+        closure = fan_from_maximal_cones(toric_plane, [cone])
+        assert has_k_form(toric_plane, shear, closure, check=False).verdict == expected
     assert perf_counter() - start < 0.1
 
     monkeypatch.undo()

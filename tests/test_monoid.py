@@ -7,7 +7,7 @@ from conftest import random_complete_2d_fan, random_unimodular, toric_datum
 from coloredfans.colored import ColoredCone, fan_from_maximal_cones, validate_colored_cone
 from coloredfans.cones import cone_from_generators
 from coloredfans.errors import MonoidConeError, NotInvolutionError, SemanticError
-from coloredfans.galois import GroupElement, action_from_generators
+from coloredfans.galois import GroupElement, action_from_generators, has_k_form
 from coloredfans.linalg import vec
 from coloredfans.monoid import (
     MorphismData,
@@ -85,29 +85,34 @@ def test_monoid_k_form(toric_plane):
     swap = action_from_generators(toric_plane, [GroupElement.make([[0, 1], [1, 0]])])
     ident = action_from_generators(toric_plane, [])
     plane_monoid = cc([(-1, 0), (0, -1)], 2)
-    assert monoid_has_k_form(toric_plane, swap, plane_monoid, force_lp=True)
+    assert monoid_has_k_form(toric_plane, swap, plane_monoid)
     skew = cc([(-1, 0), (-1, -1)], 2)
-    assert not monoid_has_k_form(toric_plane, swap, skew, force_lp=True)
-    assert monoid_has_k_form(toric_plane, ident, skew, force_lp=True)
+    assert not monoid_has_k_form(toric_plane, swap, skew)
+    assert monoid_has_k_form(toric_plane, ident, skew)
+
+
+def seeded_monoid_cones(datum, seed, count):
+    """``count`` monoid cones of ``datum`` from seeded valuation sets."""
+    rng = random.Random(seed)
+    cones = []
+    while len(cones) < count:
+        vs = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(1, 3))]
+        try:
+            cones.append(monoid_cone_from_valuations(datum, vs))
+        except MonoidConeError:
+            continue
+    return cones
 
 
 def test_monoid_k_form_matches_fan_invariance(toric_plane):
     from coloredfans.galois import is_fan_invariant
 
-    rng = random.Random(11)
     swap = action_from_generators(toric_plane, [GroupElement.make([[0, 1], [1, 0]])])
-    checked = 0
-    while checked < 10:
-        vs = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(1, 3))]
-        try:
-            cone = monoid_cone_from_valuations(toric_plane, vs)
-        except MonoidConeError:
-            continue
+    for cone in seeded_monoid_cones(toric_plane, 11, 10):
         fan = fan_from_maximal_cones(toric_plane, [cone])
-        assert monoid_has_k_form(toric_plane, swap, cone, force_lp=True) == is_fan_invariant(
+        assert monoid_has_k_form(toric_plane, swap, cone) == is_fan_invariant(
             toric_plane, swap, fan
         )
-        checked += 1
 
 
 def test_non_monoid_cone_rejected_by_k_form(toric_line):
@@ -204,26 +209,20 @@ def test_monoid_k_form_conjugation_covariance(toric_plane):
             )
 
 
-def test_monoid_k_form_matches_reference_with_and_without_lp(toric_plane):
-    """Both values of ``force_lp`` give the verdict of the rebuilding
-    reference on the cone's face closure, on the monoid k-form cases above
-    and in test_galois.py.  The shear of test_galois.py is left out: the
-    reference enumerates the group, and the shear's is infinite."""
+def reference_cases(toric_plane):
+    """The monoid k-form cases above and in test_galois.py, as (datum,
+    generators, cone), with the group finite: the swap and the identity on
+    two cones, the swap on ten seeded cones and on two cones moved by six
+    seeded base changes, and a colored datum under a reflection and under
+    the identity."""
     from coloredfans.colored import SphericalDatum
     from coloredfans.linalg import matmul
     from reference_exact import reference_invert
-    from reference_kform import reference_has_k_form
 
     swap = GroupElement.make([[0, 1], [1, 0]])
     plane_monoid, skew = cc([(-1, 0), (0, -1)], 2), cc([(-1, 0), (-1, -1)], 2)
     cases = [(toric_plane, gens, cone) for gens in ([swap], []) for cone in (plane_monoid, skew)]
-    rng = random.Random(11)
-    while len(cases) < 14:
-        vs = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(1, 3))]
-        try:
-            cases.append((toric_plane, [swap], monoid_cone_from_valuations(toric_plane, vs)))
-        except MonoidConeError:
-            continue
+    cases += [(toric_plane, [swap], cone) for cone in seeded_monoid_cones(toric_plane, 11, 10)]
     rng = random.Random(73)
     for cone in (plane_monoid, skew):
         for _ in range(3):
@@ -234,16 +233,50 @@ def test_monoid_k_form_matches_reference_with_and_without_lp(toric_plane):
     colored_datum = SphericalDatum(2, toric_plane.valuation_cone, ("D",), {"D": (1, 0)})
     for gens in ([], [GroupElement.make([[1, 0], [0, -1]])]):
         cases.append((colored_datum, gens, cc([(1, 0), (0, -1)], 2, ["D"])))
+    return cases
 
+
+def test_monoid_k_form_matches_reference_with_and_without_lp(toric_plane):
+    """``monoid_has_k_form``, which runs no LP, gives the verdict of the
+    rebuilding reference's full k-form check, support LPs included, on the
+    cone's face closure (:func:`reference_cases`).  The shear of
+    test_galois.py is left out: the reference enumerates the group, and the
+    shear's is infinite."""
+    from reference_kform import reference_has_k_form
+
+    verdicts = []
+    for datum, gens, cone in reference_cases(toric_plane):
+        action = action_from_generators(datum, gens)
+        fan = fan_from_maximal_cones(datum, [cone])
+        expected = reference_has_k_form(datum, action, fan, check=False).verdict
+        assert monoid_has_k_form(datum, action, cone) == expected
+        verdicts.append(expected)
+    assert len(verdicts) == 22 and 0 < sum(verdicts) < 22
+
+
+def test_unvalidated_k_form_of_the_closure_is_the_monoid_verdict(toric_plane):
+    """``has_k_form(check=False)``, the full k-form check with its orbit
+    closures, overlap test and support LPs, gives the verdict of
+    ``monoid_has_k_form`` on the face closure of a monoid cone: on
+    :func:`reference_cases`, which hold the seeded cones of
+    ``test_monoid_k_form_matches_fan_invariance`` and the swap cases of
+    test_galois.py, and on the unvalidated actions there, a shear, whose
+    group is infinite, and a singular projection, which maps a cone onto a
+    face."""
+    shear = GroupElement.make([[1, 1], [0, 1]])
+    projection = GroupElement.make([[1, 0], [0, 0]])
+    plane_monoid, skew = cc([(-1, 0), (0, -1)], 2), cc([(-1, 0), (-1, -1)], 2)
+    ray = cc([(1, 0)], 2)
+    cases = reference_cases(toric_plane)
+    cases += [(toric_plane, [shear], cone) for cone in (ray, plane_monoid)]
+    cases += [(toric_plane, [projection], cone) for cone in (plane_monoid, skew, ray)]
     verdicts = []
     for datum, gens, cone in cases:
         action = action_from_generators(datum, gens)
         fan = fan_from_maximal_cones(datum, [cone])
-        expected = reference_has_k_form(datum, action, fan, check=False).verdict
-        for force_lp in (False, True):
-            assert monoid_has_k_form(datum, action, cone, force_lp=force_lp) == expected
-        verdicts.append(expected)
-    assert len(verdicts) == 22 and 0 < sum(verdicts) < 22
+        verdicts.append(monoid_has_k_form(datum, action, cone))
+        assert has_k_form(datum, action, fan, check=False).verdict == verdicts[-1]
+    assert len(verdicts) == 27 and 0 < sum(verdicts) < 27
 
 
 def projection_morphism():
