@@ -40,6 +40,7 @@ from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
+from .errors import DoubleDescriptionCapError
 from .linalg import (
     IntVec,
     RatMat,
@@ -50,6 +51,15 @@ from .linalg import (
     _over_common_denominator,
     _scaled_inverse,
 )
+
+
+# Most candidate ray pairs, a positive and a negative ray of one row, that
+# one ``_dd`` call may test; the pairs, not the rays, are where a double
+# description blows up.  The cone over the moment curve (1, t, ..., t^7),
+# t = 1..n, reaches 12k at n = 11, the largest call the tier-1 tests finish,
+# and 5.0M at n = 14 (about 1 s); at n = 15 it would reach 22M and is refused
+# after about 2.4 s, on a 2-core x86_64 box with Python 3.11.
+MAX_DD_PAIRS = 10**7
 
 
 @cache
@@ -67,14 +77,19 @@ def _dd(rows: Sequence[Sequence[int]], dim: int) -> tuple[list[IntVec], list[Int
     with its tight set, so a ray of positive and a ray of negative value on
     the new row are adjacent exactly when no third ray's tight set contains
     their common one (Fukuda & Prodon, "Double description method
-    revisited", 1996).  No elimination runs.
+    revisited", 1996).  No elimination runs.  Two adjacent rays span a
+    2-face, and the rows tight on it have rank dim - len(lin) - 2, so a pair
+    whose common set holds fewer rows is skipped before that scan.
 
     A tight set is an ``int`` bit mask over the row indices, and the count
     of rays tight on a common set stops at the third.  The peel and combine
     steps spell out :func:`linalg._combine`, each new vector divided by the
-    gcd of its entries.
+    gcd of its entries.  :class:`errors.DoubleDescriptionCapError` is raised
+    once the pairs of a positive and a negative ray, summed over the rows,
+    exceed :data:`MAX_DD_PAIRS`, before any of the row's pairs is tested.
     """
     lin: list[IntVec] = list(_unit_vectors(dim))
+    pairs = 0
     # each ray carries the bit mask of the processed rows that vanish on it
     rays: list[tuple[IntVec, int]] = []
     for idx, a in enumerate(rows):
@@ -113,10 +128,19 @@ def _dd(rows: Sequence[Sequence[int]], dim: int) -> tuple[list[IntVec], list[Int
                 else:
                     kept.append((r, tight | bit))
             if plus and minus:
+                pairs += len(plus) * len(minus)
+                if pairs > MAX_DD_PAIRS:
+                    raise DoubleDescriptionCapError(
+                        f"double description: {pairs} candidate ray pairs, "
+                        f"more than {MAX_DD_PAIRS}"
+                    )
+                least = dim - len(lin) - 2
                 tights = [tight for _, tight in rays]
                 for rp, tp, vp in plus:
                     for rm, tm, vm in minus:
                         common = tp & tm
+                        if common.bit_count() < least:
+                            continue
                         # adjacent: rp and rm are the only rays tight on all of common
                         count = 0
                         for tight in tights:

@@ -33,6 +33,10 @@ class ClosureCapError(ValueError):
     """Group closure exceeded the configured size cap."""
 
 
+class DoubleDescriptionCapError(ValueError):
+    """A double description tested more candidate ray pairs than its cap."""
+
+
 class EliminationCapError(ValueError):
     """Fourier-Motzkin elimination was asked for more variables than its cap."""
 

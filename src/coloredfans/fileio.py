@@ -46,10 +46,12 @@ MAX_DIM = 64
 # Most cones a fan may list, and most rays a cone may list (generators, for a
 # valuation cone): the closure checks every given cone and F2 compares every
 # pair, and a double description grows with the rays.  Both are checked
-# before any cone of the file is built.  512 overlapping plane cones, on
-# (1, k) and (1, k+2), fail F2 at 1023 pairs: `validate` takes 3-4 s on a
-# 2-core x86_64 box with Python 3.11.  The cone over the cube {1} x {-1,1}^7
-# has 128 rays.
+# before any cone of the file is built.  Few rays can still make a huge
+# double description, 40 on the moment curve in dimension 8: it stops at
+# ``cones.MAX_DD_PAIRS`` candidate ray pairs, an input error.  512
+# overlapping plane cones, on (1, k) and (1, k+2), fail F2 at 1023 pairs:
+# `validate` takes 3-4 s on a 2-core x86_64 box with Python 3.11.  The cone
+# over the cube {1} x {-1,1}^7 has 128 rays.
 MAX_CONES = 512
 MAX_RAYS = 256
 # Most faces the given cones of one fan may have together, counted while

@@ -26,16 +26,16 @@ The LP is decided on two routes here, which give the same verdict:
   the verdict: ``has_k_form(check=False)``, on each orbit fan's closure,
   where the action, not validated, need not be a finite group; no command
   and no other library function reaches it.  It starts from the row blocks
-  of the pairs of maximal cones that share a wall and adds the blocks that
-  its point violates.
+  of the pairs of maximal cones that share a wall, a fact only it reads and
+  so only it ranks, and adds the blocks that its point violates.
 
 A validated action is a finite group, and ``galois._orbit_forms`` decides
 each orbit fan of ``has_k_form(check=True)`` and CLI ``kform`` on a third,
 smaller LP: over the form of one orbit cone, whose solutions lift to
 invariant solutions of the all-pairs LP.
 
-Both build their rows in one place (:func:`_support_rows`), from the parts
-K_k = Z_k ∩ V that the caller hands in.  :func:`_support_feasible` and CLI
+Both build their rows in one place (:func:`_support_rows`), with no rank,
+from the parts K_k = Z_k ∩ V that the caller hands in.  :func:`_support_feasible` and CLI
 ``quasiproj`` take them from :func:`colored._valuation_part`, which is Z_k
 itself, with no double description, when Z_k lies in V; two such cones meet
 in the cone over their common rays (:func:`colored._meet_generators`), so
@@ -127,19 +127,18 @@ def _valuation_parts(datum: SphericalDatum, maximal: Sequence[ColoredCone]) -> l
 
 def _support_rows(
     datum: SphericalDatum, maximal: Sequence[ColoredCone], parts: Sequence[Cone]
-) -> tuple[list[SparseRow], list[list[SparseRow]], list[bool]]:
+) -> tuple[list[SparseRow], list[list[SparseRow]], dict[tuple[int, int], list]]:
     """The rows of :func:`_support_lp` on ``maximal``, given ``parts``, the
     cones K_k = Z_k ∩ V in order: the equality rows, the inequality rows in
     blocks, one per ordered pair (k, l), k != l, in that order (the
-    generators of K_k, then the witness row), and per block whether Z_k and
-    Z_l share a wall: dim(Z_k ∩ Z_l) = dim Z_k - 1.
+    generators of K_k, then the witness row), and by (k, l), k < l, the
+    generators of Z_k ∩ Z_l that the pair's equality rows are built from.
 
     ``maximal`` must satisfy F2.  Then :func:`colored._meet_generators`
     reads Z_k ∩ Z_l off the rays Z_k and Z_l share, with no double
     description, when both are strictly convex and handed in as their own
     parts, that is when they lie in V; any other pair is intersected with
-    :meth:`Cone.intersect`.  The dimension of Z_k ∩ Z_l is the rank of its
-    generators."""
+    :meth:`Cone.intersect`."""
     n = datum.dim
 
     def difference_row(k: int, l: int, g: Sequence[int]) -> list[tuple[int, int]]:
@@ -154,32 +153,27 @@ def _support_rows(
         for cc, part in zip(maximal, parts)
     ]
     # every vector below is integral, so each row is over the scale s = 1
-    eqs = []
-    shared_dims = {}
+    eqs, meets = [], {}
     for k in range(len(maximal)):
         for l in range(k + 1, len(maximal)):
             second_rays = ray_sets[l] if ray_sets[k] is not None else None
-            gens = _meet_generators(maximal[k].cone, maximal[l].cone, second_rays)
-            shared_dims[k, l] = shared_dims[l, k] = len(_echelon(gens)[1])
+            gens = meets[k, l] = _meet_generators(maximal[k].cone, maximal[l].cone, second_rays)
             for g in gens:
                 eqs.append((difference_row(k, l, g), 0, 1))
-    blocks, walls = [], []
-    for k, (zk, valuation_part) in enumerate(zip(maximal, parts)):
-        gens = valuation_part._generators()
-        witness = _ray_sum(valuation_part._rays, n)
+    blocks = []
+    for k, part in enumerate(parts):
+        # (l_Z - l_Z') . g >= 0 on the generators g of K_k, >= 1 at its witness
+        rows = [(g, 0) for g in part._generators()] + [(_ray_sum(part._rays, n), 1)]
         for l in range(len(maximal)):
-            if l == k:
-                continue
-            block = [(difference_row(k, l, g), 0, 1) for g in gens]
-            block.append((difference_row(k, l, witness), 1, 1))
-            blocks.append(block)
-            walls.append(shared_dims[k, l] == zk.cone.dim - 1)
-    return eqs, blocks, walls
+            if l != k:
+                blocks.append([(difference_row(k, l, g), b, 1) for g, b in rows])
+    return eqs, blocks, meets
 
 
 def _support_feasible(datum: SphericalDatum, maximal: Sequence[ColoredCone]) -> bool:
     """Whether the LP of :func:`_support_lp` on ``maximal`` is feasible, by
-    row generation from the blocks of the pairs that share a wall.
+    row generation from the blocks (k, l) of the pairs that share a wall,
+    rank(Z_k ∩ Z_l) = dim Z_k - 1; no other route ranks a meet.
 
     Each round solves the equality rows and the active blocks.  No point
     means no point of the full LP, whose rows include them.  A point that
@@ -189,8 +183,13 @@ def _support_feasible(datum: SphericalDatum, maximal: Sequence[ColoredCone]) -> 
     solved at once: the equality rows alone give the origin, which fails
     every witness row, so every block would join.
     """
-    eqs, blocks, active = _support_rows(datum, maximal, _valuation_parts(datum, maximal))
+    eqs, blocks, meets = _support_rows(datum, maximal, _valuation_parts(datum, maximal))
     num_vars = datum.dim * len(maximal)
+    rank = {pair: len(_echelon(gens)[1]) for pair, gens in meets.items()}
+    active = [
+        rank[min(k, l), max(k, l)] == cc.cone.dim - 1
+        for k, cc in enumerate(maximal) for l in range(len(maximal)) if l != k
+    ]
     if not any(active):
         active = [True] * len(blocks)
     while True:

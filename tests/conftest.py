@@ -158,6 +158,13 @@ def cube_pattern_cones(pattern: int):
     return tuple(cones)
 
 
+def moment_curve(d: int, n: int) -> list[tuple[int, ...]]:
+    """The points (1, t, ..., t^(d-1)) of the moment curve, t = 1..n.  The
+    cone over them has all n as rays, and its facets grow like n^(d/2): a
+    worst case for the double description."""
+    return [tuple(t**i for i in range(d)) for t in range(1, n + 1)]
+
+
 def twisted_cube_fan(datum: SphericalDatum):
     maximal = [
         ColoredCone(cone_from_generators(triple, 3)) for triple in TWISTED_CUBE_CONES

@@ -10,7 +10,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from conftest import cube_pattern_cones, toric_datum
+from conftest import cube_pattern_cones, moment_curve, toric_datum
+from golden import GOLDEN, golden_argv, write_inputs
 from random_colored import random_colored_action, random_colored_cone, random_datum
 
 from coloredfans import cli, fileio
@@ -255,6 +256,22 @@ def test_face_limit_counts_the_faces_of_all_given_cones(
     assert out == "" and err.splitlines() == ["input error: fan.cones: more than 4096 faces in all"]
     assert len(faces) <= built + fileio.MAX_FACES
     assert elapsed < 5
+
+
+def test_double_description_cap_is_an_input_error(tmp_path, capsys):
+    """A cone over 40 points of the moment curve in dimension 8 passes the
+    file limits, but its double description passes ``cones.MAX_DD_PAIRS``
+    candidate ray pairs: one input error line, no output, within seconds."""
+    datum, _ = cube_cone_files(tmp_path, 8, ())
+    fan = tmp_path / "moment.json"
+    fan.write_text(json.dumps({"cones": [{"rays": moment_curve(8, 40)}]}))
+    start = time.perf_counter()
+    assert main(["validate", "--datum", datum, "--fan", str(fan)]) == 2
+    # about 1.1 s on a 2-core x86_64 box with Python 3.11
+    assert time.perf_counter() - start < 10
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("input error: double description: ") and "candidate ray pairs" in err
 
 
 def test_valuation_generator_limit_is_an_input_error(tmp_path, capsys):
@@ -912,47 +929,13 @@ def test_console_entry(capsys):
 
 # -- golden output ----------------------------------------------------------
 
-# Failing inputs the golden cases read; a file name missing here is a fixture.
-GOLDEN_INPUTS = {
-    "fan_c3.json": {"cones": [{"rays": [[1, 0], [-1, 0]], "colors": []}]},
-    "fan_f2.json": {"cones": [{"rays": [[1, 0], [0, 1]]}, {"rays": [[1, 0], [1, 1]]}]},
-    "action_scale.json": {"generators": [{"matrix": [[2, 0], [0, 1]], "color_perm": {}}]},
-    "morphism_c3_target.json": {
-        "matrix": [[1, 0]],
-        "target_datum": {"dim": 1, "valuation_cone": {"generators": [[1], [-1]]}},
-        "target_fan": {"cones": [{"rays": [[1], [-1]]}]},
-    },
-}
-
-
-def _read_golden(path: Path) -> dict[str, tuple[int, str]]:
-    """Command line (file names only) -> (exit code, exact stdout).
-
-    The file holds blocks ``### <command line>``, ``exit <code>``, then the
-    stdout verbatim.
-    """
-    cases = {}
-    for block in path.read_text().split("### ")[1:]:
-        command, code, stdout = block.split("\n", 2)
-        cases[command] = (int(code.removeprefix("exit ")), stdout)
-    return cases
-
-
-GOLDEN = _read_golden(Path(__file__).parent / "cli_golden.txt")
-
 
 @pytest.mark.parametrize("command", list(GOLDEN))
 def test_cli_golden_output(command, tmp_path, capsys):
     # every cli_files benchmark command on the shipped fixtures plus failing
     # inputs, in text and --json form: exit code and stdout byte for byte
-    for name, obj in GOLDEN_INPUTS.items():
-        (tmp_path / name).write_text(json.dumps(obj))
-    argv = []
-    for arg in command.split():
-        if arg.endswith(".json"):
-            arg = str(tmp_path / arg if arg in GOLDEN_INPUTS else FIXTURES / arg)
-        argv.append(arg)
-    code = main(argv)
+    write_inputs(tmp_path)
+    code = main(golden_argv(command, tmp_path))
     assert (code, capsys.readouterr().out) == GOLDEN[command]
 
 
@@ -960,18 +943,12 @@ def test_force_lp_changes_no_monoid_kform_output(tmp_path, capsys):
     """``--force-lp`` is accepted and ignored: every ``monoid-kform`` command
     of the golden file, in text and --json form, prints the same bytes, on
     stdout and stderr, and exits with the same code without it."""
-    for name, obj in GOLDEN_INPUTS.items():
-        (tmp_path / name).write_text(json.dumps(obj))
+    write_inputs(tmp_path)
     commands = [c for c in GOLDEN if c.split()[0] == "monoid-kform"]
     assert len(commands) == 4 and all("--force-lp" in c.split() for c in commands)
     assert {"--json" in c.split() for c in commands} == {False, True}
     for command in commands:
-        argv = [
-            str(tmp_path / arg if arg in GOLDEN_INPUTS else FIXTURES / arg)
-            if arg.endswith(".json")
-            else arg
-            for arg in command.split()
-        ]
+        argv = golden_argv(command, tmp_path)
         runs = []
         for args in (argv, [arg for arg in argv if arg != "--force-lp"]):
             code = main(args)
@@ -993,8 +970,7 @@ def test_commands_reach_the_lp_route_only_through_f2_failures(monkeypatch, tmp_p
     import coloredfans
     from coloredfans import colored
 
-    for name, obj in GOLDEN_INPUTS.items():
-        (tmp_path / name).write_text(json.dumps(obj))
+    write_inputs(tmp_path)
     files = sorted(FIXTURES.glob("*.json")) + sorted(tmp_path.glob("*.json"))
     kinds = {
         kind: [str(f) for f in files if f.name.startswith(kind)]

@@ -1,11 +1,13 @@
 import random
+import re
+import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cube_pattern_cones, membership_oracle, random_cone
+from conftest import cube_pattern_cones, membership_oracle, moment_curve, random_cone
 from random_colored import random_colored_cone, random_datum
 from reference_exact import (
     reference_cone_from_generators,
@@ -15,7 +17,15 @@ from reference_exact import (
     reference_invert,
     reference_rank,
 )
-from coloredfans.cones import Cone, _dd, cone_from_generators, cone_from_inequalities
+from coloredfans.cones import (
+    MAX_DD_PAIRS,
+    Cone,
+    _dd,
+    _signed,
+    cone_from_generators,
+    cone_from_inequalities,
+)
+from coloredfans.errors import DoubleDescriptionCapError
 from coloredfans.linalg import identity, mat, matmul, vec
 
 
@@ -512,6 +522,47 @@ def test_double_description_matches_frozenset_loop_property(case):
     as the loop with frozenset tight sets that counts every ray."""
     rows, dim = case
     assert _dd(rows, dim) == reference_integer_dd(rows, dim)
+
+
+def test_moment_curve_cones_match_the_references():
+    """Cones over the moment curve, where most pairs of rays are not
+    adjacent and ``_dd`` skips them on the size of their common tight set:
+    the canonical fields of the rank-test reference, and both raw passes,
+    over the generators and back over the facets, in order, as the frozenset
+    loop that tests every pair gives them."""
+    start = time.perf_counter()
+    # at most 11994 candidate pairs in one pass, at d = 8: far under MAX_DD_PAIRS
+    for d, n in ((4, 10), (5, 9), (6, 10), (7, 10), (8, 11)):
+        gens = moment_curve(d, n)
+        dual_lin, dual_rays = _dd(gens, d)
+        assert (dual_lin, dual_rays) == reference_integer_dd(gens, d)
+        rows = _signed(dual_lin) + tuple(dual_rays)
+        assert _dd(rows, d) == reference_integer_dd(rows, d)
+        cone = cone_from_generators(gens, d)
+        assert len(cone.rays) == n and not cone.lineality_basis and not cone.span_equations
+        if d < 7:
+            # the rank-test reference takes 0.7 s at d = 7, n = 10 and 4 s at d = 8, n = 11
+            fields = (cone.rays, cone.lineality_basis, cone.facet_normals, cone.span_equations)
+            assert fields == reference_cone_from_generators(gens, d)
+    # about 0.4 s on a 2-core x86_64 box with Python 3.11
+    assert time.perf_counter() - start < 30
+
+
+def test_double_description_stops_at_its_pair_cap():
+    """The cone over 40 points of the moment curve in dimension 8 has more
+    than ``MAX_DD_PAIRS`` candidate pairs in its first pass: refused within
+    seconds, with the count named, where the full conversion runs for
+    minutes."""
+    start = time.perf_counter()
+    with pytest.raises(DoubleDescriptionCapError) as refused:
+        cone_from_generators(moment_curve(8, 40), 8)
+    # about 1.1 s on a 2-core x86_64 box with Python 3.11
+    assert time.perf_counter() - start < 10
+    count = re.fullmatch(
+        rf"double description: (\d+) candidate ray pairs, more than {MAX_DD_PAIRS}",
+        str(refused.value),
+    )
+    assert count and int(count[1]) > MAX_DD_PAIRS
 
 
 @PROPERTY

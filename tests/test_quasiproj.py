@@ -13,13 +13,13 @@ from conftest import (
     toric_datum,
     twisted_cube_fan,
 )
-from coloredfans import colored, fileio
+from coloredfans import colored, fileio, quasiproj
 from coloredfans.cli import main
 from coloredfans.colored import ColoredCone, SphericalDatum, fan_from_maximal_cones
 from coloredfans.cones import Cone, cone_from_generators
 from coloredfans.errors import InvalidFanError, SemanticError
 from coloredfans.galois import GroupElement, action_from_generators, apply_element, has_k_form
-from coloredfans.linalg import matvec, vec
+from coloredfans.linalg import matvec, rank, vec
 from coloredfans.linprog import fourier_motzkin
 from coloredfans.quasiproj import (
     _support_feasible,
@@ -237,14 +237,15 @@ def test_row_generation_on_the_line_fan(toric_plane, routes):
     assert routes(toric_plane, maximal) == (True, [90])
 
 
-def test_support_lp_is_the_same_from_either_source_of_k(toric_plane):
+def test_support_lp_is_the_same_from_either_source_of_k(monkeypatch, toric_plane):
     """The LP posed on parts K_k = Z_k ∩ V from ``_valuation_part``, which
     is Z_k itself when Z_k lies in V, and then reads each Z_k ∩ Z_l off
     their common rays, equals ``build_support_lp``, which intersects each
     Z_k with V and each pair with ``Cone.intersect``: on every loadable fan
     fixture, the 64 cube patterns, the m = 16 line fan and closures of
     random colored cones, where V is not the whole space and some K_k is
-    not Z_k."""
+    not Z_k.  Neither ranks a meet: no ``quasiproj._echelon`` call, since
+    only row generation reads the walls."""
     from test_fan_facts import FAN_FIXTURE_DATA, FIXTURES
     from test_random_colored import passing_cones
 
@@ -265,13 +266,21 @@ def test_support_lp_is_the_same_from_either_source_of_k(toric_plane):
         if len(passed) >= 2:
             fans.append((datum, fan_from_maximal_cones(datum, [cc for cc, _ in passed[:2]])))
     assert len(fans) == 8 + 64 + 1 + 11
+    ranked = []
+    real_echelon = quasiproj._echelon
+
+    def spying(rows):
+        ranked.append(rows)
+        return real_echelon(rows)
+
+    monkeypatch.setattr(quasiproj, "_echelon", spying)
     cut = 0
     for datum, fan in fans:
         maximal = fan._facts.maximal()
         parts = _valuation_parts(datum, maximal)
         cut += any(part is not cc.cone for part, cc in zip(parts, maximal))
         assert _support_lp(datum, maximal, parts) == build_support_lp(datum, fan, check=False)
-    assert cut
+    assert cut and ranked == []
 
 
 # -- pair intersections read off the common rays ------------------------------
@@ -343,16 +352,18 @@ def test_no_cone_is_intersected_with_v_when_every_maximal_cone_lies_in_it(
         cc.key() == inside.key() for cc in maximal
     ]
     met.clear()
-    eqs, _, walls = _support_rows(datum, maximal, parts)
+    eqs, _, meets = _support_rows(datum, maximal, parts)
     assert met == [(maximal[0].cone, maximal[1].cone)]
-    assert len(eqs) == 1 and walls == [True, True]
+    # the two cones share a wall, seen from either: rank(Z_0 ∩ Z_1) = dim Z_k - 1
+    assert len(eqs) == 1 and [rank(meets[0, 1]) + 1] * 2 == [cc.cone.dim for cc in maximal]
 
 
 def test_common_ray_route_matches_cone_intersect(monkeypatch, toric_plane):
     """Maximal cones that lie in V and pass F2 meet in the cone over their
     common rays: ``_support_rows`` on parts that are the cones themselves,
-    which runs no ``Cone.intersect``, gives the equalities, blocks and wall
-    flags of the same parts as other objects, which intersects every pair.
+    which runs no ``Cone.intersect``, gives the equalities, blocks and meet
+    generators, and so the walls, of the same parts as other objects, which
+    intersects every pair.
     The fans are 200 random plane fans, the 64 cube patterns, the orbit fans
     of the k-form cases under seeded base changes, the m = 16 line fan, two
     pyramids sharing a square wall and the closures of random colored cones
@@ -382,7 +393,11 @@ def test_common_ray_route_matches_cone_intersect(monkeypatch, toric_plane):
     square = [(1, 1, 0, 1), (1, -1, 0, 1), (-1, -1, 0, 1), (-1, 1, 0, 1)]
     pyramids = [ColoredCone(cone_from_generators(square + [(0, 0, z, 1)], 4)) for z in (1, -1)]
     space4 = toric_datum(4)
-    cases.append((space4, fan_from_maximal_cones(space4, pyramids)._facts.maximal()))
+    maximal4 = fan_from_maximal_cones(space4, pyramids)._facts.maximal()
+    cases.append((space4, maximal4))
+    # so a wall is told by the rank of the meet, not by its generator count
+    _, _, meets = _support_rows(space4, maximal4, _valuation_parts(space4, maximal4))
+    assert (len(meets[0, 1]), rank(meets[0, 1])) == (4, 3)
     colored_in_v = 0
     for datum, passed in passing_cones(4301, 40, 6):
         in_v = [cc for cc, part in passed if part == cc.cone]
@@ -402,5 +417,8 @@ def test_common_ray_route_matches_cone_intersect(monkeypatch, toric_plane):
         assert met == []
         assert rows == _support_rows(datum, maximal, [_copy(part) for part in parts])
         assert len(met) == len(maximal) * (len(maximal) - 1) // 2
-        walls += sum(rows[2])
+        # block (k, l) of a wall: rank(Z_k ∩ Z_l) = dim Z_k - 1
+        walls += sum(
+            rank(gens) == maximal[i].cone.dim - 1 for pair, gens in rows[2].items() for i in pair
+        )
     assert walls

@@ -7,8 +7,8 @@ from collections import Counter
 from itertools import combinations
 
 from conftest import cube_pattern_cones, toric_datum
+from golden import GOLDEN_INPUTS
 from random_colored import random_colored_action, random_colored_cone, random_datum
-from test_cli import GOLDEN_INPUTS
 from test_fan_facts import FIXTURES, overlapping_colored_fans, same_route
 from test_galois import _compare_with_reference
 from coloredfans import colored, fileio
