@@ -7,9 +7,9 @@ cone.  The profinite group itself is never materialized: the caller supplies
 generators of the relevant finite quotient and the closure stops at
 ``CLOSURE_CAP`` elements, or at once on a generator of infinite order or,
 for lattice automorphisms, on two elements that agree mod 3.  Element
-matrices keep integral entries as ``int``.  The closure multiplies plain
-integer matrices, each over one denominator, with color permutations as
-index tuples, and builds each :class:`GroupElement` once, for the result.
+matrices keep integral entries as ``int``.  The closure has no product of
+its own: it multiplies elements with :meth:`GroupElement.compose`, whose
+``ValueError`` refuses a generator that is not a ``dim`` x ``dim`` matrix.
 A cone's image under an element maps both of its descriptions by the
 matrix and a multiple of its inverse, computed once per element, and runs
 no double description; the order test reads the same integer matrix.  The
@@ -41,7 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import gcd, lcm
+from itertools import chain
+from math import lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
@@ -82,11 +83,18 @@ PERFECT_FIELD_NOTE = (
 CLOSURE_CAP = 100000
 
 
+def _spelled(rows: RatMat) -> RatMat:
+    """The rows with their integral entries as ``int``."""
+    return tuple(tuple([x.numerator if x.denominator == 1 else x for x in row]) for row in rows)
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """A lattice automorphism paired with a permutation of the color labels.
 
-    :meth:`make` and :meth:`compose` keep integral matrix entries as ``int``.
+    :meth:`make` and :meth:`compose` keep integral matrix entries as ``int``,
+    by one rule (:func:`_spelled`), so equal elements print alike whichever
+    built them.
     """
 
     matrix: RatMat
@@ -96,11 +104,8 @@ class GroupElement:
     def make(matrix, color_perm: Mapping[str, str] | None = None) -> "GroupElement":
         """The element of ``matrix``, its integral entries stored as ``int``:
         it compares and hashes equal to the element of ``mat(matrix)``."""
-        m = tuple(
-            tuple(x.numerator if x.denominator == 1 else x for x in row) for row in mat(matrix)
-        )
         perm = tuple(sorted((color_perm or {}).items()))
-        return GroupElement(m, perm)
+        return GroupElement(_spelled(mat(matrix)), perm)
 
     @property
     def perm_map(self) -> dict[str, str]:
@@ -110,12 +115,17 @@ class GroupElement:
         return self.perm_map.get(name, name)
 
     def compose(self, other: "GroupElement") -> "GroupElement":
-        """self after other."""
+        """self after other; ValueError when the matrix shapes do not fit."""
         perm = self.perm_map
         combined = {c: perm.get(v, v) for c, v in other.color_perm}
         for c, v in perm.items():
             combined.setdefault(c, v)
-        return GroupElement(matmul(self.matrix, other.matrix), tuple(sorted(combined.items())))
+        m = matmul(self.matrix, other.matrix)
+        # entries that sum to an int hold no Fraction: the product of two int
+        # matrices, spelled already
+        if type(sum(chain.from_iterable(m))) is not int:
+            m = _spelled(m)
+        return GroupElement(m, tuple(sorted(combined.items())))
 
     @cached_property
     def _map(self):
@@ -216,9 +226,11 @@ class GroupAction:
         generator matrix has infinite order, since its powers alone exceed
         every cap; and, when every generator is a lattice automorphism, as
         soon as two elements share their color permutation and their matrix
-        mod 3, which proves the group infinite.  The closure is kept; the
-        error is raised on every call.  The order test runs once per distinct
-        generator matrix.  In the library only
+        mod 3, which proves the group infinite.  Past the order test, a
+        generator that is not a ``dim`` x ``dim`` matrix raises
+        ``ValueError``, as :meth:`GroupElement.compose` does.  The closure is
+        kept; the error is raised on every call.  The order test runs once
+        per distinct generator matrix.  In the library only
         :func:`validate_action` reads it: invariance and orbits come from the
         generators (:func:`_image_table`).
         """
@@ -228,52 +240,21 @@ class GroupAction:
     def _closure(self) -> tuple[GroupElement, ...]:
         """The elements, in the order of a breadth-first search from the
         identity that composes each generator after each element of the last
-        round, as :meth:`GroupElement.compose` would.
+        round with :meth:`GroupElement.compose`.
 
-        The search runs on plain tuples ``(d, M, P)``: the matrix is M / d,
-        with M an integer matrix and d > 0 coprime to its entries, and P
-        lists, per color label in sorted order, the index of its image, or
-        -1 for a label the element leaves out.  Equal elements give equal
-        tuples, and the :class:`GroupElement` of each is built once, at the
-        end.
+        The identity spells out every color of the datum, and each generator
+        is composed after it first, so every element spells out the colors
+        it fixes and has one form.  The search keys the elements it has seen
+        by their ``(matrix, color_perm)`` tuples.
         """
         exceeded = f"group closure exceeded the cap of {CLOSURE_CAP} elements"
         if any(map(_has_infinite_order, {g.matrix: g for g in self.generators}.values())):
             raise ClosureCapError(exceeded)
-        labels = sorted(
-            {*self.colors, *(c for g in self.generators for pair in g.color_perm for c in pair)}
-        )
-        index = {c: i for i, c in enumerate(labels)}
-
-        def compose(g, h):
-            """g after h."""
-            (dg, mg, pg), (dh, mh, ph) = g, h
-            cols = tuple(zip(*mh))
-            m = tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in mg)
-            d = dg * dh
-            if d != 1:
-                common = gcd(d, *(x for row in m for x in row))
-                if common != 1:
-                    d //= common
-                    m = tuple(tuple([x // common for x in row]) for row in m)
-            perm = tuple(
-                pg[c] if v < 0 else v if pg[v] < 0 else pg[v] for c, v in enumerate(ph)
-            )
-            return d, m, perm
-
-        def plain(g: GroupElement):
-            d = lcm(*(x.denominator for row in g.matrix for x in row))
-            perm = [-1] * len(labels)
-            for c, v in g.color_perm:
-                perm[index[c]] = index[v]
-            return d, tuple(g._map[0]), tuple(perm)
-
-        fixed = tuple(i if c in self.colors else -1 for i, c in enumerate(labels))
-        ident = (1, identity(self.dim), fixed)
-        # composed after the identity, which spells each fixed color out, each
-        # element has one form; the first round lists the distinct generators
-        generators = [compose(ident, plain(g)) for g in self.generators]
-        seen = {ident: None}
+        ident = identity_element(self.dim, self.colors)
+        # the first round lists the distinct generators
+        generators = [ident.compose(g) for g in self.generators]
+        ident_key = (ident.matrix, ident.color_perm)
+        seen = {ident_key: ident}
         # Lattice automorphisms only: two elements with one color permutation
         # and one matrix mod 3 differ by a nontrivial element of the kernel of
         # GL_n(Z) -> GL_n(Z/3), which is torsion-free (Minkowski), so the
@@ -281,35 +262,28 @@ class GroupAction:
         lattice = all(g._is_lattice_automorphism for g in self.generators)
         residues: dict = {}
 
-        def residue_clash(g) -> bool:
+        def residue_clash(key) -> bool:
             if not lattice:
                 return False
-            key = (tuple(tuple(x % 3 for x in row) for row in g[1]), g[2])
-            return residues.setdefault(key, g) != g
+            matrix, perm = key
+            mod3 = tuple([tuple([x % 3 for x in row]) for row in matrix])
+            return residues.setdefault((mod3, perm), key) != key
 
-        residue_clash(ident)  # records the identity's key
+        residue_clash(ident_key)  # records the identity's key
         frontier = [ident]
         while frontier:
             new_frontier = []
             for g in generators:
                 for h in frontier:
-                    gh = compose(g, h)
-                    if gh not in seen:
-                        seen[gh] = None
+                    gh = g.compose(h)
+                    key = (gh.matrix, gh.color_perm)
+                    if key not in seen:
+                        seen[key] = gh
                         new_frontier.append(gh)
-                        if len(seen) > CLOSURE_CAP or residue_clash(gh):
+                        if len(seen) > CLOSURE_CAP or residue_clash(key):
                             raise ClosureCapError(exceeded)
             frontier = new_frontier
-
-        def element(d, m, perm) -> GroupElement:
-            matrix = m if d == 1 else tuple(
-                tuple([x // d if x % d == 0 else Fraction(x, d) for x in row]) for row in m
-            )
-            return GroupElement(
-                matrix, tuple((labels[c], labels[v]) for c, v in enumerate(perm) if v >= 0)
-            )
-
-        return tuple(element(*g) for g in seen)
+        return tuple(seen.values())
 
 
 def action_from_generators(

@@ -65,13 +65,11 @@ def matvec(m: RatMat, v: Sequence[Fraction]) -> RatVec:
 def matmul(a: RatMat, b: RatMat) -> RatMat:
     """The matrix product: int entries multiply as ints, and a ``Fraction``
     makes its entries ``Fraction``s.  ValueError when the shapes do not fit."""
-    cols = transpose(b)
-    out = []
     for row in a:
         if len(row) != len(b):
             raise ValueError(f"dimension mismatch: {len(row)} vs {len(b)}")
-        out.append(tuple([sum(map(mul, row, col)) for col in cols]))
-    return tuple(out)
+    cols = transpose(b)
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
 def transpose(m: RatMat) -> RatMat:

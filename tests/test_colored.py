@@ -8,6 +8,7 @@ from coloredfans.colored import (
     ColoredCone,
     ColoredFan,
     SphericalDatum,
+    _validate_fan,
     colored_faces,
     fan_from_maximal_cones,
     locate,
@@ -135,6 +136,20 @@ def test_missing_origin_fails_f1_and_names_the_face(toric_line):
     assert any("rays=[]" in r for r in report.reasons)
 
 
+def test_f1_skips_a_member_that_fails_c1_to_c4(rank_one_datum):
+    """F1 reads no faces of a member that failed C1-C4, whose colored faces
+    would raise: its failures are reported once, under its own axioms."""
+    forward = cc([(1,)], 1)
+    with pytest.raises(InvalidColoredConeError):
+        colored_faces(rank_one_datum, forward)
+    origin, back = cc([], 1), cc([(-1,)], 1)
+    report, faces = _validate_fan(rank_one_datum, ColoredFan((origin, back, forward)))
+    assert set(faces) == {origin.key(), back.key()}
+    assert report.checks["F1"]
+    assert not report.checks["cone[2].C1"] and not report.checks["cone[2].C2"]
+    assert all(r.startswith("cone[2]") for r in report.reasons)
+
+
 def test_locate(toric_line, p1_fan, rank_one_datum):
     assert locate(toric_line, p1_fan, (3,)).key() == cc([(1,)], 1).key()
     assert locate(toric_line, p1_fan, (0,)).cone.is_zero
@@ -224,3 +239,14 @@ def test_report_require_raises_reasons_or_fallback():
     with pytest.raises(ValueError) as info:
         silent.require(ValueError, "fallback")
     assert str(info.value) == "fallback"
+
+
+def test_merge_carries_each_note_once():
+    report = ValidationReport(subject="fan", notes=["shared"])
+    sub = ValidationReport(subject="cone", notes=["shared", "own"])
+    sub.record("C1", False, "broken")
+    report.merge(sub, "cone[0]")
+    report.merge(sub, "cone[1]")
+    assert report.checks == {"cone[0].C1": False, "cone[1].C1": False}
+    assert report.reasons == ["cone[0]: C1: broken", "cone[1]: C1: broken"]
+    assert report.notes == ["shared", "own"]

@@ -664,16 +664,22 @@ def test_integer_closure_matches_fraction_closure():
     assert sorted(orders) == [2, 3, 4, 6, 8]
 
 
+def rational_conjugates():
+    """Generators of three finite groups conjugated by a matrix of
+    determinant 2, each list with some entry that is not integral."""
+    a = [[2, 1], [0, 1]]
+    a_inv = reference_invert(a)
+    for gens in ([[[0, -1], [1, -1]]], [[[0, -1], [1, -1]], SWAP], [[[0, -1], [1, 0]], SWAP]):
+        yield [matmul(a, matmul(mat(m), a_inv)) for m in gens]
+
+
 def test_rational_generators_close_with_their_order_test_run_once_per_dimension():
     """Rational matrices: a conjugate of finite order, by a matrix of
     determinant 2, closes to the elements of the Fraction closure; one of
     infinite order, diag(2, 1/2), is refused at once; a singular one still
     closes.  The order exponent is computed once per dimension."""
     galois._order_exponent.cache_clear()
-    a = [[2, 1], [0, 1]]
-    a_inv = reference_invert(a)
-    for gens in ([[[0, -1], [1, -1]]], [[[0, -1], [1, -1]], SWAP], [[[0, -1], [1, 0]], SWAP]):
-        conjugates = [matmul(a, matmul(mat(m), a_inv)) for m in gens]
+    for conjugates in rational_conjugates():
         assert any(x.denominator != 1 for m in conjugates for row in m for x in row)
         action = GroupAction(2, ("A",), tuple(GroupElement.make(m) for m in conjugates))
         got = action.elements()
@@ -693,6 +699,67 @@ def test_rational_generators_close_with_their_order_test_run_once_per_dimension(
     assert len(swap3.elements()) == 2
     info = galois._order_exponent.cache_info()
     assert (info.misses, info.hits) == (2, 5)
+
+
+def test_compose_spells_integral_entries_as_make_does():
+    """A product prints as the element :meth:`GroupElement.make` builds of
+    the product matrix: integral entries are ``int`` either way."""
+    m = GroupElement.make([[0, -2], [Fraction(1, 2), 0]])
+    assert repr(m.compose(m)) == repr(GroupElement.make([[-1, 0], [0, -1]])) == (
+        "GroupElement(matrix=((-1, 0), (0, -1)), color_perm=())"
+    )
+    for conjugates in rational_conjugates():
+        elements = GroupAction(2, ("A",), tuple(map(GroupElement.make, conjugates))).elements()
+        for g in elements:
+            for h in elements:
+                gh = g.compose(h)
+                product = matmul(mat(g.matrix), mat(h.matrix))
+                assert repr(gh) == repr(GroupElement.make(product, gh.perm_map))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [[[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]], [[0, 1, 0], [1, 0, 0], [0, 0, 1]]],
+    ids=["2x3", "3x2", "3x3"],
+)
+def test_generator_of_the_wrong_shape_raises_value_error(m):
+    """In a dimension-2 action, a generator that is not 2 x 2 passes the
+    order test, which gives a non-square matrix no inverse and finds the
+    3 x 3 swap of finite order; the closure then refuses it with the
+    ValueError of the matrix product."""
+    g = GroupElement.make(m)
+    assert not galois._has_infinite_order(g)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        GroupAction(2, (), (g,)).elements()
+
+
+def symmetric_group(n):
+    """S_n acting by permutation matrices, from an n-cycle and a transposition."""
+
+    def permutation_matrix(p):
+        return [[int(p[j] == i) for j in range(n)] for i in range(n)]
+
+    cycle = [(i + 1) % n for i in range(n)]
+    swap = [1, 0, *range(2, n)]
+    generators = tuple(GroupElement.make(permutation_matrix(p)) for p in (cycle, swap))
+    return GroupAction(n, (), generators)
+
+
+def test_s6_closes_to_the_fraction_closure():
+    action = symmetric_group(6)
+    got = action.elements()
+    expected = reference_elements(action)
+    assert len(got) == 720
+    assert list(got) == expected
+    assert [hash(g) for g in got] == [hash(g) for g in expected]
+
+
+def test_s7_closes_in_time():
+    """S_7 closes in about 0.3 s on a 2-core x86 box; the bound is generous."""
+    action = symmetric_group(7)
+    start = perf_counter()
+    assert len(action.elements()) == 5040
+    assert perf_counter() - start < 10
 
 
 def test_offender_rerun_maps_no_member_twice(monkeypatch, toric_plane, p2_fan):
@@ -774,6 +841,8 @@ def test_action_reports_for_rational_singular_and_non_square_generators(toric_pl
          [lattice, "'generator[0].valuation_stable: the valuation cone is not stable under "
           "the matrix'", skipped]),
         ([[1, 0, 0], [0, 1, 0]], "", [lattice, skipped]),
+        ([[1, 0], [0, 1], [0, 0]], "", [lattice, skipped]),
+        ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], "", [lattice, skipped]),
     ):
         action = action_from_generators(toric_plane, [GroupElement.make(m)])
         assert repr(validate_action(toric_plane, action)) == (
