@@ -38,6 +38,7 @@ from .monoid import (
     monoid_has_k_form,
 )
 from .quasiproj import _support_forms, _support_ineq_rows, _support_lp, _valuation_parts
+from .reports import ValidationReport
 
 COMMANDS = ("validate", "quasiproj", "kform", "monoid", "monoid-kform", "morphism", "lined")
 
@@ -120,23 +121,15 @@ def run_command(
 
     if command == "validate":
         datum = fileio.parse_inputs(_need(datum_path, "datum")).datum
-        axioms: dict[str, bool] = {}
-        reasons: list[str] = []
-        notes: list[str] = []
+        report = ValidationReport(subject="inputs")
         if fan_path is not None:
             raw = fileio.parse_fan(fileio.load_json(fan_path), datum)
             _, report = fileio.validated_fan(datum, raw)
-            axioms.update(report.checks)
-            reasons.extend(report.reasons)
-            notes.extend(report.notes)
         if action_path is not None:
             action = fileio.parse_action(fileio.load_json(action_path), datum)
-            report = validate_action(datum, action)
-            axioms.update({f"action.{k}": v for k, v in report.checks.items()})
-            reasons.extend(f"action: {r}" for r in report.reasons)
-            notes.extend(report.notes)
-        verdict = all(axioms.values())
-        return _result(_payload(command, verdict, axioms, None, reasons), notes, as_json)
+            report.merge(validate_action(datum, action), "action")
+        payload = _payload(command, report.passed, report.checks, None, report.reasons)
+        return _result(payload, report.notes, as_json)
 
     if command == "quasiproj":
         inputs = fileio.parse_inputs(_need(datum_path, "datum"), _need(fan_path, "fan"))

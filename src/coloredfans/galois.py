@@ -8,14 +8,14 @@ generators of the relevant finite quotient and the closure stops at
 ``CLOSURE_CAP`` elements, or at once on a generator of infinite order or,
 for lattice automorphisms, on two elements that agree mod 3.  Element
 matrices keep integral entries as ``int``.  The closure has no product of
-its own: it multiplies elements with :meth:`GroupElement.compose`, whose
-``ValueError`` refuses a generator that is not a ``dim`` x ``dim`` matrix.
-A cone's image under an element maps both of its descriptions by the
-matrix and a multiple of its inverse, computed once per element, and runs
-no double description; the order test reads the same integer matrix.  The
-invariance and orbit loop builds no image of a strictly convex member
-under an invertible element: it looks the image up by its canonical rays
-and colors (:func:`_image_key`).
+its own: it multiplies elements with :meth:`GroupElement.compose`.  A
+generator with ragged rows raises ``ValueError`` at the order test, any
+other that is not ``dim`` x ``dim`` in ``compose``.  A cone's image under
+an element maps both of its descriptions by the matrix and a multiple of its
+inverse, computed once per element, and runs no double description; the
+order test reads the same integer matrix.  The invariance and orbit loop
+builds no image of a strictly convex member under an invertible element: it
+looks the image up by its canonical rays and colors (:func:`_image_key`).
 
 ``has_k_form`` combines the two classification ingredients: (a) invariance
 of the fan under the action, and (b) quasiprojectivity of every member's
@@ -115,7 +115,8 @@ class GroupElement:
         return self.perm_map.get(name, name)
 
     def compose(self, other: "GroupElement") -> "GroupElement":
-        """self after other; ValueError when the matrix shapes do not fit."""
+        """self after other; ValueError when the shapes of the two matrices,
+        rectangular as :meth:`make` builds them, do not fit."""
         perm = self.perm_map
         combined = {c: perm.get(v, v) for c, v in other.color_perm}
         for c, v in perm.items():
@@ -136,13 +137,10 @@ class GroupElement:
 
     @property
     def _is_lattice_automorphism(self) -> bool:
-        """True when the matrix is square and integral with an integral
-        inverse: its determinant is +-1, that is the least d making d A^-1
-        integral is 1."""
-        m = self.matrix
-        if any(len(row) != len(m) for row in m):
-            return False
-        if any(x.denominator != 1 for row in m for x in row):
+        """True when the matrix is integral and :attr:`_map` finds it an
+        integral inverse, which only a square matrix has: the least d making
+        d A^-1 integral is 1.  Ragged rows raise the ``ValueError`` of ``_map``."""
+        if any(x.denominator != 1 for row in self.matrix for x in row):
             return False
         inverse = self._map[1]
         return inverse is not None and inverse[1] == 1
@@ -182,17 +180,15 @@ def _has_infinite_order(g: GroupElement) -> bool:
     stay small whatever the size of L.  A difference there proves A^L != I.
     Equality, which every matrix of finite order gives, proves nothing, and
     the answer is False.  Singular and non-square matrices, which
-    ``_map`` gives no inverse, are False as well.
+    ``_map`` gives no inverse, are False as well; ragged rows raise the
+    ``ValueError`` of ``_map``.
     """
-    matrix = g.matrix
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        return False
     rows, inverse = g._map
     if inverse is None:
         return False
+    n = len(rows)
     p = _ORDER_PRIME
-    d = lcm(*(x.denominator for row in matrix for x in row))
+    d = lcm(*(x.denominator for row in g.matrix for x in row))
 
     def times(a, b):
         return [[sum(map(mul, row, col)) % p for col in zip(*b)] for row in a]
@@ -226,11 +222,11 @@ class GroupAction:
         generator matrix has infinite order, since its powers alone exceed
         every cap; and, when every generator is a lattice automorphism, as
         soon as two elements share their color permutation and their matrix
-        mod 3, which proves the group infinite.  Past the order test, a
-        generator that is not a ``dim`` x ``dim`` matrix raises
-        ``ValueError``, as :meth:`GroupElement.compose` does.  The closure is
-        kept; the error is raised on every call.  The order test runs once
-        per distinct generator matrix.  In the library only
+        mod 3, which proves the group infinite.  A generator with ragged
+        rows raises ``ValueError`` at the order test, any other that is not
+        a ``dim`` x ``dim`` matrix in :meth:`GroupElement.compose`.  The
+        closure is kept; the error is raised on every call.  The order test
+        runs once per distinct generator matrix.  In the library only
         :func:`validate_action` reads it: invariance and orbits come from the
         generators (:func:`_image_table`).
         """

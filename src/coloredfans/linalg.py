@@ -64,7 +64,9 @@ def matvec(m: RatMat, v: Sequence[Fraction]) -> RatVec:
 
 def matmul(a: RatMat, b: RatMat) -> RatMat:
     """The matrix product: int entries multiply as ints, and a ``Fraction``
-    makes its entries ``Fraction``s.  ValueError when the shapes do not fit."""
+    makes its entries ``Fraction``s.  ValueError when a row of ``a`` does not
+    match the row count of ``b``.  ``b`` must be rectangular, as :func:`mat`
+    makes it: its columns are read with ``zip``, which truncates ragged rows."""
     for row in a:
         if len(row) != len(b):
             raise ValueError(f"dimension mismatch: {len(row)} vs {len(b)}")

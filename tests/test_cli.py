@@ -18,7 +18,7 @@ from coloredfans import cli, fileio
 from coloredfans.cli import COMMANDS, main, run_command
 from coloredfans.colored import ColoredCone, fan_from_maximal_cones, validate_colored_cone
 from coloredfans.cones import cone_from_generators
-from coloredfans.errors import InputFileError, SemanticError
+from coloredfans.errors import InputFileError, SchemaError, SemanticError
 from coloredfans.galois import apply_element
 from coloredfans.quasiproj import is_quasiprojective, maximal_members
 
@@ -641,6 +641,28 @@ def test_invalid_action_matrix_is_input_error(tmp_path):
 def test_missing_required_input():
     with pytest.raises(InputFileError):
         run_command("quasiproj", datum_path=fx("datum_p1.json"))
+
+
+@pytest.mark.parametrize(
+    "command, options, error, message",
+    [
+        ("frobnicate", {}, InputFileError, "unknown command 'frobnicate'"),
+        (
+            "lined",
+            {"lambda_csv": "1,x"},
+            SchemaError,
+            "--lambda must be a comma-separated integer list, got '1,x'",
+        ),
+    ],
+    ids=["unknown-command", "lambda-not-integers"],
+)
+def test_run_command_refuses_bad_arguments(command, options, error, message):
+    """An unknown command and a ``--lambda`` entry that is no integer are
+    refused before any file is read."""
+    with pytest.raises(error) as info:
+        run_command(command, **options)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_invalid_fan_is_input_error_for_quasiproj(tmp_path):

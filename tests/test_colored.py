@@ -8,15 +8,19 @@ from coloredfans.colored import (
     ColoredCone,
     ColoredFan,
     SphericalDatum,
+    _checked_fan,
+    _separated_meet,
+    _separating,
     _validate_fan,
     colored_faces,
     fan_from_maximal_cones,
     locate,
+    relative_interior_meets,
     validate_colored_cone,
     validate_colored_fan,
 )
 from coloredfans.cones import cone_from_generators
-from coloredfans.errors import InvalidColoredConeError, UnknownColorError
+from coloredfans.errors import InvalidColoredConeError, InvalidFanError, UnknownColorError
 from coloredfans.quasiproj import is_quasiprojective, maximal_members
 from coloredfans.reports import ValidationReport
 
@@ -117,6 +121,30 @@ def test_duplicate_cone_with_two_color_sets_fails_f2():
     report = validate_colored_fan(datum, fan)
     assert not report.checks["F2"]
     assert any("F2" in r for r in report.reasons)
+
+
+# plane cones on (1,0),(1,1) and on (1,0),(0,1), the first inside the second
+NESTED = (cc([(1, 0), (1, 1)], 2), cc([(1, 0), (0, 1)], 2))
+
+
+def test_nested_cones_stall_the_separating_walk(toric_plane):
+    """The given cones ``NESTED``, both in V: no facet normal of either is
+    <= 0 on the rays of the other, so the walk finds no separating
+    inequality and stalls.  The closure then
+    decides the pair by a double description and names the two F2 pairs of
+    the full route, the inner cone and its ray (1,1) against the outer
+    cone."""
+    inner, outer = NESTED
+    fan = fan_from_maximal_cones(toric_plane, NESTED)
+    faces = [{f.cone._rays: f for f in fan._facts.faces[c.key()]} for c in (inner, outer)]
+    assert _separating(inner.cone, outer.cone) is None
+    assert _separating(outer.cone, inner.cone) is None
+    assert _separated_meet(inner.cone, faces[0], outer.cone, faces[1]) is None
+    report = _checked_fan(toric_plane, fan)[0]
+    full = validate_colored_fan(toric_plane, fan)
+    assert (report.checks, report.reasons) == (full.checks, full.reasons)
+    assert len(report.reasons) == 2
+    assert all(r.startswith("F2: ") for r in report.reasons)
 
 
 def test_repeated_member_is_kept_once(toric_plane):
@@ -239,6 +267,40 @@ def test_report_require_raises_reasons_or_fallback():
     with pytest.raises(ValueError) as info:
         silent.require(ValueError, "fallback")
     assert str(info.value) == "fallback"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda plane: SphericalDatum(1, cone_from_generators([(1,)], 1), ("D",), {"E": (1,)}),
+            ValueError,
+            "rho_tilde must be defined exactly on the color labels",
+        ),
+        (lambda plane: plane.rho("X"), UnknownColorError, "unknown color 'X'"),
+        (
+            lambda plane: relative_interior_meets(plane, cone_from_generators([(1,)], 1)),
+            ValueError,
+            "cone does not live in the ambient dimension",
+        ),
+        (
+            lambda plane: validate_colored_cone(plane, cc([(1,)], 1)),
+            ValueError,
+            "colored cone does not live in the ambient dimension",
+        ),
+        (
+            lambda plane: locate(plane, ColoredFan(NESTED), (2, 1)),
+            InvalidFanError,
+            "multiple cones hold the vector in their relative interior; fan violates F2",
+        ),
+    ],
+    ids=["placements", "unknown-color", "relint-dimension", "cone-dimension", "locate-two-hits"],
+)
+def test_input_errors(toric_plane, call, error, message):
+    with pytest.raises(error) as info:
+        call(toric_plane)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_merge_carries_each_note_once():

@@ -720,3 +720,36 @@ def test_walks_that_share_a_table_share_their_faces():
     assert all(table[f._lineality, f._rays] is f for faces in walked for f in faces)
     for cone, faces in zip((right, left), walked):
         assert [fields(f) for f in faces] == [fields(f) for f in lattice_agrees_with_cuts(cone)]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: cone_from_generators([(1, 0)], 2).intersect(cone_from_generators([(1,)], 1)),
+            "dimension mismatch between cones",
+        ),
+        (
+            lambda: cone_from_generators([(1, 0)], 2).image(((1, 0, 0), (0, 1, 0))),
+            "matrix column count does not match the ambient dimension",
+        ),
+        (
+            lambda: cone_from_generators([(1, 0)], 2).is_face_of(cone_from_generators([(1,)], 1)),
+            "dimension mismatch between cones",
+        ),
+        (
+            lambda: cone_from_generators([(1, 0, 0)], 2),
+            "generator of length 3 in ambient dimension 2",
+        ),
+        (
+            lambda: cone_from_inequalities([(1,)], 2),
+            "inequality of length 1 in ambient dimension 2",
+        ),
+    ],
+    ids=["intersect", "image", "is-face-of", "generator-length", "inequality-length"],
+)
+def test_vectors_of_the_wrong_length_raise_value_error(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message

@@ -733,6 +733,23 @@ def test_generator_of_the_wrong_shape_raises_value_error(m):
         GroupAction(2, (), (g,)).elements()
 
 
+@pytest.mark.parametrize("m", [((0, 1, 5), (1, 0)), ((0, 1), (1,))], ids=["3+2", "2+1"])
+def test_ragged_generator_raises_value_error(m):
+    """A generator whose rows differ in length is refused by the order test,
+    whose integer map raises; the matrix product would read the columns of
+    ``((0, 1, 5), (1, 0))`` with ``zip`` and close to the swap group.
+    ``validate_action`` reports it as no lattice automorphism and skips the
+    closure, with no error.  ``make`` rejects ragged rows, so the element
+    is built directly."""
+    g = GroupElement(m)
+    with pytest.raises(ValueError, match="matrix rows have inconsistent lengths"):
+        GroupAction(2, (), (g,)).elements()
+    report = validate_action(toric_datum(2), GroupAction(2, (), (g,)))
+    assert report.checks["generator[0].lattice_automorphism"] is False
+    assert report.checks["closure"] is False
+    assert report.reasons[-1] == "closure: skipped: a generator failed validation"
+
+
 def symmetric_group(n):
     """S_n acting by permutation matrices, from an n-cycle and a transposition."""
 
