@@ -115,8 +115,8 @@ class GroupElement:
         return self.perm_map.get(name, name)
 
     def compose(self, other: "GroupElement") -> "GroupElement":
-        """self after other; ValueError when the shapes of the two matrices,
-        rectangular as :meth:`make` builds them, do not fit."""
+        """self after other; ValueError when the shapes of the two matrices
+        do not fit or when a row of ``other`` is ragged."""
         perm = self.perm_map
         combined = {c: perm.get(v, v) for c, v in other.color_perm}
         for c, v in perm.items():

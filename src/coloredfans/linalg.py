@@ -65,12 +65,14 @@ def matvec(m: RatMat, v: Sequence[Fraction]) -> RatVec:
 def matmul(a: RatMat, b: RatMat) -> RatMat:
     """The matrix product: int entries multiply as ints, and a ``Fraction``
     makes its entries ``Fraction``s.  ValueError when a row of ``a`` does not
-    match the row count of ``b``.  ``b`` must be rectangular, as :func:`mat`
-    makes it: its columns are read with ``zip``, which truncates ragged rows."""
+    match the row count of ``b``, or when the rows of ``b`` differ in length,
+    which reading its columns with ``zip`` would truncate."""
     for row in a:
         if len(row) != len(b):
             raise ValueError(f"dimension mismatch: {len(row)} vs {len(b)}")
     cols = transpose(b)
+    if any(len(row) != len(cols) for row in b):
+        raise ValueError("matrix rows have inconsistent lengths")
     return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 

@@ -3,21 +3,22 @@
 Two independent deciders over the same problem type:
 
 * :func:`lp_feasible` -- equality pre-substitution followed by a phase-1
-  simplex with Bland's anti-cycling rule on a sparse integer tableau: each
-  row is kept integral over one positive scale, and pivots are
-  fraction-free, so no ``Fraction`` is built inside the simplex.  Each free
-  variable is split as t = p - q, and only the p half is stored: every row
-  keeps the q column equal to minus the p column, so it is read off as
-  such.  Rows that are equal apart from their own columns (the basic one
-  and an artificial row's slack) are stored once, as a class with the basic
-  labels it stands for: support LPs repeat most of their rows.  The classes
-  are the groups of equal input rows; a class splits when it pivots, and
-  classes never merge.  The simplex takes the pivots that a simplex over the
-  rationals takes on the full tableau, and returns an exact rational
-  assignment, re-verified against the problem, or ``None``.  The point is
-  read off the final tableau over one common denominator, lifted through the
-  equalities and re-verified in integers; its ``Fraction`` entries are built
-  only on return.
+  simplex with Bland's anti-cycling rule, in integers: no ``Fraction`` is
+  built inside the simplex.  Each free variable is split as t = p - q.  An
+  LP of at most ``REVISED_ROWS`` inequality rows pivots on a sparse integer
+  tableau of fraction-free rows, each integral over one positive scale,
+  with only the p half stored (the q column is minus the p column) and rows
+  equal apart from their own columns stored once, as a class with the basic
+  labels it stands for.  A larger LP, such as a support LP, whose pivots are
+  mostly degenerate while the basis holds a few structural columns, pivots
+  on an exact basis inverse ``D * M^-1`` over the tight rows and basic
+  structural columns, updated by Bareiss-style exact division; it computes
+  only the reduced costs and the entering column, once per class of equal
+  input rows.  Both take the pivots that a simplex over the rationals takes
+  on the full tableau, and return an exact rational assignment, re-verified
+  against the problem, or ``None``.  The point is read over one common
+  denominator, lifted through the equalities and re-verified in integers;
+  its ``Fraction`` entries are built only on return.
 * :func:`fourier_motzkin` -- variable elimination over integer rows,
   intended as a slow cross-checking oracle and capped at a configurable
   variable count.
@@ -33,8 +34,10 @@ Fourier-Motzkin prunes its rows by Chernikov's rule.
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Callable, Sequence
 
 from .errors import EliminationCapError
@@ -263,8 +266,15 @@ def lp_feasible(lp: LPProblem) -> RatVec | None:
     return tuple([Fraction(x, den) for x in nums])
 
 
-# the keys of a class's own coefficients in its row (see _phase_one)
+# the keys of a class's own coefficients in its row (see _Tableau)
 SIGMA, TAU = -1, -2
+# LPs with more inequality rows than this, after the equalities are
+# substituted, pivot on the exact basis inverse (_Revised), the rest on the
+# class tableau (_Tableau).  On the first m rows of 16 cube support LPs the
+# revised form ran at 0.6-0.8x the tableau's speed up to m = 32, 0.97x at 40,
+# 1.1x at 48 and 1.8x at 128; on the relint and orbit LPs of the benchmark
+# workloads, of at most 15 rows, at 0.7x (Python 3.11, 2-core x86_64).
+REVISED_ROWS = 40
 
 
 def _phase_one(num_vars: int, ineqs: list[SparseRow]) -> Point | None:
@@ -272,15 +282,48 @@ def _phase_one(num_vars: int, ineqs: list[SparseRow]) -> Point | None:
     over one common denominator, or None.
 
     Free variables are split as t = p - q; every constraint gets a slack, and
-    rows with a positive right hand side an artificial.  The tableau is
-    integral and sparse; a row stands for itself over its positive
-    coefficient on its basic column.  The reduced costs are the last row,
-    over an implicit positive scale, with minus the objective as right hand
-    side; only their signs are read, so Bland's rule compares as over the
-    rationals.  Only p is stored: every row is a combination of start rows,
-    whose q column is minus the p column, so column ``num_vars + j`` reads
-    as ``-row[j]``.  Columns keep their labels (p, q, slacks, then the
-    artificial of row i at ``2 * num_vars + m + i``) for pricing.
+    rows with a positive right hand side an artificial, basic at the start;
+    the other rows start with their slack basic.  The columns are labelled p,
+    q, slacks, then the artificial of row i at ``2 * num_vars + m + i``.  The
+    objective is the sum of the artificials; the entering column is the one
+    of smallest label with a negative reduced cost, and the leaving one the
+    basic column of least ratio, ties to the smallest label (Bland).  Only
+    the signs of reduced costs and exact comparisons of ratios are read, so
+    both representations below take the pivots of the full rational tableau,
+    one ``_pivot`` each, and reach its point.
+
+    LPs of at most ``REVISED_ROWS`` rows, among them the relint and orbit
+    LPs of the benchmark workloads, pivot on the class tableau
+    (:class:`_Tableau`), which rewrites every row a pivot touches.  Larger
+    ones, such as support LPs, take mostly degenerate pivots among many rows
+    while the basis holds a few structural columns; they pivot on an exact
+    basis inverse (:class:`_Revised`), which computes only what Bland's rule
+    reads: the reduced costs and the entering column.  The revised form
+    takes under a third of the tableau's time on the 64 cube support LPs,
+    but is slower below about 40 rows, where the switch sits.
+    """
+    table = (_Revised if len(ineqs) > REVISED_ROWS else _Tableau)(num_vars, ineqs)
+    while True:
+        enter = table.entering()
+        if enter is None:
+            return table.point()
+        _pivot(table, enter, table.leaving(enter))
+
+
+def _pivot(table, enter, leave):
+    """Make the column ``enter`` basic in place of the basic label ``leave``,
+    as the ratio test ``table.leaving(enter)`` chose it: every pivot of
+    either representation."""
+    table.pivot(enter, leave)
+
+
+class _Tableau:
+    """The phase-1 tableau, integral and sparse: a row stands for itself
+    over its positive coefficient on its basic column.  The reduced costs are
+    the last row, over an implicit positive scale, with minus the objective
+    as right hand side.  Only p is stored: every row is a combination of
+    start rows, whose q column is minus the p column, so column
+    ``num_vars + j`` reads as ``-row[j]``.
 
     Rows equal apart from their own columns (the basic one and an artificial
     row's slack, held by no other row) get the same update on every pivot
@@ -296,61 +339,73 @@ def _phase_one(num_vars: int, ineqs: list[SparseRow]) -> Point | None:
     merge.  Two classes that come to be equal tie in every ratio test, where
     the smaller label leaves, as it would from one class of both, so the
     pivots stay the full tableau's.
-    """
-    nv = num_vars
-    m = len(ineqs)
-    n_struct = 2 * nv + m
-    rows: list[dict[int, int]] = []
-    rhs: list[int] = []
-    labels: list[list[int]] = []
-    first: dict[tuple, int] = {}
-    # minimize the artificial sum: the reduced costs relative to the start
-    # basis are minus the artificial rows, each over the common multiple of
-    # their scales
-    red: dict[int, int] = {}
-    objective = 0
-    common = lcm(*[s for _, b, s in ineqs if b > 0])
-    for i, (terms, b, s) in enumerate(ineqs):
-        if b > 0:
-            # a.t - s * slack + s * artificial = b, the artificial basic
-            c = common // s
-            objective -= c * b
-            for j, x in terms:
-                red[j] = red.get(j, 0) - c * x
-            red[2 * nv + i] = c * s
-            label = n_struct + i
-        else:
-            label = 2 * nv + i
-        n = len(rows)
-        k = first.setdefault((tuple(terms), b, s), n)
-        if k != n:
-            labels[k].append(label)
-            continue
-        if b > 0:
-            row = dict(terms)
-            row[TAU] = -s
-            rhs.append(b)
-        else:
-            # -a.t + s * slack = -b, the slack basic at -b / s >= 0
-            row = {j: -x for j, x in terms}
-            rhs.append(-b)
-        row[SIGMA] = s
-        rows.append(row)
-        labels.append([label])
-    # the reduced costs are the last class, with no member; with no
-    # artificial they are empty, and the slack basis, every t_j = 0, is optimal
-    red = {j: x for j, x in red.items() if x}
-    rows.append(red)
-    rhs.append(objective)
-    labels.append([])
 
-    while True:
+    The ratio test leaves its pivot class ``r``, pivot entry ``p`` and
+    ``hits``, the ``(k, f)`` of every class with entry ``f != 0`` in the
+    entering column, for :meth:`pivot`.
+    """
+
+    __slots__ = ("nv", "m", "rows", "rhs", "labels", "r", "p", "hits")
+
+    def __init__(self, num_vars: int, ineqs: list[SparseRow]):
+        nv = self.nv = num_vars
+        m = self.m = len(ineqs)
+        n_struct = 2 * nv + m
+        rows: list[dict[int, int]] = []
+        rhs: list[int] = []
+        labels: list[list[int]] = []
+        first: dict[tuple, int] = {}
+        # minimize the artificial sum: the reduced costs relative to the start
+        # basis are minus the artificial rows, each over the common multiple of
+        # their scales
+        red: dict[int, int] = {}
+        objective = 0
+        common = lcm(*[s for _, b, s in ineqs if b > 0])
+        for i, (terms, b, s) in enumerate(ineqs):
+            if b > 0:
+                # a.t - s * slack + s * artificial = b, the artificial basic
+                c = common // s
+                objective -= c * b
+                for j, x in terms:
+                    red[j] = red.get(j, 0) - c * x
+                red[2 * nv + i] = c * s
+                label = n_struct + i
+            else:
+                label = 2 * nv + i
+            n = len(rows)
+            k = first.setdefault((tuple(terms), b, s), n)
+            if k != n:
+                labels[k].append(label)
+                continue
+            if b > 0:
+                row = dict(terms)
+                row[TAU] = -s
+                rhs.append(b)
+            else:
+                # -a.t + s * slack = -b, the slack basic at -b / s >= 0
+                row = {j: -x for j, x in terms}
+                rhs.append(-b)
+            row[SIGMA] = s
+            rows.append(row)
+            labels.append([label])
+        # the reduced costs are the last class, with no member; with no
+        # artificial they are empty, and the slack basis, every t_j = 0, is optimal
+        red = {j: x for j, x in red.items() if x}
+        rows.append(red)
+        rhs.append(objective)
+        labels.append([])
+        self.rows, self.rhs, self.labels = rows, rhs, labels
+
+    def entering(self) -> int | None:
         # a stored entry x prices p_j at x and q_j at -x
-        enter = min(
-            (j if x < 0 else nv + j for j, x in red.items() if x < 0 or j < nv), default=None
+        nv = self.nv
+        return min(
+            (j if x < 0 else nv + j for j, x in self.rows[-1].items() if x < 0 or j < nv),
+            default=None,
         )
-        if enter is None:
-            break
+
+    def leaving(self, enter: int) -> int:
+        nv, rows, rhs = self.nv, self.rows, self.rhs
         col, sign = (enter - nv, -1) if nv <= enter < 2 * nv else (enter, 1)
         # the classes holding the column, and among them the minimum ratio
         # rhs / coef by cross-multiplication, ties to the smaller basic
@@ -367,85 +422,340 @@ def _phase_one(num_vars: int, ineqs: list[SparseRow]) -> Point | None:
                 continue
             if leave >= 0:
                 diff = rhs[k] * best_coef - best_rhs * coef
-                if diff > 0 or (diff == 0 and labels[k][0] > labels[leave][0]):
+                if diff > 0 or (diff == 0 and self.labels[k][0] > self.labels[leave][0]):
                     continue
             leave, best_rhs, best_coef = k, rhs[k], coef
         if leave < 0:
             raise AssertionError("internal error: unbounded phase-1 objective")
-        _pivot(rows, rhs, labels, leave, best_coef, hits, enter, nv, m)
+        self.r, self.p, self.hits = leave, best_coef, hits
+        return self.labels[leave][0]
 
-    # the objective, a sum of nonnegative artificial values, is zero exactly
-    # when the problem is feasible
-    if rhs[-1]:
-        return None
-    # a basic variable is rhs over SIGMA; read all over their lcm
-    n2 = 2 * nv
-    basic = [(k, x) for k, members in enumerate(labels) for x in members if x < n2]
-    den = lcm(*(rows[k][SIGMA] for k, _ in basic))
-    values = [0] * n2
-    for k, x in basic:
-        values[x] = rhs[k] * (den // rows[k][SIGMA])
-    return [values[j] - values[nv + j] for j in range(nv)], den
+    def pivot(self, enter: int, leave: int) -> None:
+        """Pivot on class r, whose entry in the column ``enter`` is ``p > 0``.
 
-
-def _pivot(rows, rhs, labels, r, p, hits, enter, nv, m):
-    """Pivot on class r, whose entry in the column ``enter`` is ``p > 0``;
-    ``hits`` lists ``(k, f)`` for every class with entry f != 0 there.
-
-    The smallest member leaves: its row is the pivot row, with ``enter``
-    basic at ``SIGMA = p``, and the other members keep x - leave = 0, a new
-    class.  Each other hit becomes ``row * (p / g) - prow * (f / g)``,
-    g = gcd(p, f), divided by the gcd of its entries, own coefficients and
-    right hand side, and keeps its members.  Classes split and never merge:
-    the pivot class holds ``enter`` alone.
-    """
-    prow, pr = rows[r], rhs[r]
-    members = labels[r]
-    leave = members[0]
-    col = enter - nv if nv <= enter < 2 * nv else enter
-    del prow[col]
-    sigma = prow.pop(SIGMA)
-    tau = prow.pop(TAU, 0)
-    lcol, lval = (leave - nv, -sigma) if nv <= leave < 2 * nv else (leave, sigma)
-    prow[lcol] = lval
-    if tau:
-        prow[leave - m] = tau
-    pitems = prow.items()
-    for i, f in hits:
-        if i == r:
-            continue
-        g = gcd(p, f)
-        a, b = p // g, f // g
-        row = rows[i]
-        del row[col]
-        if a != 1:
-            for j in row:
-                row[j] *= a
-        for j, x in pitems:
-            v = row.get(j, 0) - b * x
-            if v:
-                row[j] = v
-            else:
-                del row[j]
-        h = rhs[i] * a - b * pr
-        g = gcd(h, *row.values())
-        if g > 1:
-            for j in row:
-                row[j] //= g
-            h //= g
-        rhs[i] = h
-    prow[SIGMA] = p
-    labels[r] = [enter]
-    if len(members) > 1:
-        # before the reduced costs, which stay last
-        g = gcd(sigma, tau)
-        rest = {lcol: -lval // g, SIGMA: sigma // g}
+        The smallest member, ``leave``, leaves: its row is the pivot row,
+        with ``enter`` basic at ``SIGMA = p``, and the other members keep
+        x - leave = 0, a new class.  Each other hit becomes
+        ``row * (p / g) - prow * (f / g)``, g = gcd(p, f), divided by the gcd
+        of its entries, own coefficients and right hand side, and keeps its
+        members.  Classes split and never merge: the pivot class holds
+        ``enter`` alone.
+        """
+        nv, m, rows, rhs, labels = self.nv, self.m, self.rows, self.rhs, self.labels
+        r, p = self.r, self.p
+        prow, pr = rows[r], rhs[r]
+        members = labels[r]
+        col = enter - nv if nv <= enter < 2 * nv else enter
+        del prow[col]
+        sigma = prow.pop(SIGMA)
+        tau = prow.pop(TAU, 0)
+        lcol, lval = (leave - nv, -sigma) if nv <= leave < 2 * nv else (leave, sigma)
+        prow[lcol] = lval
         if tau:
-            rest[leave - m] = -tau // g
-            rest[TAU] = tau // g
-        rows.insert(-1, rest)
-        rhs.insert(-1, 0)
-        labels.insert(-1, members[1:])
+            prow[leave - m] = tau
+        pitems = prow.items()
+        for i, f in self.hits:
+            if i == r:
+                continue
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            row = rows[i]
+            del row[col]
+            if a != 1:
+                for j in row:
+                    row[j] *= a
+            for j, x in pitems:
+                v = row.get(j, 0) - b * x
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+            h = rhs[i] * a - b * pr
+            g = gcd(h, *row.values())
+            if g > 1:
+                for j in row:
+                    row[j] //= g
+                h //= g
+            rhs[i] = h
+        prow[SIGMA] = p
+        labels[r] = [enter]
+        if len(members) > 1:
+            # before the reduced costs, which stay last
+            g = gcd(sigma, tau)
+            rest = {lcol: -lval // g, SIGMA: sigma // g}
+            if tau:
+                rest[leave - m] = -tau // g
+                rest[TAU] = tau // g
+            rows.insert(-1, rest)
+            rhs.insert(-1, 0)
+            labels.insert(-1, members[1:])
+
+    def point(self) -> Point | None:
+        # the objective, a sum of nonnegative artificial values, is zero
+        # exactly when the problem is feasible
+        rows, rhs = self.rows, self.rhs
+        if rhs[-1]:
+            return None
+        # a basic variable is rhs over SIGMA; read all over their lcm
+        nv = self.nv
+        basic = [(k, x) for k, members in enumerate(self.labels) for x in members if x < 2 * nv]
+        den = lcm(*(rows[k][SIGMA] for k, _ in basic))
+        values = [0] * (2 * nv)
+        for k, x in basic:
+            values[x] = rhs[k] * (den // rows[k][SIGMA])
+        return [values[j] - values[nv + j] for j in range(nv)], den
+
+
+class _Revised:
+    """The phase-1 basis held as an exact inverse: a revised simplex.
+
+    Row i reads ``a_i . t - s_i * slack_i + s_i * artificial_i = b_i`` over
+    its integer row.  Its slack or its artificial is basic, never both, or
+    neither, and then the row is tight: ``a_i . t = b_i``.  The basis holds
+    the structural columns ``S``, as ``(j, sign)`` for p_j (+1) or q_j (-1),
+    as many as the tight rows ``R``; the integer matrix
+    ``M[r][k] = sign_k * a[R_r][j_k]`` is invertible, and ``A = D * M^-1``
+    with ``D = |det M|`` is integral.  Each basis change updates A by one
+    Bareiss-style step, ``(pivot * A -+ outer product) / D`` exactly: a
+    column enters with a new tight row, a column replaces a column, a tight
+    row is swapped, or a tight row and a column leave.
+
+    The reduced costs follow from P = w . A, with ``w_k = sign_k * G[j_k]``
+    and G the column sums of the artificial-basic rows over the lcm
+    ``common`` of the scales of the rows with b > 0.  Over the positive scale
+    ``D * common``, p_j prices at ``sum_r P_r * a[R_r][j] - D * G_j`` and q_j
+    at its negative, a tight row's slack at ``-P_r`` (over ``s_r``) and its
+    artificial at ``D * common + P_r * s_r``; every other column is basic or
+    prices positive.
+
+    The entering column moves t along ``Delta / D``.  A row that is not
+    tight meets its bound where ``a . t = b``, which its artificial reaches
+    when ``a . Delta > 0`` and its slack when ``a . Delta < 0``.  Equal input
+    rows share ``a . Delta``, one product per class over the columns of
+    ``Delta``, and within a class the smallest slack or artificial member is
+    the candidate; ties across classes go to the smaller label, as in the
+    tableau.  The point ``T / Dt`` and each class's ``a . T`` are kept, and
+    recomputed only when a pivot moves the point: most pivots are
+    degenerate.  Ratios are compared over the common factor ``D / Dt``.  The
+    ratio test leaves ``step``, its pivot data, for :meth:`pivot`.
+    """
+
+    __slots__ = (
+        "nv", "m", "ineqs", "row_class", "coef", "cb", "slack", "art", "cols", "common", "G",
+        "S", "R", "A", "D", "T", "Dt", "vals", "step",
+    )
+
+    def __init__(self, num_vars: int, ineqs: list[SparseRow]):
+        self.nv, self.m, self.ineqs = num_vars, len(ineqs), ineqs
+        # per class of equal input rows: coefficients, b, and the sorted
+        # slack-basic and artificial-basic members; per column j the
+        # (class, coefficient) pairs
+        self.coef: list[dict[int, int]] = []
+        self.cb: list[int] = []
+        self.slack: list[list[int]] = []
+        self.art: list[list[int]] = []
+        self.cols: list[list[tuple[int, int]]] = [[] for _ in range(num_vars)]
+        self.row_class: list[int] = []
+        self.common = lcm(*[s for _, b, s in ineqs if b > 0])
+        self.G = [0] * num_vars
+        first: dict[tuple, int] = {}
+        for i, (terms, b, s) in enumerate(ineqs):
+            c = len(self.cb)
+            k = first.setdefault((tuple(terms), b, s), c)
+            if k == c:
+                self.coef.append(dict(terms))
+                self.cb.append(b)
+                self.slack.append([])
+                self.art.append([])
+                for j, x in terms:
+                    self.cols[j].append((c, x))
+            (self.art if b > 0 else self.slack)[k].append(i)
+            self.row_class.append(k)
+            if b > 0:
+                self._add_artificial(i, 1)
+        self.S: list[tuple[int, int]] = []
+        self.R: list[int] = []
+        self.A: list[list[int]] = []
+        self.D = self.Dt = 1
+        self.T = [0] * num_vars
+        self.vals = [0] * len(self.cb)
+
+    def _add_artificial(self, i: int, k: int) -> None:
+        """Add k times row i, over ``common``, to the artificial column sums G."""
+        terms, _, s = self.ineqs[i]
+        c = k * (self.common // s)
+        G = self.G
+        for j, x in terms:
+            G[j] += c * x
+
+    def entering(self) -> int | None:
+        nv, ineqs, R, D = self.nv, self.ineqs, self.R, self.D
+        w = [sign * self.G[j] for j, sign in self.S]
+        P = [sum(map(mul, w, col)) for col in zip(*self.A)]
+        red = [-D * g for g in self.G]
+        for Pr, i in zip(P, R):
+            if Pr:
+                for j, x in ineqs[i][0]:
+                    red[j] += Pr * x
+        enter = next((j for j, x in enumerate(red) if x < 0), None)
+        if enter is None:
+            enter = next((nv + j for j, x in enumerate(red) if x > 0), None)
+        if enter is None:
+            enter = min((2 * nv + i for Pr, i in zip(P, R) if Pr > 0), default=None)
+        if enter is None:
+            Dc = D * self.common
+            enter = min(
+                (
+                    2 * nv + self.m + i
+                    for Pr, i in zip(P, R)
+                    if ineqs[i][1] > 0 and Dc + Pr * ineqs[i][2] < 0
+                ),
+                default=None,
+            )
+        return enter
+
+    def leaving(self, enter: int) -> int:
+        nv, m, S, A, T, Dt = self.nv, self.m, self.S, self.A, self.T, self.Dt
+        cols, slack, art = self.cols, self.slack, self.art
+        # g: a . Delta per class, Delta_j = -sign * u at the basic columns
+        g = [0] * len(slack)
+        if enter < 2 * nv:
+            je, e = (enter, 1) if enter < nv else (enter - nv, -1)
+            coef, row_class = self.coef, self.row_class
+            col = [e * coef[row_class[i]].get(je, 0) for i in self.R]
+            # u: the entering column in the rows of the basic structurals
+            u = [sum(map(mul, row, col)) for row in A]
+            for c, x in cols[je]:
+                g[c] = x * e * self.D
+        else:
+            i = (enter - 2 * nv) % m
+            rho = self.R.index(i)
+            f = self.ineqs[i][2] if enter < 2 * nv + m else -self.ineqs[i][2]
+            u = [-f * row[rho] for row in A]
+        for (j, sign), uk in zip(S, u):
+            if uk:
+                d = -sign * uk
+                for c, x in cols[j]:
+                    g[c] += x * d
+        # the least ratio num / den, den > 0, and the smallest label on a tie
+        best = None
+        for k, uk in enumerate(u):
+            if uk > 0:
+                j, sign = S[k]
+                num, label = sign * T[j], j if sign > 0 else nv + j
+                if best is not None:
+                    diff = num * best[1] - best[0] * uk
+                    if diff > 0 or (diff == 0 and label > best[2]):
+                        continue
+                best = (num, uk, label, k)
+        cb, vals = self.cb, self.vals
+        for c, x in enumerate(g):
+            if x > 0:
+                if not art[c]:
+                    continue
+                num, den, label = cb[c] * Dt - vals[c], x, 2 * nv + m + art[c][0]
+            elif x < 0:
+                if not slack[c]:
+                    continue
+                num, den, label = vals[c] - cb[c] * Dt, -x, 2 * nv + slack[c][0]
+            else:
+                continue
+            if best is not None:
+                diff = num * best[1] - best[0] * den
+                if diff > 0 or (diff == 0 and label > best[2]):
+                    continue
+            best = (num, den, label, c)
+        if best is None:
+            raise AssertionError("internal error: unbounded phase-1 objective")
+        # u, the position of a leaving structural or the class of a leaving
+        # row, that class's a . Delta, and whether the point moves
+        self.step = (u, best[3], g[best[3]] if best[2] >= 2 * nv else 0, best[0] > 0)
+        return best[2]
+
+    def pivot(self, enter: int, leave: int) -> None:
+        nv, m, S, R, A, D = self.nv, self.m, self.S, self.R, self.A, self.D
+        coef, row_class = self.coef, self.row_class
+        u, kappa, g, moved = self.step
+        if leave >= 2 * nv:
+            # row i turns tight: its slack or artificial leaves
+            i = (leave - 2 * nv) % m
+            (self.slack if leave < 2 * nv + m else self.art)[row_class[i]].remove(i)
+            if leave >= 2 * nv + m:
+                self._add_artificial(i, -1)
+            a = coef[row_class[i]]
+            nu = [sign * a.get(j, 0) for j, sign in S]
+            z = [sum(map(mul, nu, col)) for col in zip(*A)]
+        if enter < 2 * nv:
+            je, e = (enter, 1) if enter < nv else (enter - nv, -1)
+            if leave < 2 * nv:
+                # a column replaces column kappa
+                p = u[kappa]
+                pk = A[kappa]
+                for k, row in enumerate(A):
+                    if k != kappa:
+                        A[k] = [(p * x - u[k] * y) // D for x, y in zip(row, pk)]
+                S[kappa] = (je, e)
+            else:
+                # a column enters with row i; g is D times the Schur complement
+                p = abs(g)
+                eps = 1 if g > 0 else -1
+                for k, row in enumerate(A):
+                    c = eps * u[k]
+                    A[k] = [(p * x + c * y) // D for x, y in zip(row, z)]
+                    A[k].append(-c)
+                A.append([-eps * y for y in z] + [eps * D])
+                S.append((je, e))
+                R.append(i)
+        else:
+            # the slack or artificial of tight row r enters, at position rho
+            r = (enter - 2 * nv) % m
+            rho = R.index(r)
+            insort((self.slack if enter < 2 * nv + m else self.art)[row_class[r]], r)
+            if enter >= 2 * nv + m:
+                self._add_artificial(r, 1)
+            if leave < 2 * nv:
+                # row r and column kappa leave
+                p = A[kappa][rho]
+                eps = 1 if p > 0 else -1
+                pk = A[kappa]
+                self.A = A = [
+                    [
+                        (p * x - row[rho] * y) * eps // D
+                        for c, (x, y) in enumerate(zip(row, pk))
+                        if c != rho
+                    ]
+                    for k, row in enumerate(A)
+                    if k != kappa
+                ]
+                del S[kappa], R[rho]
+            else:
+                # row i replaces row r
+                p = z[rho]
+                eps = 1 if p > 0 else -1
+                for row in A:
+                    y = row[rho]
+                    row[:] = [(p * x - zl * y) * eps // D for x, zl in zip(row, z)]
+                    row[rho] = eps * y
+                R[rho] = i
+            p = abs(p)
+        self.D = p
+        if moved:
+            # the basic structural values A . b[R] over D, and a . T per class
+            b = [self.ineqs[i][1] for i in R]
+            T = self.T = [0] * nv
+            vals = self.vals = [0] * len(self.cb)
+            for (j, sign), row in zip(S, A):
+                T[j] = t = sign * sum(map(mul, row, b))
+                for c, x in self.cols[j]:
+                    vals[c] += x * t
+            self.Dt = p
+
+    def point(self) -> Point | None:
+        # feasible exactly when every artificial still basic is zero
+        Dt = self.Dt
+        if any(art and v != b * Dt for art, v, b in zip(self.art, self.vals, self.cb)):
+            return None
+        return self.T, Dt
 
 
 def fourier_motzkin(lp: LPProblem, max_vars: int = 8) -> bool:

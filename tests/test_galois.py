@@ -736,14 +736,16 @@ def test_generator_of_the_wrong_shape_raises_value_error(m):
 @pytest.mark.parametrize("m", [((0, 1, 5), (1, 0)), ((0, 1), (1,))], ids=["3+2", "2+1"])
 def test_ragged_generator_raises_value_error(m):
     """A generator whose rows differ in length is refused by the order test,
-    whose integer map raises; the matrix product would read the columns of
-    ``((0, 1, 5), (1, 0))`` with ``zip`` and close to the swap group.
+    whose integer map raises, and by the matrix product, which would read
+    the columns of ``((0, 1, 5), (1, 0))`` with ``zip`` and return the swap.
     ``validate_action`` reports it as no lattice automorphism and skips the
     closure, with no error.  ``make`` rejects ragged rows, so the element
     is built directly."""
     g = GroupElement(m)
     with pytest.raises(ValueError, match="matrix rows have inconsistent lengths"):
         GroupAction(2, (), (g,)).elements()
+    with pytest.raises(ValueError, match="matrix rows have inconsistent lengths"):
+        identity_element(2).compose(g)
     report = validate_action(toric_datum(2), GroupAction(2, (), (g,)))
     assert report.checks["generator[0].lattice_automorphism"] is False
     assert report.checks["closure"] is False

@@ -1,4 +1,5 @@
 import hashlib
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -133,9 +134,9 @@ def pivots(monkeypatch):
     calls = []
     pivot = linprog._pivot
 
-    def recording(rows, rhs, labels, r, p, hits, enter, *rest):
-        calls.append((enter, labels[r][0]))
-        return pivot(rows, rhs, labels, r, p, hits, enter, *rest)
+    def recording(table, enter, leave):
+        calls.append((enter, leave))
+        return pivot(table, enter, leave)
 
     monkeypatch.setattr(linprog, "_pivot", recording)
     return calls
@@ -199,14 +200,16 @@ def test_q_columns_and_tied_ratios_match_reference(monkeypatch, pivots):
     ties = set()
     pivot, phase_one = linprog._pivot, linprog._phase_one
 
-    def tie_recording(rows, rhs, labels, r, p, hits, *rest):
+    def tie_recording(table, enter, leave):
         # the reduced costs, the last class, are negative in the entering
         # column; a class stands for one row per member
-        ratios = [(Fraction(rhs[i], f), len(labels[i])) for i, f in hits if f > 0]
+        ratios = [
+            (Fraction(table.rhs[i], f), len(table.labels[i])) for i, f in table.hits if f > 0
+        ]
         low = min(ratio for ratio, _ in ratios)
         if sum(n for ratio, n in ratios if ratio == low) > 1:
             ties.add(low > 0)
-        return pivot(rows, rhs, labels, r, p, hits, *rest)
+        return pivot(table, enter, leave)
 
     points = []
 
@@ -265,11 +268,12 @@ def test_repeated_rows_pivot_as_the_full_tableau(monkeypatch, pivots):
     seen = set()
     pivot = linprog._pivot
 
-    def watching(rows, rhs, labels, r, p, hits, enter, *rest):
-        if len(labels[r]) > 1:
-            seen.add("split artificial" if linprog.TAU in rows[r] else "split slack")
-        pivot(rows, rhs, labels, r, p, hits, enter, *rest)
-        assert all(members == [enter] for members in labels if enter in members)
+    def watching(table, enter, leave):
+        r = table.r
+        if len(table.labels[r]) > 1:
+            seen.add("split artificial" if linprog.TAU in table.rows[r] else "split slack")
+        pivot(table, enter, leave)
+        assert all(members == [enter] for members in table.labels if enter in members)
 
     monkeypatch.setattr(linprog, "_pivot", watching)
     rng = random.Random(7331)
@@ -287,7 +291,7 @@ def test_repeated_rows_pivot_as_the_full_tableau(monkeypatch, pivots):
 def test_cube_support_lps_keep_their_pivots_and_points(pivots):
     """The support LPs of all 64 cube patterns: the pivot count and point of
     each, hashed, as the full tableau gives them."""
-    # about 5 s on a 2-core x86_64 box with Python 3.11
+    # about 1.5 s on a 2-core x86_64 box with Python 3.11
     datum = toric_datum(3)
     digest = hashlib.sha256()
     total = 0
@@ -301,6 +305,74 @@ def test_cube_support_lps_keep_their_pivots_and_points(pivots):
         digest.update(f"{index} {len(pivots)} {x!r}\n".encode())
     assert total == 16817
     assert digest.hexdigest() == "8b3fa454450a0d4cb67d7df44d22375122071e40cad432627d109ab4baf5ffe7"
+
+
+def test_revised_basis_matches_reference(monkeypatch, pivots):
+    """With the switch at zero rows every LP pivots on the exact basis
+    inverse, and the LPs of ``random_lp``, ``negative_lp``, ``repeated_lp``
+    and ``random_rational_lp``, with and without equalities, take the
+    Fraction simplex's pivots and reach its point.  The
+    pivots make all four basis changes: a column enters with a new tight
+    row, a column replaces a column, a tight row is swapped, and a tight row
+    and a column leave."""
+    changes = set()
+    pivot = linprog._pivot
+
+    def classifying(table, enter, leave):
+        assert type(table) is linprog._Revised
+        # a structural column (p or q) enters or leaves, or a row's slack or
+        # artificial does
+        changes.add((enter < 2 * table.nv, leave < 2 * table.nv))
+        return pivot(table, enter, leave)
+
+    monkeypatch.setattr(linprog, "REVISED_ROWS", 0)
+    monkeypatch.setattr(linprog, "_pivot", classifying)
+    cases = ((random_lp, 1729, 200), (negative_lp, 5011, 60), (repeated_lp, 7331, 150))
+    cases += ((random_rational_lp, 4099, 300),)
+    for make, seed, count in cases:
+        rng = random.Random(seed)
+        for _ in range(count):
+            assert_matches_reference(make(rng), pivots)
+    assert changes == {(True, False), (True, True), (False, False), (False, True)}
+
+
+def switch_lp(rng: random.Random, m: int, feasible: bool) -> LPProblem:
+    """An LP of four variables, one equality and m inequality rows that hold
+    at a seeded integer point, some of them tightly; when not feasible, the
+    last row contradicts the first."""
+    x0 = [rng.randint(-2, 2) for _ in range(4)]
+    rows = []
+    for _ in range(m):
+        a = [rng.randint(-3, 3) for _ in range(4)]
+        rows.append((a, sum(map(operator.mul, a, x0)) - rng.choice((0, 0, 1, 2))))
+    if not feasible:
+        a, b = rows[0]
+        rows[-1] = ([-x for x in a], 1 - b)
+    eq = [rng.randint(-2, 2) for _ in range(4)]
+    eqs = (constraint(eq, sum(map(operator.mul, eq, x0))),)
+    return LPProblem(4, eqs, tuple(constraint(a, b) for a, b in rows))
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_switch_size_picks_the_representation(extra, monkeypatch, pivots):
+    """LPs of ``REVISED_ROWS`` inequality rows after their equality is
+    substituted pivot on the class tableau, and LPs of one row more on the
+    revised basis; both as the Fraction simplex."""
+    kinds = set()
+    pivot = linprog._pivot
+
+    def typing(table, enter, leave):
+        kinds.add(type(table))
+        return pivot(table, enter, leave)
+
+    monkeypatch.setattr(linprog, "_pivot", typing)
+    rng = random.Random(9109 + extra)
+    outcomes = []
+    for k in range(6):
+        lp = switch_lp(rng, linprog.REVISED_ROWS + extra, k % 2 == 0)
+        outcomes.append(assert_matches_reference(lp, pivots) is not None)
+    assert outcomes == [True, False] * 3
+    assert kinds == {linprog._Revised if extra else linprog._Tableau}
 
 
 def rank_one_fans(rng: random.Random, datum):
