@@ -217,13 +217,13 @@ def run_command(
 
     # command == "lined"
     csv = _need(lambda_csv, "lambda")
-    try:
-        weight = [int(part.strip()) for part in csv.split(",")]
-    except ValueError:
+    parts = [part.strip() for part in csv.split(",")]
+    if not all(fileio._DECIMAL.fullmatch(part) for part in parts):
         raise SchemaError(f"--lambda must be a comma-separated integer list, got {csv!r}")
-    if len(weight) > fileio.MAX_DIM:
+    if len(parts) > fileio.MAX_DIM:
         # theta is squared exactly, cubic in the length
-        raise SchemaError(f"--lambda: at most {fileio.MAX_DIM} entries, got {len(weight)}")
+        raise SchemaError(f"--lambda: at most {fileio.MAX_DIM} entries, got {len(parts)}")
+    weight = [fileio._decimal_int(part, "--lambda") for part in parts]
     theta_obj = fileio.load_json(_need(theta_path, "theta"))
     n = len(weight)
     theta = fileio._int_matrix(theta_obj, n, n, "theta")

@@ -3,7 +3,8 @@
 All vectors and matrices in files are integer-valued: rays and valuation
 generators are scale-invariant, and the remaining matrices are lattice maps,
 so integer input is lossless while internal arithmetic stays rational.
-Parsing is strict: non-integers (including booleans) are schema errors.
+Parsing is strict: non-integers (including booleans) and integers of more
+than :data:`MAX_ENTRY_BITS` bits are schema errors.
 
 :func:`parse_inputs` is the one-stop loader: it parses whatever paths it is
 given, applies the face closure to fans, validates everything, and raises
@@ -19,6 +20,7 @@ reproduces a canonically ordered file byte for byte.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -69,12 +71,42 @@ MAX_GENERATORS = 64
 # has 3m(m-1): about 1.7 s at m = 18 (918 rows) and 2.3 s at m = 20 (1140
 # rows) on a 2-core x86_64 box with Python 3.11.  The twisted cube has 528.
 MAX_SUPPORT_ROWS = 1024
+# Most bits of an integer in a file, checked as each is read, before any
+# cone of the file is built; ``lined --lambda`` takes the same cap.  Exact
+# elimination grows entries like determinants (Hadamard's bound), so the cap
+# bounds the work only together with MAX_DIM, MAX_RAYS and
+# ``cones.MAX_DD_PAIRS``.  The slowest file found inside every limit, one
+# cone of 20 random rays in the positive orthant of dimension 12, runs
+# `validate` to the pair cap in 8.7 s with entries of 40 bits, against 2.3 s
+# with 2 bits and 17.9 s with 64; with 128-bit entries a signed one took
+# 73 s, and ten 1000-digit rays in dimension 6 took 28 s (2-core x86_64,
+# Python 3.11).  The cap admits the cone over the 40 points (1, t, ..., t^7)
+# of the moment curve, whose largest entry 40^7 has 38 bits, which stops at
+# the pair cap; the benchmark's inputs have entries of at most 3 bits.
+MAX_ENTRY_BITS = 40
+
+_DECIMAL = re.compile("-?[0-9]+")
 
 
 def _require_int(x, where: str) -> int:
     if type(x) is not int:
         raise SchemaError(f"{where}: expected an integer, got {x!r}")
+    if x.bit_length() > MAX_ENTRY_BITS:
+        raise _entry_too_long(where)
     return x
+
+
+def _entry_too_long(where: str) -> SchemaError:
+    return SchemaError(f"{where}: an integer of more than {MAX_ENTRY_BITS} bits")
+
+
+def _decimal_int(digits: str, where: str) -> int:
+    """The integer that ``digits``, a match of ``_DECIMAL``, writes, within
+    :data:`MAX_ENTRY_BITS`.  A number below 2**k has at most k digits, so a
+    longer string is refused before it is converted."""
+    if len(digits.lstrip("-0")) > MAX_ENTRY_BITS:
+        raise _entry_too_long(where)
+    return _require_int(int(digits), where)
 
 
 def _int_vector(obj, length: int, where: str) -> tuple[int, ...]:
@@ -119,10 +151,15 @@ def load_json(path) -> object:
     p = Path(path)
     if not p.is_file():
         raise InputFileError(f"no such file: {p}")
+    text = p.read_text(encoding="utf-8")
     try:
-        return json.loads(p.read_text(encoding="utf-8"))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{p}: not valid JSON ({exc})") from None
+    except ValueError:
+        # the only other ValueError of json.loads: an integer of more digits
+        # than Python converts (4300 by default), far above MAX_ENTRY_BITS
+        raise _entry_too_long(str(p)) from None
     except RecursionError:
         raise SchemaError(f"{p}: nested too deeply") from None
 

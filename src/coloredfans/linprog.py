@@ -6,19 +6,18 @@ Two independent deciders over the same problem type:
   simplex with Bland's anti-cycling rule, in integers: no ``Fraction`` is
   built inside the simplex.  Each free variable is split as t = p - q.  An
   LP of at most ``REVISED_ROWS`` inequality rows pivots on a sparse integer
-  tableau of fraction-free rows, each integral over one positive scale,
-  with only the p half stored (the q column is minus the p column) and rows
-  equal apart from their own columns stored once, as a class with the basic
-  labels it stands for.  A larger LP, such as a support LP, whose pivots are
-  mostly degenerate while the basis holds a few structural columns, pivots
-  on an exact basis inverse ``D * M^-1`` over the tight rows and basic
-  structural columns, updated by Bareiss-style exact division; it computes
-  only the reduced costs and the entering column, once per class of equal
-  input rows.  Both take the pivots that a simplex over the rationals takes
-  on the full tableau, and return an exact rational assignment, re-verified
-  against the problem, or ``None``.  The point is read over one common
-  denominator, lifted through the equalities and re-verified in integers;
-  its ``Fraction`` entries are built only on return.
+  tableau of fraction-free rows, one per inequality, with only the p half
+  stored (the q column is minus the p column).  A larger LP, such as a
+  support LP, whose pivots are mostly degenerate while the basis holds a few
+  structural columns, pivots on an exact basis inverse ``D * M^-1`` over the
+  tight rows and basic structural columns, updated by Bareiss-style exact
+  division; it computes only the reduced costs and the entering column, once
+  per class of equal input rows.  Both take the pivots that a simplex over
+  the rationals takes on the full tableau, and return an exact rational
+  assignment, re-verified against the problem, or ``None``.  The point is
+  read over one common denominator, lifted through the equalities and
+  re-verified in integers; its ``Fraction`` entries are built only on
+  return.
 * :func:`fourier_motzkin` -- variable elimination over integer rows,
   intended as a slow cross-checking oracle and capped at a configurable
   variable count.
@@ -266,15 +265,18 @@ def lp_feasible(lp: LPProblem) -> RatVec | None:
     return tuple([Fraction(x, den) for x in nums])
 
 
-# the keys of a class's own coefficients in its row (see _Tableau)
-SIGMA, TAU = -1, -2
 # LPs with more inequality rows than this, after the equalities are
-# substituted, pivot on the exact basis inverse (_Revised), the rest on the
-# class tableau (_Tableau).  On the first m rows of 16 cube support LPs the
-# revised form ran at 0.6-0.8x the tableau's speed up to m = 32, 0.97x at 40,
-# 1.1x at 48 and 1.8x at 128; on the relint and orbit LPs of the benchmark
-# workloads, of at most 15 rows, at 0.7x (Python 3.11, 2-core x86_64).
-REVISED_ROWS = 40
+# substituted, pivot on the exact basis inverse (_Revised), which reads each
+# class of equal input rows once; the rest on the tableau (_Tableau), one row
+# per inequality.  On the phase-one LPs of 6 cube3d, 40 plane_fans and 200
+# kform_orbits queries (seed 1), the revised form took 1.4-1.5x the tableau's
+# time on the 4446 relint LPs of 12 rows, 0.75-0.81x on the plane support LPs
+# of 18 rows (6.25 distinct) and 0.42-0.44x on those of 36 rows (18.4
+# distinct); on the 15 orbit LPs of 15 rows (6 distinct) it took 0.70-0.72x,
+# 0.4 ms less in all (best of 7 and of 15, Python 3.11, 2-core x86_64).  No
+# LP there has 13, 14, 16 or 17 rows: the switch sits above every relint and
+# orbit LP, below every support LP.
+REVISED_ROWS = 16
 
 
 def _phase_one(num_vars: int, ineqs: list[SparseRow]) -> Point | None:
@@ -293,14 +295,16 @@ def _phase_one(num_vars: int, ineqs: list[SparseRow]) -> Point | None:
     one ``_pivot`` each, and reach its point.
 
     LPs of at most ``REVISED_ROWS`` rows, among them the relint and orbit
-    LPs of the benchmark workloads, pivot on the class tableau
-    (:class:`_Tableau`), which rewrites every row a pivot touches.  Larger
-    ones, such as support LPs, take mostly degenerate pivots among many rows
-    while the basis holds a few structural columns; they pivot on an exact
-    basis inverse (:class:`_Revised`), which computes only what Bland's rule
-    reads: the reduced costs and the entering column.  The revised form
-    takes under a third of the tableau's time on the 64 cube support LPs,
-    but is slower below about 40 rows, where the switch sits.
+    LPs of the benchmark workloads, pivot on the tableau (:class:`_Tableau`),
+    one sparse row per inequality, which rewrites every row a pivot touches.
+    Larger ones, such as support LPs, take mostly degenerate pivots among
+    many rows, often repeated, while the basis holds a few structural
+    columns; they pivot on an exact basis inverse (:class:`_Revised`), which
+    computes only what Bland's rule reads: the reduced costs and the
+    entering column, once per class of equal input rows.  The revised form
+    takes under a third of the tableau's time on the 64 cube support LPs and
+    under half on the plane support LPs of 36 rows, but 1.4-1.5x its time
+    on the relint LPs of 12 rows.
     """
     table = (_Revised if len(ineqs) > REVISED_ROWS else _Tableau)(num_vars, ineqs)
     while True:
@@ -311,50 +315,31 @@ def _phase_one(num_vars: int, ineqs: list[SparseRow]) -> Point | None:
 
 
 def _pivot(table, enter, leave):
-    """Make the column ``enter`` basic in place of the basic label ``leave``,
-    as the ratio test ``table.leaving(enter)`` chose it: every pivot of
-    either representation."""
+    """Make ``enter`` basic in place of ``leave``, as ``table.leaving(enter)``
+    chose it: every pivot of either representation."""
     table.pivot(enter, leave)
 
 
 class _Tableau:
-    """The phase-1 tableau, integral and sparse: a row stands for itself
-    over its positive coefficient on its basic column.  The reduced costs are
-    the last row, over an implicit positive scale, with minus the objective
-    as right hand side.  Only p is stored: every row is a combination of
-    start rows, whose q column is minus the p column, so column
-    ``num_vars + j`` reads as ``-row[j]``.
+    """The phase-1 tableau, integral and sparse: one row per inequality,
+    ``rows[i]`` standing for itself over its positive coefficient on its
+    basic column ``basis[i]``.  The reduced costs are the last row, over an
+    implicit positive scale, with minus the objective as right hand side.
+    Only p is stored: every row is a combination of start rows, whose q
+    column is minus the p column, so column ``num_vars + j`` reads as
+    ``-row[j]``, and a basic q column as minus its p entry.
 
-    Rows equal apart from their own columns (the basic one and an artificial
-    row's slack, held by no other row) get the same update on every pivot
-    not on them and tie in every ratio test, where Bland's rule takes the
-    smallest basic label; so each class of them is stored once, and the
-    pivots are those of the full tableau.  Class k has one row per basic
-    label x in ``labels[k]``, sorted: ``rows[k]`` holds the columns that are
-    not own, and under the keys ``SIGMA`` and ``TAU`` the coefficients of x
-    and of its own slack, if any, which pivots scale and divide with the
-    row.  A basic q column x reads as ``-SIGMA`` in the p column
-    ``x - num_vars``.  The classes start as the groups of equal input rows;
-    a pivot on a class splits off its smallest member, and classes never
-    merge.  Two classes that come to be equal tie in every ratio test, where
-    the smaller label leaves, as it would from one class of both, so the
-    pivots stay the full tableau's.
-
-    The ratio test leaves its pivot class ``r``, pivot entry ``p`` and
-    ``hits``, the ``(k, f)`` of every class with entry ``f != 0`` in the
+    The ratio test leaves its pivot row ``r``, pivot entry ``p`` and
+    ``hits``, the ``(i, f)`` of every row with entry ``f != 0`` in the
     entering column, for :meth:`pivot`.
     """
 
-    __slots__ = ("nv", "m", "rows", "rhs", "labels", "r", "p", "hits")
+    __slots__ = ("nv", "rows", "rhs", "basis", "r", "p", "hits")
 
     def __init__(self, num_vars: int, ineqs: list[SparseRow]):
         nv = self.nv = num_vars
-        m = self.m = len(ineqs)
-        n_struct = 2 * nv + m
-        rows: list[dict[int, int]] = []
-        rhs: list[int] = []
-        labels: list[list[int]] = []
-        first: dict[tuple, int] = {}
+        m = len(ineqs)
+        rows, rhs, basis = self.rows, self.rhs, self.basis = [], [], []
         # minimize the artificial sum: the reduced costs relative to the start
         # basis are minus the artificial rows, each over the common multiple of
         # their scales
@@ -362,39 +347,25 @@ class _Tableau:
         objective = 0
         common = lcm(*[s for _, b, s in ineqs if b > 0])
         for i, (terms, b, s) in enumerate(ineqs):
+            slack = 2 * nv + i
             if b > 0:
                 # a.t - s * slack + s * artificial = b, the artificial basic
                 c = common // s
                 objective -= c * b
                 for j, x in terms:
                     red[j] = red.get(j, 0) - c * x
-                red[2 * nv + i] = c * s
-                label = n_struct + i
-            else:
-                label = 2 * nv + i
-            n = len(rows)
-            k = first.setdefault((tuple(terms), b, s), n)
-            if k != n:
-                labels[k].append(label)
-                continue
-            if b > 0:
-                row = dict(terms)
-                row[TAU] = -s
-                rhs.append(b)
+                red[slack] = c * s
+                rows.append(dict(terms) | {slack: -s, slack + m: s})
+                basis.append(slack + m)
             else:
                 # -a.t + s * slack = -b, the slack basic at -b / s >= 0
-                row = {j: -x for j, x in terms}
-                rhs.append(-b)
-            row[SIGMA] = s
-            rows.append(row)
-            labels.append([label])
-        # the reduced costs are the last class, with no member; with no
-        # artificial they are empty, and the slack basis, every t_j = 0, is optimal
-        red = {j: x for j, x in red.items() if x}
-        rows.append(red)
+                rows.append({j: -x for j, x in terms} | {slack: s})
+                basis.append(slack)
+            rhs.append(abs(b))
+        # with no artificial the reduced costs are empty, and the slack basis,
+        # every t_j = 0, is optimal
+        rows.append({j: x for j, x in red.items() if x})
         rhs.append(objective)
-        labels.append([])
-        self.rows, self.rhs, self.labels = rows, rhs, labels
 
     def entering(self) -> int | None:
         # a stored entry x prices p_j at x and q_j at -x
@@ -405,54 +376,39 @@ class _Tableau:
         )
 
     def leaving(self, enter: int) -> int:
-        nv, rows, rhs = self.nv, self.rows, self.rhs
+        nv, rows, rhs, basis = self.nv, self.rows, self.rhs, self.basis
         col, sign = (enter - nv, -1) if nv <= enter < 2 * nv else (enter, 1)
-        # the classes holding the column, and among them the minimum ratio
+        # the rows holding the column, and among them the minimum ratio
         # rhs / coef by cross-multiplication, ties to the smaller basic
         # column; the reduced costs are negative there, so they take no part
-        hits = []
-        leave = -1
-        for k, row in enumerate(rows):
+        hits, leave = [], -1
+        for i, row in enumerate(rows):
             coef = row.get(col)
             if coef is None:
                 continue
             coef *= sign
-            hits.append((k, coef))
+            hits.append((i, coef))
             if coef <= 0:
                 continue
             if leave >= 0:
-                diff = rhs[k] * best_coef - best_rhs * coef
-                if diff > 0 or (diff == 0 and self.labels[k][0] > self.labels[leave][0]):
+                diff = rhs[i] * best_coef - best_rhs * coef
+                if diff > 0 or (diff == 0 and basis[i] > basis[leave]):
                     continue
-            leave, best_rhs, best_coef = k, rhs[k], coef
+            leave, best_rhs, best_coef = i, rhs[i], coef
         if leave < 0:
             raise AssertionError("internal error: unbounded phase-1 objective")
         self.r, self.p, self.hits = leave, best_coef, hits
-        return self.labels[leave][0]
+        return basis[leave]
 
     def pivot(self, enter: int, leave: int) -> None:
-        """Pivot on class r, whose entry in the column ``enter`` is ``p > 0``.
-
-        The smallest member, ``leave``, leaves: its row is the pivot row,
-        with ``enter`` basic at ``SIGMA = p``, and the other members keep
-        x - leave = 0, a new class.  Each other hit becomes
-        ``row * (p / g) - prow * (f / g)``, g = gcd(p, f), divided by the gcd
-        of its entries, own coefficients and right hand side, and keeps its
-        members.  Classes split and never merge: the pivot class holds
-        ``enter`` alone.
+        """Pivot on row r, whose entry in the column ``enter`` is ``p > 0``,
+        so that ``enter`` is basic there in place of ``leave``.  Each other
+        hit becomes ``row * (p / g) - prow * (f / g)``, g = gcd(p, f), which
+        is zero in the column ``enter``, divided by the gcd of its entries
+        and right hand side.
         """
-        nv, m, rows, rhs, labels = self.nv, self.m, self.rows, self.rhs, self.labels
-        r, p = self.r, self.p
+        rows, rhs, r, p = self.rows, self.rhs, self.r, self.p
         prow, pr = rows[r], rhs[r]
-        members = labels[r]
-        col = enter - nv if nv <= enter < 2 * nv else enter
-        del prow[col]
-        sigma = prow.pop(SIGMA)
-        tau = prow.pop(TAU, 0)
-        lcol, lval = (leave - nv, -sigma) if nv <= leave < 2 * nv else (leave, sigma)
-        prow[lcol] = lval
-        if tau:
-            prow[leave - m] = tau
         pitems = prow.items()
         for i, f in self.hits:
             if i == r:
@@ -460,7 +416,6 @@ class _Tableau:
             g = gcd(p, f)
             a, b = p // g, f // g
             row = rows[i]
-            del row[col]
             if a != 1:
                 for j in row:
                     row[j] *= a
@@ -477,32 +432,24 @@ class _Tableau:
                     row[j] //= g
                 h //= g
             rhs[i] = h
-        prow[SIGMA] = p
-        labels[r] = [enter]
-        if len(members) > 1:
-            # before the reduced costs, which stay last
-            g = gcd(sigma, tau)
-            rest = {lcol: -lval // g, SIGMA: sigma // g}
-            if tau:
-                rest[leave - m] = -tau // g
-                rest[TAU] = tau // g
-            rows.insert(-1, rest)
-            rhs.insert(-1, 0)
-            labels.insert(-1, members[1:])
+        self.basis[r] = enter
 
     def point(self) -> Point | None:
         # the objective, a sum of nonnegative artificial values, is zero
         # exactly when the problem is feasible
-        rows, rhs = self.rows, self.rhs
+        nv, rows, rhs = self.nv, self.rows, self.rhs
         if rhs[-1]:
             return None
-        # a basic variable is rhs over SIGMA; read all over their lcm
-        nv = self.nv
-        basic = [(k, x) for k, members in enumerate(self.labels) for x in members if x < 2 * nv]
-        den = lcm(*(rows[k][SIGMA] for k, _ in basic))
+        # a basic p_j or q_j is rhs over its coefficient; read all over their lcm
+        basic = [
+            (i, x, rows[i][x] if x < nv else -rows[i][x - nv])
+            for i, x in enumerate(self.basis)
+            if x < 2 * nv
+        ]
+        den = lcm(*(sigma for _, _, sigma in basic))
         values = [0] * (2 * nv)
-        for k, x in basic:
-            values[x] = rhs[k] * (den // rows[k][SIGMA])
+        for i, x, sigma in basic:
+            values[x] = rhs[i] * (den // sigma)
         return [values[j] - values[nv + j] for j in range(nv)], den
 
 

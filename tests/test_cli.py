@@ -600,6 +600,42 @@ _INPUT_ERRORS = [
         {"datum": "datum_toric2.json", "fan": "fan_p1xp1.json"},
         "monoid checks need a fan file with exactly one cone",
     ),
+    # one bit over fileio.MAX_ENTRY_BITS, in every kind of integer a file holds
+    (
+        "validate",
+        {"datum": {**_LINE, "valuation_cone": {"generators": [[1], [-(2**40)]]}}},
+        "datum.valuation_cone.generators[1]: an integer of more than 40 bits",
+    ),
+    (
+        "validate",
+        {"datum": {**_LINE, "colors": [{"name": "D", "rho": [2**40]}]}},
+        "datum.colors[0].rho: an integer of more than 40 bits",
+    ),
+    (
+        "validate",
+        {"datum": "datum_toric2.json", "fan": {"cones": [{"rays": [[1, 0], [2**40, 1]]}]}},
+        "fan.cones[0].rays[1]: an integer of more than 40 bits",
+    ),
+    (
+        "validate",
+        {"datum": "datum_toric2.json", "action": {"generators": [{"matrix": [[1, 2**40], [0, 1]]}]}},
+        "action.generators[0].matrix[0]: an integer of more than 40 bits",
+    ),
+    (
+        "morphism",
+        {
+            "datum": "datum_toric2.json",
+            "fan": "fan_quadrant.json",
+            "morphism": {**_PROJECTION, "matrix": [[1, -(2**40)]]},
+        },
+        "morphism.matrix[0]: an integer of more than 40 bits",
+    ),
+    # past the digits that Python converts, the file is named
+    (
+        "validate",
+        {"datum": "datum_toric2.json", "fan": '{"cones": [{"rays": [[1, ' + "9" * 5000 + "]]}]}"},
+        "{fan}: an integer of more than 40 bits",
+    ),
 ]
 
 
@@ -624,6 +660,49 @@ def test_input_errors_name_the_place(command, files, message, tmp_path, capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("input error: " + message.format(**paths))
+
+
+def test_entry_bit_cap(tmp_path, capsys):
+    """One bit over ``MAX_ENTRY_BITS`` exits 2 with one ``input error:``
+    line well under a second, also when every entry of ten rays in
+    dimension 6 has 1000 digits (such a cone once took 28 s to validate),
+    and so does a ``--lambda`` or theta entry; a file whose entries reach
+    the cap is read and validated.  A ``--lambda`` entry is an optional
+    minus and decimal digits, nothing more."""
+    assert fileio.MAX_ENTRY_BITS == 40
+    cap = 2**40 - 1
+    rng = random.Random(4409)
+    datum, fan, theta = (tmp_path / name for name in ("datum.json", "fan.json", "theta.json"))
+    generators = [[s * (i == j) for j in range(6)] for i in range(6) for s in (1, -1)]
+    datum.write_text(json.dumps({"dim": 6, "valuation_cone": {"generators": generators}}))
+    long_rays = [[rng.randrange(10**999, 10**1000) for _ in range(6)] for _ in range(10)]
+    theta.write_text(json.dumps([[0, 1], [1, 2**40]]))
+    runs = [
+        ["validate", "--datum", str(datum), "--fan", str(fan)],
+        ["lined", "--theta", fx("theta_id2.json"), "--lambda", f"1,{2**40}"],
+        ["lined", "--theta", fx("theta_id2.json"), "--lambda", "-0" + "9" * 10**5],
+        ["lined", "--theta", str(theta), "--lambda", "1,0"],
+    ]
+    for argv, where in zip(runs, ("fan.cones[0].rays[0]", "--lambda", "--lambda", "theta[1]")):
+        fan.write_text(json.dumps({"cones": [{"rays": long_rays}]}))
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"input error: {where}: an integer of more than 40 bits\n"
+    # entries at the cap, and the cap negated
+    fan.write_text(json.dumps({"cones": [{"rays": [[1] + [0] * 5, [cap, -cap] + [1] * 4]}]}))
+    datum_2 = tmp_path / "datum_2.json"
+    datum_2.write_text(json.dumps({"dim": 2, "valuation_cone": {"generators": [[1, 0], [cap, -cap]]}}))
+    assert main(["validate", "--datum", str(datum), "--fan", str(fan)]) == 0
+    assert main(["validate", "--datum", str(datum_2)]) == 0
+    assert main(["lined", "--theta", fx("theta_neg.json"), "--lambda", str(-cap)]) == 0
+    capsys.readouterr()
+    for weight in ("1_0", "+1", "1.0", "١", "0x1", ""):
+        assert main(["lined", "--theta", fx("theta_neg.json"), "--lambda", weight]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: --lambda must be a comma-separated integer list, got {weight!r}\n"
+        )
 
 
 def test_invalid_action_matrix_is_input_error(tmp_path):
@@ -959,6 +1038,28 @@ def test_cli_golden_output(command, tmp_path, capsys):
     write_inputs(tmp_path)
     code = main(golden_argv(command, tmp_path))
     assert (code, capsys.readouterr().out) == GOLDEN[command]
+
+
+def _runs(python: str) -> bool:
+    try:
+        return subprocess.run([python, "-c", "pass"], capture_output=True).returncode == 0
+    except OSError:
+        return False
+
+
+@pytest.mark.parametrize("python", [sys.executable, "python3.10"])
+def test_golden_script_replays_every_case(python):
+    """``tests/golden.py`` run as a script replays every golden block with
+    the standard library alone: under this interpreter, and under Python
+    3.10 when ``python3.10`` runs."""
+    if python == "python3.10" and not _runs(python):
+        pytest.skip("python3.10 does not run here")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    ran = subprocess.run(
+        [python, str(Path(__file__).parent / "golden.py")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (ran.returncode, ran.stdout) == (0, "54 of 54 golden cases match\n")
 
 
 def test_force_lp_changes_no_monoid_kform_output(tmp_path, capsys):

@@ -8,8 +8,10 @@ import pytest
 from conftest import cube_pattern_cones, random_complete_2d_fan, toric_datum
 from reference_exact import reference_relint_lp, reference_satisfied_by, reference_support_lp
 from reference_simplex import reference_lp_feasible
+from test_fan_facts import FIXTURES
+from test_galois import KFORM_CASES, _kform_case
 
-from coloredfans import colored, linprog, quasiproj
+from coloredfans import colored, fileio, galois, linprog, quasiproj
 from coloredfans.colored import (
     ColoredCone,
     SphericalDatum,
@@ -20,6 +22,7 @@ from coloredfans.colored import (
 )
 from coloredfans.cones import cone_from_generators
 from coloredfans.errors import EliminationCapError
+from coloredfans.linalg import identity
 from coloredfans.linprog import LPProblem, constraint, fourier_motzkin, lp_feasible
 from coloredfans.quasiproj import build_support_lp, maximal_members
 
@@ -201,13 +204,11 @@ def test_q_columns_and_tied_ratios_match_reference(monkeypatch, pivots):
     pivot, phase_one = linprog._pivot, linprog._phase_one
 
     def tie_recording(table, enter, leave):
-        # the reduced costs, the last class, are negative in the entering
-        # column; a class stands for one row per member
-        ratios = [
-            (Fraction(table.rhs[i], f), len(table.labels[i])) for i, f in table.hits if f > 0
-        ]
-        low = min(ratio for ratio, _ in ratios)
-        if sum(n for ratio, n in ratios if ratio == low) > 1:
+        # the LPs have at most 16 rows, so they pivot on the tableau, whose
+        # reduced costs, the last row, are negative in the entering column
+        ratios = [Fraction(table.rhs[i], f) for i, f in table.hits if f > 0]
+        low = min(ratios)
+        if ratios.count(low) > 1:
             ties.add(low > 0)
         return pivot(table, enter, leave)
 
@@ -237,7 +238,6 @@ def test_q_columns_and_tied_ratios_match_reference(monkeypatch, pivots):
     assert ties == {False, True}
 
 
-
 def repeated_lp(rng: random.Random) -> LPProblem:
     """An LP without equalities whose rows repeat: up to three copies of rows
     with b <= 0 and with b > 0, copies at a positive multiple, and repeated
@@ -260,21 +260,22 @@ def repeated_lp(rng: random.Random) -> LPProblem:
 
 
 def test_repeated_rows_pivot_as_the_full_tableau(monkeypatch, pivots):
-    """Classes of equal rows take the Fraction simplex's (entering, leaving)
-    path on every LP and return its point to the repr.  The LPs split
-    classes of slack rows and of artificial rows when they pivot on them,
-    and need q columns.  Classes never merge: after each pivot the entering
-    label is alone in its class."""
+    """LPs with repeated rows take the Fraction simplex's (entering, leaving)
+    path on the tableau and return its point to the repr, q columns
+    included.  After each pivot the entering label is basic in the pivot
+    row alone, and the leaving one nowhere."""
     seen = set()
     pivot = linprog._pivot
 
     def watching(table, enter, leave):
+        assert type(table) is linprog._Tableau
         r = table.r
-        if len(table.labels[r]) > 1:
-            seen.add("split artificial" if linprog.TAU in table.rows[r] else "split slack")
         pivot(table, enter, leave)
-        assert all(members == [enter] for members in table.labels if enter in members)
+        assert table.basis[r] == enter and table.basis.count(enter) == 1
+        assert leave not in table.basis
 
+    # the LPs have up to 32 rows: every one on the tableau
+    monkeypatch.setattr(linprog, "REVISED_ROWS", 32)
     monkeypatch.setattr(linprog, "_pivot", watching)
     rng = random.Random(7331)
     outcomes = []
@@ -285,7 +286,7 @@ def test_repeated_rows_pivot_as_the_full_tableau(monkeypatch, pivots):
         if x is not None and min(x) < 0:
             seen.add("negative")
     assert 20 < sum(outcomes) < 130
-    assert seen == {"split artificial", "split slack", "negative"}
+    assert seen == {"negative"}
 
 
 def test_cube_support_lps_keep_their_pivots_and_points(pivots):
@@ -356,7 +357,7 @@ def switch_lp(rng: random.Random, m: int, feasible: bool) -> LPProblem:
 @pytest.mark.parametrize("extra", [0, 1])
 def test_switch_size_picks_the_representation(extra, monkeypatch, pivots):
     """LPs of ``REVISED_ROWS`` inequality rows after their equality is
-    substituted pivot on the class tableau, and LPs of one row more on the
+    substituted pivot on the tableau, and LPs of one row more on the
     revised basis; both as the Fraction simplex."""
     kinds = set()
     pivot = linprog._pivot
@@ -373,6 +374,54 @@ def test_switch_size_picks_the_representation(extra, monkeypatch, pivots):
         outcomes.append(assert_matches_reference(lp, pivots) is not None)
     assert outcomes == [True, False] * 3
     assert kinds == {linprog._Revised if extra else linprog._Tableau}
+
+
+def test_switch_sends_support_lps_to_the_revised_basis(monkeypatch):
+    """Where the switch sends the library's LPs: the support LPs of the
+    fixtures ``fan_p2.json`` and ``fan_p1xp1.json``, of 18 and 36 inequality
+    rows after their equalities are substituted, pivot on the revised basis;
+    the relint LPs of a cube pattern's fan and the orbit LPs of the kform
+    catalogue, of at most 15, pivot on the tableau."""
+    kind, rows, seen = [None], {}, set()
+    pivot = linprog._pivot
+
+    def typing(table, enter, leave):
+        seen.add((kind[0], type(table)))
+        return pivot(table, enter, leave)
+
+    def tagging(module, name):
+        solve = module.lp_feasible
+
+        def tagged(lp):
+            kind[0] = name
+            rows.setdefault(name, set()).add(len(linprog._substitute_equalities(lp)[3]))
+            return solve(lp)
+
+        monkeypatch.setattr(module, "lp_feasible", tagged)
+
+    monkeypatch.setattr(linprog, "_pivot", typing)
+    tagging(colored, "relint")
+    tagging(galois, "orbit")
+    tagging(linprog, "support")
+    datum = toric_datum(3)
+    cones = [ColoredCone(cone_from_generators(c, 3)) for c in cube_pattern_cones(24)]
+    assert validate_colored_fan(datum, fan_from_maximal_cones(datum, cones)).passed
+    assert seen == {("relint", linprog._Tableau)}
+    for case in KFORM_CASES:
+        datum, fan, action = _kform_case(case, identity(case[1]))
+        _, orbits, edges = galois._image_table(action, fan, None)
+        for orbit in orbits.values():
+            galois._orbit_forms(datum, action, orbit, edges)
+    for name in ("fan_p2.json", "fan_p1xp1.json"):
+        inputs = fileio.parse_inputs(FIXTURES / "datum_toric2.json", FIXTURES / name)
+        linprog.lp_feasible(build_support_lp(inputs.datum, inputs.fan))
+    assert seen == {
+        ("relint", linprog._Tableau),
+        ("orbit", linprog._Tableau),
+        ("support", linprog._Revised),
+    }
+    assert rows["support"] == {18, 36}
+    assert max(rows["relint"]) <= 15 and max(rows["orbit"]) == 15
 
 
 def rank_one_fans(rng: random.Random, datum):
