@@ -1,4 +1,5 @@
 import argparse
+import errno
 import itertools
 import json
 import os
@@ -281,6 +282,37 @@ def test_valuation_generator_limit_is_an_input_error(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == ["input error: datum.valuation_cone.generators: more than 256"]
+
+
+def colored_datum(n: int) -> dict:
+    """A datum of rank 3 with the whole space as valuation cone and n colors
+    placed on the moment curve, each a ray of the cone over all of them."""
+    units = [[s * (i == j) for j in range(3)] for i in range(3) for s in (1, -1)]
+    colors = [{"name": f"D{t}", "rho": list(p)} for t, p in enumerate(moment_curve(3, n))]
+    return {"dim": 3, "valuation_cone": {"generators": units}, "colors": colors}
+
+
+@pytest.mark.parametrize("colors, code", [(256, 0), (257, 2)])
+def test_datum_color_limit(colors, code, tmp_path, capsys, monkeypatch):
+    """A datum may list 256 colors, as a cone may list 256 rays: C1 rebuilds
+    a cone from the colors it chooses.  More are refused before any cone of
+    the file is built."""
+    datum = tmp_path / "datum.json"
+    datum.write_text(json.dumps(colored_datum(colors)))
+    built = []
+    real = fileio.cone_from_generators
+    monkeypatch.setattr(
+        fileio, "cone_from_generators", lambda gens, dim: built.append(dim) or real(gens, dim)
+    )
+    start = time.perf_counter()
+    assert main(["validate", "--datum", str(datum)]) == code
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert err == "" and "verdict: PASS" in out and built == [3]
+        return
+    assert out == "" and err.splitlines() == ["input error: datum.colors: more than 256"]
+    assert built == [] and elapsed < 1
 
 
 @pytest.mark.parametrize("copies, code", [(64, 0), (65, 2)])
@@ -705,6 +737,166 @@ def test_entry_bit_cap(tmp_path, capsys):
         )
 
 
+def not_utf8_file(path: Path) -> str:
+    path.write_bytes(b'{"dim": 1, "valuation_cone": {"generators": [[1]]}, "colors": ["\xff"]}')
+    return str(path)
+
+
+def fail_to_read(path: Path, monkeypatch) -> str:
+    """Make reading ``path`` fail as on a failing disk, with EIO."""
+    path.write_text(Path(fx("datum_toric2.json")).read_text())
+    read = Path.read_text
+
+    def failing(self, *args, **kwargs):
+        if self == path:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        return read(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", failing)
+    return str(path)
+
+
+def test_file_that_is_not_utf8_is_named(tmp_path, capsys):
+    datum = not_utf8_file(tmp_path / "datum.json")
+    assert main(["validate", "--datum", datum]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"input error: {datum}: not UTF-8 (")
+
+
+def test_file_that_cannot_be_read_is_named(tmp_path, capsys, monkeypatch):
+    """A regular file whose read fails is an input error that names it, not
+    a traceback with exit 1, which the CLI keeps for a negative verdict."""
+    datum = fail_to_read(tmp_path / "datum.json", monkeypatch)
+    assert main(["validate", "--datum", datum]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"input error: {datum}: cannot be read (Input/output error)\n")
+
+
+# every command that reads each kind of file: all but lined read a datum and a fan
+_READERS = {
+    "datum": COMMANDS[:-1],
+    "fan": COMMANDS[:-1],
+    "action": ("validate", "kform", "monoid-kform"),
+    "morphism": ("morphism",),
+    "theta": ("lined",),
+}
+_COMPANIONS = {
+    "datum": fx("datum_toric2.json"),
+    "fan": fx("fan_p2.json"),
+    "action": fx("action_swap.json"),
+    "morphism": fx("morphism_projection.json"),
+    "theta": fx("theta_neg.json"),
+    "lambda": "1",
+}
+_UNREADABLE = ("not_utf8", "read_fails", "name_too_long")
+
+
+def hostile_files(case: str, tmp_path: Path, monkeypatch) -> tuple[dict, dict]:
+    """The files of one sweep case by option: the companions that replace
+    fixtures, and the files at the edge of a limit, each read in turn."""
+    def write(name, obj):
+        (tmp_path / name).write_text(json.dumps(obj))
+        return str(tmp_path / name)
+
+    def units(n):
+        return [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def space(n):
+        axes = units(n) + [[-x for x in e] for e in units(n)]
+        return {"dim": n, "valuation_cone": {"generators": axes}}
+
+    def swap(n):
+        return {"generators": [{"matrix": [units(n)[1], units(n)[0], *units(n)[2:]]}]}
+
+    if case == "dim_at_cap":
+        n = fileio.MAX_DIM
+        return {
+            "fan": write("fan.json", {"cones": [{"rays": units(n)[:2]}]}),
+            "action": write("action.json", swap(n)),
+            "lambda": ",".join(["1"] * n),
+        }, {
+            "datum": write("datum.json", space(n)),
+            "theta": write("theta.json", [[-x for x in e] for e in units(n)]),
+        }
+    if case == "faces_near_cap":
+        # the cone over {1} x {-1,1}^7: 128 rays and 2188 faces
+        rays = [[1, *c] for c in itertools.product((1, -1), repeat=7)]
+        return {
+            "datum": write("datum.json", space(8)),
+            "action": write("action.json", swap(8)),
+        }, {"fan": write("fan.json", {"cones": [{"rays": rays}]})}
+    if case == "colors_at_cap":
+        # one cone choosing every color: C1 fails and rebuilds it from 259 generators
+        datum = colored_datum(fileio.MAX_RAYS)
+        colors = [c["name"] for c in datum["colors"]]
+        cone = {"rays": [[1, 0, 0], [0, 1, 0], [0, 0, -1]], "colors": colors}
+        return {
+            "fan": write("fan.json", {"cones": [cone]}),
+            "action": write("action.json", {"generators": [{"matrix": units(3)}]}),
+        }, {"datum": write("datum.json", datum)}
+    if case == "generators_at_cap":
+        # distinct signed permutations that generate all 384 of them
+        signed = [
+            [[s[i] * (p[i] == j) for j in range(4)] for i in range(4)]
+            for p in itertools.permutations(range(4))
+            for s in itertools.product((1, -1), repeat=4)
+        ]
+        chosen = random.Random(384).sample(signed, fileio.MAX_GENERATORS)
+        return {
+            "datum": write("datum.json", space(4)),
+            "fan": write("fan.json", {"cones": [{"rays": units(4)}]}),
+        }, {"action": write("action.json", {"generators": [{"matrix": m} for m in chosen]})}
+    if case == "entries_at_cap":
+        # the P2 fan under the base change (x, y) -> (x + a y, y)
+        a = 2**fileio.MAX_ENTRY_BITS - 2
+        rays = [[1, 0], [a, 1], [-a - 1, -1]]
+        cones = [{"rays": [rays[i], rays[(i + 1) % 3]]} for i in range(3)]
+        return {}, {"fan": write("fan.json", {"cones": cones})}
+    if case == "not_utf8":
+        bad = not_utf8_file(tmp_path / "bad.json")
+    elif case == "read_fails":
+        bad = fail_to_read(tmp_path / "bad.json", monkeypatch)
+    else:
+        bad = str(tmp_path / ("x" * 300 + ".json"))
+    return {}, dict.fromkeys(_READERS, bad)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "colors_at_cap",
+        "generators_at_cap",
+        "entries_at_cap",
+        "dim_at_cap",
+        "faces_near_cap",
+        *_UNREADABLE,
+    ],
+)
+def test_hostile_files_end_with_a_verdict_or_an_input_error(case, tmp_path, capsys, monkeypatch):
+    """Each file at the edge of one file limit, and each file that cannot be
+    read, goes through every command that reads its kind of file: exit 0, 1
+    or 2 within 30 s, no traceback, and on exit 2 one ``input error:`` line
+    and no report.  An unreadable file is named."""
+    companions, edge = hostile_files(case, tmp_path, monkeypatch)
+    files = {**_COMPANIONS, **companions}
+    for option, path in edge.items():
+        for command in _READERS[option]:
+            argv = [command]
+            for o, p in {**files, option: path}.items():
+                argv += [f"--{o}", p]
+            start = time.perf_counter()
+            code = main(argv)
+            elapsed = time.perf_counter() - start
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2) and elapsed < 30, (command, option)
+            if code == 2:
+                assert out == "" and len(err.splitlines()) == 1, (command, option)
+                assert err.startswith("input error: "), (command, option)
+            if case in _UNREADABLE:
+                assert code == 2 and path in err, (command, option)
+
+
 def test_invalid_action_matrix_is_input_error(tmp_path):
     action = tmp_path / "action.json"
     action.write_text(json.dumps({"generators": [{"matrix": [[1, 0], [0, 0]], "color_perm": {}}]}))
@@ -1047,13 +1239,23 @@ def _runs(python: str) -> bool:
         return False
 
 
+def _python310() -> str | None:
+    """``python3.10`` when it runs, else a pyenv build of 3.10 when one runs:
+    a pyenv shim refuses ``python3.10`` unless 3.10 is a selected version."""
+    root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv"))
+    builds = sorted(str(p) for p in root.glob("versions/3.10*/bin/python3.10"))
+    return next((python for python in ["python3.10", *builds] if _runs(python)), None)
+
+
 @pytest.mark.parametrize("python", [sys.executable, "python3.10"])
 def test_golden_script_replays_every_case(python):
     """``tests/golden.py`` run as a script replays every golden block with
     the standard library alone: under this interpreter, and under Python
-    3.10 when ``python3.10`` runs."""
-    if python == "python3.10" and not _runs(python):
-        pytest.skip("python3.10 does not run here")
+    3.10 when one runs."""
+    if python == "python3.10":
+        python = _python310()
+        if python is None:
+            pytest.skip("no Python 3.10 runs here")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     ran = subprocess.run(
         [python, str(Path(__file__).parent / "golden.py")],
