@@ -64,8 +64,9 @@ MAX_RAYS = 256
 # Most faces the given cones of one fan may have together, counted while
 # their face lattices are walked, so that one cone with a huge lattice stops
 # near the cap: the closure builds every face and compares each with the
-# faces of its cone.  The cone over the cube {1} x {-1,1}^7 has 2188 faces,
-# that over {1} x {-1,1}^8 has 6562.
+# faces of its cone.  Each distinct listed entry is built once, and every
+# cone built is charged (see parse_fan).  The cone over the cube
+# {1} x {-1,1}^7 has 2188 faces, that over {1} x {-1,1}^8 has 6562.
 MAX_FACES = 4096
 # Most generators an action may list, checked before any matrix is built:
 # each distinct one is tested for infinite order, seconds at dimension 64.
@@ -212,39 +213,35 @@ def parse_fan(obj, datum: SphericalDatum, where: str = "fan") -> list[ColoredCon
     """Schema-level parse of the maximal cones; no axiom validation here.
 
     Every entry is read, and checked against :data:`MAX_CONES` and
-    :data:`MAX_RAYS`, before any cone is built.  Each cone's face lattice
-    is walked as soon as the cone is built, once per distinct colored cone
-    as the closure walks them, and kept on the cone; more than
+    :data:`MAX_RAYS`, before any cone is built.  Each distinct entry (rays
+    as listed, colors) is built once, a repeat being the same cone, and its
+    face lattice is walked and kept on the cone.  Every cone built is
+    charged, so a cone respelled is charged again: more than
     :data:`MAX_FACES` faces in all is a schema error.  The walks share one
-    table (see :meth:`Cone._lattice_faces`), so that a face two cones share
-    is built once."""
+    table (see :meth:`Cone._lattice_faces`), so a shared face is built once."""
     data = _expect_keys(obj, ("cones",), (), where)
     parsed = []
     for entry, at in _entries(data["cones"], f"{where}.cones", MAX_CONES):
         cobj = _expect_keys(entry, ("rays",), ("colors",), at)
-        rays = [
+        rays = tuple(
             _int_vector(r, datum.dim, r_at)
             for r, r_at in _entries(cobj["rays"], f"{at}.rays", MAX_RAYS)
-        ]
+        )
         colors = _name_list(cobj.get("colors", []), f"{at}.colors")
         unknown = sorted(set(colors) - set(datum.colors))
         if unknown:
             raise SchemaError(f"{at}: unknown colors {unknown}")
         parsed.append((rays, frozenset(colors)))
-    cones = []
-    walked = set()
+    built: dict = dict.fromkeys(parsed)
     table: dict = {}
     budget = MAX_FACES
-    for rays, colors in parsed:
-        cc = ColoredCone(cone_from_generators(rays, datum.dim), colors)
-        cones.append(cc)
-        if cc.key() not in walked:
-            walked.add(cc.key())
-            faces = cc.cone._lattice_faces(budget, table)
-            if faces is None:
-                raise SchemaError(f"{where}.cones: more than {MAX_FACES} faces in all")
-            budget -= len(faces)
-    return cones
+    for rays, colors in built:
+        cc = built[rays, colors] = ColoredCone(cone_from_generators(rays, datum.dim), colors)
+        faces = cc.cone._lattice_faces(budget, table)
+        if faces is None:
+            raise SchemaError(f"{where}.cones: more than {MAX_FACES} faces in all")
+        budget -= len(faces)
+    return [built[entry] for entry in parsed]
 
 
 def parse_action(obj, datum: SphericalDatum, where: str = "action") -> GroupAction:
@@ -303,7 +300,7 @@ def validated_fan(
     Never raises on a failed axiom.  The closure checks each given cone
     against C1-C4 once.  When one fails no fan is built: the result is
     ``None`` with a report keyed ``maximal[i].C*`` for every given cone,
-    checked with no LP (:func:`colored._closure_axioms`).
+    one check per distinct cone, with no LP (:func:`colored._closure_axioms`).
     Otherwise it is the closed fan with its report (``cone[i].C*``, ``F1``,
     ``F2``).  The closure proves C1-C4 and F1 for every member, so only F2
     is tested (:func:`colored._checked_fan`); the fan keeps the faces.
@@ -312,8 +309,10 @@ def validated_fan(
         fan = fan_from_maximal_cones(datum, raw)
     except InvalidColoredConeError:
         report = ValidationReport(subject="fan members")
+        given = {cc.key(): cc for cc in raw}
+        axioms = {key: _closure_axioms(datum, cc)[0] for key, cc in given.items()}
         for i, cc in enumerate(raw):
-            report.merge(_closure_axioms(datum, cc)[0], f"maximal[{i}]")
+            report.merge(axioms[cc.key()], f"maximal[{i}]")
         return None, report
     return fan, _checked_fan(datum, fan)[0]
 

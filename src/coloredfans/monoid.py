@@ -14,7 +14,6 @@ dominantly-mapped colors.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -89,15 +88,15 @@ def monoid_has_k_form(datum: SphericalDatum, action: GroupAction, cc: ColoredCon
     * a support LP on one cone has no row, so it is feasible, and every
       other orbit lies inside that closure and is skipped.
 
-    The closure checks the cone against C1-C4 once; :func:`is_monoid_cone`
-    runs only to name a failure.
+    The closure checks the cone against C1-C4 once and names a failure;
+    :func:`is_monoid_cone` runs only to name a cone that misses a color.
     """
-    fan = None
-    if datum.check_colors(cc.colors) == set(datum.colors):
-        with suppress(InvalidColoredConeError):
-            fan = fan_from_maximal_cones(datum, [cc])
-    if fan is None:
+    if datum.check_colors(cc.colors) != set(datum.colors):
         is_monoid_cone(datum, cc).report.require(MonoidConeError, "not a monoid cone")
+    try:
+        fan = fan_from_maximal_cones(datum, [cc])
+    except InvalidColoredConeError as exc:
+        raise MonoidConeError(str(exc)) from None
     return is_fan_invariant(datum, action, fan)
 
 

@@ -28,6 +28,11 @@ FIXTURES = HERE / "fixtures"
 GOLDEN_INPUTS = {
     "fan_c3.json": {"cones": [{"rays": [[1, 0], [-1, 0]], "colors": []}]},
     "fan_f2.json": {"cones": [{"rays": [[1, 0], [0, 1]]}, {"rays": [[1, 0], [1, 1]]}]},
+    "fan_repeat.json": {
+        "cones": [
+            {"rays": [[1, 0], [-1, 0]]}, {"rays": [[1, 0], [0, 1]]}, {"rays": [[1, 0], [-1, 0]]}
+        ]
+    },
     "action_scale.json": {"generators": [{"matrix": [[2, 0], [0, 1]], "color_perm": {}}]},
     "morphism_c3_target.json": {
         "matrix": [[1, 0]],

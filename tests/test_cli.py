@@ -445,10 +445,11 @@ def test_support_lp_rows_are_counted_exactly():
     assert max(counts) <= fileio.MAX_SUPPORT_ROWS
 
 
-def test_monoid_kform_checks_the_monoid_cone_once(monkeypatch, capsys):
+def test_monoid_kform_checks_the_monoid_cone_once(monkeypatch, capsys, tmp_path):
     """``monoid-kform`` checks its cone against C1-C4 once, in the closure of
-    the cone, with or without ``--force-lp``: ``is_monoid_cone`` runs only to
-    name a failure."""
+    the cone, with or without ``--force-lp``, and names a refused cone from
+    the closure's refusal: ``is_monoid_cone`` runs only to name a cone that
+    misses a color."""
     import coloredfans
     from coloredfans import colored, monoid
 
@@ -475,6 +476,13 @@ def test_monoid_kform_checks_the_monoid_cone_once(monkeypatch, capsys):
         assert main(argv + flags) == 0
         assert "verdict: PASS" in capsys.readouterr().out
         assert len(checked) == 1 and named == []
+    # a line, which fails C3 and carries every color of datum_toric2 (none)
+    write_inputs(tmp_path)
+    checked.clear()
+    assert main(argv[:3] + ["--fan", str(tmp_path / "fan_c3.json")] + argv[5:]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "input error: not a monoid cone: C3: the cone contains a line\n")
+    assert len(checked) == 1 and named == []
 
 
 def test_kform_reuses_the_faces_of_the_validated_fan(monkeypatch):
@@ -826,15 +834,24 @@ def hostile_files(case: str, tmp_path: Path, monkeypatch) -> tuple[dict, dict]:
             "datum": write("datum.json", space(8)),
             "action": write("action.json", swap(8)),
         }, {"fan": write("fan.json", {"cones": [{"rays": rays}]})}
-    if case == "colors_at_cap":
-        # one cone choosing every color: C1 fails and rebuilds it from 259 generators
+    if case in ("colors_at_cap", "repeated_refused_colors"):
+        # one cone choosing every color, listed once or as often as a fan may:
+        # C1 fails, and naming the failure rebuilds it from 259 generators
         datum = colored_datum(fileio.MAX_RAYS)
         colors = [c["name"] for c in datum["colors"]]
         cone = {"rays": [[1, 0, 0], [0, 1, 0], [0, 0, -1]], "colors": colors}
+        copies = 1 if case == "colors_at_cap" else fileio.MAX_CONES
         return {
-            "fan": write("fan.json", {"cones": [cone]}),
+            "fan": write("fan.json", {"cones": [cone] * copies}),
             "action": write("action.json", {"generators": [{"matrix": units(3)}]}),
         }, {"datum": write("datum.json", datum)}
+    if case == "repeated_cones":
+        # the cone over 256 points of the moment curve, listed as often as a fan may
+        cone = {"rays": moment_curve(3, fileio.MAX_RAYS)}
+        return {
+            "datum": write("datum.json", space(3)),
+            "action": write("action.json", swap(3)),
+        }, {"fan": write("fan.json", {"cones": [cone] * fileio.MAX_CONES})}
     if case == "generators_at_cap":
         # distinct signed permutations that generate all 384 of them
         signed = [
@@ -866,6 +883,8 @@ def hostile_files(case: str, tmp_path: Path, monkeypatch) -> tuple[dict, dict]:
     "case",
     [
         "colors_at_cap",
+        "repeated_refused_colors",
+        "repeated_cones",
         "generators_at_cap",
         "entries_at_cap",
         "dim_at_cap",
@@ -1261,7 +1280,7 @@ def test_golden_script_replays_every_case(python):
         [python, str(Path(__file__).parent / "golden.py")],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert (ran.returncode, ran.stdout) == (0, "54 of 54 golden cases match\n")
+    assert (ran.returncode, ran.stdout) == (0, "56 of 56 golden cases match\n")
 
 
 def test_force_lp_changes_no_monoid_kform_output(tmp_path, capsys):

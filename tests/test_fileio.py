@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -190,6 +191,63 @@ def test_loaded_fan_checks_each_given_cone_once(monkeypatch):
     fan, report = fileio.validated_fan(datum, [line] + raw)
     assert fan is None and report.checks["maximal[0].C3"] is False
     assert checked == [("_closure_axioms", cc.key()) for cc in [line, line] + raw]
+    # listed again, each distinct given cone is still checked once for the
+    # report, and every repeat gets the report of its first listing
+    checked.clear()
+    fan, report = fileio.validated_fan(datum, [line, line] + raw + raw)
+    assert fan is None and len(report.checks) == 4 * 10
+    assert checked == [("_closure_axioms", cc.key()) for cc in [line, line] + raw]
+    assert report.reasons == [f"maximal[{i}]: C3: the cone contains a line" for i in (0, 1)]
+    assert all(report.checks[f"maximal[{i + 6}].C1"] for i in range(4))
+
+
+def counted_builds(monkeypatch) -> list:
+    """The generators of each cone that ``fileio`` builds from now on."""
+    built = []
+    real = fileio.cone_from_generators
+    monkeypatch.setattr(
+        fileio, "cone_from_generators", lambda gens, dim: built.append(gens) or real(gens, dim)
+    )
+    return built
+
+
+def test_repeated_entries_build_one_cone(monkeypatch):
+    """k literal copies of one entry build one cone, shared by every copy;
+    an entry with the same rays and other colors is another entry."""
+    datum = fileio.parse_datum(fileio.load_json(FIXTURES / "datum_rank1.json"))
+    built = counted_builds(monkeypatch)
+    entry = {"rays": [[1]], "colors": ["D+"]}
+    raw = fileio.parse_fan({"cones": [entry] * 7}, datum)
+    assert len(raw) == 7 and all(cc is raw[0] for cc in raw) and len(built) == 1
+    built.clear()
+    raw = fileio.parse_fan({"cones": [entry, {"rays": [[1]]}, entry]}, datum)
+    assert len(built) == 2 and raw[0] is raw[2] and raw[1].colors == frozenset()
+
+
+def test_every_cone_built_is_charged_to_the_face_budget(monkeypatch):
+    """Literal copies of the positive octant (8 faces) cost one build and
+    one charge; the same cone spelled another way each time, its rays
+    reordered or the redundant ray (1, 1, 1) added, is built and charged
+    once per spelling: 8 spellings fill a budget of 64 faces, the 9th is
+    refused."""
+    from conftest import toric_datum
+
+    monkeypatch.setattr(fileio, "MAX_FACES", 64)
+    datum = toric_datum(3)
+    built = counted_builds(monkeypatch)
+    octant = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    raw = fileio.parse_fan({"cones": [{"rays": octant}] * 9}, datum)
+    assert len(built) == 1 and len(raw[0].cone._lattice_faces()) == 8
+    orders = [list(rays) for rays in itertools.permutations(octant)]
+    spellings = (orders + [rays + [[1, 1, 1]] for rays in orders])[:9]
+    assert len({json.dumps(rays) for rays in spellings}) == 9
+    built.clear()
+    raw = fileio.parse_fan({"cones": [{"rays": rays} for rays in spellings[:8]]}, datum)
+    assert len(built) == 8 and len({cc.key() for cc in raw}) == 1
+    built.clear()
+    with pytest.raises(SchemaError) as info:
+        fileio.parse_fan({"cones": [{"rays": rays} for rays in spellings]}, datum)
+    assert str(info.value) == "fan.cones: more than 64 faces in all" and len(built) == 9
 
 
 def test_serializing_a_closure_built_fan_closes_nothing(monkeypatch):
